@@ -8,9 +8,6 @@ Library layers:
 * :mod:`abdirac.shielded`   -- barrier region, shielded matching and eigenfunctions
 * :mod:`abdirac.scattering` -- plane-wave scattering states and amplitudes
 * :mod:`abdirac.propagate`  -- Green's-function differences and wave packets
-* :mod:`abdirac.verify`     -- numerical acceptance/invariant suites
-* :mod:`abdirac.service`    -- FastAPI front end
-* :mod:`abdirac.cli`        -- command line thin client
 """
 
 __version__ = "0.1.0"

@@ -31,7 +31,3 @@ class TruncationError(AbdiracError):
 
 class QuadratureError(AbdiracError):
     """Quadrature or extrapolation failed to converge to the requested tolerance."""
-
-
-class ConfigError(AbdiracError):
-    """Invalid run configuration (CLI / service layer)."""

@@ -10,7 +10,6 @@ __all__ = [
     "aitken_limit",
     "loglog_slope",
     "gauss_panel_nodes",
-    "phase_panel_edges",
 ]
 
 
@@ -66,25 +65,3 @@ def gauss_panel_nodes(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = (mid + half * x[None, :]).ravel()
     weights = (half * w[None, :]).ravel()
     return nodes, weights
-
-
-def phase_panel_edges(a: float, b: float, phase_fn, max_phase: float = 2.0,
-                      min_panels: int = 4, max_panels: int = 200000) -> np.ndarray:
-    """Panel edges on [a, b] such that a monotone phase grows by at most
-    `max_phase` per panel.
-
-    `phase_fn` maps the coordinate to an (approximately monotone) phase in
-    radians; edges are found by inverting it on a fine grid.
-    """
-    if b <= a:
-        raise QuadratureError("empty integration interval")
-    grid = np.linspace(a, b, 4097)
-    phi = np.asarray([phase_fn(g) for g in grid], dtype=float)
-    phi = np.maximum.accumulate(phi)
-    total = phi[-1] - phi[0]
-    n_panels = int(np.ceil(total / max_phase)) + 1
-    n_panels = min(max(n_panels, min_panels), max_panels)
-    targets = np.linspace(phi[0], phi[-1], n_panels + 1)
-    edges = np.interp(targets, phi, grid)
-    edges[0], edges[-1] = a, b
-    return np.unique(edges)

@@ -67,16 +67,15 @@ def barrier_log_derivative(l: int, channel: int, coupling: Coupling,
                            kin: Kinematics, R0: float) -> float:
     """Lambda^(R0): d(ln chi)/d(kappa r) of the barrier solution at r = R0.
 
-    Real-valued; tends to 1 from below once kappa R0 >> 1.
+    chi = J_order(i kappa r) is e^{i pi order/2} I_order(kappa r), so Lambda is
+    I'/I at kappa R0, taken from scaled functions that stay finite where
+    I_order itself overflows (kappa R0 beyond ~700).  Real-valued; tends to 1
+    from below once kappa R0 >> 1.
     """
     if kin.kappa is None:
         raise RegimeError("kinematics carries no barrier height; kappa undefined")
     order = _principal_order(l, channel, coupling)
-    x = 1j * kin.kappa * R0
-    val = sf.bessel_j(order, x)
-    dval = sf.bessel_j_prime(order, x)
-    lam = 1j * dval / val
-    return float(lam.real)
+    return float(sf.bessel_i_log_derivative(order, kin.kappa * R0))
 
 
 def f_factor(l: int, channel: int, barrier: BarrierConfig, kin: Kinematics,

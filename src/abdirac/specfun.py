@@ -1,44 +1,35 @@
-"""Complex-capable special functions of fractional order.
+"""Special functions of fractional order: a thin adapter over ``scipy.special``.
 
-Cylinder functions J_nu, H_nu^(1), H_nu^(2) (with derivatives), the modified
-Bessel function I_nu, the confluent hypergeometric function F(a|c|z) and a
-Lanczos gamma function.  Orders may be negative and non-integer; arguments may
-be complex (in particular purely imaginary, as needed inside an evanescent
-barrier region).
+Orders are real, possibly negative and non-integer.  Cylinder functions take a
+complex argument (purely imaginary inside an evanescent barrier), scalar or
+array; a scalar returns a Python ``complex`` (``float`` for the real-valued I
+functions), an array an array of its shape.  Backing scipy routines:
 
-Evaluation strategy
--------------------
-* ascending power series (80-bit extended precision accumulators) wherever
-  alternation cannot eat more than ~5 digits: |z| below a fixed switch radius,
-  or z close enough to the imaginary axis that the series is essentially
-  positive-term;
-* large-argument Hankel expansions beyond the switch radius for moderate
-  orders;
-* stable order recurrences for large orders: backward (Miller) ladders for J,
-  forward ladders for the Hankel functions, both anchored on directly
-  evaluated low-order values.
+* ``bessel_j``, ``bessel_j_prime``: ``jv``, ``jvp`` (AMOS; reflection for nu < 0)
+* ``bessel_j_ladder``: one ``jv`` call over the orders nu0 + m
+* ``bessel_i``: ``iv``, real x >= 0
+* ``bessel_i_log_derivative``: ``ive``, as ive(nu+1)/ive(nu) + nu/x, finite
+  where I_nu itself overflows (x beyond ~700)
+* ``hankel1``, ``hankel2``, ``hankel1_prime``, ``hankel2_prime``: ``hankel1``,
+  ``hankel2``, ``h1vp``, ``h2vp`` (AMOS)
+* ``kummer_f``: ``hyp1f1`` for real a, c; ``kummer_f_prime`` by the contiguous
+  relation F'(a|c|z) = (a/c) F(a+1|c+1|z)
+* ``gamma_fn``, ``log_gamma``: ``gamma``, ``loggamma`` (principal branch)
 
-Hankel functions of non-integer order are built from the reflection formula
+scipy returns inf or nan where the library raises instead:
 
-    H_nu^(1) = (i / sin(pi nu)) * (e^{-i pi nu} J_nu - J_{-nu})
-
-at small arguments and from their own asymptotic expansion at large ones;
-exactly integer orders take the logarithmic (digamma) series for Y_n, because
-the removable singularity of the reflection formula amplifies round-off by
-1/sin(pi*nu) near integers.
-
-Accuracy note: relative accuracy is quoted against the modulus envelope
-sqrt(2/(pi |z|)); strict relative accuracy directly at a zero of an
-oscillatory function is not achievable in fixed precision.
-
-All functions are pure and hold no mutable state.
+* ``OutOfRangeError``: an order above the cap (``max_order``, default
+  ``DEFAULT_MAX_ORDER``; a ladder checks every order it returns), a non-finite
+  argument, a non-real Kummer parameter, or a non-finite result at z != 0.
+* ``SingularArgumentError``: a non-finite result at z = 0, where the function
+  diverges (every Hankel function; J, J', I where their leading power is negative).
+* ``PoleError``: gamma at z, or Kummer's F at c, within 1e-12 of 0, -1, -2, ...
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy import special as _sp
 
 from .errors import OutOfRangeError, PoleError, SingularArgumentError
 
@@ -50,6 +41,7 @@ __all__ = [
     "bessel_j_prime",
     "bessel_j_ladder",
     "bessel_i",
+    "bessel_i_log_derivative",
     "hankel1",
     "hankel1_prime",
     "hankel2",
@@ -60,565 +52,121 @@ __all__ = [
 
 DEFAULT_MAX_ORDER = 200.0
 
-# Ascending series is used for |z| <= _SERIES_RADIUS, and also whenever
-# |z| - |Im z| <= _SERIES_CANCEL_MARGIN (near the imaginary axis the series is
-# positive-term and safe at any radius).
-_SERIES_RADIUS = 16.0
-_SERIES_CANCEL_MARGIN = 12.0
-_INTEGER_EPS = 1e-12  # orders this close to an integer take the integer path
-_EULER_GAMMA = 0.5772156649015328606065120900824024310421593359399
 
-_LD = np.longdouble
-_CLD = np.clongdouble
-_LD_EPS = float(np.finfo(np.longdouble).eps)
-
-# Lanczos approximation, g = 607/128, 15 coefficients (relative error ~1e-15
-# on the right half plane).
-_LANCZOS_G = 4.7421875
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    3.3994649984811888699e-5,
-    4.6523628927048575665e-5,
-    -9.8374475304879564677e-5,
-    1.5808870322491248884e-4,
-    -2.1026444172410488319e-4,
-    2.1743961811521264320e-4,
-    -1.6431810653676389022e-4,
-    8.4418223983852743293e-5,
-    -2.6190838401581408670e-5,
-    3.6899182659531622704e-6,
-)
-
-
-def _is_nonpositive_integer(x: complex, tol: float = 1e-12) -> bool:
-    xr = complex(x)
-    return abs(xr.imag) < tol and xr.real <= 0.5 and abs(xr.real - round(xr.real)) < tol
-
-
-def gamma_fn(z: complex) -> complex:
-    """Gamma function for complex argument (Lanczos, reflection for Re z < 1/2)."""
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"gamma pole at z={z}")
-    if z.real < 0.5:
-        return math.pi / (np.sin(np.pi * z) * gamma_fn(1.0 - z))
-    zz = z - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (zz + k)
-    t = zz + _LANCZOS_G + 0.5
-    return complex(math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * np.exp(-t) * acc)
-
-
-def log_gamma(z: complex) -> complex:
-    """log Gamma(z); principal value, accurate for Re z > 0 (reflection otherwise)."""
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"gamma pole at z={z}")
-    if z.real < 0.5:
-        return complex(
-            np.log(np.pi) - np.log(np.sin(np.pi * z) + 0j) - log_gamma(1.0 - z)
-        )
-    zz = z - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (zz + k)
-    t = zz + _LANCZOS_G + 0.5
-    return complex(0.5 * np.log(2.0 * np.pi) + (zz + 0.5) * np.log(t) - t + np.log(acc))
-
-
-def _check_order(nu: float, max_order: float | None) -> float:
-    nu = float(nu)
-    if not np.isfinite(nu):
-        raise OutOfRangeError("order must be finite")
+def _order(nu, max_order: float | None) -> np.ndarray:
     cap = DEFAULT_MAX_ORDER if max_order is None else float(max_order)
-    if abs(nu) > cap:
-        raise OutOfRangeError(f"|nu|={abs(nu)} exceeds the configured maximum {cap}")
+    nu = np.asarray(nu, dtype=np.float64)
+    if not (np.all(np.isfinite(nu)) and np.all(np.abs(nu) <= cap)):
+        raise OutOfRangeError(f"order not finite or above the maximum {cap}")
     return nu
 
 
-def _as_z_array(z) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(z, dtype=np.complex128)
-    return np.atleast_1d(arr), arr.ndim == 0
+def _evaluate(fn, z, name: str, *params, dtype=np.complex128):
+    """fn(*params, z) at a finite argument; scipy's inf/nan becomes a typed error.
 
-
-def _series_safe(z: np.ndarray) -> np.ndarray:
-    az = np.abs(z)
-    return (az <= _SERIES_RADIUS) | (az - np.abs(z.imag) <= _SERIES_CANCEL_MARGIN)
-
-
-def _series_j(nu: float, z: np.ndarray, max_terms: int = 60000) -> np.ndarray:
-    """Ascending series for J_nu, extended-precision accumulation.
-
-    Valid for any nu that is not a negative integer; caller is responsible for
-    restricting to arguments where alternation is harmless.
+    Returns a Python scalar for a scalar result, else the array.
     """
-    zl = z.astype(_CLD)
-    u = -(zl / 2.0) ** 2
-    term = np.ones_like(zl)
-    total = term.copy()
-    k = 0
-    while k < max_terms:
-        k += 1
-        denom = _LD(k) * _LD(nu + k)
-        term = term * u / denom
-        total += term
-        if np.all(np.abs(term) <= 1e-22 * (np.abs(total) + 1e-300)) and np.all(
-            np.abs(u) < denom
-        ):
-            break
-    else:
-        raise OutOfRangeError("bessel series did not converge (argument too large)")
-    # prefactor (z/2)^nu / Gamma(nu+1), done in log space to survive big orders
-    out = np.empty_like(z)
-    lg = log_gamma(nu + 1.0)
-    zero = z == 0
-    if np.any(zero):
-        out[zero] = 1.0 if nu == 0 else 0.0
-    nz = ~zero
-    if np.any(nz):
-        lp = nu * np.log(zl[nz] / 2.0) - _CLD(lg)
-        out[nz] = (np.exp(lp) * total[nz]).astype(np.complex128)
-    return out
+    z = np.asarray(z, dtype=dtype)
+    if not np.all(np.isfinite(z)):
+        raise OutOfRangeError(f"{name}: argument must be finite")
+    out = fn(*params, z)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        if np.any(bad & (z == 0)):
+            raise SingularArgumentError(f"{name} diverges at z=0")
+        raise OutOfRangeError(f"{name} is not finite in double precision here")
+    return out.item() if np.ndim(out) == 0 else out
 
 
-def _asym_hankel(nu: float, z: np.ndarray, kind: int, tol: float = 5e-14):
-    """Large-argument expansion of H_nu^(kind); returns (value, achieved_tol).
-
-    The Poincare series is summed until a term dips below `tol` or the terms
-    turn around (truncation at the smallest term); a few initial growing terms
-    are tolerated, which large orders need.  `achieved_tol` reports the worst
-    per-element truncation level.
-    """
-    sgn = 1.0 if kind == 1 else -1.0
-    mu = 4.0 * nu * nu
-    term = np.ones_like(z)
-    total = term.copy()
-    achieved = np.full(z.shape, np.inf)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(1, 80):
-        new = term * ((mu - (2 * k - 1) ** 2) * (1j * sgn) / (8.0 * k * z))
-        anew = np.abs(new)
-        aold = np.abs(term)
-        done = active & (anew <= tol * np.abs(total))
-        turned = active & ~done & (anew >= aold) & (k > 4)
-        add = active & ~turned
-        total = np.where(add, total + new, total)
-        achieved[done] = 0.0
-        achieved[turned] = aold[turned]
-        term = np.where(add, new, term)
-        active &= ~(done | turned)
-        if not active.any():
-            break
-        if np.any(np.abs(term[active]) > 1e6):
-            raise OutOfRangeError(
-                f"hankel asymptotic expansion diverges for nu={nu}"
-            )
-    if active.any():
-        achieved[active] = np.abs(term[active])
-    omega = z - (0.5 * nu + 0.25) * math.pi
-    value = np.sqrt(2.0 / (math.pi * z)) * np.exp(1j * sgn * omega) * total
-    return value, float(np.max(achieved))
+def _check_pole(x: complex, name: str) -> None:
+    x = complex(x)
+    if abs(x.imag) < 1e-12 and x.real <= 0.5 and abs(x.real - round(x.real)) < 1e-12:
+        raise PoleError(f"{name} pole at {x}")
 
 
-def _asym_ok(nu: float, z: np.ndarray) -> np.ndarray:
-    return (np.abs(z) >= _SERIES_RADIUS) & (nu * nu <= 2.0 * np.abs(z))
+def gamma_fn(z: complex) -> complex:
+    """Gamma function; a real argument takes scipy's real routine."""
+    _check_pole(z, "gamma")
+    return complex(_evaluate(_sp.gamma, z, "gamma", dtype=None))
 
 
-def _asym_j(nu: float, z: np.ndarray, tol: float = 5e-14) -> np.ndarray:
-    h1, a1 = _asym_hankel(nu, z, 1, tol)
-    h2, a2 = _asym_hankel(nu, z, 2, tol)
-    if max(a1, a2) > 100 * tol:
-        raise OutOfRangeError(
-            f"asymptotic expansion stalls at {max(a1, a2):.1e} for nu={nu}"
-        )
-    return 0.5 * (h1 + h2)
-
-
-def _direct_j(nu: float, z: np.ndarray) -> np.ndarray:
-    """J_nu on an array, series/asymptotic dispatch; requires moderate |nu|."""
-    out = np.empty_like(z)
-    safe = _series_safe(z)
-    if np.any(safe):
-        out[safe] = _series_j(nu, z[safe])
-    rest = ~safe
-    if np.any(rest):
-        if not np.all(_asym_ok(nu, z[rest])):
-            raise OutOfRangeError(f"no direct evaluation path for nu={nu}")
-        out[rest] = _asym_j(nu, z[rest])
-    return out
-
-
-def _miller_ladder(nu0: float, count: int, z: complex) -> np.ndarray:
-    """J_{nu0+m}(z) for m=0..count-1 by backward recurrence, self-validating."""
-    z = complex(z)
-    az = abs(z)
-    b0 = complex(_direct_j(nu0, np.array([z]))[0])
-    b1 = complex(_direct_j(nu0 + 1.0, np.array([z]))[0])
-    scale_ref = abs(b0) + abs(b1)
-    pad = 20 + int(2.0 * az ** (1.0 / 3.0))
-    for _ in range(4):
-        m_start = count + max(0, int(math.ceil(az - (nu0 + count)))) + pad
-        out = np.zeros(count, dtype=np.complex128)
-        p_hi = 0.0 + 0.0j
-        p = 1.0 + 0.0j
-        if m_start < count:
-            m_start = count
-        for m in range(m_start, 0, -1):
-            p_lo = (2.0 * (nu0 + m) / z) * p - p_hi
-            p_hi, p = p, p_lo
-            if m - 1 < count:
-                out[m - 1] = p
-            if abs(p) > 1e250:
-                p_hi *= 1e-250
-                p *= 1e-250
-                out *= 1e-250
-        anchor0, anchor1 = out[0], out[1] if count > 1 else p_hi
-        if count == 1:
-            anchor1 = p_hi  # value one order above the requested base
-        if abs(b0) >= abs(b1):
-            fac = b0 / anchor0
-            err = abs(fac * anchor1 - b1)
-        else:
-            fac = b1 / anchor1
-            err = abs(fac * anchor0 - b0)
-        if err <= 1e-11 * scale_ref:
-            return out * fac
-        pad += 40
-    raise OutOfRangeError(
-        f"backward recurrence failed to stabilise for nu0={nu0}, z={z}"
-    )
-
-
-def _hankel_ladder(nu0: float, count: int, z: complex, kind: int) -> np.ndarray:
-    """H^(kind)_{nu0+m}(z), m=0..count-1, by forward recurrence (stable)."""
-    h_prev = _hankel_direct(nu0, complex(z), kind)
-    h = _hankel_direct(nu0 + 1.0, complex(z), kind)
-    out = np.empty(count, dtype=np.complex128)
-    out[0] = h_prev
-    if count > 1:
-        out[1] = h
-    for m in range(2, count):
-        h_prev, h = h, (2.0 * (nu0 + m - 1) / z) * h - h_prev
-        if not np.isfinite(h):
-            raise OutOfRangeError("hankel ladder overflow")
-        out[m] = h
-    return out
+def log_gamma(z: complex) -> complex:
+    """log Gamma(z), principal branch."""
+    _check_pole(z, "gamma")
+    return _evaluate(_sp.loggamma, z, "log_gamma")
 
 
 def bessel_j(nu: float, z, max_order: float | None = None):
-    """Bessel function J_nu(z) for real order and complex argument.
-
-    Accepts scalar or array `z` and returns complex values of matching shape.
-    """
-    nu = _check_order(nu, max_order)
-    zarr, scalar = _as_z_array(z)
-    if np.any(~np.isfinite(zarr)):
-        raise OutOfRangeError("argument must be finite")
-    out = np.empty_like(zarr)
-
-    zero = zarr == 0
-    if np.any(zero):
-        if nu == 0:
-            out[zero] = 1.0
-        elif nu > 0:
-            out[zero] = 0.0
-        elif float(nu).is_integer():
-            out[zero] = 0.0
-        else:
-            raise SingularArgumentError(f"J_nu diverges at z=0 for nu={nu}")
-
-    nz = ~zero
-    if np.any(nz):
-        zv = zarr[nz]
-        if nu < 0 and float(nu).is_integer():
-            out[nz] = (-1.0) ** int(-nu) * bessel_j(-nu, zv, max_order=max_order)
-        else:
-            vals = np.empty_like(zv)
-            safe = _series_safe(zv)
-            if np.any(safe):
-                vals[safe] = _series_j(nu, zv[safe])
-            rest = ~safe
-            if np.any(rest):
-                zr = zv[rest]
-                ok = _asym_ok(nu, zr)
-                sub = np.empty_like(zr)
-                if np.any(ok):
-                    sub[ok] = _asym_j(nu, zr[ok])
-                hard = ~ok
-                if np.any(hard):
-                    # large order at large argument: one ladder per point
-                    res = np.empty(np.count_nonzero(hard), dtype=np.complex128)
-                    for i, zz in enumerate(zr[hard]):
-                        res[i] = _bessel_j_large_order(nu, complex(zz))
-                    sub[hard] = res
-                vals[rest] = sub
-            out[nz] = vals
-
-    result = out.reshape(np.shape(z)) if not scalar else complex(out[0])
-    return result
-
-
-def _bessel_j_large_order(nu: float, z: complex) -> complex:
-    if nu >= 0:
-        m = int(math.floor(nu))
-        base = nu - m
-        return complex(_miller_ladder(base, m + 1, z)[m])
-    # negative large order: combine the two Hankel ladders
-    mu = -nu
-    m = int(math.floor(mu))
-    base = mu - m
-    h1 = _hankel_ladder(base, m + 1, z, 1)[m]
-    h2 = _hankel_ladder(base, m + 1, z, 2)[m]
-    return complex(0.5 * (np.exp(1j * math.pi * mu) * h1 + np.exp(-1j * math.pi * mu) * h2))
-
-
-def bessel_j_ladder(nu0: float, count: int, z, max_order: float | None = None) -> np.ndarray:
-    """J_{nu0+m}(z) for m = 0..count-1 at a scalar argument.
-
-    Backbone of the partial-wave sums: one stable backward pass instead of
-    `count` independent evaluations.
-    """
-    if count < 1:
-        raise OutOfRangeError("count must be >= 1")
-    cap = max(abs(nu0), abs(nu0 + count - 1))
-    _check_order(nu0, max_order if max_order is not None else max(cap, DEFAULT_MAX_ORDER))
-    z = complex(z)
-    if z == 0:
-        out = np.zeros(count, dtype=np.complex128)
-        if nu0 == 0:
-            out[0] = 1.0
-        elif nu0 < 0 and not float(nu0).is_integer():
-            raise SingularArgumentError("ladder base diverges at z=0")
-        return out
-    if _series_safe(np.array([z]))[0]:
-        return np.array([_series_j(nu0 + m, np.array([z]))[0] for m in range(count)])
-    # anchor the backward recurrence at a low order and slice the requested top
-    shift = int(math.floor(nu0)) if nu0 >= 2.0 else 0
-    return _miller_ladder(nu0 - shift, shift + count, z)[shift:]
+    """Bessel function J_nu(z) for real order and complex argument."""
+    return _evaluate(_sp.jv, z, "J_nu", _order(nu, max_order))
 
 
 def bessel_j_prime(nu: float, z, max_order: float | None = None):
-    """d/dz J_nu(z) via the two-sided order recurrence."""
-    nu = _check_order(nu, max_order)
-    zarr, scalar = _as_z_array(z)
-    if np.any(zarr == 0):
-        # derivative at the origin from the series leading terms
-        if nu == 1 or nu == -1:
-            val = 0.5 if nu == 1 else -0.5
-        elif abs(nu) > 1 or nu == 0:
-            val = 0.0
-        else:
-            raise SingularArgumentError(f"J_nu' diverges at z=0 for nu={nu}")
-        out = np.empty_like(zarr)
-        out[zarr == 0] = val
-        nz = zarr != 0
-        if np.any(nz):
-            lo = bessel_j(nu - 1.0, zarr[nz], max_order=max_order)
-            hi = bessel_j(nu + 1.0, zarr[nz], max_order=max_order)
-            out[nz] = 0.5 * (lo - hi)
-        return out.reshape(np.shape(z)) if not scalar else complex(out[0])
-    lo = bessel_j(nu - 1.0, zarr, max_order=max_order)
-    hi = bessel_j(nu + 1.0, zarr, max_order=max_order)
-    out = 0.5 * (np.asarray(lo) - np.asarray(hi))
-    return out.reshape(np.shape(z)) if not scalar else complex(out.ravel()[0])
+    """d/dz J_nu(z)."""
+    return _evaluate(_sp.jvp, z, "J'_nu", _order(nu, max_order))
+
+
+def bessel_j_ladder(nu0: float, count: int, z, max_order: float | None = None) -> np.ndarray:
+    """J_{nu0+m}(z) for m = 0..count-1 at a scalar argument."""
+    if count < 1:
+        raise OutOfRangeError("count must be >= 1")
+    orders = _order(float(nu0) + np.arange(count), max_order)
+    return _evaluate(_sp.jv, complex(z), "J ladder", orders)
 
 
 def bessel_i(nu: float, x, max_order: float | None = None):
-    """Modified Bessel function I_nu(x) for real x >= 0, positive-term series."""
-    nu = _check_order(nu, max_order)
-    xarr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    scalar = np.ndim(x) == 0
-    if np.any(xarr < 0):
+    """Modified Bessel function I_nu(x) for real x >= 0."""
+    if np.any(np.asarray(x) < 0):
         raise OutOfRangeError("bessel_i expects x >= 0")
-    out = np.empty_like(xarr)
-    zero = xarr == 0
-    if np.any(zero):
-        if nu == 0:
-            out[zero] = 1.0
-        elif nu > 0:
-            out[zero] = 0.0
-        else:
-            raise SingularArgumentError(f"I_nu diverges at x=0 for nu={nu}")
-    nz = ~zero
-    if np.any(nz):
-        xl = xarr[nz].astype(_LD)
-        u = (xl / 2.0) ** 2
-        term = np.ones_like(xl)
-        total = term.copy()
-        k = 0
-        while k < 60000:
-            k += 1
-            term = term * u / (_LD(k) * _LD(nu + k))
-            total += term
-            if np.all(term <= 1e-22 * total):
-                break
-        else:
-            raise OutOfRangeError("bessel_i series did not converge")
-        lg = log_gamma(nu + 1.0).real
-        out[nz] = np.asarray(
-            np.exp(nu * np.log(xl / 2.0) - _LD(lg)) * total, dtype=np.float64
-        )
-    return out.reshape(np.shape(x)) if not scalar else float(out[0])
+    return _evaluate(_sp.iv, x, "I_nu", _order(nu, max_order), dtype=np.float64)
 
 
-def _y_integer(n: int, z: complex, max_terms: int = 60000) -> complex:
-    """Neumann function Y_n(z), integer n >= 0, logarithmic series (small |z|)."""
-    zl = _CLD(z)
-    half = zl / 2.0
-    u = half * half
-    jn = _CLD(_series_j(float(n), np.array([z]))[0])
-    total = (2.0 / math.pi) * np.log(half) * jn
-    # finite sum of negative powers
-    if n > 0:
-        term = _CLD(math.factorial(n - 1)) * half ** (-n)
-        acc = term
-        for k in range(1, n):
-            term = term * u / (_LD(k) * _LD(n - k))
-            acc += term
-        total -= acc / math.pi
-    # digamma series
-    harm = _LD(0.0)
-    harm_nk = _LD(0.0)
-    for j in range(1, n + 1):
-        harm_nk += _LD(1.0) / j
-    psi_sum = -2.0 * _LD(_EULER_GAMMA) + harm + harm_nk
-    term = half ** n / _LD(math.factorial(n))
-    acc = term * psi_sum
-    k = 0
-    while k < max_terms:
-        k += 1
-        term = -term * u / (_LD(k) * _LD(n + k))
-        psi_sum = psi_sum + _LD(1.0) / k + _LD(1.0) / (n + k)
-        contrib = term * psi_sum
-        acc += contrib
-        if abs(complex(contrib)) <= 1e-24 * max(abs(complex(acc)), 1e-300) and k > abs(z):
-            break
-    else:
-        raise OutOfRangeError("Y_n series did not converge")
-    total -= acc / math.pi
-    return complex(total)
+def _ive_log_derivative(nu, x):
+    return _sp.ive(nu + 1.0, x) / _sp.ive(nu, x) + nu / x
 
 
-def _hankel_small(nu: float, z: complex, kind: int) -> complex:
-    """Small-|z| Hankel value: reflection formula, or Y_n series at integers."""
-    if abs(nu - round(nu)) < _INTEGER_EPS:
-        n = int(round(nu))
-        sign = 1.0
-        if n < 0:
-            sign = (-1.0) ** (-n)
-            n = -n
-        jn = complex(_series_j(float(n), np.array([z]))[0])
-        yn = _y_integer(n, z)
-        h = jn + 1j * yn if kind == 1 else jn - 1j * yn
-        return complex(sign * h)
-    s = math.sin(math.pi * nu)
-    jp = complex(_series_j(nu, np.array([z]))[0])
-    jm = complex(_series_j(-nu, np.array([z]))[0])
-    h1 = (1j / s) * (np.exp(-1j * math.pi * nu) * jp - jm)
-    if kind == 1:
-        return complex(h1)
-    return complex(2.0 * jp - h1)
-
-
-def _hankel_direct(nu: float, z: complex, kind: int) -> complex:
-    zarr = np.array([z])
-    if not _series_safe(zarr)[0] and _asym_ok(nu, zarr)[0]:
-        val, ach = _asym_hankel(nu, zarr, kind)
-        if ach < 5e-12:
-            return complex(val[0])
-    if not _series_safe(zarr)[0]:
-        raise OutOfRangeError(f"no hankel path for nu={nu}, z={z}")
-    return _hankel_small(nu, z, kind)
-
-
-def _hankel(nu: float, z, kind: int, max_order: float | None):
-    nu = _check_order(nu, max_order)
-    zarr, scalar = _as_z_array(z)
-    if np.any(zarr == 0):
-        raise SingularArgumentError("Hankel functions are singular at z=0")
-    if nu < 0:
-        phase = np.exp(1j * math.pi * (-nu)) if kind == 1 else np.exp(-1j * math.pi * (-nu))
-        base = _hankel(-nu, z, kind, max_order)
-        return phase * np.asarray(base) if not scalar else complex(phase * base)
-    out = np.empty_like(zarr)
-    flat = zarr.ravel()
-    res = out.ravel()
-    asym = (~_series_safe(flat)) & _asym_ok(nu, flat)
-    if np.any(asym):
-        val, ach = _asym_hankel(nu, flat[asym], kind)
-        if ach > 5e-12:
-            raise OutOfRangeError("asymptotic hankel expansion stalls")
-        res[asym] = val
-    rest = ~asym
-    for idx in np.nonzero(rest)[0]:
-        zz = complex(flat[idx])
-        if _series_safe(np.array([zz]))[0]:
-            res[idx] = _hankel_direct(nu, zz, kind)
-        else:
-            # large argument with order beyond the expansion: forward ladder
-            m = int(math.floor(nu))
-            base = nu - m
-            res[idx] = _hankel_ladder(base, m + 1, zz, kind)[m]
-    return out.reshape(np.shape(z)) if not scalar else complex(out.ravel()[0])
+def bessel_i_log_derivative(nu: float, x):
+    """I'_nu(x) / I_nu(x) for real x > 0, finite where I_nu itself overflows."""
+    if np.any(np.asarray(x) <= 0):
+        raise OutOfRangeError("bessel_i_log_derivative expects x > 0")
+    return _evaluate(_ive_log_derivative, x, "I'_nu/I_nu", _order(nu, None), dtype=np.float64)
 
 
 def hankel1(nu: float, z, max_order: float | None = None):
     """Hankel function of the first kind, H_nu^(1)(z)."""
-    return _hankel(nu, z, 1, max_order)
+    return _evaluate(_sp.hankel1, z, "H1_nu", _order(nu, max_order))
 
 
 def hankel2(nu: float, z, max_order: float | None = None):
     """Hankel function of the second kind, H_nu^(2)(z)."""
-    return _hankel(nu, z, 2, max_order)
+    return _evaluate(_sp.hankel2, z, "H2_nu", _order(nu, max_order))
 
 
 def hankel1_prime(nu: float, z, max_order: float | None = None):
-    """d/dz H_nu^(1)(z) via the order recurrence."""
-    lo = hankel1(nu - 1.0, z, max_order=max_order)
-    hi = hankel1(nu + 1.0, z, max_order=max_order)
-    return 0.5 * (np.asarray(lo) - np.asarray(hi)) if np.ndim(z) else complex(
-        0.5 * (lo - hi)
-    )
+    """d/dz H_nu^(1)(z)."""
+    return _evaluate(_sp.h1vp, z, "H1'_nu", _order(nu, max_order))
 
 
 def hankel2_prime(nu: float, z, max_order: float | None = None):
-    """d/dz H_nu^(2)(z) via the order recurrence."""
-    lo = hankel2(nu - 1.0, z, max_order=max_order)
-    hi = hankel2(nu + 1.0, z, max_order=max_order)
-    return 0.5 * (np.asarray(lo) - np.asarray(hi)) if np.ndim(z) else complex(
-        0.5 * (lo - hi)
-    )
+    """d/dz H_nu^(2)(z)."""
+    return _evaluate(_sp.h2vp, z, "H2'_nu", _order(nu, max_order))
 
 
-def kummer_f(a: complex, c: complex, z: complex, tol: float = 1e-15) -> complex:
-    """Confluent hypergeometric function F(a|c|z) by its ascending series.
-
-    Intended for the moderate |z| regime (flux-tube interiors); raises
-    PoleError when c is a non-positive integer.
-    """
-    a = complex(a)
-    c = complex(c)
-    z = complex(z)
-    if _is_nonpositive_integer(c):
-        raise PoleError(f"kummer_f pole at c={c}")
-    term = _CLD(1.0)
-    total = _CLD(1.0)
-    al = _CLD(a)
-    cl = _CLD(c)
-    zl = _CLD(z)
-    for n in range(1, 10000):
-        term = term * (al + (n - 1)) * zl / ((cl + (n - 1)) * n)
-        total += term
-        if abs(complex(term)) <= tol * 1e-3 * max(abs(complex(total)), 1e-300):
-            return complex(total)
-    raise OutOfRangeError("kummer series did not converge (argument too large)")
+def _kummer_parameters(a, c) -> tuple[float, float]:
+    a, c = complex(a), complex(c)
+    if a.imag != 0 or c.imag != 0:
+        raise OutOfRangeError(f"kummer_f needs real a and c, got a={a}, c={c}")
+    _check_pole(c, "kummer_f")
+    return a.real, c.real
 
 
-def kummer_f_prime(a: complex, c: complex, z: complex) -> complex:
+def kummer_f(a: float, c: float, z) -> complex:
+    """Confluent hypergeometric function F(a|c|z) for real a and c."""
+    a, c = _kummer_parameters(a, c)
+    return complex(_evaluate(_sp.hyp1f1, z, "kummer_f", a, c, dtype=None))
+
+
+def kummer_f_prime(a: float, c: float, z) -> complex:
     """d/dz F(a|c|z) = (a/c) F(a+1|c+1|z)."""
-    return complex(a) / complex(c) * kummer_f(complex(a) + 1.0, complex(c) + 1.0, z)
+    a, c = _kummer_parameters(a, c)
+    return a / c * kummer_f(a + 1.0, c + 1.0, z)

@@ -106,6 +106,15 @@ class TestFFactor:
 
 
 class TestShieldedMatching:
+    def test_thick_barrier_is_finite_and_unitary(self):
+        # kappa R0 = 1000: I_nu(kappa R0) overflows double precision, its
+        # log-derivative does not
+        b, kin = sh.shielded_sweep_point(kR0=1e-2, kappaR0=1000.0)
+        for l, ch in [(0, 1), (1, 1), (-1, 2), (0, 2)]:
+            a = sh.shielded_matching(l, ch, b, kin, C03).value
+            assert cmath.isfinite(a), (l, ch)
+            assert abs(abs(1 + 2 * a) - 1) <= 1e-12, (l, ch)
+
     def test_anomalous_channel_slope(self):
         xs = [1e-2, 1e-3, 1e-4]
         As = []

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -199,16 +200,69 @@ class TestIdentitySuite:
                 rhs = np.exp(1j * math.pi * nu / 2) * sf.bessel_i(nu, x)
                 assert abs(lhs - rhs) <= 1e-11 * abs(rhs), (nu, x)
 
-    def test_series_asymptotic_crossover_continuity(self):
-        # both internal evaluation paths must agree in an overlap window
-        # around the switch radius (series round-off grows beyond it)
-        for nu in [-0.7, 0.0, 0.3, 1.3]:
-            for x in [16.0, 16.5, 17.0]:
-                zarr = np.array([x], dtype=complex)
-                a = sf._series_j(nu, zarr)[0]
-                b = sf._asym_j(nu, zarr)[0]
+
+class TestMpmathOracle:
+    """Public functions against 40-digit mpmath over the orders and arguments
+    the physics layers use."""
+
+    @pytest.mark.parametrize(
+        "nu", [-2.7, -2.0, -1.5, -0.7, -0.3, 0.0, 0.3, 0.5, 1.0, 1.3, 2.7, 7.4, 15.6, 25.3]
+    )
+    def test_cylinder_functions(self, nu):
+        with mpmath.workdps(40):
+            for x in np.geomspace(1e-4, 300.0, 25):
+                xm, num = mpmath.mpf(x), mpmath.mpf(nu)
+                j = {d: mpmath.besselj(num + d, xm) for d in (-1, 0, 1)}
+                y = {d: mpmath.bessely(num + d, xm) for d in (-1, 0, 1)}
+                h1 = {d: j[d] + 1j * y[d] for d in j}
+                # derivatives from the order recurrence f' = (f_{nu-1} - f_{nu+1}) / 2
+                pairs = [
+                    (sf.bessel_j(nu, x), j[0]),
+                    (sf.bessel_j_prime(nu, x), (j[-1] - j[1]) / 2),
+                    (sf.hankel1(nu, x), h1[0]),
+                    (sf.hankel1_prime(nu, x), (h1[-1] - h1[1]) / 2),
+                    (sf.hankel2(nu, x), j[0] - 1j * y[0]),
+                ]
                 envelope = math.sqrt(2.0 / (math.pi * x))
-                assert abs(a - b) <= 1e-10 * envelope, (nu, x)
+                for got, want in pairs:
+                    want = complex(want)
+                    assert abs(got - want) <= 1e-12 * max(abs(want), envelope), (nu, x)
+                want = complex(mpmath.besselj(num, 1j * xm))
+                assert abs(sf.bessel_j(nu, 1j * x) - want) <= 1e-12 * abs(want), (nu, x)
+
+    def test_kummer(self):
+        # error relative to the sum of the series' term moduli, the scale that
+        # float64 rounding acts on where the series alternates (z < 0, a < 0)
+        with mpmath.workdps(25):
+            for a in np.linspace(-7.3, 4.2, 47):
+                for c in (1.0, 2.0, 5.0, 11.0):
+                    for z in np.linspace(-2.9, 2.9, 30):
+                        term = scale = 1.0
+                        n = 0
+                        while term > 1e-17 * scale:
+                            term *= abs(a + n) * abs(z) / ((c + n) * (n + 1))
+                            scale += term
+                            n += 1
+                        want = float(mpmath.hyp1f1(float(a), c, float(z)))
+                        assert abs(sf.kummer_f(a, c, z) - want) <= 3e-12 * scale, (a, c, z)
+
+    def test_gamma(self):
+        points = [float(x) for x in np.linspace(-7.3, 33.1, 41)] + [
+            complex(x, y) for x in (-2.5, 0.3, 1.7, 6.2) for y in (-3.1, 0.8, 4.4)
+        ]
+        with mpmath.workdps(40):
+            for z in points:
+                want = complex(mpmath.gamma(mpmath.mpc(z)))
+                assert abs(sf.gamma_fn(z) - want) <= 1e-13 * abs(want), z
+
+    @pytest.mark.parametrize("nu", [-2.62, -0.41, 0.59, 1.38, 10.59])
+    @pytest.mark.parametrize("x", [6.0, 50.0, 1000.0, 5000.0])
+    def test_bessel_i_log_derivative(self, nu, x):
+        # I_nu itself overflows double precision beyond x ~ 700
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            want = float(mpmath.besseli(nu + 1, xm) / mpmath.besseli(nu, xm) + nu / xm)
+        assert abs(sf.bessel_i_log_derivative(nu, x) - want) <= 1e-12 * abs(want)
 
 
 class TestKummer:
