@@ -27,7 +27,7 @@ from scipy.integrate import solve_ivp
 
 from . import specfun as sf
 from .errors import RegimeError, RegionError, SingularArgumentError
-from .model import BarrierConfig, Coupling, Kinematics, TubeConfig
+from .model import BarrierConfig, Coupling, Kinematics, TubeConfig, channel_index
 
 __all__ = [
     "MatchingCoefficient",
@@ -71,34 +71,25 @@ class RadialComponents:
         return (self.chi1, self.chi2, self.chi3, self.chi4)
 
 
-def _channel_m(l: int, channel: int) -> int:
-    """Regular-solution power at the origin: |l| (channel 1) or |l+1| (channel 2)."""
-    if channel == 1:
-        return abs(l)
-    if channel == 2:
-        return abs(l + 1)
-    raise RegimeError("channel must be 1 or 2")
-
-
 def exterior_order(l: int, channel: int, alpha: float) -> float:
     """Exterior Bessel order of a partial-wave channel."""
-    if channel == 1:
-        return abs(l - alpha)
-    if channel == 2:
-        return abs(l + 1 - alpha)
-    raise RegimeError("channel must be 1 or 2")
+    l_ch, _ = channel_index(l, channel)
+    return abs(l_ch - alpha)
+
+
+def _ladder_coefficient(l: int, channel: int, alpha: float) -> float:
+    """g of the first-order ladder relation: lower component ~ chi' + (g/r) chi."""
+    l_ch, spin = channel_index(l, channel)
+    return -spin * (l_ch - alpha)
 
 
 def _kummer_args(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
                  U: float) -> tuple[float, float]:
     """Kummer parameters (a, c) of the interior regular solution."""
-    alpha = tube.coupling.alpha
-    m = _channel_m(l, channel)
+    l_ch, _ = channel_index(l, channel)
+    m = abs(l_ch)
     ksq = tube.interior_ksq(channel, kin, U)
-    if channel == 1:
-        a = 0.5 * (m + 1 - l) - ksq * tube.r0 ** 2 / (4.0 * alpha)
-    else:
-        a = 0.5 * (m - l) - ksq * tube.r0 ** 2 / (4.0 * alpha)
+    a = 0.5 * (m + 1 - l_ch) - ksq * tube.r0 ** 2 / (4.0 * tube.coupling.alpha)
     return a, float(m + 1)
 
 
@@ -113,7 +104,7 @@ def interior_chi(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     if r < 0 or r > tube.r0:
         raise RegionError(f"r={r} outside the tube interior [0, {tube.r0}]")
     alpha = tube.coupling.alpha
-    m = _channel_m(l, channel)
+    m = abs(channel_index(l, channel)[0])
     ksq = tube.interior_ksq(channel, kin, U)
     k_ch = cmath.sqrt(complex(ksq))
     if alpha == 0.0:
@@ -134,7 +125,7 @@ def _interior_dlog(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
                    U: float = 0.0) -> float:
     """d(ln chi)/dr of the interior solution at r = r0 (real, may be +/-inf)."""
     alpha = tube.coupling.alpha
-    m = _channel_m(l, channel)
+    m = abs(channel_index(l, channel)[0])
     r0 = tube.r0
     if alpha == 0.0:
         ksq = tube.interior_ksq(channel, kin, U)
@@ -230,22 +221,14 @@ def anomalous_channel(coupling: Coupling) -> tuple[int, int] | None:
 def anomalous_limit(coupling: Coupling, channel: int) -> complex:
     """Limit of the anomalous-channel weight as k r0 -> 0."""
     alpha = coupling.alpha
-    if channel == 1:
-        return 1j * math.sin(math.pi * alpha) * cmath.exp(1j * math.pi * alpha)
-    if channel == 2:
-        return -1j * math.sin(math.pi * alpha) * cmath.exp(-1j * math.pi * alpha)
-    raise RegimeError("channel must be 1 or 2")
+    _, spin = channel_index(0, channel)
+    return spin * 1j * math.sin(math.pi * alpha) * cmath.exp(spin * 1j * math.pi * alpha)
 
 
 def _principal_order(l: int, channel: int, coupling: Coupling) -> float:
     """Bessel order of a bare-string radial component, anomalous swap included."""
-    alpha = coupling.alpha
-    anomalous = anomalous_channel(coupling)
-    if anomalous == (l, channel):
-        if channel == 1:
-            return coupling.int_part - alpha  # in (-1, 0)
-        return alpha - coupling.int_part - 1.0  # in (-1, 0)
-    return exterior_order(l, channel, alpha)
+    nu = exterior_order(l, channel, coupling.alpha)
+    return -nu if anomalous_channel(coupling) == (l, channel) else nu
 
 
 def _power_limit_at_origin(order: float) -> complex:
@@ -269,28 +252,36 @@ def bare_string_radial(l: int, coupling: Coupling, kin: Kinematics,
     """
     if r < 0:
         raise RegionError("r must be >= 0")
-    alpha = coupling.alpha
-    k = kin.k
-    cfac = -1j * kin.hbar * kin.c / (kin.energy_E + kin.rest_energy)
     nu1 = _principal_order(l, 1, coupling)
     nu2 = _principal_order(l, 2, coupling)
     if r == 0.0:
-        chi1 = _power_limit_at_origin(nu1)
-        chi2 = _power_limit_at_origin(nu2)
-        # ladder shifts the leading power by one either way
-        chi3 = _power_limit_at_origin(min(nu2 - 1.0, nu2 + 1.0) if nu2 <= 0 else nu2 - 1.0)
-        chi4 = _power_limit_at_origin(min(nu1 - 1.0, nu1 + 1.0) if nu1 <= 0 else nu1 - 1.0)
-        return RadialComponents(chi1, chi2, chi3, chi4)
+        # the ladder lowers the leading power by one
+        return RadialComponents(
+            _power_limit_at_origin(nu1), _power_limit_at_origin(nu2),
+            _power_limit_at_origin(nu2 - 1.0), _power_limit_at_origin(nu1 - 1.0),
+        )
+    return _ladder_components(l, coupling.alpha, kin, r, nu1, nu2)
+
+
+def _ladder_components(l: int, alpha: float, kin: Kinematics, r: float,
+                       nu1: float, nu2: float, a1: complex = 1.0,
+                       a2: complex = 1.0) -> RadialComponents:
+    """Spinor components a1 J_nu1, a2 J_nu2 at r > 0 and the lower pair the
+    ladder relation derives from them: chi3 from channel 2, chi4 from channel 1."""
+    k = kin.k
     x = k * r
+    cfac = -1j * kin.hbar * kin.c / (kin.energy_E + kin.rest_energy)
+
+    def lower(nu: float, j: complex, channel: int) -> complex:
+        g = _ladder_coefficient(l, channel, alpha)
+        return cfac * (k * sf.bessel_j_prime(nu, x) + (g / r) * j)
+
     j1 = sf.bessel_j(nu1, x)
     j2 = sf.bessel_j(nu2, x)
-    dj1 = sf.bessel_j_prime(nu1, x)
-    dj2 = sf.bessel_j_prime(nu2, x)
-    chi1 = j1
-    chi2 = j2
-    chi3 = cfac * (k * dj2 + ((l + 1 - alpha) / r) * j2)
-    chi4 = cfac * (k * dj1 - ((l - alpha) / r) * j1)
-    return RadialComponents(complex(chi1), complex(chi2), complex(chi3), complex(chi4))
+    return RadialComponents(
+        complex(a1 * j1), complex(a2 * j2),
+        complex(a2 * lower(nu2, j2, 2)), complex(a1 * lower(nu1, j1, 1)),
+    )
 
 
 class RadialOdeSolution:
@@ -364,24 +355,27 @@ class RadialOdeSolution:
             return matching_from_log_derivative(
                 self.l, self.channel, coupling, kin, self.tube.r0, d
             )
-        R0, U = self.barrier.R0, self.barrier.U
-        d_in = self.log_derivative(R0)
-        d_out = _jump_log_derivative(self.l, self.channel, coupling.alpha, kin, R0, U, d_in)
+        R0 = self.barrier.R0
+        d_out = _spinor_jump(self.l, self.channel, coupling.alpha, kin, R0,
+                             self.barrier.U, self.log_derivative(R0))
         return matching_from_log_derivative(
             self.l, self.channel, coupling, kin, R0, d_out
         )
 
 
-def _jump_log_derivative(l, channel, alpha, kin, R0, U, dlog_in) -> float:
-    """Transform d(ln chi)/dr across the potential step at R0.
+def _spinor_jump(l: int, channel: int, alpha: float, kin: Kinematics, R0: float,
+                 U: float, dlog_in: float) -> float:
+    """Transform d(ln chi)/dr across the potential step U -> 0 at R0.
 
-    Continuity of the lower spinor components with a discontinuous potential
-    makes chi' jump while chi stays continuous.
+    By the ladder relation the lower spinor component is proportional to
+    (chi' + (g/r) chi) / (E + Mc^2 - phi); it stays continuous with chi, so
+    chi' jumps.  Undefined at U = E + Mc^2.
     """
     ew = kin.energy_E + kin.rest_energy
-    fac = ew / (ew - U)
-    g = -(l - alpha) if channel == 1 else (l + 1 - alpha)
-    return fac * dlog_in + (U / (ew - U)) * g / R0
+    if ew == U:
+        raise RegimeError("barrier height E + Mc^2 excluded (matching degenerates)")
+    g = _ladder_coefficient(l, channel, alpha)
+    return (ew / (ew - U)) * dlog_in + (U / (ew - U)) * g / R0
 
 
 def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
@@ -394,16 +388,13 @@ def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     present, applies the spinor-continuity derivative jump at R0.  Serves as
     the convention-free oracle for every boundary-matching formula.
     """
-    if channel not in (1, 2):
-        raise RegimeError("channel must be 1 or 2")
+    l_ch, spin = channel_index(l, channel)
     alpha = tube.coupling.alpha
     r0 = tube.r0
     hbarc = kin.hbar * kin.c
     rest = kin.rest_energy
     E = kin.energy_E
-    l_ch = l if channel == 1 else l + 1
-    spin = 1.0 if channel == 1 else -1.0
-    m = _channel_m(l, channel)
+    m = abs(l_ch)
     U = barrier.U if barrier is not None else 0.0
     R0 = barrier.R0 if barrier is not None else None
     if barrier is not None and R0 <= r0:
@@ -470,7 +461,7 @@ def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
         y = [y_end[0] / mag, y_end[1] / mag]
         if in_bar and not inside and barrier is not None and math.isclose(r_hi, R0):
             d_in = y[1] / y[0] if y[0] != 0 else math.inf
-            d_out = _jump_log_derivative(l, channel, alpha, kin, R0, U, d_in)
+            d_out = _spinor_jump(l, channel, alpha, kin, R0, U, d_in)
             y = [y[0], d_out * y[0]]
 
     return RadialOdeSolution(l, channel, tube, kin, barrier, segments, scales)

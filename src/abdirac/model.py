@@ -30,6 +30,7 @@ __all__ = [
     "SpinorAmplitudes",
     "make_kinematics",
     "barrier_kappa",
+    "channel_index",
     "si_worked_numbers",
 ]
 
@@ -106,6 +107,19 @@ class Kinematics:
         return self.mass_M * self.c * self.c
 
 
+def channel_index(l: int, channel: int) -> tuple[int, int]:
+    """Effective angular momentum and spin sign of a partial-wave channel.
+
+    Channel 1 (spin up) is (l, +1), channel 2 (spin down) is (l + 1, -1);
+    the exterior Bessel order is |l_ch - alpha|.
+    """
+    if channel == 1:
+        return l, 1
+    if channel == 2:
+        return l + 1, -1
+    raise RegimeError("channel must be 1 or 2")
+
+
 def barrier_kappa(kin: Kinematics, U: float) -> float:
     """Evanescent decay constant kappa inside a barrier of height U.
 
@@ -176,14 +190,12 @@ class TubeConfig:
         With a barrier (U != 0) this is the evanescent-analogue pair
         -kappa^2 +/- qB/hbar; without one it is k^2 +/- qB/hbar.
         """
-        if channel not in (1, 2):
-            raise RegimeError("channel must be 1 or 2")
+        _, spin = channel_index(0, channel)
         if U == 0.0:
             base = kin.k * kin.k
         else:
             base = -barrier_kappa(kin, U) ** 2
-        sign = 1.0 if channel == 1 else -1.0
-        return base + sign * self.qB_over_hbar
+        return base + spin * self.qB_over_hbar
 
 
 @dataclass(frozen=True)

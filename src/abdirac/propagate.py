@@ -87,6 +87,24 @@ def _kernel_parts(coupling: Coupling, mass: float, t: float, hbar: float):
     return nu, n0, pref
 
 
+def _radial_args(mass: float, r: float, rp, t: float, hbar: float):
+    """Kernel argument M r r' / (hbar t) and free-propagator phase; array rp."""
+    x = mass * r * rp / (hbar * t)
+    return x, np.exp(1j * mass * (r * r + rp * rp) / (2.0 * hbar * t))
+
+
+def _radial_kernel(nu: float, pref: float, mass: float, r: float, rp, t: float,
+                   hbar: float):
+    """pref sin(pi nu) e^{i pi nu / 2} H^(1)_nu(M r r'/(hbar t)) times the
+    free-propagator phase: the propagator difference before its angular
+    factor e^{i n0 (theta - theta')}.  Array-capable in rp."""
+    x, phase = _radial_args(mass, r, rp, t, hbar)
+    return (
+        pref * math.sin(math.pi * nu) * cmath.exp(0.5j * math.pi * nu)
+        * sf.hankel1(nu, x) * phase
+    )
+
+
 def greens_diff_closed(coupling: Coupling, mass: float, r: float, rp: float,
                        theta: float, thetap: float, t: float,
                        hbar: float = 1.0) -> complex:
@@ -96,13 +114,9 @@ def greens_diff_closed(coupling: Coupling, mass: float, r: float, rp: float,
         raise RegimeError("coordinates must be positive")
     if nu == 0.0:
         return 0.0j
-    x = mass * r * rp / (hbar * t)
-    phase = cmath.exp(
-        1j * mass * (r * r + rp * rp) / (2.0 * hbar * t) + 1j * n0 * (theta - thetap)
-    )
     return complex(
-        pref * math.sin(math.pi * nu) * cmath.exp(0.5j * math.pi * nu)
-        * sf.hankel1(nu, x) * phase
+        _radial_kernel(nu, pref, mass, r, rp, t, hbar)
+        * cmath.exp(1j * n0 * (theta - thetap))
     )
 
 
@@ -115,14 +129,11 @@ def greens_diff_bracket(coupling: Coupling, mass: float, r: float, rp: float,
         raise RegimeError("coordinates must be positive")
     if nu == 0.0:
         return 0.0j
-    x = mass * r * rp / (hbar * t)
-    phase = cmath.exp(
-        1j * mass * (r * r + rp * rp) / (2.0 * hbar * t) + 1j * n0 * (theta - thetap)
-    )
+    x, phase = _radial_args(mass, r, rp, t, hbar)
     bracket = cmath.exp(0.5j * math.pi * nu) * sf.bessel_j(-nu, x) - cmath.exp(
         -0.5j * math.pi * nu
     ) * sf.bessel_j(nu, x)
-    return complex(-1j * pref * bracket * phase)
+    return complex(-1j * pref * bracket * phase * cmath.exp(1j * n0 * (theta - thetap)))
 
 
 def greens_diff_asymptotic(coupling: Coupling, mass: float, r: float, rp: float,
@@ -279,6 +290,17 @@ def _require_closed_regime(cfg: PacketConfig, r: float):
         )
 
 
+def _positive_coupling(cfg: PacketConfig, coupling: Coupling, theta: float):
+    """The packet forms are stated for alpha > 0; negative coupling maps onto
+    them by the mirror (theta0, alpha, theta) -> (-theta0, -alpha, -theta)."""
+    if coupling.alpha == 0.0:
+        raise RegimeError("packet difference needs nonzero coupling")
+    if coupling.alpha > 0.0:
+        return cfg, coupling, theta
+    mirrored = PacketConfig(delta=cfg.delta, rho0=cfg.rho0, theta0=-cfg.theta0, k=cfg.k)
+    return mirrored, Coupling(-coupling.alpha), -theta
+
+
 def delta_closed(cfg: PacketConfig, coupling: Coupling, mass: float, r: float,
                  theta: float, t: float, hbar: float = 1.0) -> complex:
     """Closed stationary-phase form of the packet difference.
@@ -287,14 +309,7 @@ def delta_closed(cfg: PacketConfig, coupling: Coupling, mass: float, r: float,
     exp(-rho0^2 theta0^2 / (2 delta^2)); stated for positive coupling and
     mirrored for negative.
     """
-    alpha = coupling.alpha
-    if alpha == 0.0:
-        raise RegimeError("packet difference needs nonzero coupling")
-    if alpha < 0.0:
-        mirrored = PacketConfig(
-            delta=cfg.delta, rho0=cfg.rho0, theta0=-cfg.theta0, k=cfg.k
-        )
-        return delta_closed(mirrored, Coupling(-alpha), mass, r, -theta, t, hbar)
+    cfg, coupling, theta = _positive_coupling(cfg, coupling, theta)
     _require_closed_regime(cfg, r)
     if t <= 0:
         raise SingularArgumentError("packet difference needs t > 0")
@@ -302,7 +317,7 @@ def delta_closed(cfg: PacketConfig, coupling: Coupling, mass: float, r: float,
     n0 = coupling.int_part
     d2 = 2.0 * cfg.delta * cfg.delta
     envelope_arg = r + cfg.rho0 - hbar * cfg.k * t / mass - 0.5 * cfg.rho0 * cfg.theta0 ** 2
-    pref = cmath.exp(0.25j * math.pi) / (math.sqrt(2.0) * math.pi * cfg.delta)
+    pref = cmath.exp(0.25j * math.pi) * math.sqrt(2.0) / (math.pi * cfg.delta)
     return complex(
         pref
         * math.sin(math.pi * nu)
@@ -319,7 +334,12 @@ def _edges_from_rate(a: float, b: float, rate_fn, max_phase: float,
     grid = np.linspace(a, b, 4097)
     rate = np.maximum(rate_fn(grid), 1e-12)
     acc = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(grid))])
-    n = int(min(max(math.ceil(acc[-1] / max_phase), 4), max_panels))
+    n = max(math.ceil(acc[-1] / max_phase), 4)
+    if n > max_panels:
+        raise QuadratureError(
+            f"packet quadrature needs {n} panels on [{a:.3g}, {b:.3g}], "
+            f"above the cap of {max_panels}"
+        )
     targets = np.linspace(0.0, acc[-1], n + 1)
     edges = np.interp(targets, acc, grid)
     edges[0], edges[-1] = a, b
@@ -329,33 +349,22 @@ def _edges_from_rate(a: float, b: float, rate_fn, max_phase: float,
 def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
                      r: float, theta: float, t: float, hbar: float = 1.0,
                      n_sigma: float = 6.0, max_phase: float = 2.5,
-                     gauss_order: int = 10, refine_check: bool = False,
-                     _kernel_scale: float = 1.0) -> complex:
+                     gauss_order: int = 10, refine_check: bool = False) -> complex:
     """Packet difference by direct 2-d quadrature of kernel x packet.
 
     Uses the exact closed kernel (not its asymptotic form), phase-adaptive
     Gauss-Legendre panels over the packet's n-sigma support, and extended
     precision for the final reduction.  `refine_check=True` re-evaluates on a
     1.5x finer panel set and raises if the two disagree by more than 1e-4
-    relative.
+    relative.  A window whose phase needs more panels than the cap (one that
+    reaches down to the axis, n_sigma * delta >= rho0) raises QuadratureError
+    before any grid is built.
     """
-    if coupling.alpha == 0.0:
-        raise RegimeError("packet difference needs nonzero coupling")
-    if coupling.alpha < 0.0:
-        mirrored = PacketConfig(
-            delta=cfg.delta, rho0=cfg.rho0, theta0=-cfg.theta0, k=cfg.k
-        )
-        return delta_quadrature(
-            mirrored, Coupling(-coupling.alpha), mass, r, -theta, t, hbar,
-            n_sigma, max_phase, gauss_order, refine_check, _kernel_scale
-        )
-    if t <= 0:
-        raise SingularArgumentError("packet difference needs t > 0")
+    cfg, coupling, theta = _positive_coupling(cfg, coupling, theta)
+    nu, n0, pref = _kernel_parts(coupling, mass, t, hbar)
+    alpha = coupling.alpha
 
     def evaluate(phase_cap: float, order: int) -> complex:
-        nu = coupling.frac
-        n0 = coupling.int_part
-        alpha = coupling.alpha
         d2 = 2.0 * cfg.delta * cfg.delta
         r_lo = max(cfg.rho0 - n_sigma * cfg.delta, 1e-3 * cfg.rho0)
         r_hi = cfg.rho0 + n_sigma * cfg.delta
@@ -378,14 +387,7 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
         r_nodes, r_w = gauss_panel_nodes(r_edges, order)
         t_nodes, t_w = gauss_panel_nodes(th_edges, order)
 
-        x = mass * r * r_nodes / (hbar * t)
-        kernel_r = (
-            (mass / (2.0 * math.pi * hbar * t))
-            * math.sin(math.pi * nu)
-            * cmath.exp(0.5j * math.pi * nu)
-            * sf.hankel1(nu, x)
-            * np.exp(1j * mass * (r * r + r_nodes ** 2) / (2.0 * hbar * t))
-        ) * _kernel_scale
+        kernel_r = _radial_kernel(nu, pref, mass, r, r_nodes, t, hbar)
         kernel_th = np.exp(1j * n0 * (theta - t_nodes))
 
         a_r = -1j * cfg.k * r_nodes - r_nodes ** 2 / d2 + 2.0 * r_nodes * cfg.rho0 / d2

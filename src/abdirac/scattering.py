@@ -82,15 +82,6 @@ def truncation_order(kr: float) -> int:
     return int(math.ceil(kr)) + 12 + int(math.ceil(4.0 * kr ** (1.0 / 3.0)))
 
 
-def _ladders(nu: float, x: float, l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """J ladders covering l in [-l_max, 0] (orders nu + m) and [1, l_max]
-    (orders 1 - nu + m)."""
-    cap = float(l_max + 2)
-    down = sf.bessel_j_ladder(nu, l_max + 1, x, max_order=cap)
-    up = sf.bessel_j_ladder(1.0 - nu, l_max, x, max_order=cap)
-    return down, up
-
-
 def _reduced_sum(nu: float, x: float, theta, tol: float,
                  swap_l0_to_negative_order: bool):
     """Partial-wave sum for reduced coupling nu in [0, 1).
@@ -106,16 +97,16 @@ def _reduced_sum(nu: float, x: float, theta, tol: float,
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     l_max = truncation_order(x)
     for _ in range(_MAX_EXTENSIONS):
-        down, up = _ladders(nu, x, l_max)
+        # one ladder per side: l in [-l_max, 0] has orders nu + m, l in
+        # [1, l_max] orders 1 - nu + m, each followed by the next chunk.  The
+        # cap is explicit because at large kr it exceeds the default one.
+        cap = float(l_max + _EXTENSION_CHUNK + 2)
+        down_all = sf.bessel_j_ladder(nu, l_max + 1 + _EXTENSION_CHUNK, x, max_order=cap)
+        up_all = sf.bessel_j_ladder(1.0 - nu, l_max + _EXTENSION_CHUNK, x, max_order=cap)
+        down, tail_down = down_all[:l_max + 1], down_all[l_max + 1:]
+        up, tail_up = up_all[:l_max], up_all[l_max:]
         # tail: sum of the next chunk's magnitudes on both ladders, with a
         # geometric bound for everything beyond it
-        ext_cap = float(l_max + _EXTENSION_CHUNK + 2)
-        tail_down = sf.bessel_j_ladder(
-            nu + l_max + 1, _EXTENSION_CHUNK, x, max_order=ext_cap
-        )
-        tail_up = sf.bessel_j_ladder(
-            1.0 - nu + l_max, _EXTENSION_CHUNK, x, max_order=ext_cap
-        )
         tail = float(np.sum(np.abs(tail_down)) + np.sum(np.abs(tail_up)))
         last = abs(tail_down[-1]) + abs(tail_up[-1])
         first = abs(tail_down[0]) + abs(tail_up[0])

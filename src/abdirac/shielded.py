@@ -24,10 +24,12 @@ from . import specfun as sf
 from .bare_tube import (
     MatchingCoefficient,
     RadialComponents,
+    _interior_dlog,
+    _ladder_coefficient,
+    _ladder_components,
     _principal_order,
-    anomalous_channel,
+    _spinor_jump,
     exterior_order,
-    interior_chi,
     matching_from_log_derivative,
 )
 from .errors import RegimeError
@@ -86,20 +88,10 @@ def f_factor(l: int, channel: int, barrier: BarrierConfig, kin: Kinematics,
     term from spinor continuity; (kappa/k) * f is the exterior-side
     d(ln chi)/d(kr) used in the outgoing-wave weight.
     """
-    ew = kin.energy_E + kin.rest_energy
-    U = barrier.U
-    if ew == U:
-        raise RegimeError("barrier height E + Mc^2 excluded (matching degenerates)")
-    kappa = barrier_kappa(kin, U)
+    kappa = barrier_kappa(kin, barrier.U)
     lam = barrier_log_derivative(l, channel, coupling, kin, barrier.R0)
-    alpha = coupling.alpha
-    if channel == 1:
-        step = -(l - alpha) / (kappa * barrier.R0)
-    elif channel == 2:
-        step = (l + 1 - alpha) / (kappa * barrier.R0)
-    else:
-        raise RegimeError("channel must be 1 or 2")
-    return (ew / (ew - U)) * lam + (U / (ew - U)) * step
+    return _spinor_jump(l, channel, coupling.alpha, kin, barrier.R0, barrier.U,
+                        kappa * lam) / kappa
 
 
 def shielded_matching(l: int, channel: int, barrier: BarrierConfig,
@@ -133,16 +125,12 @@ def denominator_leading_form(l: int, channel: int, barrier: BarrierConfig,
     With Lambda -> 1 the denominator is H_nu(kR0) times an elementary bracket;
     this returns bracket * H_nu(kR0) for direct comparison with the exact one.
     """
-    alpha = coupling.alpha
-    nu = exterior_order(l, channel, alpha)
+    nu = exterior_order(l, channel, coupling.alpha)
     ew = kin.energy_E + kin.rest_energy
     U = barrier.U
     kappa = barrier_kappa(kin, U)
     x = kin.k * barrier.R0
-    if channel == 1:
-        u_num = nu + (l - alpha)
-    else:
-        u_num = nu - (l + 1 - alpha)
+    u_num = nu - _ladder_coefficient(l, channel, coupling.alpha)
     bracket = (ew * (-nu / x - kappa / kin.k) + U * u_num / x) / (ew - U)
     return complex(bracket * sf.hankel1(nu, x))
 
@@ -159,20 +147,9 @@ def shielded_eigenfunction(l: int, coupling: Coupling, kin: Kinematics,
     if r <= 0:
         raise RegimeError("shielded eigenfunction needs r > 0")
     alpha = coupling.alpha
-    k = kin.k
-    x = k * r
-    cfac = -1j * kin.hbar * kin.c / (kin.energy_E + kin.rest_energy)
-    nu1 = abs(l - alpha)
-    nu2 = abs(l + 1 - alpha)
-    j1 = sf.bessel_j(nu1, x)
-    j2 = sf.bessel_j(nu2, x)
-    dj1 = sf.bessel_j_prime(nu1, x)
-    dj2 = sf.bessel_j_prime(nu2, x)
-    chi1 = a1 * j1
-    chi2 = a2 * j2
-    chi3 = cfac * a2 * (k * dj2 + ((l + 1 - alpha) / r) * j2)
-    chi4 = cfac * a1 * (k * dj1 - ((l - alpha) / r) * j1)
-    return RadialComponents(complex(chi1), complex(chi2), complex(chi3), complex(chi4))
+    nu1 = exterior_order(l, 1, alpha)
+    nu2 = exterior_order(l, 2, alpha)
+    return _ladder_components(l, alpha, kin, r, nu1, nu2, a1, a2)
 
 
 @dataclass(frozen=True)
@@ -228,8 +205,6 @@ def finite_tube_barrier_ratio(l: int, channel: int, tube: TubeConfig,
     """
     if not (tube.r0 < r_a < barrier.R0 and tube.r0 < r_b < barrier.R0):
         raise RegimeError("probe radii must lie inside the barrier annulus")
-    from .bare_tube import _interior_dlog
-
     kappa = barrier_kappa(kin, barrier.U)
     nu = exterior_order(l, channel, tube.coupling.alpha)
     d = _interior_dlog(l, channel, tube, kin, U=barrier.U)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from abdirac import bare_tube as bt
-from abdirac.errors import RegionError
-from abdirac.model import Coupling, TubeConfig, make_kinematics
+from abdirac import shielded as sh
+from abdirac.errors import RegimeError, RegionError
+from abdirac.model import BarrierConfig, Coupling, TubeConfig, make_kinematics
 from abdirac.numerics import aitken_limit, loglog_slope
 
 KIN = make_kinematics(E=math.sqrt(2.0))  # k = 1 in natural units
@@ -280,3 +281,28 @@ class TestOdeOracle:
         m = 1
         diff = q_term(m, +1.0, r) - q_term(m, -1.0, r)
         assert abs(diff - 2 * tube.qB_over_hbar) < 1e-12 * abs(tube.qB_over_hbar)
+
+
+class TestGuards:
+    def test_unknown_channel_rejected_everywhere(self):
+        c = Coupling(0.3)
+        tube = TubeConfig(0.1, c)
+        kin = make_kinematics(k=0.5)
+        barrier, kin_b = sh.shielded_sweep_point(kR0=0.05, kappaR0=10.0)
+        calls = [
+            lambda: bt.exterior_order(0, 3, 0.3),
+            lambda: bt.anomalous_limit(c, 3),
+            lambda: tube.interior_ksq(3, kin),
+            lambda: sh.f_factor(0, 3, barrier, kin_b, c),
+            lambda: bt.ode_radial_oracle(0, 3, tube, kin, 2.0),
+        ]
+        for call in calls:
+            with pytest.raises(RegimeError, match="channel must be 1 or 2"):
+                call()
+
+    def test_ode_oracle_rejects_step_at_e_plus_mc2(self):
+        kin = make_kinematics(k=0.5)
+        barrier = BarrierConfig(R0=1.0, U=kin.energy_E + kin.rest_energy)
+        with pytest.raises(RegimeError):
+            bt.ode_radial_oracle(0, 1, TubeConfig(0.1, Coupling(0.3)), kin, 2.0,
+                                 barrier=barrier)
