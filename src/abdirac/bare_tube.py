@@ -255,12 +255,21 @@ def bare_string_radial(l: int, coupling: Coupling, kin: Kinematics,
     nu1 = _principal_order(l, 1, coupling)
     nu2 = _principal_order(l, 2, coupling)
     if r == 0.0:
-        # the ladder lowers the leading power by one
         return RadialComponents(
             _power_limit_at_origin(nu1), _power_limit_at_origin(nu2),
-            _power_limit_at_origin(nu2 - 1.0), _power_limit_at_origin(nu1 - 1.0),
+            _power_limit_at_origin(_lower_order(l, 2, coupling.alpha, nu2)[0]),
+            _power_limit_at_origin(_lower_order(l, 1, coupling.alpha, nu1)[0]),
         )
     return _ladder_components(l, coupling.alpha, kin, r, nu1, nu2)
+
+
+def _lower_order(l: int, channel: int, alpha: float,
+                 nu: float) -> tuple[float, float]:
+    """Order and sign of the ladder image of J_nu: since |g| = |nu|,
+    J_nu' + (g/x) J_nu is -J_{nu+1} when g = -nu and J_{nu-1} when g = nu."""
+    if _ladder_coefficient(l, channel, alpha) == -nu:
+        return nu + 1.0, -1.0
+    return nu - 1.0, 1.0
 
 
 def _ladder_components(l: int, alpha: float, kin: Kinematics, r: float,
@@ -272,15 +281,13 @@ def _ladder_components(l: int, alpha: float, kin: Kinematics, r: float,
     x = k * r
     cfac = -1j * kin.hbar * kin.c / (kin.energy_E + kin.rest_energy)
 
-    def lower(nu: float, j: complex, channel: int) -> complex:
-        g = _ladder_coefficient(l, channel, alpha)
-        return cfac * (k * sf.bessel_j_prime(nu, x) + (g / r) * j)
+    def lower(nu: float, channel: int) -> complex:
+        order, sign = _lower_order(l, channel, alpha, nu)
+        return cfac * sign * k * sf.bessel_j(order, x)
 
-    j1 = sf.bessel_j(nu1, x)
-    j2 = sf.bessel_j(nu2, x)
     return RadialComponents(
-        complex(a1 * j1), complex(a2 * j2),
-        complex(a2 * lower(nu2, j2, 2)), complex(a1 * lower(nu1, j1, 1)),
+        complex(a1 * sf.bessel_j(nu1, x)), complex(a2 * sf.bessel_j(nu2, x)),
+        complex(a2 * lower(nu2, 2)), complex(a1 * lower(nu1, 1)),
     )
 
 

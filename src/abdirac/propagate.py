@@ -15,24 +15,28 @@ difference Delta.  Its stationary-phase closed form factorizes into a moving
 Gaussian envelope and the suppression factor exp(-d^2 / (2 delta^2)) in the
 impact parameter d = rho0 * theta0: the bare/shielded distinction lives
 entirely in the probability mass that actually overlaps the flux region.
+The packet is Gaussian in theta' and the kernel depends on theta' only
+through e^{-i n0 theta'}, so the theta' integral is done in closed form and
+the quadrature of Delta is a 1-d radial sum.
 
-All formulas use hbar = 1 by default; pass `hbar` explicitly for other unit
-schemes.  The closed packet form is stated for positive coupling; negative
-coupling is handled by the mirror reflection (alpha, theta, theta0) ->
-(-alpha, -theta, -theta0).
+The surviving partial wave is `bare_tube.anomalous_channel` for either sign
+of the coupling: order nu = frac(alpha), n0 = [alpha] for alpha > 0 and
+nu = frac(-alpha), n0 = [alpha] + 1 for alpha < 0.  All formulas use
+hbar = 1 by default; pass `hbar` explicitly for other unit schemes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import specfun as sf
+from .bare_tube import anomalous_channel, exterior_order
 from .errors import QuadratureError, RegimeError, SingularArgumentError
-from .model import Coupling
+from .model import Coupling, channel_index
 from .numerics import gauss_panel_nodes
 
 __all__ = [
@@ -78,11 +82,20 @@ class PacketConfig:
         object.__setattr__(self, "d", self.rho0 * self.theta0)
 
 
+def _surviving_wave(coupling: Coupling) -> tuple[float, int]:
+    """Order nu and angular index n0 of the one partial wave that differs
+    between bare and shielded strings; nu = 0 at integer coupling."""
+    wave = anomalous_channel(coupling)
+    if wave is None:
+        return 0.0, coupling.int_part
+    l, channel = wave
+    return exterior_order(l, channel, coupling.alpha), channel_index(l, channel)[0]
+
+
 def _kernel_parts(coupling: Coupling, mass: float, t: float, hbar: float):
     if t <= 0:
         raise SingularArgumentError("propagator difference needs t > 0")
-    nu = coupling.frac
-    n0 = coupling.int_part
+    nu, n0 = _surviving_wave(coupling)
     pref = mass / (2.0 * math.pi * hbar * t)
     return nu, n0, pref
 
@@ -290,15 +303,11 @@ def _require_closed_regime(cfg: PacketConfig, r: float):
         )
 
 
-def _positive_coupling(cfg: PacketConfig, coupling: Coupling, theta: float):
-    """The packet forms are stated for alpha > 0; negative coupling maps onto
-    them by the mirror (theta0, alpha, theta) -> (-theta0, -alpha, -theta)."""
+def _packet_kernel_parts(coupling: Coupling, mass: float, t: float,
+                        hbar: float):
     if coupling.alpha == 0.0:
         raise RegimeError("packet difference needs nonzero coupling")
-    if coupling.alpha > 0.0:
-        return cfg, coupling, theta
-    mirrored = PacketConfig(delta=cfg.delta, rho0=cfg.rho0, theta0=-cfg.theta0, k=cfg.k)
-    return mirrored, Coupling(-coupling.alpha), -theta
+    return _kernel_parts(coupling, mass, t, hbar)
 
 
 def delta_closed(cfg: PacketConfig, coupling: Coupling, mass: float, r: float,
@@ -306,15 +315,10 @@ def delta_closed(cfg: PacketConfig, coupling: Coupling, mass: float, r: float,
     """Closed stationary-phase form of the packet difference.
 
     Moving Gaussian envelope times the impact-parameter suppression
-    exp(-rho0^2 theta0^2 / (2 delta^2)); stated for positive coupling and
-    mirrored for negative.
+    exp(-rho0^2 theta0^2 / (2 delta^2)).
     """
-    cfg, coupling, theta = _positive_coupling(cfg, coupling, theta)
     _require_closed_regime(cfg, r)
-    if t <= 0:
-        raise SingularArgumentError("packet difference needs t > 0")
-    nu = coupling.frac
-    n0 = coupling.int_part
+    nu, n0, _ = _packet_kernel_parts(coupling, mass, t, hbar)
     d2 = 2.0 * cfg.delta * cfg.delta
     envelope_arg = r + cfg.rho0 - hbar * cfg.k * t / mass - 0.5 * cfg.rho0 * cfg.theta0 ** 2
     pref = cmath.exp(0.25j * math.pi) * math.sqrt(2.0) / (math.pi * cfg.delta)
@@ -350,60 +354,52 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
                      r: float, theta: float, t: float, hbar: float = 1.0,
                      n_sigma: float = 6.0, max_phase: float = 2.5,
                      gauss_order: int = 10, refine_check: bool = False) -> complex:
-    """Packet difference by direct 2-d quadrature of kernel x packet.
+    """Packet difference as the fold of the closed kernel with `packet_initial`.
 
-    Uses the exact closed kernel (not its asymptotic form), phase-adaptive
-    Gauss-Legendre panels over the packet's n-sigma support, and extended
-    precision for the final reduction.  `refine_check=True` re-evaluates on a
-    1.5x finer panel set and raises if the two disagree by more than 1e-4
-    relative.  A window whose phase needs more panels than the cap (one that
-    reaches down to the axis, n_sigma * delta >= rho0) raises QuadratureError
-    before any grid is built.
+    The packet exponent is quadratic in theta' and the kernel carries theta'
+    only in e^{-i n0 theta'}, so the theta' integral over the real line is the
+    Gaussian integral sqrt(pi / -A) exp(C - B^2 / 4A); what remains is a 1-d
+    sum over phase-adaptive Gauss-Legendre panels in r' across the packet's
+    n-sigma support, reduced in extended precision.  `refine_check=True`
+    re-evaluates on a 1.5x finer panel set and raises if the two disagree by
+    more than 1e-4 relative.  QuadratureError is raised before any node is
+    built when the angular window theta0 +/- n_sigma * s_theta leaves
+    (-pi, pi), where the small-angle packet does not hold, or when the radial
+    phase needs more panels than the cap (a window that reaches down to the
+    axis, n_sigma * delta >= rho0).
     """
-    cfg, coupling, theta = _positive_coupling(cfg, coupling, theta)
-    nu, n0, pref = _kernel_parts(coupling, mass, t, hbar)
-    alpha = coupling.alpha
+    nu, n0, pref = _packet_kernel_parts(coupling, mass, t, hbar)
+    d2 = 2.0 * cfg.delta * cfg.delta
+    r_lo = max(cfg.rho0 - n_sigma * cfg.delta, 1e-3 * cfg.rho0)
+    r_hi = cfg.rho0 + n_sigma * cfg.delta
+    s_th = cfg.delta / math.sqrt(r_lo * cfg.rho0)
+    th_lo = cfg.theta0 - n_sigma * s_th
+    th_hi = cfg.theta0 + n_sigma * s_th
+    if th_lo <= -math.pi or th_hi >= math.pi:
+        raise QuadratureError(
+            f"packet angular window [{th_lo:.3g}, {th_hi:.3g}] leaves (-pi, pi)"
+        )
+    th_amp = max(abs(th_lo), abs(th_hi))
+
+    # combined radial phase rate (kernel + packet, which nearly cancel at
+    # the stationary point) plus the angular-coupling term at the window edge
+    def radial_rate_full(s):
+        return np.abs(mass * s / (hbar * t) + mass * r / (hbar * t) - cfg.k) \
+            + cfg.k * 0.5 * th_amp ** 2
 
     def evaluate(phase_cap: float, order: int) -> complex:
-        d2 = 2.0 * cfg.delta * cfg.delta
-        r_lo = max(cfg.rho0 - n_sigma * cfg.delta, 1e-3 * cfg.rho0)
-        r_hi = cfg.rho0 + n_sigma * cfg.delta
-        s_th = cfg.delta / math.sqrt(r_lo * cfg.rho0)
-        th_lo = cfg.theta0 - n_sigma * s_th
-        th_hi = cfg.theta0 + n_sigma * s_th
-        th_amp = max(abs(th_lo), abs(th_hi))
-
-        # combined radial phase rate (kernel + packet, which nearly cancel at
-        # the stationary point) plus the angular-coupling term at the window edge
-        def radial_rate_full(s):
-            return np.abs(mass * s / (hbar * t) + mass * r / (hbar * t) - cfg.k) \
-                + cfg.k * 0.5 * th_amp ** 2
-
-        def angular_rate(th):
-            return abs(alpha) + cfg.k * r_hi * np.abs(th) + abs(n0)
-
         r_edges = _edges_from_rate(r_lo, r_hi, radial_rate_full, phase_cap)
-        th_edges = _edges_from_rate(th_lo, th_hi, angular_rate, phase_cap)
-        r_nodes, r_w = gauss_panel_nodes(r_edges, order)
-        t_nodes, t_w = gauss_panel_nodes(th_edges, order)
-
-        kernel_r = _radial_kernel(nu, pref, mass, r, r_nodes, t, hbar)
-        kernel_th = np.exp(1j * n0 * (theta - t_nodes))
-
-        a_r = -1j * cfg.k * r_nodes - r_nodes ** 2 / d2 + 2.0 * r_nodes * cfg.rho0 / d2
-        b_th = 1j * alpha * t_nodes - cfg.rho0 ** 2 / d2
-        c_th = 0.5j * cfg.k * t_nodes ** 2 - cfg.rho0 * (t_nodes - cfg.theta0) ** 2 / d2
-        coupling_2d = np.exp(np.outer(r_nodes, c_th))
-        psi = (
-            np.exp(a_r)[:, None]
-            * np.exp(b_th)[None, :]
-            * coupling_2d
-            / (math.sqrt(math.pi) * cfg.delta)
+        rp, w = gauss_panel_nodes(r_edges, order)
+        # packet exponent A theta'^2 + B theta' + C, kernel phase included
+        a = rp * (0.5j * cfg.k - cfg.rho0 / d2)
+        b = 1j * (coupling.alpha - n0) + 2.0 * rp * cfg.rho0 * cfg.theta0 / d2
+        c = -rp * cfg.rho0 * cfg.theta0 ** 2 / d2
+        angular = np.sqrt(-math.pi / a) * np.exp(c - b * b / (4.0 * a))
+        radial = np.exp(-1j * cfg.k * rp - (rp - cfg.rho0) ** 2 / d2) / (
+            math.sqrt(math.pi) * cfg.delta
         )
-        left = (r_w * r_nodes * kernel_r).astype(np.clongdouble)
-        right = (t_w * kernel_th).astype(np.clongdouble)
-        total = left @ psi.astype(np.clongdouble) @ right
-        return complex(total)
+        terms = w * rp * _radial_kernel(nu, pref, mass, r, rp, t, hbar) * radial * angular
+        return complex(np.sum(terms.astype(np.clongdouble)) * cmath.exp(1j * n0 * theta))
 
     value = evaluate(max_phase, gauss_order)
     if refine_check:
@@ -431,12 +427,7 @@ def suppression_scan(cfg_template: PacketConfig, d_values, coupling: Coupling,
     rows = []
     for d in d_values:
         theta0 = d / cfg_template.rho0
-        cfg = PacketConfig(
-            delta=cfg_template.delta,
-            rho0=cfg_template.rho0,
-            theta0=theta0,
-            k=cfg_template.k,
-        )
+        cfg = replace(cfg_template, theta0=theta0)
         t = peak_time(cfg, r, mass, hbar)
         val = delta_closed(cfg, coupling, mass, r, 0.0, t, hbar)
         row = {

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -188,7 +189,38 @@ class TestBareStringRadial:
     def test_origin_divergence_flag(self):
         comp = bt.bare_string_radial(0, Coupling(0.3), KIN, 0.0)
         assert math.isinf(comp.chi1.real)  # negative-order principal component
-        assert math.isinf(comp.chi4.real)
+        # the ladder image of J_-0.3 is -J_0.7, which vanishes at the origin
+        assert comp.chi4 == 0
+
+    @pytest.mark.parametrize("kr", [5e-3, 5e-5, 5e-9])
+    def test_lower_components_against_mpmath(self, kr):
+        # two-term ladder c (k J_nu' + (g/r) J_nu) at 40 digits, for the bare
+        # (anomalous order swap) and shielded partial waves near the origin
+        kin = make_kinematics(k=0.5)
+        r = kr / kin.k
+        cfac = -1j * kin.hbar * kin.c / (kin.energy_E + kin.rest_energy)
+        worst = 0.0
+        for alpha in (0.3, -0.4, 1.3, 0.7):
+            c = Coupling(alpha)
+            for l in range(-3, 4):
+                for bare in (True, False):
+                    if bare:
+                        comp = bt.bare_string_radial(l, c, kin, r)
+                    else:
+                        comp = sh.shielded_eigenfunction(l, c, kin, r)
+                    for channel, g, got in ((2, l + 1 - alpha, comp.chi3),
+                                            (1, alpha - l, comp.chi4)):
+                        nu = bt.exterior_order(l, channel, alpha)
+                        if bare and bt.anomalous_channel(c) == (l, channel):
+                            nu = -nu
+                        with mpmath.workdps(40):
+                            x = mpmath.mpf(kr)
+                            want = cfac * complex(
+                                kin.k * mpmath.besselj(nu, x, derivative=1)
+                                + g / mpmath.mpf(r) * mpmath.besselj(nu, x)
+                            )
+                        worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-12
 
     def test_ladder_consistency_finite_difference(self):
         kin = make_kinematics(E=math.sqrt(1.25))

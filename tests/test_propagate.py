@@ -2,19 +2,57 @@
 
 import cmath
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abdirac import bare_tube as bt
 from abdirac import propagate as pr
 from abdirac.errors import QuadratureError
-from abdirac.model import Coupling
+from abdirac.model import Coupling, channel_index
+from abdirac.numerics import gauss_panel_nodes
 
 # r r' / t = 30: far enough out for the asymptotic kernel
 KERNEL_POINT = dict(mass=1.0, r=30.0, rp=1.0, theta=0.2, thetap=-0.1, t=1.0)
 
+# alpha at least 0.05 from an integer, either sign
+ALPHA = st.floats(-2.95, 2.95).filter(lambda a: abs(a - round(a)) >= 0.05)
+ANGLE = st.floats(-math.pi, math.pi)
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+PACKET_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+# two packets off the axis (theta0 != 0), well inside the resolvable regime
+PACKETS = (
+    pr.PacketConfig(delta=4.0, rho0=55.0, theta0=0.05, k=13.0),
+    pr.PacketConfig(delta=3.0, rho0=40.0, theta0=-0.1, k=15.0),
+)
+
 
 def _rel(got: complex, want: complex) -> float:
     return abs(got - want) / abs(want)
+
+
+def _fold_oracle(cfg, coupling, mass, r, theta, t, n_sigma=6.0):
+    """Delta as the literal 2-d fold of greens_diff_closed with packet_initial:
+    60 x 60 uniform panels of 12 Gauss nodes over the n-sigma window."""
+    r_lo = max(cfg.rho0 - n_sigma * cfg.delta, 1e-3 * cfg.rho0)
+    r_hi = cfg.rho0 + n_sigma * cfg.delta
+    s_th = cfg.delta / math.sqrt(r_lo * cfg.rho0)
+    rp, rw = gauss_panel_nodes(np.linspace(r_lo, r_hi, 61), 12)
+    thp, tw = gauss_panel_nodes(
+        np.linspace(cfg.theta0 - n_sigma * s_th, cfg.theta0 + n_sigma * s_th, 61), 12
+    )
+    # the kernel's theta' dependence is the angular factor of its surviving wave
+    n0, _ = channel_index(*bt.anomalous_channel(coupling))
+    radial = np.array([
+        pr.greens_diff_closed(coupling, mass, r, float(x), theta, theta, t) for x in rp
+    ])
+    angular = np.exp(-1j * n0 * (thp - theta))
+    psi = pr.packet_initial(cfg, coupling, rp[:, None], thp[None, :])
+    return complex((rw * rp * radial) @ psi @ (tw * angular))
 
 
 class TestKernel:
@@ -42,6 +80,26 @@ class TestKernel:
     def test_integer_coupling_has_no_difference(self):
         assert pr.greens_diff_closed(Coupling(2.0), **KERNEL_POINT) == 0
 
+    @SETTINGS
+    @given(alpha=ALPHA, theta=ANGLE, thetap=ANGLE,
+           r=st.floats(0.5, 50.0), rp=st.floats(0.5, 50.0))
+    def test_mirror_symmetry(self, alpha, theta, thetap, r, rp):
+        args = dict(mass=1.0, r=r, rp=rp, t=1.0)
+        got = pr.greens_diff_closed(Coupling(alpha), theta=theta, thetap=thetap, **args)
+        want = pr.greens_diff_closed(Coupling(-alpha), theta=-theta, thetap=-thetap, **args)
+        assert _rel(got, want) <= 1e-13
+
+    @SETTINGS
+    @given(alpha=ALPHA.filter(lambda a: a > 0 or a < -1), theta=ANGLE, thetap=ANGLE,
+           r=st.floats(0.5, 50.0), rp=st.floats(0.5, 50.0))
+    def test_gauge_shift(self, alpha, theta, thetap, r, rp):
+        # alpha and alpha + 1 of one sign: across zero the surviving wave
+        # changes spin channel and the kernel is a different one
+        args = dict(mass=1.0, r=r, rp=rp, theta=theta, thetap=thetap, t=1.0)
+        got = pr.greens_diff_closed(Coupling(alpha + 1.0), **args)
+        want = pr.greens_diff_closed(Coupling(alpha), **args) * cmath.exp(1j * (theta - thetap))
+        assert _rel(got, want) <= 1e-13
+
 
 class TestPacket:
     def test_packet_is_normalised(self):
@@ -59,6 +117,39 @@ class TestPacket:
         ratio = quad / closed
         assert abs(abs(ratio) - 1.0) <= 0.03
         assert abs(cmath.phase(ratio)) <= 0.2
+
+    @pytest.mark.parametrize("alpha", [0.37, -0.61, -1.4, 1.25])
+    def test_quadrature_matches_2d_fold(self, alpha):
+        cfg = PACKETS[0]
+        c = Coupling(alpha)
+        t = pr.peak_time(cfg, cfg.rho0)
+        quad = pr.delta_quadrature(cfg, c, 1.0, cfg.rho0, 0.3, t)
+        assert _rel(quad, _fold_oracle(cfg, c, 1.0, cfg.rho0, 0.3, t)) <= 1e-10
+
+    @PACKET_SETTINGS
+    @given(alpha=ALPHA, theta=ANGLE, packet=st.sampled_from(PACKETS))
+    def test_quadrature_mirror_symmetry(self, alpha, theta, packet):
+        mirrored = replace(packet, theta0=-packet.theta0)
+        t = pr.peak_time(packet, packet.rho0)
+        got = pr.delta_quadrature(packet, Coupling(alpha), 1.0, packet.rho0, theta, t)
+        want = pr.delta_quadrature(mirrored, Coupling(-alpha), 1.0, packet.rho0, -theta, t)
+        assert _rel(got, want) <= 1e-13
+
+    @PACKET_SETTINGS
+    @given(alpha=ALPHA.filter(lambda a: a > 0 or a < -1), theta=ANGLE,
+           packet=st.sampled_from(PACKETS))
+    def test_quadrature_gauge_shift(self, alpha, theta, packet):
+        t = pr.peak_time(packet, packet.rho0)
+        got = pr.delta_quadrature(packet, Coupling(alpha + 1.0), 1.0, packet.rho0, theta, t)
+        want = pr.delta_quadrature(packet, Coupling(alpha), 1.0, packet.rho0, theta, t)
+        assert _rel(got, want * cmath.exp(1j * theta)) <= 1e-13
+
+    def test_wide_angular_window_raises(self):
+        # theta0 +/- n_sigma * s_theta = +/-4.8 rad: not a small-angle packet
+        cfg = pr.PacketConfig(delta=16.0, rho0=100.0, theta0=0.0, k=1.0)
+        t = pr.peak_time(cfg, cfg.rho0)
+        with pytest.raises(QuadratureError, match="angular window"):
+            pr.delta_quadrature(cfg, Coupling(0.3), 1.0, cfg.rho0, 0.0, t)
 
     def test_unresolvable_packet_raises(self):
         # n_sigma * delta >= rho0 pushes the radial window down to the axis,
