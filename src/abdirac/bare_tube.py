@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import specfun as sf
 from .errors import RegimeError, RegionError, SingularArgumentError
@@ -395,6 +394,10 @@ def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     present, applies the spinor-continuity derivative jump at R0.  Serves as
     the convention-free oracle for every boundary-matching formula.
     """
+    # imported here, not at module level: scipy.integrate costs ~26 MB and
+    # ~0.2 s on every import of the package, and only this oracle needs it
+    from scipy.integrate import solve_ivp
+
     l_ch, spin = channel_index(l, channel)
     alpha = tube.coupling.alpha
     r0 = tube.r0

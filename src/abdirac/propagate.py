@@ -274,13 +274,33 @@ def packet_initial(cfg: PacketConfig, coupling: Coupling, rp, thetap):
     return out if out.ndim else complex(out)
 
 
-def packet_norm(cfg: PacketConfig, coupling: Coupling, n_sigma: float = 8.0,
-                n_r: int = 400, n_theta: int = 400) -> float:
-    """Quadrature of |packet|^2 r' dr' dtheta' over the packet support."""
-    r_lo = max(cfg.rho0 - n_sigma * cfg.delta, 1e-6 * cfg.rho0)
+def _packet_window(cfg: PacketConfig, n_sigma: float):
+    """n-sigma support (r_lo, r_hi, th_lo, th_hi) of the packet in (r', theta').
+
+    The angular half-width is n_sigma * delta / sqrt(r_lo rho0).  Raises
+    QuadratureError when that window leaves (-pi, pi), where the small-angle
+    packet does not hold.  The 1e-3 rho0 floor on r_lo binds only when
+    n_sigma * delta >= rho0, and then the window is wider than +/-31 rad.
+    """
+    r_lo = max(cfg.rho0 - n_sigma * cfg.delta, 1e-3 * cfg.rho0)
     r_hi = cfg.rho0 + n_sigma * cfg.delta
     s_th = cfg.delta / math.sqrt(r_lo * cfg.rho0)
-    th_lo, th_hi = cfg.theta0 - n_sigma * s_th, cfg.theta0 + n_sigma * s_th
+    th_lo = cfg.theta0 - n_sigma * s_th
+    th_hi = cfg.theta0 + n_sigma * s_th
+    if th_lo <= -math.pi or th_hi >= math.pi:
+        raise QuadratureError(
+            f"packet angular window [{th_lo:.3g}, {th_hi:.3g}] leaves (-pi, pi)"
+        )
+    return r_lo, r_hi, th_lo, th_hi
+
+
+def packet_norm(cfg: PacketConfig, coupling: Coupling, n_sigma: float = 8.0,
+                n_r: int = 400, n_theta: int = 400) -> float:
+    """Quadrature of |packet|^2 r' dr' dtheta' over the packet support.
+
+    Raises QuadratureError when the support's angular window leaves (-pi, pi).
+    """
+    r_lo, r_hi, th_lo, th_hi = _packet_window(cfg, n_sigma)
     r_nodes, r_w = gauss_panel_nodes(np.linspace(r_lo, r_hi, n_r // 8), 8)
     t_nodes, t_w = gauss_panel_nodes(np.linspace(th_lo, th_hi, n_theta // 8), 8)
     vals = np.abs(packet_initial(cfg, coupling, r_nodes[:, None], t_nodes[None, :])) ** 2
@@ -364,21 +384,13 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
     re-evaluates on a 1.5x finer panel set and raises if the two disagree by
     more than 1e-4 relative.  QuadratureError is raised before any node is
     built when the angular window theta0 +/- n_sigma * s_theta leaves
-    (-pi, pi), where the small-angle packet does not hold, or when the radial
-    phase needs more panels than the cap (a window that reaches down to the
-    axis, n_sigma * delta >= rho0).
+    (-pi, pi), where the small-angle packet does not hold (always so for a
+    window that reaches down to the axis, n_sigma * delta >= rho0), or when
+    the radial phase needs more panels than the cap.
     """
     nu, n0, pref = _packet_kernel_parts(coupling, mass, t, hbar)
     d2 = 2.0 * cfg.delta * cfg.delta
-    r_lo = max(cfg.rho0 - n_sigma * cfg.delta, 1e-3 * cfg.rho0)
-    r_hi = cfg.rho0 + n_sigma * cfg.delta
-    s_th = cfg.delta / math.sqrt(r_lo * cfg.rho0)
-    th_lo = cfg.theta0 - n_sigma * s_th
-    th_hi = cfg.theta0 + n_sigma * s_th
-    if th_lo <= -math.pi or th_hi >= math.pi:
-        raise QuadratureError(
-            f"packet angular window [{th_lo:.3g}, {th_hi:.3g}] leaves (-pi, pi)"
-        )
+    r_lo, r_hi, th_lo, th_hi = _packet_window(cfg, n_sigma)
     th_amp = max(abs(th_lo), abs(th_hi))
 
     # combined radial phase rate (kernel + packet, which nearly cancel at

@@ -64,14 +64,18 @@ class PartialWaveSum:
 
 @dataclass(frozen=True)
 class WaveFieldSample:
-    """Four spinor components at one field point."""
+    """Four spinor components at one radius and a scalar or array theta.
+
+    A scalar theta holds Python ``complex`` components; an array theta holds
+    component arrays of its shape, so `as_array()` is (4, n) for n angles.
+    """
 
     r: float
-    theta: float
-    psi1: complex
-    psi2: complex
-    psi3: complex
-    psi4: complex
+    theta: float | np.ndarray
+    psi1: complex | np.ndarray
+    psi2: complex | np.ndarray
+    psi3: complex | np.ndarray
+    psi4: complex | np.ndarray
 
     def as_array(self) -> np.ndarray:
         return np.array([self.psi1, self.psi2, self.psi3, self.psi4])
@@ -96,13 +100,22 @@ def _reduced_sum(nu: float, x: float, theta, tol: float,
         raise RegimeError("kr must be >= 0")
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     l_max = truncation_order(x)
-    for _ in range(_MAX_EXTENSIONS):
-        # one ladder per side: l in [-l_max, 0] has orders nu + m, l in
-        # [1, l_max] orders 1 - nu + m, each followed by the next chunk.  The
-        # cap is explicit because at large kr it exceeds the default one.
-        cap = float(l_max + _EXTENSION_CHUNK + 2)
-        down_all = sf.bessel_j_ladder(nu, l_max + 1 + _EXTENSION_CHUNK, x, max_order=cap)
-        up_all = sf.bessel_j_ladder(1.0 - nu, l_max + _EXTENSION_CHUNK, x, max_order=cap)
+    # one ladder per side: l in [-l_max, 0] has orders nu + m, l in
+    # [1, l_max] orders 1 - nu + m, each followed by the next chunk.  A failed
+    # tail check appends the chunk after that to each side, so every order is
+    # evaluated once.  The cap is explicit because at large kr it exceeds the
+    # default one.
+    cap = float(l_max + _EXTENSION_CHUNK + 2)
+    down_all = sf.bessel_j_ladder(nu, l_max + 1 + _EXTENSION_CHUNK, x, max_order=cap)
+    up_all = sf.bessel_j_ladder(1.0 - nu, l_max + _EXTENSION_CHUNK, x, max_order=cap)
+    for attempt in range(_MAX_EXTENSIONS):
+        if attempt:
+            l_max += _EXTENSION_CHUNK
+            cap = float(l_max + _EXTENSION_CHUNK + 2)
+            down_all = np.concatenate((down_all, sf.bessel_j_ladder(
+                nu, _EXTENSION_CHUNK, x, max_order=cap, start=down_all.size)))
+            up_all = np.concatenate((up_all, sf.bessel_j_ladder(
+                1.0 - nu, _EXTENSION_CHUNK, x, max_order=cap, start=up_all.size)))
         down, tail_down = down_all[:l_max + 1], down_all[l_max + 1:]
         up, tail_up = up_all[:l_max], up_all[l_max:]
         # tail: sum of the next chunk's magnitudes on both ladders, with a
@@ -116,7 +129,6 @@ def _reduced_sum(nu: float, x: float, theta, tol: float,
             tail *= 10.0
         if tail <= tol or x == 0:
             break
-        l_max += _EXTENSION_CHUNK
     else:
         raise TruncationError(
             f"partial-wave tail {tail:.1e} above tolerance {tol:.1e} at l_max={l_max}"
@@ -185,12 +197,15 @@ def _lower_weight(kin: Kinematics) -> float:
 
 def dirac_scattering_state(kind: str, amplitudes: SpinorAmplitudes,
                            coupling: Coupling, kin: Kinematics, r: float,
-                           theta: float, tol: float = 1e-10) -> WaveFieldSample:
-    """Four-spinor scattering state (t = 0 snapshot) at one field point.
+                           theta, tol: float = 1e-10) -> WaveFieldSample:
+    """Four-spinor scattering state (t = 0 snapshot) at one radius.
 
     `kind` is "shielded" or "bare".  The shielded state is the scalar sum on
     all four components plus a divergent Hankel correction on the lower pair;
     the bare state adds the surviving-channel column proportional to a1.
+    `theta` is a scalar or an array: every angle at the radius shares one
+    partial-wave sum (Bessel ladders and cutoff) and one set of Hankel values,
+    and only the phases e^{i l theta} differ.
     """
     if kind not in ("bare", "shielded"):
         raise RegimeError("kind must be 'bare' or 'shielded'")
@@ -203,6 +218,7 @@ def dirac_scattering_state(kind: str, amplitudes: SpinorAmplitudes,
     x = kin.k * r
     w = _lower_weight(kin)
     s = math.sin(math.pi * nu)
+    th = np.asarray(theta, dtype=float)
     psi_sh, _ = _reduced_sum(nu, x, theta, tol, swap_l0_to_negative_order=False)
     psi1 = a1 * psi_sh
     psi2 = a2 * psi_sh
@@ -211,21 +227,18 @@ def dirac_scattering_state(kind: str, amplitudes: SpinorAmplitudes,
     if nu > 0.0:
         h_nu = sf.hankel1(nu, x)
         h_one_minus = sf.hankel1(1.0 - nu, x)
+        e_theta = np.exp(1j * th)
         psi3 = psi3 - 1j * w * a2 * cmath.exp(0.5j * math.pi * nu) * s * h_nu
-        psi4 = psi4 + w * a1 * cmath.exp(-0.5j * math.pi * nu) * s * h_one_minus * cmath.exp(1j * theta)
+        psi4 = psi4 + w * a1 * cmath.exp(-0.5j * math.pi * nu) * s * h_one_minus * e_theta
         if kind == "bare":
             h_down = sf.hankel1(nu - 1.0, x)
             psi1 = psi1 + 1j * a1 * cmath.exp(0.5j * math.pi * nu) * s * h_nu
-            psi4 = psi4 + w * a1 * cmath.exp(0.5j * math.pi * nu) * s * h_down * cmath.exp(1j * theta)
-    gauge = cmath.exp(1j * coupling.int_part * theta)
-    return WaveFieldSample(
-        r=r,
-        theta=theta,
-        psi1=complex(psi1 * gauge),
-        psi2=complex(psi2 * gauge),
-        psi3=complex(psi3 * gauge),
-        psi4=complex(psi4 * gauge),
-    )
+            psi4 = psi4 + w * a1 * cmath.exp(0.5j * math.pi * nu) * s * h_down * e_theta
+    gauge = np.exp(1j * coupling.int_part * th)
+    psi = [psi1 * gauge, psi2 * gauge, psi3 * gauge, psi4 * gauge]
+    if np.ndim(theta) == 0:
+        psi = [complex(p) for p in psi]
+    return WaveFieldSample(r, theta, *psi)
 
 
 def asymptotic_state(kind: str, amplitudes: SpinorAmplitudes, coupling: Coupling,

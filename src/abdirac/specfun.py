@@ -6,7 +6,7 @@ array; a scalar returns a Python ``complex`` (``float`` for the real-valued I
 functions), an array an array of its shape.  Backing scipy routines:
 
 * ``bessel_j``, ``bessel_j_prime``: ``jv``, ``jvp`` (AMOS; reflection for nu < 0)
-* ``bessel_j_ladder``: one ``jv`` call over the orders nu0 + m
+* ``bessel_j_ladder``: one ``jv`` call over the orders nu0 + m, m from ``start``
 * ``bessel_i``: ``iv``, real x >= 0
 * ``bessel_i_log_derivative``: ``ive``, as ive(nu+1)/ive(nu) + nu/x, finite
   where I_nu itself overflows (x beyond ~700)
@@ -106,11 +106,17 @@ def bessel_j_prime(nu: float, z, max_order: float | None = None):
     return _evaluate(_sp.jvp, z, "J'_nu", _order(nu, max_order))
 
 
-def bessel_j_ladder(nu0: float, count: int, z, max_order: float | None = None) -> np.ndarray:
-    """J_{nu0+m}(z) for m = 0..count-1 at a scalar argument."""
+def bessel_j_ladder(nu0: float, count: int, z, max_order: float | None = None,
+                    start: int = 0) -> np.ndarray:
+    """J_{nu0+m}(z) for m = start..start+count-1 at a scalar argument.
+
+    Each order is nu0 + m in one rounding, so a ladder continued with `start`
+    is bit-identical to the tail of one longer call; passing nu0 + start as
+    nu0 instead rounds twice and can put an order an ulp off.
+    """
     if count < 1:
         raise OutOfRangeError("count must be >= 1")
-    orders = _order(float(nu0) + np.arange(count), max_order)
+    orders = _order(float(nu0) + np.arange(start, start + count), max_order)
     return _evaluate(_sp.jv, complex(z), "J ladder", orders)
 
 

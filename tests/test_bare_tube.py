@@ -2,6 +2,10 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -338,3 +342,17 @@ class TestGuards:
         with pytest.raises(RegimeError):
             bt.ode_radial_oracle(0, 1, TubeConfig(0.1, Coupling(0.3)), kin, 2.0,
                                  barrier=barrier)
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # only ode_radial_oracle needs solve_ivp, and it imports it when called
+    code = (
+        "import sys\n"
+        "import abdirac.scattering, abdirac.propagate, abdirac.shielded, abdirac.bare_tube\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    src = str(Path(bt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

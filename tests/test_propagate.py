@@ -151,6 +151,13 @@ class TestPacket:
         with pytest.raises(QuadratureError, match="angular window"):
             pr.delta_quadrature(cfg, Coupling(0.3), 1.0, cfg.rho0, 0.0, t)
 
+    def test_packet_norm_refuses_wide_angular_window(self):
+        # n_sigma * delta >= rho0 puts the window at +/-40 rad: integrated
+        # there, the small-angle packet's norm came out ~4e-21 instead of 1
+        cfg = pr.PacketConfig(delta=16.0, rho0=100.0, theta0=0.0, k=1.0)
+        with pytest.raises(QuadratureError, match="angular window"):
+            pr.packet_norm(cfg, Coupling(0.3))
+
     def test_unresolvable_packet_raises(self):
         # n_sigma * delta >= rho0 pushes the radial window down to the axis,
         # where the phase rate needs more panels than the cap allows

@@ -8,7 +8,7 @@ import pytest
 
 from abdirac import scattering as sc
 from abdirac import specfun as sf
-from abdirac.errors import RegimeError, SingularArgumentError
+from abdirac.errors import RegimeError, SingularArgumentError, TruncationError
 from abdirac.model import Coupling, SpinorAmplitudes, make_kinematics
 
 KIN = make_kinematics(E=math.sqrt(2.0))  # k = 1
@@ -195,3 +195,60 @@ class TestAmplitude:
         )
         got = sc.integrated_cross_section(c, KIN, theta_cut=0.1)
         assert abs(got - want) < 1e-8 * want
+
+
+class TestThetaArray:
+    THETAS = np.linspace(-math.pi, math.pi, 8, endpoint=False) + 0.23
+
+    @pytest.mark.parametrize("kind", ["bare", "shielded"])
+    @pytest.mark.parametrize("alpha", [0.37, 1.62, -0.4])
+    @pytest.mark.parametrize("kr", [0.5, 10.0, 53.0, 200.0])
+    def test_row_matches_scalar_calls(self, kind, alpha, kr):
+        c = Coupling(alpha)
+        row = sc.dirac_scattering_state(kind, AMP, c, KIN, kr, self.THETAS).as_array()
+        for j, th in enumerate(self.THETAS):
+            want = sc.dirac_scattering_state(kind, AMP, c, KIN, kr, float(th)).as_array()
+            assert np.linalg.norm(row[:, j] - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_shapes_and_types(self):
+        c = Coupling(0.37)
+        row = sc.dirac_scattering_state("bare", AMP, c, KIN, 3.0, self.THETAS)
+        assert row.as_array().shape == (4, self.THETAS.size)
+        point = sc.dirac_scattering_state("bare", AMP, c, KIN, 3.0, 0.4)
+        assert point.as_array().shape == (4,)
+        assert all(type(p) is complex for p in (point.psi1, point.psi2, point.psi3, point.psi4))
+
+
+class TestIncrementalCutoff:
+    def _record_ladders(self, monkeypatch):
+        calls = []
+        ladder = sf.bessel_j_ladder
+
+        def recording(nu0, count, z, max_order=None, start=0):
+            out = ladder(nu0, count, z, max_order=max_order, start=start)
+            calls.append((nu0, start, max_order, out))
+            return out
+
+        monkeypatch.setattr(sf, "bessel_j_ladder", recording)
+        return calls
+
+    @pytest.mark.parametrize("nu", [0.37, 0.41])
+    def test_extended_ladders_equal_one_call(self, monkeypatch, nu):
+        # at kr = 200 the first tail check fails and one chunk is appended;
+        # nu = 0.41 is a coupling where nu0 + start would round twice
+        calls = self._record_ladders(monkeypatch)
+        _, info = sc._reduced_sum(nu, 200.0, 0.3, 1e-10, swap_l0_to_negative_order=False)
+        assert info.l_max == 252
+        assert len(calls) == 4  # (l <= 0 side, l >= 1 side) x (first, appended)
+        for base, side in ((nu, calls[0::2]), (1.0 - nu, calls[1::2])):
+            got = np.concatenate([c[3] for c in side])
+            want = sf.bessel_j_ladder(base, got.size, 200.0, max_order=side[-1][2])
+            assert np.array_equal(got, want)
+        assert max(c[2] for c in calls) == info.l_max + sc._EXTENSION_CHUNK + 2
+
+    def test_tail_never_below_tol_raises(self, monkeypatch):
+        calls = self._record_ladders(monkeypatch)
+        with pytest.raises(TruncationError):
+            sc._reduced_sum(0.3, 5.0, 0.0, 0.0, swap_l0_to_negative_order=False)
+        # every ladder order is computed once: one call per side and attempt
+        assert len(calls) == 2 * sc._MAX_EXTENSIONS
