@@ -31,16 +31,7 @@ __all__ = [
     "make_kinematics",
     "barrier_kappa",
     "channel_index",
-    "si_worked_numbers",
 ]
-
-# CODATA values used only by the SI worked-numbers report.
-_PLANCK_H = 6.62607015e-34  # J s
-_HBAR = 1.054571817e-34  # J s
-_E_CHARGE = 1.602176634e-19  # C
-_M_ELECTRON = 9.1093837015e-31  # kg
-_C_LIGHT = 2.99792458e8  # m/s
-
 
 @dataclass(frozen=True)
 class Coupling:
@@ -82,7 +73,6 @@ class Kinematics:
     k_exact: float | None = None
     k: float = field(init=False)
     kappa: float | None = field(init=False)
-    relativistic_ratio: float = field(init=False)
 
     def __post_init__(self):
         E, M, hbar, c = self.energy_E, self.mass_M, self.hbar, self.c
@@ -96,7 +86,6 @@ class Kinematics:
         else:
             k = math.sqrt(max(E * E - rest * rest, 0.0)) / (hbar * c)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "relativistic_ratio", hbar * k / (M * c))
         if self.barrier_U is None:
             object.__setattr__(self, "kappa", None)
         else:
@@ -177,13 +166,6 @@ class TubeConfig:
     def qB_over_hbar(self) -> float:
         return 2.0 * self.coupling.alpha / (self.r0 * self.r0)
 
-    def flux_F(self, q: float = -1.0, hbar: float = 1.0) -> float:
-        """Magnetic flux for a given charge (electron convention q=-1)."""
-        return 2.0 * math.pi * hbar * self.coupling.alpha / q
-
-    def B_field(self, q: float = -1.0, hbar: float = 1.0) -> float:
-        return self.flux_F(q, hbar) / (math.pi * self.r0 * self.r0)
-
     def interior_ksq(self, channel: int, kin: Kinematics, U: float = 0.0) -> float:
         """Squared interior wavenumber of a spin channel (may be negative).
 
@@ -209,11 +191,6 @@ class BarrierConfig:
         if self.R0 <= 0:
             raise RegimeError("barrier radius R0 must be positive")
 
-    def validate_against(self, kin: Kinematics, r0: float = 0.0) -> None:
-        if self.R0 <= r0:
-            raise RegimeError("barrier radius R0 must exceed the tube radius r0")
-        barrier_kappa(kin, self.U)  # raises outside the evanescent window
-
 
 @dataclass(frozen=True)
 class SpinorAmplitudes:
@@ -225,30 +202,3 @@ class SpinorAmplitudes:
     def __post_init__(self):
         if self.a1 == 0 and self.a2 == 0:
             raise RegimeError("spinor amplitudes must not both vanish")
-
-
-def si_worked_numbers() -> dict[str, float]:
-    """SI gedanken scenario: h/2e flux tube, 1 keV electron, R0 = 1e-12 m.
-
-    Everything is derived from CODATA constants; the returned dictionary holds
-    the quantities a desk calculation of the shielded-string limits needs.
-    """
-    flux_quantum_h_2e = _PLANCK_H / (2.0 * _E_CHARGE)  # T m^2
-    B = 2.0  # T
-    r_h2e = math.sqrt(flux_quantum_h_2e / (math.pi * B))  # tube radius at 2 T
-    kinetic = 1e3 * _E_CHARGE  # 1 keV in J
-    k1_tilde = math.sqrt(2.0 * _M_ELECTRON * kinetic) / _HBAR  # 1/m
-    compton = _HBAR / (_M_ELECTRON * _C_LIGHT)  # m
-    R0 = 1e-12  # m
-    return {
-        "flux_quantum_h_2e": flux_quantum_h_2e,
-        "B_field": B,
-        "r_h2e": r_h2e,
-        "k1_tilde": k1_tilde,
-        "k1_r_h2e": k1_tilde * r_h2e,
-        "compton_length": compton,
-        "R0": R0,
-        "kR0": k1_tilde * R0,
-        "McR0_over_hbar": R0 / compton,
-        "exp_minus_2McR0_over_hbar": math.exp(-2.0 * R0 / compton),
-    }

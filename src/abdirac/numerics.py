@@ -1,51 +1,31 @@
-"""Small numerical utilities: extrapolation, panel quadrature, slope fits."""
+"""Gauss-Legendre panel quadrature: one cached rule per order, tiled over
+caller-supplied panel edges."""
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureError
 
 __all__ = [
-    "aitken_limit",
-    "loglog_slope",
+    "gauss_legendre_rule",
     "gauss_panel_nodes",
 ]
 
 
-def aitken_limit(values) -> tuple[complex, float]:
-    """Accelerated limit of a sequence sampled on a geometric parameter grid.
+@lru_cache(maxsize=16)
+def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`n`-point Gauss-Legendre nodes and weights on [-1, 1].
 
-    Repeated Aitken delta-squared sweeps; works for complex sequences whose
-    error is a sum of power terms.  Returns (limit, error_estimate).
+    Built once per order and shared by every caller, so both arrays are
+    read-only.
     """
-    seq = [complex(v) for v in values]
-    if len(seq) < 3:
-        if not seq:
-            raise QuadratureError("empty sequence")
-        return seq[-1], float("inf")
-    prev_best = seq[-1]
-    while len(seq) >= 3:
-        nxt = []
-        for i in range(len(seq) - 2):
-            d1 = seq[i + 1] - seq[i]
-            d2 = seq[i + 2] - seq[i + 1]
-            denom = d2 - d1
-            if denom == 0:
-                nxt.append(seq[i + 2])
-            else:
-                nxt.append(seq[i + 2] - d2 * d2 / denom)
-        err = abs(nxt[-1] - prev_best)
-        prev_best = nxt[-1]
-        seq = nxt
-    return prev_best, abs(err)
-
-
-def loglog_slope(x, y) -> float:
-    """Least-squares slope of log|y| against log x."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.abs(np.asarray(y)))
-    return float(np.polyfit(lx, ly, 1)[0])
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def gauss_panel_nodes(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -57,7 +37,7 @@ def gauss_panel_nodes(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise QuadratureError("need at least one panel")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre_rule(n)
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     mid = 0.5 * (a + b)

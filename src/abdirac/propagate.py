@@ -353,21 +353,34 @@ def delta_closed(cfg: PacketConfig, coupling: Coupling, mass: float, r: float,
     )
 
 
-def _edges_from_rate(a: float, b: float, rate_fn, max_phase: float,
-                     max_panels: int = 20000) -> np.ndarray:
-    grid = np.linspace(a, b, 4097)
-    rate = np.maximum(rate_fn(grid), 1e-12)
-    acc = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(grid))])
-    n = max(math.ceil(acc[-1] / max_phase), 4)
-    if n > max_panels:
+_MAX_RADIAL_PANELS = 20000
+
+
+def _phase_panel_edges(r_lo: float, r_hi: float, s_star: float, slope: float,
+                       floor: float, max_phase: float) -> np.ndarray:
+    """Panel edges on [r_lo, r_hi] at equal steps of the phase accumulated at
+    rate slope |r' - s_star| + floor, each step at most `max_phase`.
+
+    With u = r' - s_star the accumulated phase is H(u) = floor u
+    + slope u |u| / 2, strictly increasing for floor > 0; its inverse
+    u = 2y / (floor + sqrt(floor^2 + 2 slope |y|)) is free of cancellation on
+    either side of s_star.  At least 4 panels; QuadratureError above the cap.
+    """
+    def phase(u: float) -> float:
+        return floor * u + 0.5 * slope * u * abs(u)
+
+    y_lo = phase(r_lo - s_star)
+    y_hi = phase(r_hi - s_star)
+    n = max(math.ceil((y_hi - y_lo) / max_phase), 4)
+    if n > _MAX_RADIAL_PANELS:
         raise QuadratureError(
-            f"packet quadrature needs {n} panels on [{a:.3g}, {b:.3g}], "
-            f"above the cap of {max_panels}"
+            f"packet quadrature needs {n} panels on [{r_lo:.3g}, {r_hi:.3g}], "
+            f"above the cap of {_MAX_RADIAL_PANELS}"
         )
-    targets = np.linspace(0.0, acc[-1], n + 1)
-    edges = np.interp(targets, acc, grid)
-    edges[0], edges[-1] = a, b
-    return np.unique(edges)
+    y = np.linspace(y_lo, y_hi, n + 1)
+    edges = s_star + 2.0 * y / (floor + np.sqrt(floor * floor + 2.0 * slope * np.abs(y)))
+    edges[0], edges[-1] = r_lo, r_hi
+    return edges
 
 
 def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
@@ -379,8 +392,13 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
     The packet exponent is quadratic in theta' and the kernel carries theta'
     only in e^{-i n0 theta'}, so the theta' integral over the real line is the
     Gaussian integral sqrt(pi / -A) exp(C - B^2 / 4A); what remains is a 1-d
-    sum over phase-adaptive Gauss-Legendre panels in r' across the packet's
-    n-sigma support, reduced in extended precision.  `refine_check=True`
+    sum over `gauss_order`-point Gauss-Legendre panels in r' across the
+    packet's n-sigma support, reduced in extended precision.  The panel edges
+    are placed in closed form, at equal steps of at most `max_phase` of the
+    radial phase accumulated at rate (M / hbar t) |r' - s*| + k th^2 / 2:
+    kernel and packet phases cancel at the stationary point
+    s* = hbar t k / M - r, and th is the angular window's outer edge.  The
+    panel count has a floor of 4 and a cap of 20000.  `refine_check=True`
     re-evaluates on a 1.5x finer panel set and raises if the two disagree by
     more than 1e-4 relative.  QuadratureError is raised before any node is
     built when the angular window theta0 +/- n_sigma * s_theta leaves
@@ -393,14 +411,14 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
     r_lo, r_hi, th_lo, th_hi = _packet_window(cfg, n_sigma)
     th_amp = max(abs(th_lo), abs(th_hi))
 
-    # combined radial phase rate (kernel + packet, which nearly cancel at
-    # the stationary point) plus the angular-coupling term at the window edge
-    def radial_rate_full(s):
-        return np.abs(mass * s / (hbar * t) + mass * r / (hbar * t) - cfg.k) \
-            + cfg.k * 0.5 * th_amp ** 2
+    # combined radial phase rate: kernel + packet, which cancel at the
+    # stationary point s_star, plus the angular-coupling term at the window edge
+    slope = mass / (hbar * t)
+    s_star = hbar * t * cfg.k / mass - r
+    floor = 0.5 * cfg.k * th_amp ** 2
 
     def evaluate(phase_cap: float, order: int) -> complex:
-        r_edges = _edges_from_rate(r_lo, r_hi, radial_rate_full, phase_cap)
+        r_edges = _phase_panel_edges(r_lo, r_hi, s_star, slope, floor, phase_cap)
         rp, w = gauss_panel_nodes(r_edges, order)
         # packet exponent A theta'^2 + B theta' + C, kernel phase included
         a = rp * (0.5j * cfg.k - cfg.rho0 / d2)

@@ -15,7 +15,7 @@ from abdirac import bare_tube as bt
 from abdirac import shielded as sh
 from abdirac.errors import RegimeError, RegionError
 from abdirac.model import BarrierConfig, Coupling, TubeConfig, make_kinematics
-from abdirac.numerics import aitken_limit, loglog_slope
+from _helpers import aitken_limit, loglog_slope
 
 KIN = make_kinematics(E=math.sqrt(2.0))  # k = 1 in natural units
 K = KIN.k

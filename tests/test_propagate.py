@@ -159,11 +159,20 @@ class TestPacket:
             pr.packet_norm(cfg, Coupling(0.3))
 
     def test_unresolvable_packet_raises(self):
-        # n_sigma * delta >= rho0 pushes the radial window down to the axis,
-        # where the phase rate needs more panels than the cap allows
+        # n_sigma * delta >= rho0 pushes the radial window down to the axis:
+        # r_lo = 1e-3 rho0 makes the angular window +/-31.6 rad, and the
+        # angular-window guard refuses it before any panel is placed
         cfg = pr.PacketConfig(delta=10.0, rho0=60.0, theta0=0.0, k=30.0)
         t = pr.peak_time(cfg, cfg.rho0)
         with pytest.raises(QuadratureError):
+            pr.delta_quadrature(cfg, Coupling(0.3), 1.0, cfg.rho0, 0.0, t)
+
+    def test_panel_cap_raises(self):
+        # angular window +/-0.95 rad stays inside (-pi, pi), but at k = 3000
+        # the radial phase needs 86400 panels of 2.5 rad, above the cap
+        cfg = pr.PacketConfig(delta=10.0, rho0=100.0, theta0=0.0, k=3000.0)
+        t = pr.peak_time(cfg, cfg.rho0)
+        with pytest.raises(QuadratureError, match="above the cap"):
             pr.delta_quadrature(cfg, Coupling(0.3), 1.0, cfg.rho0, 0.0, t)
 
     def test_suppression_law_closed(self):
@@ -172,3 +181,30 @@ class TestPacket:
         assert rows[1]["delta_abs"] / rows[0]["delta_abs"] == pytest.approx(
             math.exp(-0.5), rel=1e-12
         )
+
+
+class TestPanelEdges:
+    # (r_lo, r_hi, s_star): stationary point inside, below and above the window
+    WINDOWS = ((31.0, 79.0, 55.0), (31.0, 79.0, 12.5), (31.0, 79.0, 140.0))
+
+    @staticmethod
+    def _phase(u, slope, floor):
+        return floor * u + 0.5 * slope * u * np.abs(u)
+
+    @pytest.mark.parametrize("r_lo, r_hi, s_star", WINDOWS)
+    @pytest.mark.parametrize("slope, floor", [(0.24, 0.016), (13.0 / 110.0, 2.6), (0.12, 1e-4)])
+    def test_equal_phase_panels(self, r_lo, r_hi, s_star, slope, floor):
+        max_phase = 2.5
+        edges = pr._phase_panel_edges(r_lo, r_hi, s_star, slope, floor, max_phase)
+        assert edges[0] == r_lo and edges[-1] == r_hi
+        assert np.all(np.diff(edges) > 0)
+        phase = self._phase(edges - s_star, slope, floor)
+        total = phase[-1] - phase[0]
+        n = len(edges) - 1
+        assert n == max(math.ceil(total / max_phase), 4)
+        steps = np.diff(phase)
+        assert np.max(np.abs(steps - total / n)) <= 1e-12 * total / n
+
+    def test_panel_floor(self):
+        edges = pr._phase_panel_edges(1.0, 1.001, 1.0005, 1.0, 1.0, 2.5)
+        assert len(edges) == 5

@@ -17,7 +17,7 @@ from abdirac.model import (
     barrier_kappa,
     make_kinematics,
 )
-from abdirac.numerics import loglog_slope
+from _helpers import loglog_slope
 
 C03 = Coupling(0.3)
 
