@@ -5,15 +5,22 @@ channels solve a 2-d oscillator-type radial problem whose regular solution is
 a power * Gaussian * Kummer-F product; outside, the radial solution is
 J_nu + A H^(1)_nu with nu = |l - alpha| (channel 1) or |l + 1 - alpha|
 (channel 2).  Continuity of the four spinor components at r0 reduces, channel
-by channel, to continuity of the radial logarithmic derivative and fixes the
-outgoing-wave weight A.
+by channel, to continuity of the radial logarithmic derivative.  Written with
+s = nu + r d(ln chi)/dr from the inside and x C' = x C_{nu-1} - nu C
+(DLMF 10.6.2) outside, it fixes the outgoing-wave weight as
+
+    A = -(x J_{nu-1}(x) - s J_nu(x)) / (x H_{nu-1}(x) - s H_nu(x)),  x = k r0,
+
+the one matching formula of the bare tube, the shielded string and the ODE
+oracle.  The bare interior supplies s itself, so no digits cancel between nu
+and a nearly opposite log-derivative as k r0 -> 0.
 
 As k r0 -> 0 every weight dies off as a power of k r0 except in one channel,
-l = [alpha] (channel 1 for alpha > 0, channel 2 for alpha < 0), where A tends
-to the finite value +/- i sin(pi alpha) e^{+/- i pi alpha} and the radial
-solution swaps to the negative-order Bessel function.  The independent check
-for all of this is direct high-order integration of the radial equations with
-a piecewise-constant field and barrier profile.
+l = [alpha] (channel 1 for alpha > 0, channel 2 for alpha < 0), where s -> 0,
+A tends to the finite value +/- i sin(pi alpha) e^{+/- i pi alpha} and the
+radial solution swaps to the negative-order Bessel function.  The independent
+check for all of this is direct high-order integration of the radial equations
+with a piecewise-constant field and barrier profile.
 """
 
 from __future__ import annotations
@@ -25,8 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .errors import RegimeError, RegionError, SingularArgumentError
-from .model import BarrierConfig, Coupling, Kinematics, TubeConfig, channel_index
+from .errors import RegimeError, RegionError
+from .model import (
+    BarrierConfig,
+    Coupling,
+    Kinematics,
+    TubeConfig,
+    channel_index,
+    field_free_ksq,
+)
 
 __all__ = [
     "MatchingCoefficient",
@@ -42,10 +56,6 @@ __all__ = [
     "exterior_order",
     "ode_radial_oracle",
 ]
-
-# when |denominator| falls below this fraction of its natural scale the ratio
-# sits on the anomalous-channel resonance and the limit value is reported
-_RESONANCE_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,64 +93,82 @@ def _ladder_coefficient(l: int, channel: int, alpha: float) -> float:
 
 
 def _kummer_args(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
-                 U: float) -> tuple[float, float]:
-    """Kummer parameters (a, c) of the interior regular solution."""
-    l_ch, _ = channel_index(l, channel)
+                 U: float) -> tuple[int, float, float]:
+    """(l', b, c) of the interior solution e^{-|alpha| rho^2/2} F(b|c||alpha| rho^2).
+
+    One form for both signs of alpha: for alpha < 0 Kummer's transformation
+    F(a|c|z) = e^z F(c - a|c|-z) (DLMF 13.2.39) carries the solution over, so
+    l' = sgn(alpha) l_ch and sigma' = sgn(alpha) spin stand in for l_ch and the
+    spin.  b = (m + 1 - l' - sigma')/2 - base r0^2 / (4 |alpha|) with the
+    field-free base k^2 (or -kappa^2 in a barrier), so the half-integer part
+    stays exact and the field term of the interior wavenumber never enters b
+    in rounded form.
+    """
+    l_ch, spin = channel_index(l, channel)
+    alpha = tube.coupling.alpha
+    sign = 1 if alpha > 0 else -1
     m = abs(l_ch)
-    ksq = tube.interior_ksq(channel, kin, U)
-    a = 0.5 * (m + 1 - l_ch) - ksq * tube.r0 ** 2 / (4.0 * tube.coupling.alpha)
-    return a, float(m + 1)
+    field_free = field_free_ksq(kin, U) * tube.r0 ** 2 / (4.0 * abs(alpha))
+    return sign * l_ch, 0.5 * (m + 1 - sign * (l_ch + spin)) - field_free, float(m + 1)
 
 
 def interior_chi(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
                  r: float, U: float = 0.0) -> complex:
     """Regular interior radial solution at r <= r0, unnormalized.
 
-    Power * Gaussian * Kummer-F; with U = 0 this is the bare-tube interior,
-    otherwise the barrier-interior analogue.  Zero coupling degenerates to the
-    free Bessel solution.
+    (k_ch r)^m e^{-|alpha| rho^2/2} F(b|c||alpha| rho^2) with rho = r/r0 and
+    m = |l_ch|; with U = 0 this is the bare-tube interior, otherwise the
+    barrier-interior analogue.  Zero coupling degenerates to the free Bessel
+    solution.
     """
     if r < 0 or r > tube.r0:
         raise RegionError(f"r={r} outside the tube interior [0, {tube.r0}]")
     alpha = tube.coupling.alpha
     m = abs(channel_index(l, channel)[0])
-    ksq = tube.interior_ksq(channel, kin, U)
-    k_ch = cmath.sqrt(complex(ksq))
+    if r == 0.0:
+        return 1.0 + 0.0j if m == 0 else 0.0j
+    k_ch = cmath.sqrt(complex(tube.interior_ksq(channel, kin, U)))
     if alpha == 0.0:
-        if r == 0.0:
-            return 1.0 + 0.0j if m == 0 else 0.0j
         # free interior; normalized to the same (k_ch r)^m leading power
         val = sf.bessel_j(float(m), k_ch * r)
         return complex(val * sf.gamma_fn(m + 1.0) * 2.0 ** m)
-    if r == 0.0:
-        return 1.0 + 0.0j if m == 0 else 0.0j
-    a, c = _kummer_args(l, channel, tube, kin, U)
-    z = alpha * (r / tube.r0) ** 2
-    pref = (k_ch * r) ** m * math.exp(-0.5 * alpha * (r / tube.r0) ** 2)
-    return complex(pref * sf.kummer_f(a, c, z))
+    _, b, c = _kummer_args(l, channel, tube, kin, U)
+    z = abs(alpha) * (r / tube.r0) ** 2
+    return complex((k_ch * r) ** m * math.exp(-0.5 * z) * sf.kummer_f(b, c, z))
+
+
+def _interior_s(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
+                U: float = 0.0) -> float:
+    """s = nu + r0 d(ln chi)/dr of the interior solution at r0, nu the exterior order.
+
+    Real, and +/-inf at a node of chi.  With F'(b|c|z) = (b/c) F(b+1|c+1|z),
+    s = K + 2 |alpha| F'/F at z = |alpha|, where K = nu + m - |alpha| is
+    2 max(l' - |alpha|, 0) for l' >= 0 and 2m for l' < 0.  In the anomalous
+    channel s -> 0 through b, never as a difference of nearly equal terms.
+    """
+    alpha = tube.coupling.alpha
+    m = abs(channel_index(l, channel)[0])
+    if alpha == 0.0:
+        # free interior J_m(k_ch r): s = x J_{m-1}(x) / J_m(x) by DLMF 10.6.2
+        x = cmath.sqrt(complex(tube.interior_ksq(channel, kin, U))) * tube.r0
+        j = sf.bessel_j(float(m), x)
+        if j == 0:
+            return math.inf
+        return float((x * sf.bessel_j(m - 1.0, x) / j).real)
+    l_rel, b, c = _kummer_args(l, channel, tube, kin, U)
+    f0 = sf.kummer_f(b, c, abs(alpha)).real
+    f1 = sf.kummer_f_prime(b, c, abs(alpha)).real
+    if f0 == 0.0:
+        return math.inf if f1 > 0 else -math.inf
+    k_term = 2.0 * max(l_rel - abs(alpha), 0.0) if l_rel >= 0 else 2.0 * m
+    return k_term + 2.0 * abs(alpha) * (f1 / f0)
 
 
 def _interior_dlog(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
                    U: float = 0.0) -> float:
     """d(ln chi)/dr of the interior solution at r = r0 (real, may be +/-inf)."""
-    alpha = tube.coupling.alpha
-    m = abs(channel_index(l, channel)[0])
-    r0 = tube.r0
-    if alpha == 0.0:
-        ksq = tube.interior_ksq(channel, kin, U)
-        k_ch = cmath.sqrt(complex(ksq))
-        x = k_ch * r0
-        val = sf.bessel_j(float(m), x)
-        if val == 0:
-            return math.inf
-        ratio = k_ch * sf.bessel_j_prime(float(m), x) / val
-        return float(ratio.real)
-    a, c = _kummer_args(l, channel, tube, kin, U)
-    f0 = sf.kummer_f(a, c, alpha).real
-    f1 = sf.kummer_f_prime(a, c, alpha).real
-    if f0 == 0.0:
-        return math.inf if f1 > 0 else -math.inf
-    return (m - alpha + 2.0 * alpha * (f1 / f0)) / r0
+    nu = exterior_order(l, channel, tube.coupling.alpha)
+    return (_interior_s(l, channel, tube, kin, U) - nu) / tube.r0
 
 
 def log_derivative_interior(l: int, channel: int, tube: TubeConfig,
@@ -149,7 +177,7 @@ def log_derivative_interior(l: int, channel: int, tube: TubeConfig,
 
     Complex in general: the channel whose spin opposes the flux has an
     imaginary interior wavenumber, so Lambda picks up a factor 1/i even though
-    d(ln chi)/dr itself stays real.  A zero of chi at r0 (interior resonance)
+    d(ln chi)/dr itself stays real.  A zero of chi at r0 (an interior node)
     is reported as an infinite value rather than raising.
     """
     d = _interior_dlog(l, channel, tube, kin, U)
@@ -160,47 +188,42 @@ def log_derivative_interior(l: int, channel: int, tube: TubeConfig,
     return complex(d / k_ch)
 
 
-def matching_from_log_derivative(l: int, channel: int, coupling: Coupling,
-                                 kin: Kinematics, r_match: float,
-                                 dlog: float, resonance: str = "limit") -> complex:
-    """Outgoing-wave weight from a known interior d(ln chi)/dr at r_match.
+def _matching_terms(nu: float, x: float, s: float) -> tuple[complex, complex]:
+    """(N, D) of the outgoing-wave weight A = -N/D at x = k r_match:
+    N = x J_{nu-1}(x) - s J_nu(x) and D = x H_{nu-1}(x) - s H_nu(x).
 
-    Shared by the closed-form interior, the ODE oracle and the shielded
-    matching; `dlog` has units 1/length.  When the denominator sits on the
-    anomalous-channel resonance, `resonance="limit"` reports the limiting
-    value while `resonance="raise"` treats it as a parameter error.
+    A real s never makes D vanish (the Wronskian of J and Y is 2/(pi x));
+    s = +/-inf, a node of chi at r_match, leaves N, D = J_nu, H_nu.
     """
-    nu = exterior_order(l, channel, coupling.alpha)
-    x = kin.k * r_match
     if x <= 0:
         raise RegimeError("matching needs k * r_match > 0")
-    g = dlog / kin.k  # d(ln chi)/d(kr)
-    j = sf.bessel_j(nu, x)
-    jp = sf.bessel_j_prime(nu, x)
-    h = sf.hankel1(nu, x)
-    hp = sf.hankel1_prime(nu, x)
-    if math.isinf(g):
-        num, den = j, h
-        scale = abs(h)
-    else:
-        num = jp - g * j
-        den = hp - g * h
-        scale = abs(hp) + abs(g * h)
-    if abs(den) < _RESONANCE_GUARD * scale:
-        if resonance == "raise":
-            raise RegimeError("matching denominator vanished (parameter error)")
-        return anomalous_limit(coupling, channel)
+    if math.isinf(s):
+        return sf.bessel_j(nu, x), sf.hankel1(nu, x)
+    return (x * sf.bessel_j(nu - 1.0, x) - s * sf.bessel_j(nu, x),
+            x * sf.hankel1(nu - 1.0, x) - s * sf.hankel1(nu, x))
+
+
+def matching_from_log_derivative(l: int, channel: int, coupling: Coupling,
+                                 kin: Kinematics, r_match: float,
+                                 dlog: float) -> complex:
+    """Outgoing-wave weight from a known d(ln chi)/dr at r_match.
+
+    For the ODE oracle and the shielded matching, whose log-derivatives come
+    as such (units 1/length): s = nu + r_match * dlog goes into the one
+    matching formula.  The bare tube passes its interior s directly.
+    """
+    nu = exterior_order(l, channel, coupling.alpha)
+    num, den = _matching_terms(nu, kin.k * r_match, nu + r_match * dlog)
     return complex(-num / den)
 
 
 def matching_coefficient(l: int, channel: int, tube: TubeConfig,
                          kin: Kinematics) -> MatchingCoefficient:
     """Outgoing-Hankel weight A of the exterior solution for a bare tube."""
-    dlog = _interior_dlog(l, channel, tube, kin, U=0.0)
-    value = matching_from_log_derivative(
-        l, channel, tube.coupling, kin, tube.r0, dlog
-    )
-    return MatchingCoefficient(l=l, channel=channel, value=value)
+    nu = exterior_order(l, channel, tube.coupling.alpha)
+    s = _interior_s(l, channel, tube, kin)
+    num, den = _matching_terms(nu, kin.k * tube.r0, s)
+    return MatchingCoefficient(l=l, channel=channel, value=complex(-num / den))
 
 
 def anomalous_channel(coupling: Coupling) -> tuple[int, int] | None:

@@ -31,6 +31,7 @@ __all__ = [
     "make_kinematics",
     "barrier_kappa",
     "channel_index",
+    "field_free_ksq",
 ]
 
 @dataclass(frozen=True)
@@ -173,11 +174,14 @@ class TubeConfig:
         -kappa^2 +/- qB/hbar; without one it is k^2 +/- qB/hbar.
         """
         _, spin = channel_index(0, channel)
-        if U == 0.0:
-            base = kin.k * kin.k
-        else:
-            base = -barrier_kappa(kin, U) ** 2
-        return base + spin * self.qB_over_hbar
+        return field_free_ksq(kin, U) + spin * self.qB_over_hbar
+
+
+def field_free_ksq(kin: Kinematics, U: float) -> float:
+    """Squared wavenumber without the tube field: k^2 at U = 0, else -kappa^2."""
+    if U == 0.0:
+        return kin.k * kin.k
+    return -barrier_kappa(kin, U) ** 2
 
 
 @dataclass(frozen=True)

@@ -86,13 +86,10 @@ def truncation_order(kr: float) -> int:
     return int(math.ceil(kr)) + 12 + int(math.ceil(4.0 * kr ** (1.0 / 3.0)))
 
 
-def _reduced_sum(nu: float, x: float, theta, tol: float,
-                 swap_l0_to_negative_order: bool):
+def _reduced_sum(nu: float, x: float, theta, tol: float):
     """Partial-wave sum for reduced coupling nu in [0, 1).
 
-    Returns (values, PartialWaveSum).  With `swap_l0_to_negative_order` the
-    l = 0 term uses e^{+i pi nu / 2} J_{-nu} instead of e^{-i pi nu / 2} J_nu
-    (the bare string's surviving channel).
+    Returns (values, PartialWaveSum).
     """
     if not (0.0 <= nu < 1.0):
         raise RegimeError("reduced coupling must lie in [0, 1)")
@@ -138,11 +135,6 @@ def _reduced_sum(nu: float, x: float, theta, tol: float,
     m_up = np.arange(l_max)
     coeff_down = np.exp(-0.5j * math.pi * (nu + m_down)) * down
     coeff_up = np.exp(-0.5j * math.pi * (1.0 - nu + m_up)) * up
-    if swap_l0_to_negative_order:
-        if nu == 0.0:
-            raise RegimeError("negative-order swap undefined at integer coupling")
-        coeff_down = coeff_down.copy()
-        coeff_down[0] = cmath.exp(0.5j * math.pi * nu) * sf.bessel_j(-nu, x)
     # l <= 0 terms carry e^{-i m theta}, l >= 1 terms e^{i (m+1) theta}
     phase_down = np.exp(-1j * np.outer(theta_arr, m_down))
     phase_up = np.exp(1j * np.outer(theta_arr, m_up + 1))
@@ -162,7 +154,7 @@ def ab_wavefunction(coupling: Coupling, kin: Kinematics, r: float, theta,
     """
     nu = coupling.frac
     x = kin.k * r
-    vals, info = _reduced_sum(nu, x, theta, tol, swap_l0_to_negative_order=False)
+    vals, info = _reduced_sum(nu, x, theta, tol)
     gauge = np.exp(1j * coupling.int_part * np.asarray(theta, dtype=float))
     out = vals * gauge if np.ndim(theta) else complex(vals * gauge)
     if return_info:
@@ -176,18 +168,29 @@ def bare_wavefunction_scalar(coupling: Coupling, kin: Kinematics, r: float,
     """Scalar scattering wave function of a bare string.
 
     Identical to the shielded sum except in the surviving channel, where the
-    negative-order Bessel term replaces the regular one.  Restricted to
-    0 < alpha < 1, the range where this closed construction applies.
+    negative-order Bessel term replaces the regular one: the shielded sum plus
+    `_l0_hankel_term`.  Restricted to 0 < alpha < 1, the range where this
+    closed construction applies.
     """
     if not (0.0 < coupling.alpha < 1.0):
         raise RegimeError("bare scalar wave function requires 0 < alpha < 1")
     nu = coupling.alpha
     x = kin.k * r
-    vals, info = _reduced_sum(nu, x, theta, tol, swap_l0_to_negative_order=True)
-    out = vals if np.ndim(theta) else complex(vals)
+    vals, info = _reduced_sum(nu, x, theta, tol)
+    out = vals + _l0_hankel_term(nu, x)
     if return_info:
         return out, info
     return out
+
+
+def _l0_hankel_term(nu: float, x: float) -> complex:
+    """i sin(pi nu) e^{i pi nu/2} H^(1)_nu(x), for reduced coupling nu in (0, 1).
+
+    By e^{i pi nu/2} J_{-nu} - e^{-i pi nu/2} J_nu = i sin(pi nu) e^{i pi nu/2} H_nu,
+    the bare string's l = 0 term minus the shielded one; it is the bare column
+    on psi1 and, times -w a2, the shielded Hankel correction on psi3.
+    """
+    return 1j * math.sin(math.pi * nu) * cmath.exp(0.5j * math.pi * nu) * sf.hankel1(nu, x)
 
 
 def _lower_weight(kin: Kinematics) -> float:
@@ -219,20 +222,20 @@ def dirac_scattering_state(kind: str, amplitudes: SpinorAmplitudes,
     w = _lower_weight(kin)
     s = math.sin(math.pi * nu)
     th = np.asarray(theta, dtype=float)
-    psi_sh, _ = _reduced_sum(nu, x, theta, tol, swap_l0_to_negative_order=False)
+    psi_sh, _ = _reduced_sum(nu, x, theta, tol)
     psi1 = a1 * psi_sh
     psi2 = a2 * psi_sh
     psi3 = -w * a2 * psi_sh
     psi4 = -w * a1 * psi_sh
     if nu > 0.0:
-        h_nu = sf.hankel1(nu, x)
+        l0_term = _l0_hankel_term(nu, x)
         h_one_minus = sf.hankel1(1.0 - nu, x)
         e_theta = np.exp(1j * th)
-        psi3 = psi3 - 1j * w * a2 * cmath.exp(0.5j * math.pi * nu) * s * h_nu
+        psi3 = psi3 - w * a2 * l0_term
         psi4 = psi4 + w * a1 * cmath.exp(-0.5j * math.pi * nu) * s * h_one_minus * e_theta
         if kind == "bare":
             h_down = sf.hankel1(nu - 1.0, x)
-            psi1 = psi1 + 1j * a1 * cmath.exp(0.5j * math.pi * nu) * s * h_nu
+            psi1 = psi1 + a1 * l0_term
             psi4 = psi4 + w * a1 * cmath.exp(0.5j * math.pi * nu) * s * h_down * e_theta
     gauge = np.exp(1j * coupling.int_part * th)
     psi = [psi1 * gauge, psi2 * gauge, psi3 * gauge, psi4 * gauge]

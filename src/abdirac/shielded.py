@@ -11,14 +11,12 @@ it the outgoing-wave weight A^(R0).
 The decisive difference from the bare tube: as k R0 -> 0 at fixed kappa R0,
 A^(R0) vanishes like (k R0)^(2 |l - alpha|) in *every* channel, including
 l = [alpha].  The surviving eigenfunctions are then plain positive-order
-Bessel functions -- the shielded-string tables below.
+Bessel functions (`shielded_eigenfunction`).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 from . import specfun as sf
 from .bare_tube import (
@@ -27,6 +25,7 @@ from .bare_tube import (
     _interior_dlog,
     _ladder_coefficient,
     _ladder_components,
+    _matching_terms,
     _principal_order,
     _spinor_jump,
     exterior_order,
@@ -43,8 +42,6 @@ __all__ = [
     "shielded_matching_denominator",
     "denominator_leading_form",
     "shielded_eigenfunction",
-    "BareShieldedL0",
-    "bare_vs_shielded_l0",
     "finite_tube_barrier_ratio",
     "shielded_sweep_point",
 ]
@@ -97,25 +94,23 @@ def f_factor(l: int, channel: int, barrier: BarrierConfig, kin: Kinematics,
 def shielded_matching(l: int, channel: int, barrier: BarrierConfig,
                       kin: Kinematics, coupling: Coupling) -> MatchingCoefficient:
     """Outgoing-Hankel weight A^(R0) of the shielded-string exterior solution."""
-    kappa = barrier_kappa(kin, barrier.U)
-    f = f_factor(l, channel, barrier, kin, coupling)
-    dlog = kappa * f  # d(ln chi)/dr on the exterior side of R0
-    value = matching_from_log_derivative(
-        l, channel, coupling, kin, barrier.R0, dlog, resonance="raise"
-    )
+    dlog = barrier_kappa(kin, barrier.U) * f_factor(l, channel, barrier, kin, coupling)
+    value = matching_from_log_derivative(l, channel, coupling, kin, barrier.R0, dlog)
     return MatchingCoefficient(l=l, channel=channel, value=value)
 
 
 def shielded_matching_denominator(l: int, channel: int, barrier: BarrierConfig,
                                   kin: Kinematics, coupling: Coupling) -> complex:
-    """Exact denominator H'_nu - (kappa/k) f H_nu at k R0 (diagnostic surface)."""
+    """Exact denominator H'_nu - (kappa/k) f H_nu at x = k R0 (diagnostic surface).
+
+    The matching formula's D = x H_{nu-1} - s H_nu over x, with
+    s = nu + kappa R0 f.
+    """
     nu = exterior_order(l, channel, coupling.alpha)
-    kappa = barrier_kappa(kin, barrier.U)
     f = f_factor(l, channel, barrier, kin, coupling)
+    s = nu + barrier_kappa(kin, barrier.U) * barrier.R0 * f
     x = kin.k * barrier.R0
-    return complex(
-        sf.hankel1_prime(nu, x) - (kappa / kin.k) * f * sf.hankel1(nu, x)
-    )
+    return complex(_matching_terms(nu, x, s)[1] / x)
 
 
 def denominator_leading_form(l: int, channel: int, barrier: BarrierConfig,
@@ -150,47 +145,6 @@ def shielded_eigenfunction(l: int, coupling: Coupling, kin: Kinematics,
     nu1 = exterior_order(l, 1, alpha)
     nu2 = exterior_order(l, 2, alpha)
     return _ladder_components(l, alpha, kin, r, nu1, nu2, a1, a2)
-
-
-@dataclass(frozen=True)
-class BareShieldedL0:
-    """The eight l = 0 radial components for 0 < alpha < 1, bare vs shielded."""
-
-    bare: RadialComponents
-    shielded: RadialComponents
-
-
-def bare_vs_shielded_l0(coupling: Coupling, kin: Kinematics, r: float,
-                        b1: complex = 1.0, b2: complex = 1.0,
-                        a1: complex = 1.0, a2: complex = 1.0) -> BareShieldedL0:
-    """Closed l = 0 component tables; differences live in the chi1/chi4 tower.
-
-    Requires 0 < alpha < 1 (the general-l machinery covers everything else).
-    """
-    alpha = coupling.alpha
-    if not (0.0 < alpha < 1.0):
-        raise RegimeError("l = 0 convenience tables require 0 < alpha < 1")
-    if r <= 0:
-        raise RegimeError("component tables need r > 0")
-    x = kin.k * r
-    w = kin.hbar * kin.c * kin.k / (kin.energy_E + kin.rest_energy)
-    j_neg = sf.bessel_j(-alpha, x)
-    j_one = sf.bessel_j(1.0 - alpha, x)
-    j_pos = sf.bessel_j(alpha, x)
-    j_down = sf.bessel_j(alpha - 1.0, x)
-    bare = RadialComponents(
-        complex(b1 * j_neg),
-        complex(b2 * j_one),
-        complex(-1j * w * b2 * j_neg),
-        complex(1j * w * b1 * j_one),
-    )
-    shl = RadialComponents(
-        complex(a1 * j_pos),
-        complex(a2 * j_one),
-        complex(-1j * w * a2 * j_neg),
-        complex(-1j * w * a1 * j_down),
-    )
-    return BareShieldedL0(bare=bare, shielded=shl)
 
 
 def finite_tube_barrier_ratio(l: int, channel: int, tube: TubeConfig,

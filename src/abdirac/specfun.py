@@ -2,19 +2,18 @@
 
 Orders are real, possibly negative and non-integer.  Cylinder functions take a
 complex argument (purely imaginary inside an evanescent barrier), scalar or
-array; a scalar returns a Python ``complex`` (``float`` for the real-valued I
-functions), an array an array of its shape.  Backing scipy routines:
+array; a scalar returns a Python ``complex`` (``float`` for the real-valued
+I'/I ratio), an array an array of its shape.  Backing scipy routines:
 
 * ``bessel_j``, ``bessel_j_prime``: ``jv``, ``jvp`` (AMOS; reflection for nu < 0)
 * ``bessel_j_ladder``: one ``jv`` call over the orders nu0 + m, m from ``start``
-* ``bessel_i``: ``iv``, real x >= 0
 * ``bessel_i_log_derivative``: ``ive``, as ive(nu+1)/ive(nu) + nu/x, finite
   where I_nu itself overflows (x beyond ~700)
 * ``hankel1``, ``hankel2``, ``hankel1_prime``, ``hankel2_prime``: ``hankel1``,
   ``hankel2``, ``h1vp``, ``h2vp`` (AMOS)
 * ``kummer_f``: ``hyp1f1`` for real a, c; ``kummer_f_prime`` by the contiguous
   relation F'(a|c|z) = (a/c) F(a+1|c+1|z)
-* ``gamma_fn``, ``log_gamma``: ``gamma``, ``loggamma`` (principal branch)
+* ``gamma_fn``: ``gamma``
 
 scipy returns inf or nan where the library raises instead:
 
@@ -22,7 +21,7 @@ scipy returns inf or nan where the library raises instead:
   ``DEFAULT_MAX_ORDER``; a ladder checks every order it returns), a non-finite
   argument, a non-real Kummer parameter, or a non-finite result at z != 0.
 * ``SingularArgumentError``: a non-finite result at z = 0, where the function
-  diverges (every Hankel function; J, J', I where their leading power is negative).
+  diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: gamma at z, or Kummer's F at c, within 1e-12 of 0, -1, -2, ...
 """
 
@@ -36,11 +35,9 @@ from .errors import OutOfRangeError, PoleError, SingularArgumentError
 __all__ = [
     "DEFAULT_MAX_ORDER",
     "gamma_fn",
-    "log_gamma",
     "bessel_j",
     "bessel_j_prime",
     "bessel_j_ladder",
-    "bessel_i",
     "bessel_i_log_derivative",
     "hankel1",
     "hankel1_prime",
@@ -90,12 +87,6 @@ def gamma_fn(z: complex) -> complex:
     return complex(_evaluate(_sp.gamma, z, "gamma", dtype=None))
 
 
-def log_gamma(z: complex) -> complex:
-    """log Gamma(z), principal branch."""
-    _check_pole(z, "gamma")
-    return _evaluate(_sp.loggamma, z, "log_gamma")
-
-
 def bessel_j(nu: float, z, max_order: float | None = None):
     """Bessel function J_nu(z) for real order and complex argument."""
     return _evaluate(_sp.jv, z, "J_nu", _order(nu, max_order))
@@ -118,13 +109,6 @@ def bessel_j_ladder(nu0: float, count: int, z, max_order: float | None = None,
         raise OutOfRangeError("count must be >= 1")
     orders = _order(float(nu0) + np.arange(start, start + count), max_order)
     return _evaluate(_sp.jv, complex(z), "J ladder", orders)
-
-
-def bessel_i(nu: float, x, max_order: float | None = None):
-    """Modified Bessel function I_nu(x) for real x >= 0."""
-    if np.any(np.asarray(x) < 0):
-        raise OutOfRangeError("bessel_i expects x >= 0")
-    return _evaluate(_sp.iv, x, "I_nu", _order(nu, max_order), dtype=np.float64)
 
 
 def _ive_log_derivative(nu, x):

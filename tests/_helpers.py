@@ -1,5 +1,7 @@
-"""Helpers shared by the tests: sequence extrapolation and log-log slopes."""
+"""Helpers shared by the tests: sequence extrapolation, log-log slopes and an
+mpmath oracle for the bare-tube outgoing-wave weight."""
 
+import mpmath
 import numpy as np
 
 from abdirac.errors import QuadratureError
@@ -38,3 +40,30 @@ def loglog_slope(x, y) -> float:
     lx = np.log(np.asarray(x, dtype=float))
     ly = np.log(np.abs(np.asarray(y)))
     return float(np.polyfit(lx, ly, 1)[0])
+
+
+def mp_bare_weight(alpha: float, l: int, channel: int, kr0: float, dps: int = 50) -> complex:
+    """Outgoing-wave weight A of a bare tube, every step in mpmath at `dps` digits.
+
+    Written from the equations, not from the library: the interior is
+    e^{-alpha rho^2/2} F(a|c|alpha rho^2) (hyp1f1) with the signed coupling
+    and a = (m + 1 - l_ch)/2 - k_ch^2 r0^2 / (4 alpha), k_ch^2 = k^2 + 2 spin
+    alpha / r0^2; the exterior is J_nu + A (J_nu + i Y_nu) with derivatives
+    from mpmath.  A depends on k and r0 only through k r0, so k = 1.
+    """
+    l_ch, spin = (l, 1) if channel == 1 else (l + 1, -1)
+    m = abs(l_ch)
+    with mpmath.workdps(dps):
+        al, x = mpmath.mpf(alpha), mpmath.mpf(kr0)
+        nu = abs(l_ch - al)
+        if alpha == 0:
+            rd = x * mpmath.besselj(m, x, 1) / mpmath.besselj(m, x)
+        else:
+            a = mpmath.mpf(m + 1 - l_ch) / 2 - (x * x + 2 * spin * al) / (4 * al)
+            c = m + 1
+            ratio = (a / c) * mpmath.hyp1f1(a + 1, c + 1, al) / mpmath.hyp1f1(a, c, al)
+            rd = m - al + 2 * al * ratio  # r0 d(ln chi)/dr at r0
+        j, jp = mpmath.besselj(nu, x), mpmath.besselj(nu, x, 1)
+        h = j + 1j * mpmath.bessely(nu, x)
+        hp = jp + 1j * mpmath.bessely(nu, x, 1)
+        return complex(-(x * jp - rd * j) / (x * hp - rd * h))

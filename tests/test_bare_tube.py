@@ -15,7 +15,7 @@ from abdirac import bare_tube as bt
 from abdirac import shielded as sh
 from abdirac.errors import RegimeError, RegionError
 from abdirac.model import BarrierConfig, Coupling, TubeConfig, make_kinematics
-from _helpers import aitken_limit, loglog_slope
+from _helpers import aitken_limit, loglog_slope, mp_bare_weight
 
 KIN = make_kinematics(E=math.sqrt(2.0))  # k = 1 in natural units
 K = KIN.k
@@ -124,6 +124,35 @@ class TestMatchingCoefficient:
             ]
             slope = loglog_slope(xs, As)
             assert abs(slope - (2 * nu + 2)) < 0.01 * (2 * nu + 2), (l, ch)
+
+    def test_order_above_one_decays_from_its_limit(self):
+        # exterior order nu > 1 with r0 d(ln chi)/dr -> -nu: the leading
+        # numerator term x J_{nu-1} survives and A ~ (k r0)^(2 (nu - 1)),
+        # with nothing finite left over as k r0 -> 0
+        for alpha, l, ch in [(1.62, 0, 1), (-1.38, -1, 2), (2.3, 1, 1)]:
+            want = 2 * (bt.exterior_order(l, ch, alpha) - 1)
+            xs = [1e-6, 1e-8, 1e-10]
+            As = [
+                bt.matching_coefficient(l, ch, tube_at(x, alpha), KIN).value
+                for x in xs
+            ]
+            slope = loglog_slope(xs, As)
+            assert abs(slope - want) < 0.01 * want, (alpha, l, ch, slope)
+
+    def test_s_matrix_against_mpmath_grid(self):
+        # S = 1 + 2A against the 50-digit oracle, from deep in the string
+        # limit to k r0 = 3, near-integer couplings of both signs included
+        worst, where = 0.0, None
+        for alpha in (0.41, 0.91, 0.97, -0.4, -0.95, -1.38, 1.62, 2.3, -2.7):
+            for kr0 in (1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 3.0):
+                tube = tube_at(kr0, alpha)
+                for l in range(-4, 5):
+                    for ch in (1, 2):
+                        A = bt.matching_coefficient(l, ch, tube, KIN).value
+                        err = 2 * abs(A - mp_bare_weight(alpha, l, ch, kr0))
+                        if err > worst:
+                            worst, where = err, (alpha, kr0, l, ch)
+        assert worst <= 1e-13, where
 
     def test_accelerated_limits_all_quarters(self):
         for alpha in (0.25, 0.5, 0.75):

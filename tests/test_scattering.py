@@ -237,7 +237,7 @@ class TestIncrementalCutoff:
         # at kr = 200 the first tail check fails and one chunk is appended;
         # nu = 0.41 is a coupling where nu0 + start would round twice
         calls = self._record_ladders(monkeypatch)
-        _, info = sc._reduced_sum(nu, 200.0, 0.3, 1e-10, swap_l0_to_negative_order=False)
+        _, info = sc._reduced_sum(nu, 200.0, 0.3, 1e-10)
         assert info.l_max == 252
         assert len(calls) == 4  # (l <= 0 side, l >= 1 side) x (first, appended)
         for base, side in ((nu, calls[0::2]), (1.0 - nu, calls[1::2])):
@@ -249,6 +249,6 @@ class TestIncrementalCutoff:
     def test_tail_never_below_tol_raises(self, monkeypatch):
         calls = self._record_ladders(monkeypatch)
         with pytest.raises(TruncationError):
-            sc._reduced_sum(0.3, 5.0, 0.0, 0.0, swap_l0_to_negative_order=False)
+            sc._reduced_sum(0.3, 5.0, 0.0, 0.0)
         # every ladder order is computed once: one call per side and attempt
         assert len(calls) == 2 * sc._MAX_EXTENSIONS

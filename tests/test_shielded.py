@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -43,7 +44,7 @@ class TestBarrierRadial:
         r = 0.5 * b.R0
         x = kin.kappa * r
         got = sh.barrier_radial_limit(1, 1, C03, kin, r)
-        want = np.exp(1j * math.pi * 0.7 / 2) * sf.bessel_i(0.7, x)
+        want = np.exp(1j * math.pi * 0.7 / 2) * float(mpmath.besseli(0.7, x))
         assert abs(got - want) < 1e-11 * abs(want)
 
     def test_finite_tube_ratio_converges_to_swapped_order(self):
@@ -87,15 +88,10 @@ class TestFFactor:
 
     def test_exact_log_derivative_value(self):
         # l = 0, alpha = 0.3: Lambda from the modified-Bessel ratio of the
-        # swapped order, computed by an independent positive-term series
+        # swapped order, I'_{-0.3} / I_{-0.3} in mpmath
         b, kin = sh.shielded_sweep_point(kR0=0.05, kappaR0=10.0)
         x = barrier_kappa(kin, b.U) * b.R0
-        h = 1e-6
-        want = (
-            (sf.bessel_i(-0.3, x + h) - sf.bessel_i(-0.3, x - h))
-            / (2 * h)
-            / sf.bessel_i(-0.3, x)
-        )
+        want = float(mpmath.besseli(-0.3, x, derivative=1) / mpmath.besseli(-0.3, x))
         got = sh.barrier_log_derivative(0, 1, C03, kin, b.R0)
         assert abs(got - want) < 1e-8
 
@@ -236,48 +232,56 @@ class TestShieldedEigenfunction:
 
 
 class TestBareVsShieldedL0:
+    """The l = 0 partial wave at 0 < alpha < 1, bare against shielded, from the
+    generic radial paths; w = hbar c k / (E + Mc^2) and x = k r."""
+
     KIN = make_kinematics(E=math.sqrt(2.0))
 
+    def pair(self, r):
+        return (bt.bare_string_radial(0, C03, self.KIN, r),
+                sh.shielded_eigenfunction(0, C03, self.KIN, r))
+
     def test_channel2_tower_identical(self):
-        pair = sh.bare_vs_shielded_l0(C03, self.KIN, 2.0)
-        assert pair.bare.chi2 == pair.shielded.chi2
-        assert pair.bare.chi3 == pair.shielded.chi3
+        bare, shl = self.pair(2.0)
+        assert bare.chi2 == shl.chi2
+        assert bare.chi3 == shl.chi3
 
     def test_channel1_tower_orders(self):
+        # chi1 has order -alpha (bare) and +alpha (shielded)
         r = 2.0
         x = self.KIN.k * r
-        pair = sh.bare_vs_shielded_l0(C03, self.KIN, r)
-        assert abs(pair.bare.chi1 - sf.bessel_j(-0.3, x)) < 1e-13
-        assert abs(pair.shielded.chi1 - sf.bessel_j(0.3, x)) < 1e-13
+        bare, shl = self.pair(r)
+        assert abs(bare.chi1 - complex(mpmath.besselj(-0.3, x))) < 1e-13
+        assert abs(shl.chi1 - complex(mpmath.besselj(0.3, x))) < 1e-13
 
     def test_small_kr_power_ratio(self):
         # chi1 bare / chi1 shielded ~ (kr)^(-2 alpha) * const at small kr
         alpha = 0.3
         r1, r2 = 1e-4 / self.KIN.k, 1e-5 / self.KIN.k
-        q1 = sh.bare_vs_shielded_l0(C03, self.KIN, r1)
-        q2 = sh.bare_vs_shielded_l0(C03, self.KIN, r2)
-        ratio1 = q1.bare.chi1 / q1.shielded.chi1
-        ratio2 = q2.bare.chi1 / q2.shielded.chi1
-        slope = math.log(abs(ratio2) / abs(ratio1)) / math.log(r2 / r1)
+        b1, s1 = self.pair(r1)
+        b2, s2 = self.pair(r2)
+        slope = math.log(abs(b2.chi1 / s2.chi1) / abs(b1.chi1 / s1.chi1)) / math.log(r2 / r1)
         assert abs(slope + 2 * alpha) < 1e-3
 
     def test_chi3_value_against_specfun(self):
+        # chi3 = -i w J_{-alpha}(x), the same in both
         r = 1.0 / self.KIN.k
-        pair = sh.bare_vs_shielded_l0(C03, self.KIN, r)
         w = self.KIN.k / (self.KIN.energy_E + 1.0)
-        want = -1j * w * sf.bessel_j(-0.3, 1.0)
-        assert abs(pair.bare.chi3 - want) < 1e-14
+        want = -1j * w * complex(mpmath.besselj(-0.3, 1.0))
+        for comp in self.pair(r):
+            assert abs(comp.chi3 - want) < 1e-14
 
     def test_matches_generic_radial_paths(self):
+        # the closed l = 0 tables: bare (J_{-a}, J_{1-a}, -i w J_{-a}, i w J_{1-a}),
+        # shielded (J_a, J_{1-a}, -i w J_{-a}, -i w J_{a-1})
         r = 2.0
-        pair = sh.bare_vs_shielded_l0(C03, self.KIN, r)
-        gen_b = bt.bare_string_radial(0, C03, self.KIN, r)
-        gen_s = sh.shielded_eigenfunction(0, C03, self.KIN, r)
-        for a, b_ in zip(pair.bare.as_tuple(), gen_b.as_tuple()):
-            assert abs(a - b_) < 1e-12
-        for a, b_ in zip(pair.shielded.as_tuple(), gen_s.as_tuple()):
-            assert abs(a - b_) < 1e-12
-
-    def test_range_rejected(self):
-        with pytest.raises(RegimeError):
-            sh.bare_vs_shielded_l0(Coupling(1.3), self.KIN, 1.0)
+        x = self.KIN.k * r
+        w = self.KIN.k / (self.KIN.energy_E + 1.0)
+        j = {nu: complex(mpmath.besselj(nu, x)) for nu in (-0.3, 0.7, 0.3, -0.7)}
+        tables = (
+            (j[-0.3], j[0.7], -1j * w * j[-0.3], 1j * w * j[0.7]),
+            (j[0.3], j[0.7], -1j * w * j[-0.3], -1j * w * j[-0.7]),
+        )
+        for table, comp in zip(tables, self.pair(r)):
+            for want, got in zip(table, comp.as_tuple()):
+                assert abs(got - want) < 1e-12

@@ -2,7 +2,8 @@
 
 Any real exterior log-derivative gives a unit-modulus S = 1 + 2A, so a
 deviation measures the floating-point error of the matching (Bessel/Hankel
-values and the guarded division), over random couplings, channels and radii.
+values and the matching formula A = -(x J_{nu-1} - s J)/(x H_{nu-1} - s H)),
+over random couplings, channels and radii.
 """
 
 import math
@@ -14,12 +15,14 @@ from abdirac import bare_tube as bt
 from abdirac import shielded as sh
 from abdirac.model import Coupling, TubeConfig, make_kinematics
 
-# alpha at least 0.05 from an integer: closer, the bare anomalous channel
-# loses digits as sin(pi alpha) -> 0
-ALPHA = st.floats(-2.9, 2.9).filter(lambda a: abs(a - round(a)) >= 0.05)
+# subnormal couplings are left out: there b = -(k r0)^2 / (4 |alpha|), the
+# Kummer parameter of the interior, overflows and kummer_f raises
+# OutOfRangeError by design
+ALPHA = st.floats(-2.9, 2.9, allow_subnormal=False)
 L = st.integers(-10, 10)
 CHANNEL = st.sampled_from((1, 2))
 KR0 = st.floats(math.log(1e-4), math.log(3.0)).map(math.exp)
+BARE_KR0 = st.floats(math.log(1e-12), math.log(3.0)).map(math.exp)
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -29,11 +32,11 @@ def _deviation(a: complex) -> float:
 
 
 @SETTINGS
-@given(alpha=ALPHA, l=L, channel=CHANNEL, kr0=KR0)
+@given(alpha=ALPHA, l=L, channel=CHANNEL, kr0=BARE_KR0)
 def test_bare_matching_unitary(alpha, l, channel, kr0):
     tube = TubeConfig(r0=kr0, coupling=Coupling(alpha))
     a = bt.matching_coefficient(l, channel, tube, make_kinematics(k=1.0)).value
-    assert _deviation(a) <= 1e-9
+    assert _deviation(a) <= 1e-13
 
 
 @SETTINGS
