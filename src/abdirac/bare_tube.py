@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +82,14 @@ class RadialComponents:
 
 
 def exterior_order(l: int, channel: int, alpha: float) -> float:
-    """Exterior Bessel order of a partial-wave channel."""
+    """Exterior Bessel order of a partial-wave channel.
+
+    A subnormal order (|alpha| below ~2.2e-308 at l_ch = 0) is returned as 0,
+    which it equals in double precision; scipy's Hankel function is nan there.
+    """
     l_ch, _ = channel_index(l, channel)
-    return abs(l_ch - alpha)
+    nu = abs(l_ch - alpha)
+    return nu if nu >= sys.float_info.min else 0.0
 
 
 def _ladder_coefficient(l: int, channel: int, alpha: float) -> float:
@@ -93,7 +99,7 @@ def _ladder_coefficient(l: int, channel: int, alpha: float) -> float:
 
 
 def _kummer_args(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
-                 U: float) -> tuple[int, float, float]:
+                 U: float) -> tuple[int, float, float] | None:
     """(l', b, c) of the interior solution e^{-|alpha| rho^2/2} F(b|c||alpha| rho^2).
 
     One form for both signs of alpha: for alpha < 0 Kummer's transformation
@@ -102,14 +108,18 @@ def _kummer_args(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     spin.  b = (m + 1 - l' - sigma')/2 - base r0^2 / (4 |alpha|) with the
     field-free base k^2 (or -kappa^2 in a barrier), so the half-integer part
     stays exact and the field term of the interior wavenumber never enters b
-    in rounded form.
+    in rounded form.  None at zero coupling, and where |alpha| is so small
+    (subnormal) that b overflows: the free interior is then exact.
     """
-    l_ch, spin = channel_index(l, channel)
     alpha = tube.coupling.alpha
+    if alpha == 0.0:
+        return None
+    l_ch, spin = channel_index(l, channel)
     sign = 1 if alpha > 0 else -1
     m = abs(l_ch)
     field_free = field_free_ksq(kin, U) * tube.r0 ** 2 / (4.0 * abs(alpha))
-    return sign * l_ch, 0.5 * (m + 1 - sign * (l_ch + spin)) - field_free, float(m + 1)
+    b = 0.5 * (m + 1 - sign * (l_ch + spin)) - field_free
+    return None if math.isinf(b) else (sign * l_ch, b, float(m + 1))
 
 
 def interior_chi(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
@@ -118,8 +128,8 @@ def interior_chi(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
 
     (k_ch r)^m e^{-|alpha| rho^2/2} F(b|c||alpha| rho^2) with rho = r/r0 and
     m = |l_ch|; with U = 0 this is the bare-tube interior, otherwise the
-    barrier-interior analogue.  Zero coupling degenerates to the free Bessel
-    solution.
+    barrier-interior analogue.  Zero (or subnormal) coupling degenerates to
+    the free Bessel solution.
     """
     if r < 0 or r > tube.r0:
         raise RegionError(f"r={r} outside the tube interior [0, {tube.r0}]")
@@ -128,11 +138,12 @@ def interior_chi(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     if r == 0.0:
         return 1.0 + 0.0j if m == 0 else 0.0j
     k_ch = cmath.sqrt(complex(tube.interior_ksq(channel, kin, U)))
-    if alpha == 0.0:
+    args = _kummer_args(l, channel, tube, kin, U)
+    if args is None:
         # free interior; normalized to the same (k_ch r)^m leading power
         val = sf.bessel_j(float(m), k_ch * r)
         return complex(val * sf.gamma_fn(m + 1.0) * 2.0 ** m)
-    _, b, c = _kummer_args(l, channel, tube, kin, U)
+    _, b, c = args
     z = abs(alpha) * (r / tube.r0) ** 2
     return complex((k_ch * r) ** m * math.exp(-0.5 * z) * sf.kummer_f(b, c, z))
 
@@ -148,14 +159,15 @@ def _interior_s(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     """
     alpha = tube.coupling.alpha
     m = abs(channel_index(l, channel)[0])
-    if alpha == 0.0:
+    args = _kummer_args(l, channel, tube, kin, U)
+    if args is None:
         # free interior J_m(k_ch r): s = x J_{m-1}(x) / J_m(x) by DLMF 10.6.2
         x = cmath.sqrt(complex(tube.interior_ksq(channel, kin, U))) * tube.r0
         j = sf.bessel_j(float(m), x)
         if j == 0:
             return math.inf
         return float((x * sf.bessel_j(m - 1.0, x) / j).real)
-    l_rel, b, c = _kummer_args(l, channel, tube, kin, U)
+    l_rel, b, c = args
     f0 = sf.kummer_f(b, c, abs(alpha)).real
     f1 = sf.kummer_f_prime(b, c, abs(alpha)).real
     if f0 == 0.0:

@@ -4,10 +4,13 @@ and the wave-packet suppression law.
 Only one partial wave, l = [alpha], distinguishes the two configurations, so
 the difference of the time-domain Green's functions is a single k-integral
 over the swapped-order Bessel pair.  It evaluates in closed form to a
-fractional-order Hankel function of M r r' / (hbar t) times a free-propagator
-Gaussian phase; for large argument that collapses to an elementary outgoing
-wave.  Three independent representations (regularized quadrature, closed
-form, asymptotic form) cross-check each other.
+fractional-order Hankel function of x = M r r' / (hbar t) times a
+free-propagator Gaussian phase.  Written with the scaled e^{-ix} H^(1)_nu(x),
+the two phases merge into the one kernel phase M (r + r')^2 / (2 hbar t),
+which the closed kernel, its large-x limit (an elementary outgoing wave) and
+the packet fold all take from `_kernel_phase`.  Independent representations
+(regularized k-quadrature, the J_{+/-nu} bracket with the free phase, the
+asymptotic form) cross-check the closed one.
 
 Folding the kernel against a Gaussian packet of width delta launched at
 (rho0, theta0) with momentum hbar k toward the axis yields the packet
@@ -17,7 +20,8 @@ impact parameter d = rho0 * theta0: the bare/shielded distinction lives
 entirely in the probability mass that actually overlaps the flux region.
 The packet is Gaussian in theta' and the kernel depends on theta' only
 through e^{-i n0 theta'}, so the theta' integral is done in closed form and
-the quadrature of Delta is a 1-d radial sum.
+the quadrature of Delta is a 1-d radial sum, its phase written as a square
+completed about the stationary point.
 
 The surviving partial wave is `bare_tube.anomalous_channel` for either sign
 of the coupling: order nu = frac(alpha), n0 = [alpha] for alpha > 0 and
@@ -100,22 +104,19 @@ def _kernel_parts(coupling: Coupling, mass: float, t: float, hbar: float):
     return nu, n0, pref
 
 
-def _radial_args(mass: float, r: float, rp, t: float, hbar: float):
-    """Kernel argument M r r' / (hbar t) and free-propagator phase; array rp."""
-    x = mass * r * rp / (hbar * t)
-    return x, np.exp(1j * mass * (r * r + rp * rp) / (2.0 * hbar * t))
+def _kernel_phase(mass: float, t: float, hbar: float, u):
+    """M u^2 / (2 hbar t), the one phase of the closed kernel: at u = r + r' it
+    is the free-propagator phase M (r^2 + r'^2) / (2 hbar t) with the Hankel
+    function's own e^{i M r r' / (hbar t)} folded in.  Array-capable in u."""
+    return mass * u * u / (2.0 * hbar * t)
 
 
-def _radial_kernel(nu: float, pref: float, mass: float, r: float, rp, t: float,
-                   hbar: float):
-    """pref sin(pi nu) e^{i pi nu / 2} H^(1)_nu(M r r'/(hbar t)) times the
-    free-propagator phase: the propagator difference before its angular
-    factor e^{i n0 (theta - theta')}.  Array-capable in rp."""
-    x, phase = _radial_args(mass, r, rp, t, hbar)
-    return (
-        pref * math.sin(math.pi * nu) * cmath.exp(0.5j * math.pi * nu)
-        * sf.hankel1(nu, x) * phase
-    )
+def _scaled_kernel(nu: float, pref: float, x):
+    """pref sin(pi nu) e^{i pi nu / 2} e^{-ix} H^(1)_nu(x): the propagator
+    difference at x = M r r' / (hbar t) without its phase
+    e^{i _kernel_phase(r + r')} and angular factor e^{i n0 (theta - theta')}.
+    Array-capable in x."""
+    return pref * math.sin(math.pi * nu) * cmath.exp(0.5j * math.pi * nu) * sf.hankel1e(nu, x)
 
 
 def greens_diff_closed(coupling: Coupling, mass: float, r: float, rp: float,
@@ -128,7 +129,8 @@ def greens_diff_closed(coupling: Coupling, mass: float, r: float, rp: float,
     if nu == 0.0:
         return 0.0j
     return complex(
-        _radial_kernel(nu, pref, mass, r, rp, t, hbar)
+        _scaled_kernel(nu, pref, mass * r * rp / (hbar * t))
+        * cmath.exp(1j * _kernel_phase(mass, t, hbar, r + rp))
         * cmath.exp(1j * n0 * (theta - thetap))
     )
 
@@ -142,7 +144,8 @@ def greens_diff_bracket(coupling: Coupling, mass: float, r: float, rp: float,
         raise RegimeError("coordinates must be positive")
     if nu == 0.0:
         return 0.0j
-    x, phase = _radial_args(mass, r, rp, t, hbar)
+    x = mass * r * rp / (hbar * t)
+    phase = cmath.exp(1j * mass * (r * r + rp * rp) / (2.0 * hbar * t))
     bracket = cmath.exp(0.5j * math.pi * nu) * sf.bessel_j(-nu, x) - cmath.exp(
         -0.5j * math.pi * nu
     ) * sf.bessel_j(nu, x)
@@ -152,7 +155,12 @@ def greens_diff_bracket(coupling: Coupling, mass: float, r: float, rp: float,
 def greens_diff_asymptotic(coupling: Coupling, mass: float, r: float, rp: float,
                            theta: float, thetap: float, t: float,
                            hbar: float = 1.0) -> complex:
-    """Large-argument form, valid for M r r' / (hbar t) >= 10."""
+    """Large-argument form, valid for M r r' / (hbar t) >= 10.
+
+    The leading term of the closed kernel: e^{-ix} H^(1)_nu(x) tends to
+    sqrt(2 / (pi x)) e^{-i (pi nu / 2 + pi / 4)}, the phase stays the closed
+    kernel's own `_kernel_phase` at r + r', and the relative error is O(1/x).
+    """
     nu, n0, _ = _kernel_parts(coupling, mass, t, hbar)
     x = mass * r * rp / (hbar * t)
     if x < 10.0:
@@ -164,9 +172,8 @@ def greens_diff_asymptotic(coupling: Coupling, mass: float, r: float, rp: float,
         amp
         * math.sin(math.pi * nu)
         * cmath.exp(
-            1j * mass * (r + rp) ** 2 / (2.0 * hbar * t)
-            + 1j * n0 * (theta - thetap)
-            - 0.25j * math.pi
+            1j * (_kernel_phase(mass, t, hbar, r + rp) + n0 * (theta - thetap)
+                  - 0.25 * math.pi)
         )
     )
 
@@ -385,26 +392,34 @@ def _phase_panel_edges(r_lo: float, r_hi: float, s_star: float, slope: float,
 
 def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
                      r: float, theta: float, t: float, hbar: float = 1.0,
-                     n_sigma: float = 6.0, max_phase: float = 2.5,
-                     gauss_order: int = 10, refine_check: bool = False) -> complex:
+                     n_sigma: float = 6.0, max_phase: float = 6.0,
+                     gauss_order: int = 16, refine_check: bool = False) -> complex:
     """Packet difference as the fold of the closed kernel with `packet_initial`.
 
     The packet exponent is quadratic in theta' and the kernel carries theta'
     only in e^{-i n0 theta'}, so the theta' integral over the real line is the
     Gaussian integral sqrt(pi / -A) exp(C - B^2 / 4A); what remains is a 1-d
     sum over `gauss_order`-point Gauss-Legendre panels in r' across the
-    packet's n-sigma support, reduced in extended precision.  The panel edges
-    are placed in closed form, at equal steps of at most `max_phase` of the
-    radial phase accumulated at rate (M / hbar t) |r' - s*| + k th^2 / 2:
-    kernel and packet phases cancel at the stationary point
-    s* = hbar t k / M - r, and th is the angular window's outer edge.  The
-    panel count has a floor of 4 and a cap of 20000.  `refine_check=True`
-    re-evaluates on a 1.5x finer panel set and raises if the two disagree by
-    more than 1e-4 relative.  QuadratureError is raised before any node is
-    built when the angular window theta0 +/- n_sigma * s_theta leaves
-    (-pi, pi), where the small-angle packet does not hold (always so for a
-    window that reaches down to the axis, n_sigma * delta >= rho0), or when
-    the radial phase needs more panels than the cap.
+    packet's n-sigma support, reduced in extended precision.  The kernel phase
+    less the packet's k r' completes the square about the stationary point
+    s* = hbar t k / M - r,
+
+        M (r + r')^2 / (2 hbar t) - k r' = M (r' - s*)^2 / (2 hbar t) + k (r - s*) / 2,
+
+    so each node carries the scaled Hankel function e^{-ix} H^(1)_nu(x), one
+    square root and one exponential whose phase is tens of radians rather
+    than ~1e3, and the constant k (r - s*) / 2 is applied once to the sum.
+    The panel edges are placed in closed form, at equal steps of at most
+    `max_phase` of the radial phase accumulated at rate
+    (M / hbar t) |r' - s*| + k th^2 / 2, th the angular window's outer edge.
+    The panel count has a floor of 4 and a cap of 20000.  `refine_check=True`
+    re-evaluates on a 1.5x finer panel set with two more Gauss points and
+    raises if the two disagree by more than 1e-4 relative.  QuadratureError
+    is raised before any node is built when the angular window
+    theta0 +/- n_sigma * s_theta leaves (-pi, pi), where the small-angle
+    packet does not hold (always so for a window that reaches down to the
+    axis, n_sigma * delta >= rho0), or when the radial phase needs more
+    panels than the cap.
     """
     nu, n0, pref = _packet_kernel_parts(coupling, mass, t, hbar)
     d2 = 2.0 * cfg.delta * cfg.delta
@@ -416,6 +431,9 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
     slope = mass / (hbar * t)
     s_star = hbar * t * cfg.k / mass - r
     floor = 0.5 * cfg.k * th_amp ** 2
+    const = cmath.exp(1j * (0.5 * cfg.k * (r - s_star) + n0 * theta)) / (
+        math.sqrt(math.pi) * cfg.delta
+    )
 
     def evaluate(phase_cap: float, order: int) -> complex:
         r_edges = _phase_panel_edges(r_lo, r_hi, s_star, slope, floor, phase_cap)
@@ -424,12 +442,14 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
         a = rp * (0.5j * cfg.k - cfg.rho0 / d2)
         b = 1j * (coupling.alpha - n0) + 2.0 * rp * cfg.rho0 * cfg.theta0 / d2
         c = -rp * cfg.rho0 * cfg.theta0 ** 2 / d2
-        angular = np.sqrt(-math.pi / a) * np.exp(c - b * b / (4.0 * a))
-        radial = np.exp(-1j * cfg.k * rp - (rp - cfg.rho0) ** 2 / d2) / (
-            math.sqrt(math.pi) * cfg.delta
+        exponent = (
+            1j * _kernel_phase(mass, t, hbar, rp - s_star)
+            - (rp - cfg.rho0) ** 2 / d2
+            + c - b * b / (4.0 * a)
         )
-        terms = w * rp * _radial_kernel(nu, pref, mass, r, rp, t, hbar) * radial * angular
-        return complex(np.sum(terms.astype(np.clongdouble)) * cmath.exp(1j * n0 * theta))
+        terms = (w * rp * np.sqrt(-math.pi / a) * np.exp(exponent)
+                 * _scaled_kernel(nu, pref, slope * r * rp))
+        return complex(np.sum(terms.astype(np.clongdouble)) * const)
 
     value = evaluate(max_phase, gauss_order)
     if refine_check:

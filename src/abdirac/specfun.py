@@ -11,6 +11,8 @@ I'/I ratio), an array an array of its shape.  Backing scipy routines:
   where I_nu itself overflows (x beyond ~700)
 * ``hankel1``, ``hankel2``, ``hankel1_prime``, ``hankel2_prime``: ``hankel1``,
   ``hankel2``, ``h1vp``, ``h2vp`` (AMOS)
+* ``hankel1e``: ``hankel1e``, the scaled e^{-iz} H_nu^(1)(z), whose phase stays
+  small at large z so a caller can fold e^{iz} into a phase of its own
 * ``kummer_f``: ``hyp1f1`` for real a, c; ``kummer_f_prime`` by the contiguous
   relation F'(a|c|z) = (a/c) F(a+1|c+1|z)
 * ``gamma_fn``: ``gamma``
@@ -40,6 +42,7 @@ __all__ = [
     "bessel_j_ladder",
     "bessel_i_log_derivative",
     "hankel1",
+    "hankel1e",
     "hankel1_prime",
     "hankel2",
     "hankel2_prime",
@@ -125,6 +128,11 @@ def bessel_i_log_derivative(nu: float, x):
 def hankel1(nu: float, z, max_order: float | None = None):
     """Hankel function of the first kind, H_nu^(1)(z)."""
     return _evaluate(_sp.hankel1, z, "H1_nu", _order(nu, max_order))
+
+
+def hankel1e(nu: float, z, max_order: float | None = None):
+    """Exponentially scaled Hankel function e^{-iz} H_nu^(1)(z)."""
+    return _evaluate(_sp.hankel1e, z, "H1e_nu", _order(nu, max_order))
 
 
 def hankel2(nu: float, z, max_order: float | None = None):

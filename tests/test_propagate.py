@@ -4,6 +4,7 @@ import cmath
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,12 +36,16 @@ def _rel(got: complex, want: complex) -> float:
     return abs(got - want) / abs(want)
 
 
+def _window(cfg, n_sigma=6.0):
+    """n-sigma packet support: r_lo, r_hi and the angular half-width s_theta."""
+    r_lo = max(cfg.rho0 - n_sigma * cfg.delta, 1e-3 * cfg.rho0)
+    return r_lo, cfg.rho0 + n_sigma * cfg.delta, cfg.delta / math.sqrt(r_lo * cfg.rho0)
+
+
 def _fold_oracle(cfg, coupling, mass, r, theta, t, n_sigma=6.0):
     """Delta as the literal 2-d fold of greens_diff_closed with packet_initial:
     60 x 60 uniform panels of 12 Gauss nodes over the n-sigma window."""
-    r_lo = max(cfg.rho0 - n_sigma * cfg.delta, 1e-3 * cfg.rho0)
-    r_hi = cfg.rho0 + n_sigma * cfg.delta
-    s_th = cfg.delta / math.sqrt(r_lo * cfg.rho0)
+    r_lo, r_hi, s_th = _window(cfg, n_sigma)
     rp, rw = gauss_panel_nodes(np.linspace(r_lo, r_hi, 61), 12)
     thp, tw = gauss_panel_nodes(
         np.linspace(cfg.theta0 - n_sigma * s_th, cfg.theta0 + n_sigma * s_th, 61), 12
@@ -55,6 +60,46 @@ def _fold_oracle(cfg, coupling, mass, r, theta, t, n_sigma=6.0):
     return complex((rw * rp * radial) @ psi @ (tw * angular))
 
 
+def _mp_delta(cfg, alpha, r, theta, t, n_sigma=6.0, dps=30):
+    """Delta as a `dps`-digit mpmath sum of the 1-d radial integrand (mass = hbar = 1).
+
+    Written from the equations: the kernel sin(pi nu) e^{i pi nu/2} H^(1)_nu
+    (DLMF 10.4.7 from J_{+/-nu}) times the free phase e^{i (r^2 + r'^2)/2t},
+    the packet's radial exponent, and the theta' Gaussian integral
+    sqrt(pi / -A) exp(C - B^2 / 4A).  The nodes are the library's panel rule
+    at 2 rad per panel with 20-point Gauss, finer than its defaults.
+    """
+    l, channel = bt.anomalous_channel(Coupling(alpha))
+    nu = bt.exterior_order(l, channel, alpha)
+    n0, _ = channel_index(l, channel)
+    r_lo, r_hi, s_th = _window(cfg, n_sigma)
+    th_amp = abs(cfg.theta0) + n_sigma * s_th
+    edges = pr._phase_panel_edges(r_lo, r_hi, t * cfg.k - r, 1.0 / t,
+                                  0.5 * cfg.k * th_amp ** 2, 2.0)
+    nodes, weights = gauss_panel_nodes(edges, 20)
+    with mpmath.workdps(dps):
+        tm, rm, num = mpmath.mpf(t), mpmath.mpf(r), mpmath.mpf(nu)
+        k, rho0, th0 = mpmath.mpf(cfg.k), mpmath.mpf(cfg.rho0), mpmath.mpf(cfg.theta0)
+        delta = mpmath.mpf(cfg.delta)
+        d2 = 2 * delta ** 2
+        pref = (mpmath.sinpi(num) * mpmath.expjpi(num / 2) / (2 * mpmath.pi * tm)
+                / (mpmath.sqrt(mpmath.pi) * delta))
+        total = mpmath.mpc(0)
+        for node, weight in zip(nodes, weights):
+            rp = mpmath.mpf(node)
+            x = rm * rp / tm
+            hankel = (mpmath.besselj(-num, x) - mpmath.expjpi(-num) * mpmath.besselj(num, x)) / (
+                1j * mpmath.sinpi(num))
+            a = rp * (1j * k / 2 - rho0 / d2)
+            b = 1j * (mpmath.mpf(alpha) - n0) + 2 * rp * rho0 * th0 / d2
+            c = -rp * rho0 * th0 ** 2 / d2
+            total += mpmath.mpf(weight) * rp * hankel * mpmath.exp(
+                1j * (rm * rm + rp * rp) / (2 * tm) - 1j * k * rp - (rp - rho0) ** 2 / d2
+                + c - b * b / (4 * a)
+            ) * mpmath.sqrt(-mpmath.pi / a)
+        return complex(pref * total * mpmath.expj(n0 * mpmath.mpf(theta)))
+
+
 class TestKernel:
     @pytest.mark.parametrize("alpha", [0.3, -0.3, 1.3])
     def test_closed_matches_bracket(self, alpha):
@@ -62,6 +107,18 @@ class TestKernel:
         closed = pr.greens_diff_closed(c, **KERNEL_POINT)
         bracket = pr.greens_diff_bracket(c, **KERNEL_POINT)
         assert _rel(closed, bracket) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.3, -0.3, 1.3])
+    def test_closed_matches_bracket_over_x(self, alpha):
+        # the two forms carry phases of up to (r + r')^2 / 2t = 2x rad, each
+        # rounded to eps relative; the bracket also loses up to ~4e-14 relative
+        # where its two J terms cancel
+        eps = np.finfo(float).eps
+        for x in np.geomspace(1e-3, 1e3, 41):
+            args = dict(mass=1.0, r=math.sqrt(x), rp=math.sqrt(x), theta=0.2, thetap=-0.1, t=1.0)
+            closed = pr.greens_diff_closed(Coupling(alpha), **args)
+            bracket = pr.greens_diff_bracket(Coupling(alpha), **args)
+            assert _rel(closed, bracket) <= 1e-13 + 4.0 * eps * 2.0 * x, x
 
     def test_asymptotic_form_at_x30(self):
         c = Coupling(0.3)
@@ -126,6 +183,17 @@ class TestPacket:
         quad = pr.delta_quadrature(cfg, c, 1.0, cfg.rho0, 0.3, t)
         assert _rel(quad, _fold_oracle(cfg, c, 1.0, cfg.rho0, 0.3, t)) <= 1e-10
 
+    @pytest.mark.parametrize("alpha", [0.37, -0.61])
+    def test_quadrature_matches_mpmath_sum(self, alpha):
+        cfg = PACKETS[0]
+        t = pr.peak_time(cfg, cfg.rho0)
+        got = pr.delta_quadrature(cfg, Coupling(alpha), 1.0, cfg.rho0, 0.3, t)
+        want = _mp_delta(cfg, alpha, cfg.rho0, 0.3, t)
+        assert abs(abs(got) - abs(want)) <= 3e-15 * abs(want)
+        # the complex error adds an overall phase: the two sums split phases of
+        # ~1e3 rad differently, each part rounded to eps relative
+        assert abs(got - want) <= 2e-13 * abs(want)
+
     @PACKET_SETTINGS
     @given(alpha=ALPHA, theta=ANGLE, packet=st.sampled_from(PACKETS))
     def test_quadrature_mirror_symmetry(self, alpha, theta, packet):
@@ -169,7 +237,7 @@ class TestPacket:
 
     def test_panel_cap_raises(self):
         # angular window +/-0.95 rad stays inside (-pi, pi), but at k = 3000
-        # the radial phase needs 86400 panels of 2.5 rad, above the cap
+        # the radial phase needs 36000 panels of 6 rad, above the cap
         cfg = pr.PacketConfig(delta=10.0, rho0=100.0, theta0=0.0, k=3000.0)
         t = pr.peak_time(cfg, cfg.rho0)
         with pytest.raises(QuadratureError, match="above the cap"):

@@ -155,6 +155,15 @@ class TestHankel:
     def test_singular_at_zero(self):
         with pytest.raises(SingularArgumentError):
             sf.hankel1(0.3, 0.0)
+        with pytest.raises(SingularArgumentError):
+            sf.hankel1e(0.3, 0.0)
+
+    def test_scaled_hankel_guards(self):
+        with pytest.raises(OutOfRangeError):
+            sf.hankel1e(0.3, np.inf)
+        with pytest.raises(OutOfRangeError):
+            sf.hankel1e(250.0, 300.0)
+        assert sf.hankel1e(250.0, 300.0, max_order=300.0) != 0
 
     def test_integer_order_consistent_with_neighbours(self):
         # integer-order path must be the limit of nearby non-integer orders
@@ -219,6 +228,7 @@ class TestMpmathOracle:
                     (sf.bessel_j(nu, x), j[0]),
                     (sf.bessel_j_prime(nu, x), (j[-1] - j[1]) / 2),
                     (sf.hankel1(nu, x), h1[0]),
+                    (sf.hankel1e(nu, x), h1[0] * mpmath.expj(-xm)),
                     (sf.hankel1_prime(nu, x), (h1[-1] - h1[1]) / 2),
                     (sf.hankel2(nu, x), j[0] - 1j * y[0]),
                 ]
