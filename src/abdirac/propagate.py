@@ -368,6 +368,8 @@ def _phase_panel_edges(r_lo: float, r_hi: float, s_star: float, slope: float,
     """Panel edges on [r_lo, r_hi] at equal steps of the phase accumulated at
     rate slope |r' - s_star| + floor, each step at most `max_phase`.
 
+    `floor` is the rate left where the chirp slope |r' - s_star| vanishes: it
+    bounds the panel width at s_star by max_phase / floor and must be > 0.
     With u = r' - s_star the accumulated phase is H(u) = floor u
     + slope u |u| / 2, strictly increasing for floor > 0; its inverse
     u = 2y / (floor + sqrt(floor^2 + 2 slope |y|)) is free of cancellation on
@@ -410,27 +412,32 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
     square root and one exponential whose phase is tens of radians rather
     than ~1e3, and the constant k (r - s*) / 2 is applied once to the sum.
     The panel edges are placed in closed form, at equal steps of at most
-    `max_phase` of the radial phase accumulated at rate
-    (M / hbar t) |r' - s*| + k th^2 / 2, th the angular window's outer edge.
-    The panel count has a floor of 4 and a cap of 20000.  `refine_check=True`
-    re-evaluates on a 1.5x finer panel set with two more Gauss points and
-    raises if the two disagree by more than 1e-4 relative.  QuadratureError
-    is raised before any node is built when the angular window
-    theta0 +/- n_sigma * s_theta leaves (-pi, pi), where the small-angle
-    packet does not hold (always so for a window that reaches down to the
-    axis, n_sigma * delta >= rho0), or when the radial phase needs more
-    panels than the cap.
+    `max_phase` of the phase the 1-d integrand carries, accumulated at rate
+    (M / hbar t) |r' - s*| + |Im b| + 1 / (3 delta): the kernel chirp about
+    s*, the rate of the r'-linear term -b r' of the theta' factor -B^2 / 4A,
+    and an envelope floor that caps a panel at s* to 3 delta * max_phase.
+    The theta' integral is exact, so the packet's angular phase
+    k r' theta'^2 / 2 adds no rate of its own.  The panel count has a floor
+    of 4 and a cap of 20000.  `refine_check=True` re-evaluates on a 1.5x
+    finer panel set with two more Gauss points and raises if the two
+    disagree by more than 1e-4 relative.  QuadratureError is raised before
+    any node is built when the angular window theta0 +/- n_sigma * s_theta
+    leaves (-pi, pi), where the small-angle packet does not hold (always so
+    for a window that reaches down to the axis, n_sigma * delta >= rho0), or
+    when the radial phase needs more panels than the cap.
     """
     nu, n0, pref = _packet_kernel_parts(coupling, mass, t, hbar)
     d2 = 2.0 * cfg.delta * cfg.delta
-    r_lo, r_hi, th_lo, th_hi = _packet_window(cfg, n_sigma)
-    th_amp = max(abs(th_lo), abs(th_hi))
+    r_lo, r_hi, _, _ = _packet_window(cfg, n_sigma)
 
-    # combined radial phase rate: kernel + packet, which cancel at the
-    # stationary point s_star, plus the angular-coupling term at the window edge
+    # radial phase rate: kernel + packet, which cancel at the stationary point
+    # s_star, plus the r'-linear phase of -B^2 / 4A and the envelope floor
     slope = mass / (hbar * t)
     s_star = hbar * t * cfg.k / mass - r
-    floor = 0.5 * cfg.k * th_amp ** 2
+    # A = a_per_r r', and -B^2 / 4A = -b_per_r r' + const + O(1 / r')
+    a_per_r = 0.5j * cfg.k - cfg.rho0 / d2
+    b_per_r = (cfg.rho0 * cfg.theta0 / d2) ** 2 / a_per_r
+    floor = abs(b_per_r.imag) + 1.0 / (3.0 * cfg.delta)
     const = cmath.exp(1j * (0.5 * cfg.k * (r - s_star) + n0 * theta)) / (
         math.sqrt(math.pi) * cfg.delta
     )
@@ -439,7 +446,7 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
         r_edges = _phase_panel_edges(r_lo, r_hi, s_star, slope, floor, phase_cap)
         rp, w = gauss_panel_nodes(r_edges, order)
         # packet exponent A theta'^2 + B theta' + C, kernel phase included
-        a = rp * (0.5j * cfg.k - cfg.rho0 / d2)
+        a = rp * a_per_r
         b = 1j * (coupling.alpha - n0) + 2.0 * rp * cfg.rho0 * cfg.theta0 / d2
         c = -rp * cfg.rho0 * cfg.theta0 ** 2 / d2
         exponent = (

@@ -31,6 +31,16 @@ PACKETS = (
     pr.PacketConfig(delta=3.0, rho0=40.0, theta0=-0.1, k=15.0),
 )
 
+# the packet shapes and couplings of the packet_scan benchmark workload:
+# (delta, rho0, k, alpha), alpha of both signs and above 1
+SCAN_PACKETS = (
+    (4.0, 55.0, 13.0, 0.37),
+    (3.0, 40.0, 15.0, -0.61),
+    (5.0, 80.0, 12.0, 1.25),
+    (4.0, 60.0, 14.0, 0.52),
+    (4.0, 50.0, 12.0, -1.4),
+)
+
 
 def _rel(got: complex, want: complex) -> float:
     return abs(got - want) / abs(want)
@@ -236,12 +246,38 @@ class TestPacket:
             pr.delta_quadrature(cfg, Coupling(0.3), 1.0, cfg.rho0, 0.0, t)
 
     def test_panel_cap_raises(self):
-        # angular window +/-0.95 rad stays inside (-pi, pi), but at k = 3000
-        # the radial phase needs 36000 panels of 6 rad, above the cap
-        cfg = pr.PacketConfig(delta=10.0, rho0=100.0, theta0=0.0, k=3000.0)
+        # angular window +/-0.95 rad stays inside (-pi, pi), but at k = 10000
+        # the kernel chirp alone needs 30001 panels of 6 rad, above the cap
+        cfg = pr.PacketConfig(delta=10.0, rho0=100.0, theta0=0.0, k=10000.0)
         t = pr.peak_time(cfg, cfg.rho0)
         with pytest.raises(QuadratureError, match="above the cap"):
             pr.delta_quadrature(cfg, Coupling(0.3), 1.0, cfg.rho0, 0.0, t)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    @pytest.mark.parametrize("d_over_delta", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("delta, rho0, k, alpha", SCAN_PACKETS)
+    def test_quadrature_matches_fine_rule(self, delta, rho0, k, alpha, d_over_delta, theta):
+        cfg = pr.PacketConfig(delta=delta, rho0=rho0, theta0=d_over_delta * delta / rho0, k=k)
+        t = pr.peak_time(cfg, cfg.rho0)
+        args = (cfg, Coupling(alpha), 1.0, cfg.rho0, theta, t)
+        fine = pr.delta_quadrature(*args, max_phase=1.0, gauss_order=24)
+        assert _rel(pr.delta_quadrature(*args), fine) <= 1e-13
+
+    def test_panel_count(self, monkeypatch):
+        # the panel rule follows the 1-d integrand's chirp and envelope: 13
+        # panels here, where a rate that kept the packet's angular phase
+        # k theta'^2 / 2 placed 29
+        panels = []
+
+        def counting(edges, order):
+            panels.append(len(edges) - 1)
+            return gauss_panel_nodes(edges, order)
+
+        monkeypatch.setattr(pr, "gauss_panel_nodes", counting)
+        cfg = pr.PacketConfig(delta=4.0, rho0=55.0, theta0=0.0, k=13.0)
+        t = pr.peak_time(cfg, cfg.rho0)
+        pr.delta_quadrature(cfg, Coupling(0.37), 1.0, cfg.rho0, 0.0, t)
+        assert panels == [13]
 
     def test_suppression_law_closed(self):
         cfg = pr.PacketConfig(delta=5.0, rho0=50.0, theta0=0.0, k=20.0)

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abdirac import bare_tube as bt
 from abdirac import shielded as sh
@@ -168,6 +170,24 @@ class TestShieldedMatching:
             A_ode = sol.matching_from_interior()
             A_f = sh.shielded_matching(l, ch, b, kin, C03).value
             assert abs(A_ode - A_f) < 1e-3 * max(abs(A_f), 1e-6), (l, ch)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(alpha=st.floats(-2.9, 1.9).filter(lambda a: a > 0 or a < -1),
+           l=st.integers(-10, 10), channel=st.sampled_from((1, 2)),
+           kr0=st.floats(math.log(1e-4), math.log(3.0)).map(math.exp),
+           kappa_r0=st.sampled_from((6.0, 50.0)))
+    def test_gauge_shift(self, alpha, l, channel, kr0, kappa_r0):
+        # alpha -> alpha + 1 relabels l -> l + 1 and leaves every order alone.
+        # Only for alpha and alpha + 1 of one sign: across zero the surviving
+        # wave moves to the other spin channel, and the finite barrier's
+        # weights differ by up to 4.2e-6 (kR0 = 2, kappa R0 = 6, alpha = -0.51,
+        # l = -1, channel 1), so the shift is not a symmetry there.
+        # Rounding alpha + 1 moves the order by up to 1.1e-16 at small alpha
+        # (|got - want| = 1.1e-15 at alpha = 1e-10)
+        b, kin = sh.shielded_sweep_point(kr0, kappa_r0)
+        got = sh.shielded_matching(l + 1, channel, b, kin, Coupling(alpha + 1.0)).value
+        want = sh.shielded_matching(l, channel, b, kin, Coupling(alpha)).value
+        assert abs(got - want) <= 1e-14
 
 
 class TestShieldedEigenfunction:
