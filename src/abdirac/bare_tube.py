@@ -163,10 +163,10 @@ def _interior_s(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     if args is None:
         # free interior J_m(k_ch r): s = x J_{m-1}(x) / J_m(x) by DLMF 10.6.2
         x = cmath.sqrt(complex(tube.interior_ksq(channel, kin, U))) * tube.r0
-        j = sf.bessel_j(float(m), x)
+        j_below, j = sf.bessel_j(np.array([m - 1.0, float(m)]), x).tolist()
         if j == 0:
             return math.inf
-        return float((x * sf.bessel_j(m - 1.0, x) / j).real)
+        return float((x * j_below / j).real)
     l_rel, b, c = args
     f0 = sf.kummer_f(b, c, abs(alpha)).real
     f1 = sf.kummer_f_prime(b, c, abs(alpha)).real
@@ -204,6 +204,8 @@ def _matching_terms(nu: float, x: float, s: float) -> tuple[complex, complex]:
     """(N, D) of the outgoing-wave weight A = -N/D at x = k r_match:
     N = x J_{nu-1}(x) - s J_nu(x) and D = x H_{nu-1}(x) - s H_nu(x).
 
+    J and H are each evaluated once, at the order pair (nu - 1, nu); scipy
+    runs the same kernel per order, so the values equal two scalar calls.
     A real s never makes D vanish (the Wronskian of J and Y is 2/(pi x));
     s = +/-inf, a node of chi at r_match, leaves N, D = J_nu, H_nu.
     """
@@ -211,8 +213,10 @@ def _matching_terms(nu: float, x: float, s: float) -> tuple[complex, complex]:
         raise RegimeError("matching needs k * r_match > 0")
     if math.isinf(s):
         return sf.bessel_j(nu, x), sf.hankel1(nu, x)
-    return (x * sf.bessel_j(nu - 1.0, x) - s * sf.bessel_j(nu, x),
-            x * sf.hankel1(nu - 1.0, x) - s * sf.hankel1(nu, x))
+    orders = np.array([nu - 1.0, nu])
+    j_below, j = sf.bessel_j(orders, x).tolist()
+    h_below, h = sf.hankel1(orders, x).tolist()
+    return x * j_below - s * j, x * h_below - s * h
 
 
 def matching_from_log_derivative(l: int, channel: int, coupling: Coupling,

@@ -526,7 +526,7 @@ def transit_fit(cfg: PacketConfig, coupling: Coupling, mass: float = 1.0,
     width = math.sqrt(-0.5 / coeffs[0])
     center = -0.5 * coeffs[1] / coeffs[0]
     return {
-        "center": center,
+        "center": float(center),
         "width": width,
         "center_expected": t_star,
         "width_expected": width_expected,

@@ -3,7 +3,9 @@
 Orders are real, possibly negative and non-integer.  Cylinder functions take a
 complex argument (purely imaginary inside an evanescent barrier), scalar or
 array; a scalar returns a Python ``complex`` (``float`` for the real-valued
-I'/I ratio), an array an array of its shape.  Backing scipy routines:
+I'/I ratio), an array an array of its shape.  An order array broadcasts
+against the argument the same way and returns an array, each element equal to
+the scalar call at its order.  Backing scipy routines:
 
 * ``bessel_j``, ``bessel_j_prime``: ``jv``, ``jvp`` (AMOS; reflection for nu < 0)
 * ``bessel_j_ladder``: one ``jv`` call over the orders nu0 + m, m from ``start``
@@ -14,14 +16,18 @@ I'/I ratio), an array an array of its shape.  Backing scipy routines:
 * ``hankel1e``: ``hankel1e``, the scaled e^{-iz} H_nu^(1)(z), whose phase stays
   small at large z so a caller can fold e^{iz} into a phase of its own
 * ``kummer_f``: ``hyp1f1`` for real a, c; ``kummer_f_prime`` by the contiguous
-  relation F'(a|c|z) = (a/c) F(a+1|c+1|z)
+  relation F'(a|c|z) = (a/c) F(a+1|c+1|z).  Re z above ``_KUMMER_Z_MAX`` is
+  refused unless a = 0, -1, -2, ...: there |F| has long overflowed, and for a
+  real z scipy would take seconds or not return at all
 * ``gamma_fn``: ``gamma``
 
 scipy returns inf or nan where the library raises instead:
 
 * ``OutOfRangeError``: an order above the cap (``max_order``, default
   ``DEFAULT_MAX_ORDER``; a ladder checks every order it returns), a non-finite
-  argument, a non-real Kummer parameter, or a non-finite result at z != 0.
+  argument, a non-real Kummer parameter, a Kummer argument with Re z above
+  ``_KUMMER_Z_MAX`` and a non-terminating series, or a non-finite result at
+  z != 0.
 * ``SingularArgumentError``: a non-finite result at z = 0, where the function
   diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: gamma at z, or Kummer's F at c, within 1e-12 of 0, -1, -2, ...
@@ -51,6 +57,10 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ORDER = 200.0
+# |F(a|c|z)| ~ Gamma(c)/Gamma(a) e^z z^(a-c) has overflowed by Re z ~ 1e4 for
+# a non-terminating series (c up to 1e3); scipy's real hyp1f1 takes 3 ms at
+# z = 1e9, time linear in z above that, and does not return from ~1e12 on
+_KUMMER_Z_MAX = 1e9
 
 
 def _order(nu, max_order: float | None) -> np.ndarray:
@@ -161,6 +171,8 @@ def _kummer_parameters(a, c) -> tuple[float, float]:
 def kummer_f(a: float, c: float, z) -> complex:
     """Confluent hypergeometric function F(a|c|z) for real a and c."""
     a, c = _kummer_parameters(a, c)
+    if z.real > _KUMMER_Z_MAX and not (a <= 0 and a.is_integer()):
+        raise OutOfRangeError(f"kummer_f overflows at Re z above {_KUMMER_Z_MAX:g}")
     return complex(_evaluate(_sp.hyp1f1, z, "kummer_f", a, c, dtype=None))
 
 

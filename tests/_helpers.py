@@ -1,10 +1,34 @@
-"""Helpers shared by the tests: sequence extrapolation, log-log slopes and an
-mpmath oracle for the bare-tube outgoing-wave weight."""
+"""Helpers shared by the tests: sequence extrapolation, log-log slopes, an
+mpmath oracle for the bare-tube outgoing-wave weight, and a fresh-interpreter
+runner."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
+import pytest
 
+import abdirac
 from abdirac.errors import QuadratureError
+
+SRC = str(Path(abdirac.__file__).resolve().parents[1])
+
+
+def run_python(code: str, timeout: float = 60.0) -> str:
+    """Standard output of `code` run in a fresh interpreter with the package
+    on its path.  A child still running after `timeout` seconds is killed and
+    the calling test fails, so a hang cannot stall the suite."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    try:
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"child did not finish within {timeout} s")
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
 
 
 def aitken_limit(values) -> tuple[complex, float]:

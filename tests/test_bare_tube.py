@@ -2,10 +2,7 @@
 
 import cmath
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+import textwrap
 
 import mpmath
 import numpy as np
@@ -13,9 +10,10 @@ import pytest
 
 from abdirac import bare_tube as bt
 from abdirac import shielded as sh
+from abdirac import specfun as sf
 from abdirac.errors import RegimeError, RegionError
 from abdirac.model import BarrierConfig, Coupling, TubeConfig, make_kinematics
-from _helpers import aitken_limit, loglog_slope, mp_bare_weight
+from _helpers import aitken_limit, loglog_slope, mp_bare_weight, run_python
 
 KIN = make_kinematics(E=math.sqrt(2.0))  # k = 1 in natural units
 K = KIN.k
@@ -164,6 +162,43 @@ class TestMatchingCoefficient:
             ]
             lim, _ = aitken_limit(As)
             assert abs(lim - want) < 1e-6
+
+
+class TestMatchingTerms:
+    @staticmethod
+    def _four_calls(nu, x, s):
+        # the matching formula with one scalar specfun call per term
+        if math.isinf(s):
+            return sf.bessel_j(nu, x), sf.hankel1(nu, x)
+        return (x * sf.bessel_j(nu - 1.0, x) - s * sf.bessel_j(nu, x),
+                x * sf.hankel1(nu - 1.0, x) - s * sf.hankel1(nu, x))
+
+    def test_order_pair_equals_four_calls(self, monkeypatch):
+        # every (nu, x, s) the bare and shielded weights of the matching_sweep
+        # grid pass in, plus s = +/-inf at each (nu, x): equal bit for bit
+        seen = []
+        terms = bt._matching_terms
+
+        def recording(nu, x, s):
+            seen.append((nu, x, s))
+            return terms(nu, x, s)
+
+        monkeypatch.setattr(bt, "_matching_terms", recording)
+        kin = make_kinematics(k=1.0)
+        for alpha in (0.41, -1.38):
+            c = Coupling(alpha)
+            for kr0 in (1e-4, 3.1e-3, 0.0965, 3.0):
+                tube = TubeConfig(r0=kr0, coupling=c)
+                shields = [sh.shielded_sweep_point(kr0, kr) for kr in (50.0, 6.0)]
+                for l in range(-10, 11):
+                    for ch in (1, 2):
+                        bt.matching_coefficient(l, ch, tube, kin)
+                        for barrier, kin_b in shields:
+                            sh.shielded_matching(l, ch, barrier, kin_b, c)
+        assert len(seen) == 2 * 4 * 21 * 2 * 3
+        cases = seen + [(nu, x, s) for nu, x, _ in seen for s in (math.inf, -math.inf)]
+        for nu, x, s in cases:
+            assert terms(nu, x, s) == self._four_calls(nu, x, s), (nu, x, s)
 
 
 class TestAnomalousChannel:
@@ -349,6 +384,29 @@ class TestOdeOracle:
 
 
 class TestGuards:
+    def test_huge_coupling_raises_instead_of_hanging(self):
+        # z = |alpha| (r/r0)^2 = 1e13 in the interior F(b|c|z): scipy's real
+        # hyp1f1 does not return there, the library must refuse it at once
+        code = textwrap.dedent("""
+            from abdirac import bare_tube as bt
+            from abdirac.errors import OutOfRangeError
+            from abdirac.model import Coupling, TubeConfig, make_kinematics
+            tube = TubeConfig(r0=1.0, coupling=Coupling(-1e13 - 0.37))
+            kin = make_kinematics(k=1.0)
+            def refused(fn, *args):
+                try:
+                    fn(*args)
+                except OutOfRangeError:
+                    return True
+                return False
+            cases = [(f, (l, ch, tube, kin) + extra)
+                     for l in range(-2, 3) for ch in (1, 2)
+                     for f, extra in ((bt.interior_chi, (1.0,)), (bt.interior_chi, (0.5,)),
+                                      (bt.matching_coefficient, ()))]
+            print(sum(refused(f, *args) for f, args in cases), len(cases))
+        """)
+        assert run_python(code, timeout=30.0) == "30 30"
+
     def test_unknown_channel_rejected_everywhere(self):
         c = Coupling(0.3)
         tube = TubeConfig(0.1, c)
@@ -380,8 +438,4 @@ def test_package_import_leaves_scipy_integrate_unloaded():
         "import abdirac.scattering, abdirac.propagate, abdirac.shielded, abdirac.bare_tube\n"
         "print('scipy.integrate' in sys.modules)\n"
     )
-    src = str(Path(bt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    assert run_python(code) == "False"

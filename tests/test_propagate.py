@@ -77,15 +77,18 @@ def _mp_delta(cfg, alpha, r, theta, t, n_sigma=6.0, dps=30):
     (DLMF 10.4.7 from J_{+/-nu}) times the free phase e^{i (r^2 + r'^2)/2t},
     the packet's radial exponent, and the theta' Gaussian integral
     sqrt(pi / -A) exp(C - B^2 / 4A).  The nodes are the library's panel rule
-    at 2 rad per panel with 20-point Gauss, finer than its defaults.
+    at 2 rad per panel with 20-point Gauss, finer than its defaults, placed
+    at the integrand's own rate: the chirp |r' - s*| / t, plus |Im b| of the
+    r'-linear phase -b r' of -B^2 / 4A and the envelope floor 1 / (3 delta).
     """
     l, channel = bt.anomalous_channel(Coupling(alpha))
     nu = bt.exterior_order(l, channel, alpha)
     n0, _ = channel_index(l, channel)
-    r_lo, r_hi, s_th = _window(cfg, n_sigma)
-    th_amp = abs(cfg.theta0) + n_sigma * s_th
+    r_lo, r_hi, _ = _window(cfg, n_sigma)
+    d2 = 2.0 * cfg.delta ** 2
+    b_rate = (cfg.rho0 * cfg.theta0 / d2) ** 2 / (0.5j * cfg.k - cfg.rho0 / d2)
     edges = pr._phase_panel_edges(r_lo, r_hi, t * cfg.k - r, 1.0 / t,
-                                  0.5 * cfg.k * th_amp ** 2, 2.0)
+                                  abs(b_rate.imag) + 1.0 / (3.0 * cfg.delta), 2.0)
     nodes, weights = gauss_panel_nodes(edges, 20)
     with mpmath.workdps(dps):
         tm, rm, num = mpmath.mpf(t), mpmath.mpf(r), mpmath.mpf(nu)
@@ -285,6 +288,17 @@ class TestPacket:
         assert rows[1]["delta_abs"] / rows[0]["delta_abs"] == pytest.approx(
             math.exp(-0.5), rel=1e-12
         )
+
+    @pytest.mark.parametrize("alpha", [0.37, -1.4])
+    def test_transit_fit(self, alpha):
+        # |Delta|(t) at r = rho0 is a Gaussian centred on the peak time with
+        # width delta M / (hbar k)
+        fit = pr.transit_fit(pr.PacketConfig(4.0, 55.0, 0.0, 13.0), Coupling(alpha))
+        assert all(type(v) is float for v in fit.values())
+        assert fit["center"] == pytest.approx(fit["center_expected"], rel=1e-6)
+        assert fit["width"] == pytest.approx(fit["width_expected"], rel=1e-6)
+        assert fit["center_expected"] == pytest.approx(55.0 / 13.0 * 2.0, rel=1e-12)
+        assert fit["width_expected"] == pytest.approx(4.0 / 13.0, rel=1e-12)
 
 
 class TestPanelEdges:

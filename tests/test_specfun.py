@@ -1,6 +1,7 @@
 """Special-function layer: closed-form values, independent oracles, identities."""
 
 import math
+import textwrap
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ import pytest
 
 from abdirac import specfun as sf
 from abdirac.errors import OutOfRangeError, PoleError, SingularArgumentError
+from _helpers import run_python
 
 
 def series_j_oracle(nu, z, terms=30, with_scale=False):
@@ -97,6 +99,17 @@ class TestBesselJ:
             direct = sf.bessel_j(0.3 + m, 55.0, max_order=50.0)
             scale = max(abs(direct), 1e-30)
             assert abs(vals[m] - direct) < 1e-11 * max(scale, 0.3)
+
+
+class TestOrderArray:
+    # the order pairs (nu - 1, nu) of the matching formula, nu - 1 of either sign
+    @pytest.mark.parametrize("nu", [0.41, 0.62, 1.38, 2.59, 9.41])
+    @pytest.mark.parametrize("fn", [sf.bessel_j, sf.hankel1])
+    def test_order_pair_equals_scalar_calls(self, fn, nu):
+        for x in [*np.logspace(-12, math.log10(3.0), 13), 0.05j, 6.0j, 50.0j]:
+            pair = fn(np.array([nu - 1.0, nu]), x)
+            assert isinstance(pair, np.ndarray) and pair.shape == (2,)
+            assert pair.tolist() == [fn(nu - 1.0, x), fn(nu, x)], x
 
 
 class TestBesselJPrime:
@@ -289,6 +302,31 @@ class TestKummer:
     def test_pole_rejected(self):
         with pytest.raises(PoleError):
             sf.kummer_f(0.3, -2.0, 0.5)
+
+    def test_closed_forms_at_huge_arguments(self):
+        # a terminating series and a negative real z still evaluate:
+        # F(-3|1|z) = (6 - 18 z + 9 z^2 - z^3)/6, F(1/2|3/2|-x) ~ sqrt(pi/x)/2
+        assert sf.kummer_f(-3.0, 1.0, 1e20) == pytest.approx(-1e60 / 6, rel=1e-14)
+        want = math.sqrt(math.pi / 1e20) / 2
+        assert sf.kummer_f(0.5, 1.5, -1e20) == pytest.approx(want, rel=1e-12)
+
+    def test_large_real_argument_refused_without_hanging(self):
+        # scipy's real hyp1f1 needs seconds at z = 1e12 and does not return
+        # at 1e13, where |F| overflowed long before
+        code = textwrap.dedent("""
+            from abdirac import specfun as sf
+            from abdirac.errors import OutOfRangeError
+            cases = [(0.5, 1.5, 3e12), (1.5, 2.5, 1e13), (0.3, 1.0, 1e13),
+                     (2.0, 1.0, 1e13), (-0.5, 1.0, 1e13), (0.5, 1.5, 1e300)]
+            refused = 0
+            for a, c, z in cases:
+                try:
+                    sf.kummer_f(a, c, z)
+                except OutOfRangeError:
+                    refused += 1
+            print(refused, len(cases))
+        """)
+        assert run_python(code, timeout=30.0) == "6 6"
 
     def test_derivative_contiguous_relation(self):
         a, c, z = 0.25, 1.0, 0.8
