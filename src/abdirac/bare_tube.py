@@ -152,9 +152,11 @@ def _interior_s(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
                 U: float = 0.0) -> float:
     """s = nu + r0 d(ln chi)/dr of the interior solution at r0, nu the exterior order.
 
-    Real, and +/-inf at a node of chi.  With F'(b|c|z) = (b/c) F(b+1|c+1|z),
-    s = K + 2 |alpha| F'/F at z = |alpha|, where K = nu + m - |alpha| is
-    2 max(l' - |alpha|, 0) for l' >= 0 and 2m for l' < 0.  In the anomalous
+    Real, and +/-inf at a node of chi.  With F'(b|c|z) = (b/c) F(b+1|c+1|z)
+    (DLMF 13.3.15), F and F' come from one `kummer_f` call at the parameter
+    pairs (b, b + 1), (c, c + 1), and s = K + 2 |alpha| F'/F at z = |alpha|,
+    where K = nu + m - |alpha| is 2 max(l' - |alpha|, 0) for l' >= 0 and 2m
+    for l' < 0.  In the anomalous
     channel s -> 0 through b, never as a difference of nearly equal terms.
     """
     alpha = tube.coupling.alpha
@@ -168,8 +170,8 @@ def _interior_s(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
             return math.inf
         return float((x * j_below / j).real)
     l_rel, b, c = args
-    f0 = sf.kummer_f(b, c, abs(alpha)).real
-    f1 = sf.kummer_f_prime(b, c, abs(alpha)).real
+    f0, f1 = sf.kummer_f(np.array([b, b + 1.0]), np.array([c, c + 1.0]), abs(alpha)).tolist()
+    f1 = b / c * f1
     if f0 == 0.0:
         return math.inf if f1 > 0 else -math.inf
     k_term = 2.0 * max(l_rel - abs(alpha), 0.0) if l_rel >= 0 else 2.0 * m

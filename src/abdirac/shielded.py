@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import specfun as sf
 from .bare_tube import (
     MatchingCoefficient,
     RadialComponents,
-    _interior_dlog,
+    _interior_s,
     _ladder_coefficient,
     _ladder_components,
     _matching_terms,
@@ -149,35 +151,36 @@ def shielded_eigenfunction(l: int, coupling: Coupling, kin: Kinematics,
 
 def finite_tube_barrier_ratio(l: int, channel: int, tube: TubeConfig,
                               kin: Kinematics, barrier: BarrierConfig,
-                              r_a: float, r_b: float) -> complex:
+                              r_a: float, r_b: float) -> float:
     """chi(r_a)/chi(r_b) of the finite-tube barrier-region solution.
 
     Matches the regular tube interior (with the barrier potential applied
-    inside the tube as well) onto the two imaginary-argument Hankel solutions
-    at r0 and returns a normalization-free value ratio; the r0 -> 0 limit of
-    this ratio is the order-swap test for the barrier region.
+    inside the tube as well) onto chi = Q I_nu(kappa r) - P K_nu(kappa r),
+    P = x0 I_{nu-1}(x0) - s I_nu(x0) and Q = -x0 K_{nu-1}(x0) - s K_nu(x0) at
+    x0 = kappa r0 with the interior s (x I' = x I_{nu-1} - nu I and
+    x K' = -x K_{nu-1} - nu K, DLMF 10.29.2).  On the scaled e^{-x} I_nu and
+    e^{x} K_nu (DLMF 10.25) the growth e^{kappa r} factors out as
+    e^{kappa (r_a - r_b)}, so the ratio stays finite where I_nu overflows
+    (kappa R0 beyond ~700).  The r0 -> 0 limit of this ratio is the
+    order-swap test for the barrier region.
     """
     if not (tube.r0 < r_a < barrier.R0 and tube.r0 < r_b < barrier.R0):
         raise RegimeError("probe radii must lie inside the barrier annulus")
     kappa = barrier_kappa(kin, barrier.U)
     nu = exterior_order(l, channel, tube.coupling.alpha)
-    d = _interior_dlog(l, channel, tube, kin, U=barrier.U)
-    x0 = 1j * kappa * tube.r0
+    s = _interior_s(l, channel, tube, kin, U=barrier.U)
+    x0, x_a, x_b = kappa * tube.r0, kappa * r_a, kappa * r_b
+    x = np.array([x0, x0, x_a, x_b])
+    orders = np.array([nu - 1.0, nu, nu, nu])
+    i_below, i0, i_a, i_b = sf.bessel_ie(orders, x).tolist()
+    k_below, k0, k_a, k_b = sf.bessel_ke(orders, x).tolist()
+    p, q = x0 * i_below - s * i0, -x0 * k_below - s * k0
 
-    h1, h2 = sf.hankel1(nu, x0), sf.hankel2(nu, x0)
-    dh1, dh2 = sf.hankel1_prime(nu, x0), sf.hankel2_prime(nu, x0)
-    # chi = C H1(i kappa r) + D H2(i kappa r); continuity of chi, chi' at r0
-    ratio_cd_num = -(1j * kappa * dh2 - d * h2)
-    ratio_cd_den = 1j * kappa * dh1 - d * h1
-    if ratio_cd_den == 0:
-        raise RegimeError("degenerate barrier matching")
-    c_over_d = ratio_cd_num / ratio_cd_den
+    def chi_scaled(x_r: float, i_r: float, k_r: float) -> float:
+        # chi(r) e^{x0 - kappa r}
+        return q * i_r - p * math.exp(-2.0 * (x_r - x0)) * k_r
 
-    def chi(r: float) -> complex:
-        xr = 1j * kappa * r
-        return complex(c_over_d * sf.hankel1(nu, xr) + sf.hankel2(nu, xr))
-
-    return chi(r_a) / chi(r_b)
+    return math.exp(x_a - x_b) * chi_scaled(x_a, i_a, k_a) / chi_scaled(x_b, i_b, k_b)
 
 
 def shielded_sweep_point(kR0: float, kappaR0: float = 50.0, U: float = 1.0,

@@ -9,15 +9,20 @@ the scalar call at its order.  Backing scipy routines:
 
 * ``bessel_j``, ``bessel_j_prime``: ``jv``, ``jvp`` (AMOS; reflection for nu < 0)
 * ``bessel_j_ladder``: one ``jv`` call over the orders nu0 + m, m from ``start``
+* ``bessel_ie``, ``bessel_ke``: ``ive``, ``kve``, the scaled e^{-x} I_nu(x)
+  and e^{x} K_nu(x) of real x > 0 (DLMF 10.25), finite where I_nu overflows
+  and K_nu underflows
 * ``bessel_i_log_derivative``: ``ive``, as ive(nu+1)/ive(nu) + nu/x, finite
   where I_nu itself overflows (x beyond ~700)
-* ``hankel1``, ``hankel2``, ``hankel1_prime``, ``hankel2_prime``: ``hankel1``,
-  ``hankel2``, ``h1vp``, ``h2vp`` (AMOS)
+* ``hankel1``, ``hankel1_prime``: ``hankel1``, ``h1vp`` (AMOS)
 * ``hankel1e``: ``hankel1e``, the scaled e^{-iz} H_nu^(1)(z), whose phase stays
   small at large z so a caller can fold e^{iz} into a phase of its own
-* ``kummer_f``: ``hyp1f1`` for real a, c; ``kummer_f_prime`` by the contiguous
-  relation F'(a|c|z) = (a/c) F(a+1|c+1|z).  Re z above ``_KUMMER_Z_MAX`` is
-  refused unless a = 0, -1, -2, ...: there |F| has long overflowed, and for a
+* ``kummer_f``: ``hyp1f1`` for real a, c, each scalar or an array that
+  broadcasts against the others like an order array (a real z keeps scipy's
+  real routine and returns a real array).  A caller takes F' from the pair
+  F(a|c|z), F(a+1|c+1|z) of one call: F'(a|c|z) = (a/c) F(a+1|c+1|z)
+  (DLMF 13.3.15).  Re z above ``_KUMMER_Z_MAX`` is refused unless that
+  element's a is 0, -1, -2, ...: there |F| has long overflowed, and for a
   real z scipy would take seconds or not return at all
 * ``gamma_fn``: ``gamma``
 
@@ -27,7 +32,7 @@ scipy returns inf or nan where the library raises instead:
   ``DEFAULT_MAX_ORDER``; a ladder checks every order it returns), a non-finite
   argument, a non-real Kummer parameter, a Kummer argument with Re z above
   ``_KUMMER_Z_MAX`` and a non-terminating series, or a non-finite result at
-  z != 0.
+  z != 0.  An array raises if any element would.
 * ``SingularArgumentError``: a non-finite result at z = 0, where the function
   diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: gamma at z, or Kummer's F at c, within 1e-12 of 0, -1, -2, ...
@@ -46,14 +51,13 @@ __all__ = [
     "bessel_j",
     "bessel_j_prime",
     "bessel_j_ladder",
+    "bessel_ie",
+    "bessel_ke",
     "bessel_i_log_derivative",
     "hankel1",
     "hankel1e",
     "hankel1_prime",
-    "hankel2",
-    "hankel2_prime",
     "kummer_f",
-    "kummer_f_prime",
 ]
 
 DEFAULT_MAX_ORDER = 200.0
@@ -77,20 +81,30 @@ def _evaluate(fn, z, name: str, *params, dtype=np.complex128):
     Returns a Python scalar for a scalar result, else the array.
     """
     z = np.asarray(z, dtype=dtype)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise OutOfRangeError(f"{name}: argument must be finite")
     out = fn(*params, z)
     bad = ~np.isfinite(out)
-    if np.any(bad):
-        if np.any(bad & (z == 0)):
+    if bad.any():
+        if (bad & (z == 0)).any():
             raise SingularArgumentError(f"{name} diverges at z=0")
         raise OutOfRangeError(f"{name} is not finite in double precision here")
     return out.item() if np.ndim(out) == 0 else out
 
 
-def _check_pole(x: complex, name: str) -> None:
-    x = complex(x)
-    if abs(x.imag) < 1e-12 and x.real <= 0.5 and abs(x.real - round(x.real)) < 1e-12:
+def _positive(x, name: str):
+    if (np.asarray(x) <= 0).any():
+        raise OutOfRangeError(f"{name} expects x > 0")
+    return x
+
+
+def _check_pole(x, name: str) -> None:
+    """PoleError if x, or any element of an array x, is within 1e-12 of 0, -1, -2, ..."""
+    x = np.asarray(x)
+    real = x.real
+    left = real <= 0.5
+    if left.any() and (left & (np.abs(x.imag) < 1e-12)
+                       & (np.abs(real - np.round(real)) < 1e-12)).any():
         raise PoleError(f"{name} pole at {x}")
 
 
@@ -124,15 +138,26 @@ def bessel_j_ladder(nu0: float, count: int, z, max_order: float | None = None,
     return _evaluate(_sp.jv, complex(z), "J ladder", orders)
 
 
+def bessel_ie(nu: float, x, max_order: float | None = None):
+    """Exponentially scaled modified Bessel function e^{-x} I_nu(x), real x > 0."""
+    return _evaluate(_sp.ive, _positive(x, "bessel_ie"), "Ie_nu", _order(nu, max_order),
+                     dtype=np.float64)
+
+
+def bessel_ke(nu: float, x, max_order: float | None = None):
+    """Exponentially scaled modified Bessel function e^{x} K_nu(x), real x > 0."""
+    return _evaluate(_sp.kve, _positive(x, "bessel_ke"), "Ke_nu", _order(nu, max_order),
+                     dtype=np.float64)
+
+
 def _ive_log_derivative(nu, x):
     return _sp.ive(nu + 1.0, x) / _sp.ive(nu, x) + nu / x
 
 
 def bessel_i_log_derivative(nu: float, x):
     """I'_nu(x) / I_nu(x) for real x > 0, finite where I_nu itself overflows."""
-    if np.any(np.asarray(x) <= 0):
-        raise OutOfRangeError("bessel_i_log_derivative expects x > 0")
-    return _evaluate(_ive_log_derivative, x, "I'_nu/I_nu", _order(nu, None), dtype=np.float64)
+    return _evaluate(_ive_log_derivative, _positive(x, "bessel_i_log_derivative"),
+                     "I'_nu/I_nu", _order(nu, None), dtype=np.float64)
 
 
 def hankel1(nu: float, z, max_order: float | None = None):
@@ -145,38 +170,25 @@ def hankel1e(nu: float, z, max_order: float | None = None):
     return _evaluate(_sp.hankel1e, z, "H1e_nu", _order(nu, max_order))
 
 
-def hankel2(nu: float, z, max_order: float | None = None):
-    """Hankel function of the second kind, H_nu^(2)(z)."""
-    return _evaluate(_sp.hankel2, z, "H2_nu", _order(nu, max_order))
-
-
 def hankel1_prime(nu: float, z, max_order: float | None = None):
     """d/dz H_nu^(1)(z)."""
     return _evaluate(_sp.h1vp, z, "H1'_nu", _order(nu, max_order))
 
 
-def hankel2_prime(nu: float, z, max_order: float | None = None):
-    """d/dz H_nu^(2)(z)."""
-    return _evaluate(_sp.h2vp, z, "H2'_nu", _order(nu, max_order))
+def kummer_f(a, c, z):
+    """Confluent hypergeometric function F(a|c|z) for real a and c.
 
-
-def _kummer_parameters(a, c) -> tuple[float, float]:
-    a, c = complex(a), complex(c)
-    if a.imag != 0 or c.imag != 0:
-        raise OutOfRangeError(f"kummer_f needs real a and c, got a={a}, c={c}")
+    A Python ``complex`` for scalar a, c and z; else an array, each element
+    equal to the scalar call at its (a, c, z).
+    """
+    a, c = np.asarray(a), np.asarray(c)
+    if a.dtype.kind == "c" or c.dtype.kind == "c":
+        if a.imag.any() or c.imag.any():
+            raise OutOfRangeError(f"kummer_f needs real a and c, got a={a}, c={c}")
+        a, c = a.real, c.real
     _check_pole(c, "kummer_f")
-    return a.real, c.real
-
-
-def kummer_f(a: float, c: float, z) -> complex:
-    """Confluent hypergeometric function F(a|c|z) for real a and c."""
-    a, c = _kummer_parameters(a, c)
-    if z.real > _KUMMER_Z_MAX and not (a <= 0 and a.is_integer()):
+    far = np.asarray(z).real > _KUMMER_Z_MAX
+    if far.any() and (far & ((a > 0) | (np.mod(a, 1.0) != 0))).any():
         raise OutOfRangeError(f"kummer_f overflows at Re z above {_KUMMER_Z_MAX:g}")
-    return complex(_evaluate(_sp.hyp1f1, z, "kummer_f", a, c, dtype=None))
-
-
-def kummer_f_prime(a: float, c: float, z) -> complex:
-    """d/dz F(a|c|z) = (a/c) F(a+1|c+1|z)."""
-    a, c = _kummer_parameters(a, c)
-    return a / c * kummer_f(a + 1.0, c + 1.0, z)
+    out = _evaluate(_sp.hyp1f1, z, "kummer_f", a, c, dtype=None)
+    return out if isinstance(out, np.ndarray) else complex(out)

@@ -1,7 +1,10 @@
 """Helpers shared by the tests: sequence extrapolation, log-log slopes, an
-mpmath oracle for the bare-tube outgoing-wave weight, and a fresh-interpreter
-runner."""
+mpmath oracle for the bare-tube outgoing-wave weight, two independent forms
+of the propagator difference (the J_{+/-nu} bracket and the regularized
+k-integral), and a fresh-interpreter runner."""
 
+import cmath
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +15,11 @@ import numpy as np
 import pytest
 
 import abdirac
-from abdirac.errors import QuadratureError
+from abdirac import specfun as sf
+from abdirac.errors import QuadratureError, RegimeError
+from abdirac.model import Coupling
+from abdirac.numerics import gauss_panel_nodes
+from abdirac.propagate import _kernel_parts
 
 SRC = str(Path(abdirac.__file__).resolve().parents[1])
 
@@ -91,3 +98,98 @@ def mp_bare_weight(alpha: float, l: int, channel: int, kr0: float, dps: int = 50
         h = j + 1j * mpmath.bessely(nu, x)
         hp = jp + 1j * mpmath.bessely(nu, x, 1)
         return complex(-(x * jp - rd * j) / (x * hp - rd * h))
+
+
+def greens_diff_bracket(coupling: Coupling, mass: float, r: float, rp: float,
+                        theta: float, thetap: float, t: float,
+                        hbar: float = 1.0) -> complex:
+    """Equivalent Bessel-pair form of the closed propagator difference."""
+    nu, n0, pref = _kernel_parts(coupling, mass, t, hbar)
+    if r <= 0 or rp <= 0:
+        raise RegimeError("coordinates must be positive")
+    if nu == 0.0:
+        return 0.0j
+    x = mass * r * rp / (hbar * t)
+    phase = cmath.exp(1j * mass * (r * r + rp * rp) / (2.0 * hbar * t))
+    bracket = cmath.exp(0.5j * math.pi * nu) * sf.bessel_j(-nu, x) - cmath.exp(
+        -0.5j * math.pi * nu
+    ) * sf.bessel_j(nu, x)
+    return complex(-1j * pref * bracket * phase * cmath.exp(1j * n0 * (theta - thetap)))
+
+
+def _oscillatory_k_integral(nu: float, r: float, rp: float, a: float,
+                            eps: float) -> complex:
+    """integral_0^inf k dk [J_-nu(kr) J_-nu(krp) - J_nu(kr) J_nu(krp)]
+    * exp(-i a k^2 - eps k^2), by phase-adaptive panel quadrature."""
+    k_max = math.sqrt(42.0 / eps)
+    b = r + rp
+
+    # inner piece with the k^{1-2nu} endpoint behaviour: substitute k = u^2
+    k_split = min(0.5 / max(r, rp), 0.25 * k_max)
+    u_split = math.sqrt(k_split)
+    edges_u = np.linspace(0.0, u_split, 9)
+    nodes_u, w_u = gauss_panel_nodes(edges_u, 12)
+    k_in = nodes_u ** 2
+    w_in = w_u * 2.0 * nodes_u
+
+    # outer piece: panels sized by the total phase a k^2 + (r + rp) k
+    def edge_grid():
+        n_est = int((a * k_max * k_max + b * k_max) / 2.0) + 8
+        n_est = min(max(n_est, 8), 60000)
+        targets = np.linspace(0.0, a * k_max * k_max + b * k_max, n_est + 1)
+        disc = b * b + 4.0 * a * targets
+        if a > 0:
+            ks = (-b + np.sqrt(disc)) / (2.0 * a)
+        else:
+            ks = targets / b if b > 0 else np.linspace(k_split, k_max, n_est + 1)
+        ks[0] = k_split
+        ks[-1] = k_max
+        return np.unique(np.clip(ks, k_split, k_max))
+
+    nodes_out, w_out = gauss_panel_nodes(edge_grid(), 12)
+    k_all = np.concatenate([k_in, nodes_out])
+    w_all = np.concatenate([w_in, w_out])
+
+    jm_r = sf.bessel_j(-nu, k_all * r)
+    jm_p = sf.bessel_j(-nu, k_all * rp)
+    jp_r = sf.bessel_j(nu, k_all * r)
+    jp_p = sf.bessel_j(nu, k_all * rp)
+    integrand = (
+        k_all
+        * (jm_r * jm_p - jp_r * jp_p)
+        * np.exp(-(1j * a + eps) * k_all ** 2)
+    )
+    return complex(np.sum((integrand * w_all).astype(np.clongdouble)))
+
+
+def greens_diff_integral_oracle(coupling: Coupling, mass: float, r: float,
+                                rp: float, theta: float, thetap: float,
+                                t: float, epsilon: float | None = None,
+                                hbar: float = 1.0,
+                                tol: float = 5e-3) -> complex:
+    """Propagator difference from its defining k-integral.
+
+    The Fresnel-type integral is tamed by a Gaussian regulator exp(-eps k^2)
+    evaluated at eps, eps/2, eps/4 and extrapolated to eps -> 0 at second
+    order; a spread of the extrapolants beyond `tol` raises.
+    """
+    nu, n0, _ = _kernel_parts(coupling, mass, t, hbar)
+    if nu == 0.0:
+        return 0.0j
+    a = hbar * t / (2.0 * mass)
+    if epsilon is None:
+        k_char = mass * (r + rp) / (hbar * t) + 1.0 / max(r, rp)
+        epsilon = 0.05 / (k_char * k_char)
+    vals = [
+        _oscillatory_k_integral(nu, r, rp, a, e)
+        for e in (epsilon, epsilon / 2.0, epsilon / 4.0)
+    ]
+    first = 2.0 * vals[1] - vals[0]
+    second = (8.0 * vals[2] - 6.0 * vals[1] + vals[0]) / 3.0
+    scale = max(abs(second), 1e-300)
+    if abs(second - first) > tol * scale:
+        raise QuadratureError(
+            f"regulator extrapolation spread {abs(second - first) / scale:.2e} "
+            f"exceeds {tol:.1e}"
+        )
+    return complex(second / (2.0 * math.pi) * cmath.exp(1j * n0 * (theta - thetap)))

@@ -12,7 +12,7 @@ from abdirac import bare_tube as bt
 from abdirac import shielded as sh
 from abdirac import specfun as sf
 from abdirac.errors import RegimeError, RegionError
-from abdirac.model import BarrierConfig, Coupling, TubeConfig, make_kinematics
+from abdirac.model import BarrierConfig, Coupling, TubeConfig, channel_index, make_kinematics
 from _helpers import aitken_limit, loglog_slope, mp_bare_weight, run_python
 
 KIN = make_kinematics(E=math.sqrt(2.0))  # k = 1 in natural units
@@ -162,6 +162,52 @@ class TestMatchingCoefficient:
             ]
             lim, _ = aitken_limit(As)
             assert abs(lim - want) < 1e-6
+
+
+class TestInteriorS:
+    # the (b, c, z = |alpha|) of every bare weight in the matching_sweep grid
+    GRID = [(l, ch, alpha, kr0) for alpha in (0.41, -1.38)
+            for kr0 in (1e-4, 3.1e-3, 0.0965, 3.0)
+            for l in range(-10, 11) for ch in (1, 2)]
+
+    def test_kummer_pair_equals_scalar_calls(self):
+        kin = make_kinematics(k=1.0)
+        for l, ch, alpha, kr0 in self.GRID:
+            _, b, c = bt._kummer_args(l, ch, TubeConfig(r0=kr0, coupling=Coupling(alpha)),
+                                      kin, 0.0)
+            z = abs(alpha)
+            pair = sf.kummer_f(np.array([b, b + 1.0]), np.array([c, c + 1.0]), z)
+            assert pair.tolist() == [sf.kummer_f(b, c, z), sf.kummer_f(b + 1.0, c + 1.0, z)]
+
+    def test_equals_two_call_formula(self):
+        # s from F and F' = (b/c) F(b+1|c+1|z) of two scalar calls: bit for bit
+        kin = make_kinematics(k=1.0)
+        for l, ch, alpha, kr0 in self.GRID:
+            tube = TubeConfig(r0=kr0, coupling=Coupling(alpha))
+            l_rel, b, c = bt._kummer_args(l, ch, tube, kin, 0.0)
+            m = abs(channel_index(l, ch)[0])
+            f0 = sf.kummer_f(b, c, abs(alpha)).real
+            f1 = (b / c * sf.kummer_f(b + 1.0, c + 1.0, abs(alpha))).real
+            k_term = 2.0 * max(l_rel - abs(alpha), 0.0) if l_rel >= 0 else 2.0 * m
+            want = k_term + 2.0 * abs(alpha) * (f1 / f0)
+            assert bt._interior_s(l, ch, tube, kin) == want, (l, ch, alpha, kr0)
+
+    def test_one_hyp1f1_call(self, monkeypatch):
+        import scipy.special
+
+        calls = []
+        hyp1f1 = scipy.special.hyp1f1
+
+        def counting(*args):
+            calls.append(args)
+            return hyp1f1(*args)
+
+        monkeypatch.setattr(scipy.special, "hyp1f1", counting)
+        kin = make_kinematics(k=1.0)
+        for l, ch, alpha, kr0 in self.GRID[::7]:
+            calls.clear()
+            bt._interior_s(l, ch, TubeConfig(r0=kr0, coupling=Coupling(alpha)), kin)
+            assert len(calls) == 1, (l, ch, alpha, kr0)
 
 
 class TestMatchingTerms:

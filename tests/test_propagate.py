@@ -3,6 +3,7 @@
 import cmath
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from abdirac import propagate as pr
 from abdirac.errors import QuadratureError
 from abdirac.model import Coupling, channel_index
 from abdirac.numerics import gauss_panel_nodes
+from _helpers import greens_diff_bracket, greens_diff_integral_oracle
 
 # r r' / t = 30: far enough out for the asymptotic kernel
 KERNEL_POINT = dict(mass=1.0, r=30.0, rp=1.0, theta=0.2, thetap=-0.1, t=1.0)
@@ -70,16 +72,48 @@ def _fold_oracle(cfg, coupling, mass, r, theta, t, n_sigma=6.0):
     return complex((rw * rp * radial) @ psi @ (tw * angular))
 
 
+@lru_cache(maxsize=None)
+def _mp_legendre_rule(n, dps):
+    """`n`-point Gauss-Legendre nodes and weights on [-1, 1] to `dps` digits.
+
+    numpy's double-precision roots of P_n, each Newton-refined on the
+    three-term recurrence (P_n' = n (x P_n - P_{n-1}) / (x^2 - 1)) until the
+    step is below 10^-(dps + 5); w = 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    def p_and_dp(x):
+        p_prev, p = mpmath.mpf(1), x
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        return p, n * (x * p - p_prev) / (x * x - 1)
+
+    with mpmath.workdps(dps + 10):
+        tol = mpmath.mpf(10) ** (-dps - 5)
+        nodes, weights = [], []
+        for x in np.polynomial.legendre.leggauss(n)[0]:
+            x = mpmath.mpf(x)
+            step = 1
+            while abs(step) > tol:
+                p, dp = p_and_dp(x)
+                step = p / dp
+                x -= step
+            dp = p_and_dp(x)[1]
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+    return tuple(nodes), tuple(weights)
+
+
 def _mp_delta(cfg, alpha, r, theta, t, n_sigma=6.0, dps=30):
     """Delta as a `dps`-digit mpmath sum of the 1-d radial integrand (mass = hbar = 1).
 
     Written from the equations: the kernel sin(pi nu) e^{i pi nu/2} H^(1)_nu
     (DLMF 10.4.7 from J_{+/-nu}) times the free phase e^{i (r^2 + r'^2)/2t},
     the packet's radial exponent, and the theta' Gaussian integral
-    sqrt(pi / -A) exp(C - B^2 / 4A).  The nodes are the library's panel rule
-    at 2 rad per panel with 20-point Gauss, finer than its defaults, placed
-    at the integrand's own rate: the chirp |r' - s*| / t, plus |Im b| of the
-    r'-linear phase -b r' of -B^2 / 4A and the envelope floor 1 / (3 delta).
+    sqrt(pi / -A) exp(C - B^2 / 4A).  The panels are the library's panel rule
+    at 2 rad per panel, finer than its defaults, placed at the integrand's own
+    rate: the chirp |r' - s*| / t, plus |Im b| of the r'-linear phase -b r' of
+    -B^2 / 4A and the envelope floor 1 / (3 delta).  Each panel carries the
+    20-point Gauss rule to `dps` digits (`_mp_legendre_rule`), so nodes and
+    weights are not rounded to double precision.
     """
     l, channel = bt.anomalous_channel(Coupling(alpha))
     nu = bt.exterior_order(l, channel, alpha)
@@ -89,8 +123,13 @@ def _mp_delta(cfg, alpha, r, theta, t, n_sigma=6.0, dps=30):
     b_rate = (cfg.rho0 * cfg.theta0 / d2) ** 2 / (0.5j * cfg.k - cfg.rho0 / d2)
     edges = pr._phase_panel_edges(r_lo, r_hi, t * cfg.k - r, 1.0 / t,
                                   abs(b_rate.imag) + 1.0 / (3.0 * cfg.delta), 2.0)
-    nodes, weights = gauss_panel_nodes(edges, 20)
+    x_rule, w_rule = _mp_legendre_rule(20, dps)
     with mpmath.workdps(dps):
+        nodes, weights = [], []
+        for lo, hi in zip(map(mpmath.mpf, edges[:-1]), map(mpmath.mpf, edges[1:])):
+            mid, half = (lo + hi) / 2, (hi - lo) / 2
+            nodes += [mid + half * x for x in x_rule]
+            weights += [half * w for w in w_rule]
         tm, rm, num = mpmath.mpf(t), mpmath.mpf(r), mpmath.mpf(nu)
         k, rho0, th0 = mpmath.mpf(cfg.k), mpmath.mpf(cfg.rho0), mpmath.mpf(cfg.theta0)
         delta = mpmath.mpf(cfg.delta)
@@ -98,15 +137,14 @@ def _mp_delta(cfg, alpha, r, theta, t, n_sigma=6.0, dps=30):
         pref = (mpmath.sinpi(num) * mpmath.expjpi(num / 2) / (2 * mpmath.pi * tm)
                 / (mpmath.sqrt(mpmath.pi) * delta))
         total = mpmath.mpc(0)
-        for node, weight in zip(nodes, weights):
-            rp = mpmath.mpf(node)
+        for rp, weight in zip(nodes, weights):
             x = rm * rp / tm
             hankel = (mpmath.besselj(-num, x) - mpmath.expjpi(-num) * mpmath.besselj(num, x)) / (
                 1j * mpmath.sinpi(num))
             a = rp * (1j * k / 2 - rho0 / d2)
             b = 1j * (mpmath.mpf(alpha) - n0) + 2 * rp * rho0 * th0 / d2
             c = -rp * rho0 * th0 ** 2 / d2
-            total += mpmath.mpf(weight) * rp * hankel * mpmath.exp(
+            total += weight * rp * hankel * mpmath.exp(
                 1j * (rm * rm + rp * rp) / (2 * tm) - 1j * k * rp - (rp - rho0) ** 2 / d2
                 + c - b * b / (4 * a)
             ) * mpmath.sqrt(-mpmath.pi / a)
@@ -118,7 +156,7 @@ class TestKernel:
     def test_closed_matches_bracket(self, alpha):
         c = Coupling(alpha)
         closed = pr.greens_diff_closed(c, **KERNEL_POINT)
-        bracket = pr.greens_diff_bracket(c, **KERNEL_POINT)
+        bracket = greens_diff_bracket(c, **KERNEL_POINT)
         assert _rel(closed, bracket) <= 1e-14
 
     @pytest.mark.parametrize("alpha", [0.3, -0.3, 1.3])
@@ -130,7 +168,7 @@ class TestKernel:
         for x in np.geomspace(1e-3, 1e3, 41):
             args = dict(mass=1.0, r=math.sqrt(x), rp=math.sqrt(x), theta=0.2, thetap=-0.1, t=1.0)
             closed = pr.greens_diff_closed(Coupling(alpha), **args)
-            bracket = pr.greens_diff_bracket(Coupling(alpha), **args)
+            bracket = greens_diff_bracket(Coupling(alpha), **args)
             assert _rel(closed, bracket) <= 1e-13 + 4.0 * eps * 2.0 * x, x
 
     def test_asymptotic_form_at_x30(self):
@@ -144,7 +182,7 @@ class TestKernel:
         c = Coupling(alpha)
         args = dict(mass=1.0, r=3.0, rp=1.0, theta=0.2, thetap=-0.1, t=1.0)
         closed = pr.greens_diff_closed(c, **args)
-        oracle = pr.greens_diff_integral_oracle(c, **args)
+        oracle = greens_diff_integral_oracle(c, **args)
         assert _rel(closed, oracle) <= 1e-5
 
     def test_integer_coupling_has_no_difference(self):

@@ -65,6 +65,35 @@ class TestBarrierRadial:
         assert abs(got / unswapped - 1) > 1e-3
 
 
+    @pytest.mark.parametrize("kappa_r0", [10.0, 700.0, 760.0, 1000.0])
+    def test_finite_tube_ratio_against_mpmath(self, kappa_r0):
+        # I_nu(kappa r) overflows double precision from kappa r ~ 713 on; the
+        # ratio itself, ~e^{-0.05 kappa R0}, does not.  chi = C I + D K at 30
+        # digits, with x chi'/chi = s - nu at x0 = kappa r0 for the library's
+        # interior s and the derivatives by mpmath.diff
+        b, kin = sh.shielded_sweep_point(kR0=0.01, kappaR0=kappa_r0)
+        tube = TubeConfig(r0=1e-5 / kin.k, coupling=C03)
+        r_a, r_b = 0.9 * b.R0, 0.95 * b.R0
+        kappa = barrier_kappa(kin, b.U)
+        for l, ch in [(0, 1), (1, 1), (-1, 2), (2, 1), (-2, 2)]:
+            nu = bt.exterior_order(l, ch, C03.alpha)
+            s = bt._interior_s(l, ch, tube, kin, U=b.U)
+            with mpmath.workdps(30):
+                num, km = mpmath.mpf(nu), mpmath.mpf(kappa)
+                x0 = km * mpmath.mpf(tube.r0)
+                funcs = [lambda x: mpmath.besseli(num, x), lambda x: mpmath.besselk(num, x)]
+                c_i, c_k = (x0 * mpmath.diff(f, x0) - (mpmath.mpf(s) - num) * f(x0)
+                            for f in funcs)
+
+                def chi(r):
+                    x = km * mpmath.mpf(r)
+                    return c_k * funcs[0](x) - c_i * funcs[1](x)
+
+                want = float(chi(r_a) / chi(r_b))
+            got = sh.finite_tube_barrier_ratio(l, ch, tube, kin, b, r_a, r_b)
+            assert abs(got - want) <= 1e-10 * abs(want), (l, ch)
+
+
 class TestFFactor:
     def test_lambda_tends_to_one(self):
         b, kin = sh.shielded_sweep_point(kR0=0.01, kappaR0=50.0)

@@ -148,22 +148,14 @@ class TestHankel:
         rhs = sf.bessel_j(-nu, x) - np.exp(-1j * math.pi * nu) * sf.bessel_j(nu, x)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
-    def test_hankel2_mirror(self):
-        # on the real axis H^(2) is the conjugate of H^(1) for real order
-        a = sf.hankel1(0.5, 1.0)
-        b = sf.hankel2(0.5, 1.0)
-        assert abs(b - np.conj(a)) < 1e-13
-
     def test_h1_plus_h2_is_2j(self):
+        # on the real axis H^(2) is the conjugate of H^(1) for real order, so
+        # H1 + H2 = 2J reads H1 + conj(H1) = 2J
         for nu, z in [(0.3, 3.0), (0.3, 2.0), (1.7, 25.0)]:
-            lhs = sf.hankel1(nu, z) + sf.hankel2(nu, z)
+            h1 = sf.hankel1(nu, z)
+            lhs = h1 + np.conj(h1)
             rhs = 2.0 * sf.bessel_j(nu, z)
             assert abs(lhs - rhs) < 1e-12 * abs(rhs)
-
-    def test_hankel2_from_h1_and_j(self):
-        nu, z = 0.3, 2.0
-        want = 2.0 * sf.bessel_j(nu, z) - sf.hankel1(nu, z)
-        assert abs(sf.hankel2(nu, z) - want) < 1e-14
 
     def test_singular_at_zero(self):
         with pytest.raises(SingularArgumentError):
@@ -243,7 +235,6 @@ class TestMpmathOracle:
                     (sf.hankel1(nu, x), h1[0]),
                     (sf.hankel1e(nu, x), h1[0] * mpmath.expj(-xm)),
                     (sf.hankel1_prime(nu, x), (h1[-1] - h1[1]) / 2),
-                    (sf.hankel2(nu, x), j[0] - 1j * y[0]),
                 ]
                 envelope = math.sqrt(2.0 / (math.pi * x))
                 for got, want in pairs:
@@ -267,6 +258,18 @@ class TestMpmathOracle:
                             n += 1
                         want = float(mpmath.hyp1f1(float(a), c, float(z)))
                         assert abs(sf.kummer_f(a, c, z) - want) <= 3e-12 * scale, (a, c, z)
+
+    @pytest.mark.parametrize("nu", [-2.62, -0.41, 0.0, 0.59, 1.38, 10.59])
+    def test_scaled_modified_bessel(self, nu):
+        # e^{-x} I_nu and e^{x} K_nu stay finite where I_nu overflows and
+        # K_nu underflows (x beyond ~700)
+        with mpmath.workdps(40):
+            for x in np.geomspace(1e-4, 5000.0, 25):
+                xm, num = mpmath.mpf(x), mpmath.mpf(nu)
+                want_i = float(mpmath.besseli(num, xm) * mpmath.exp(-xm))
+                want_k = float(mpmath.besselk(num, xm) * mpmath.exp(xm))
+                assert abs(sf.bessel_ie(nu, x) - want_i) <= 1e-12 * abs(want_i), (nu, x)
+                assert abs(sf.bessel_ke(nu, x) - want_k) <= 1e-12 * abs(want_k), (nu, x)
 
     def test_gamma(self):
         points = [float(x) for x in np.linspace(-7.3, 33.1, 41)] + [
@@ -329,10 +332,100 @@ class TestKummer:
         assert run_python(code, timeout=30.0) == "6 6"
 
     def test_derivative_contiguous_relation(self):
+        # F' = (a/c) F(a+1|c+1|z), F(a+1|c+1|z) from the parameter pair of one call
         a, c, z = 0.25, 1.0, 0.8
         h = 1e-6
         fd = (sf.kummer_f(a, c, z + h) - sf.kummer_f(a, c, z - h)) / (2 * h)
-        assert abs(sf.kummer_f_prime(a, c, z) - fd) < 1e-9
+        _, f_up = sf.kummer_f(np.array([a, a + 1.0]), np.array([c, c + 1.0]), z)
+        assert abs(a / c * f_up - fd) < 1e-9
+
+    def test_parameter_pair_equals_scalar_calls(self):
+        # the pairs (a, a + 1), (c, c + 1) over the interior domain of the
+        # oracle grid, real and complex z: bit for bit
+        for a in np.linspace(-7.3, 4.2, 47):
+            for c in (1.0, 2.0, 5.0, 11.0):
+                for z in [*np.linspace(-2.9, 2.9, 30), 0.7 + 0.4j]:
+                    pair = sf.kummer_f(np.array([a, a + 1.0]), np.array([c, c + 1.0]), z)
+                    assert isinstance(pair, np.ndarray) and pair.shape == (2,)
+                    assert pair.tolist() == [sf.kummer_f(a, c, z),
+                                             sf.kummer_f(a + 1.0, c + 1.0, z)], (a, c, z)
+
+    def test_parameter_array_guards_per_element(self):
+        # a = 0, -1, -2 terminate and still evaluate at Re z above 1e9; one
+        # non-terminating element refuses the call, as its scalar call does
+        a = np.array([0.0, -1.0, -2.0])
+        got = sf.kummer_f(a, 1.0, 2e9)
+        assert got.tolist() == [sf.kummer_f(x, 1.0, 2e9) for x in a]
+        with pytest.raises(OutOfRangeError):
+            sf.kummer_f(1.0, 2.0, 2e9)
+        with pytest.raises(OutOfRangeError):
+            sf.kummer_f(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 2e9)
+        with pytest.raises(PoleError):
+            sf.kummer_f(np.array([0.3, 1.3]), np.array([1.0, -2.0]), 0.5)
+        with pytest.raises(OutOfRangeError):
+            sf.kummer_f(np.array([0.3, 1.3 + 1e-3j]), 1.0, 0.5)
+
+
+NAN, INF = float("nan"), float("inf")
+
+# public function of one argument z -> (z with a finite value, z where the
+# value overflows, error at z = 0 or None where the value there is finite)
+TYPED_ERROR_CASES = {
+    "gamma_fn": (sf.gamma_fn, 2.5, 200.0, PoleError),
+    "bessel_j": (lambda z: sf.bessel_j(-150.5, z), 200.0, 1e-3, SingularArgumentError),
+    "bessel_j_prime": (lambda z: sf.bessel_j_prime(-150.5, z), 200.0, 1e-3,
+                       SingularArgumentError),
+    "hankel1": (lambda z: sf.hankel1(150.5, z), 200.0, 1e-3, SingularArgumentError),
+    "hankel1e": (lambda z: sf.hankel1e(150.5, z), 200.0, 1e-3, SingularArgumentError),
+    "hankel1_prime": (lambda z: sf.hankel1_prime(150.5, z), 200.0, 1e-3,
+                      SingularArgumentError),
+    "bessel_ie": (lambda z: sf.bessel_ie(-150.5, z), 200.0, 1e-3, OutOfRangeError),
+    "bessel_ke": (lambda z: sf.bessel_ke(150.5, z), 200.0, 1e-3, OutOfRangeError),
+    "bessel_i_log_derivative": (lambda z: sf.bessel_i_log_derivative(150.5, z), 200.0,
+                                1e-3, OutOfRangeError),
+    "kummer_f": (lambda z: sf.kummer_f(0.5, 1.5, z), 1.0, 1000.0, None),
+}
+
+
+class TestTypedErrors:
+    """Every public function raises the same typed error for a bad scalar and
+    for an array holding one bad element next to a good one."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(TYPED_ERROR_CASES))
+    def test_scalar_and_array_raise_alike(self, name):
+        fn, good, overflow, at_zero = TYPED_ERROR_CASES[name]
+        cases = [(NAN, OutOfRangeError), (INF, OutOfRangeError), (-INF, OutOfRangeError),
+                 (overflow, OutOfRangeError), (0.0, at_zero)]
+        for bad, error in cases:
+            for arg in (bad, np.array([good, bad])):
+                if error is None:
+                    fn(arg)
+                else:
+                    with pytest.raises(error):
+                        fn(arg)
+
+    def test_ladder(self):
+        # the ladder's argument is scalar; its array is the orders it returns
+        for count in (1, 3):
+            with pytest.raises(SingularArgumentError):
+                sf.bessel_j_ladder(-150.5, count, 0.0)
+            with pytest.raises(OutOfRangeError):
+                sf.bessel_j_ladder(-150.5, count, 1e-3)
+            with pytest.raises(OutOfRangeError):
+                sf.bessel_j_ladder(0.3, count, NAN)
+        with pytest.raises(OutOfRangeError):
+            sf.bessel_j_ladder(199.5, 2, 1.0)
+
+    @pytest.mark.parametrize("fn", [sf.bessel_j, sf.bessel_j_prime, sf.hankel1,
+                                    sf.hankel1e, sf.hankel1_prime, sf.bessel_ie,
+                                    sf.bessel_ke])
+    def test_order_array_with_one_bad_order(self, fn):
+        for bad in (250.0, NAN):
+            with pytest.raises(OutOfRangeError):
+                fn(bad, 1.0)
+            with pytest.raises(OutOfRangeError):
+                fn(np.array([0.3, bad]), 1.0)
 
 
 class TestGamma:
