@@ -138,15 +138,15 @@ def bessel_j_ladder(nu0: float, count: int, z, max_order: float | None = None,
     return _evaluate(_sp.jv, complex(z), "J ladder", orders)
 
 
-def bessel_ie(nu: float, x, max_order: float | None = None):
+def bessel_ie(nu: float, x):
     """Exponentially scaled modified Bessel function e^{-x} I_nu(x), real x > 0."""
-    return _evaluate(_sp.ive, _positive(x, "bessel_ie"), "Ie_nu", _order(nu, max_order),
+    return _evaluate(_sp.ive, _positive(x, "bessel_ie"), "Ie_nu", _order(nu, None),
                      dtype=np.float64)
 
 
-def bessel_ke(nu: float, x, max_order: float | None = None):
+def bessel_ke(nu: float, x):
     """Exponentially scaled modified Bessel function e^{x} K_nu(x), real x > 0."""
-    return _evaluate(_sp.kve, _positive(x, "bessel_ke"), "Ke_nu", _order(nu, max_order),
+    return _evaluate(_sp.kve, _positive(x, "bessel_ke"), "Ke_nu", _order(nu, None),
                      dtype=np.float64)
 
 

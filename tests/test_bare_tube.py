@@ -170,15 +170,6 @@ class TestInteriorS:
             for kr0 in (1e-4, 3.1e-3, 0.0965, 3.0)
             for l in range(-10, 11) for ch in (1, 2)]
 
-    def test_kummer_pair_equals_scalar_calls(self):
-        kin = make_kinematics(k=1.0)
-        for l, ch, alpha, kr0 in self.GRID:
-            _, b, c = bt._kummer_args(l, ch, TubeConfig(r0=kr0, coupling=Coupling(alpha)),
-                                      kin, 0.0)
-            z = abs(alpha)
-            pair = sf.kummer_f(np.array([b, b + 1.0]), np.array([c, c + 1.0]), z)
-            assert pair.tolist() == [sf.kummer_f(b, c, z), sf.kummer_f(b + 1.0, c + 1.0, z)]
-
     def test_equals_two_call_formula(self):
         # s from F and F' = (b/c) F(b+1|c+1|z) of two scalar calls: bit for bit
         kin = make_kinematics(k=1.0)

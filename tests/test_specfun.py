@@ -8,8 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from abdirac import bare_tube as bt
 from abdirac import specfun as sf
 from abdirac.errors import OutOfRangeError, PoleError, SingularArgumentError
+from abdirac.model import Coupling, TubeConfig, make_kinematics
 from _helpers import run_python
 
 
@@ -339,16 +341,30 @@ class TestKummer:
         _, f_up = sf.kummer_f(np.array([a, a + 1.0]), np.array([c, c + 1.0]), z)
         assert abs(a / c * f_up - fd) < 1e-9
 
+    @staticmethod
+    def _matching_sweep_triples():
+        # the (b, c, z = |alpha|) of every bare weight in the matching_sweep grid
+        kin = make_kinematics(k=1.0)
+        for alpha in (0.41, -1.38):
+            for kr0 in (1e-4, 3.1e-3, 0.0965, 3.0):
+                tube = TubeConfig(r0=kr0, coupling=Coupling(alpha))
+                for l in range(-10, 11):
+                    for ch in (1, 2):
+                        _, b, c = bt._kummer_args(l, ch, tube, kin, 0.0)
+                        yield b, c, abs(alpha)
+
     def test_parameter_pair_equals_scalar_calls(self):
         # the pairs (a, a + 1), (c, c + 1) over the interior domain of the
-        # oracle grid, real and complex z: bit for bit
-        for a in np.linspace(-7.3, 4.2, 47):
-            for c in (1.0, 2.0, 5.0, 11.0):
-                for z in [*np.linspace(-2.9, 2.9, 30), 0.7 + 0.4j]:
-                    pair = sf.kummer_f(np.array([a, a + 1.0]), np.array([c, c + 1.0]), z)
-                    assert isinstance(pair, np.ndarray) and pair.shape == (2,)
-                    assert pair.tolist() == [sf.kummer_f(a, c, z),
-                                             sf.kummer_f(a + 1.0, c + 1.0, z)], (a, c, z)
+        # oracle grid, real and complex z, and over the matching_sweep
+        # triples: bit for bit
+        interior = [(a, c, z) for a in np.linspace(-7.3, 4.2, 47)
+                    for c in (1.0, 2.0, 5.0, 11.0)
+                    for z in [*np.linspace(-2.9, 2.9, 30), 0.7 + 0.4j]]
+        for a, c, z in [*interior, *self._matching_sweep_triples()]:
+            pair = sf.kummer_f(np.array([a, a + 1.0]), np.array([c, c + 1.0]), z)
+            assert isinstance(pair, np.ndarray) and pair.shape == (2,)
+            assert pair.tolist() == [sf.kummer_f(a, c, z),
+                                     sf.kummer_f(a + 1.0, c + 1.0, z)], (a, c, z)
 
     def test_parameter_array_guards_per_element(self):
         # a = 0, -1, -2 terminate and still evaluate at Re z above 1e9; one
