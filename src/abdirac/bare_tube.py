@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .errors import RegimeError, RegionError
+from .errors import OutOfRangeError, RegimeError, RegionError
 from .model import (
     BarrierConfig,
     Coupling,
@@ -140,9 +140,12 @@ def interior_chi(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     k_ch = cmath.sqrt(complex(tube.interior_ksq(channel, kin, U)))
     args = _kummer_args(l, channel, tube, kin, U)
     if args is None:
-        # free interior; normalized to the same (k_ch r)^m leading power
+        # free interior; normalized to the same (k_ch r)^m leading power, with
+        # Gamma(m + 1) = m!, which overflows a double from m = 171 on
+        if m > 170:
+            raise OutOfRangeError(f"free interior: {m}! overflows double precision")
         val = sf.bessel_j(float(m), k_ch * r)
-        return complex(val * sf.gamma_fn(m + 1.0) * 2.0 ** m)
+        return complex(val * math.factorial(m) * 2.0 ** m)
     _, b, c = args
     z = abs(alpha) * (r / tube.r0) ** 2
     return complex((k_ch * r) ** m * math.exp(-0.5 * z) * sf.kummer_f(b, c, z))

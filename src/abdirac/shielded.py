@@ -33,7 +33,7 @@ from .bare_tube import (
     exterior_order,
     matching_from_log_derivative,
 )
-from .errors import RegimeError
+from .errors import OutOfRangeError, RegimeError
 from .model import BarrierConfig, Coupling, Kinematics, TubeConfig, barrier_kappa, make_kinematics
 
 __all__ = [
@@ -69,14 +69,21 @@ def barrier_log_derivative(l: int, channel: int, coupling: Coupling,
     """Lambda^(R0): d(ln chi)/d(kappa r) of the barrier solution at r = R0.
 
     chi = J_order(i kappa r) is e^{i pi order/2} I_order(kappa r), so Lambda is
-    I'/I at kappa R0, taken from scaled functions that stay finite where
-    I_order itself overflows (kappa R0 beyond ~700).  Real-valued; tends to 1
-    from below once kappa R0 >> 1.
+    I'/I = I_{order+1}/I_order + order/x at x = kappa R0 (DLMF 10.29.2), with
+    both I from one `bessel_ie` call at the order pair (order, order + 1).
+    The scaling e^{-x} cancels in the ratio, which stays finite where I_order
+    itself overflows (kappa R0 beyond ~700); OutOfRangeError where the scaled
+    I_order underflows to 0 (high order at small kappa R0).  Real-valued;
+    tends to 1 from below once kappa R0 >> 1.
     """
     if kin.kappa is None:
         raise RegimeError("kinematics carries no barrier height; kappa undefined")
     order = _principal_order(l, channel, coupling)
-    return float(sf.bessel_i_log_derivative(order, kin.kappa * R0))
+    x = kin.kappa * R0
+    i0, i1 = sf.bessel_ie(np.array([order, order + 1.0]), x).tolist()
+    if i0 == 0.0:
+        raise OutOfRangeError(f"I'_nu/I_nu: scaled I_nu underflows at nu={order}, x={x}")
+    return i1 / i0 + order / x
 
 
 def f_factor(l: int, channel: int, barrier: BarrierConfig, kin: Kinematics,

@@ -3,7 +3,7 @@
 Orders are real, possibly negative and non-integer.  Cylinder functions take a
 complex argument (purely imaginary inside an evanescent barrier), scalar or
 array; a scalar returns a Python ``complex`` (``float`` for the real-valued
-I'/I ratio), an array an array of its shape.  An order array broadcasts
+scaled I and K), an array an array of its shape.  An order array broadcasts
 against the argument the same way and returns an array, each element equal to
 the scalar call at its order.  Backing scipy routines:
 
@@ -12,8 +12,6 @@ the scalar call at its order.  Backing scipy routines:
 * ``bessel_ie``, ``bessel_ke``: ``ive``, ``kve``, the scaled e^{-x} I_nu(x)
   and e^{x} K_nu(x) of real x > 0 (DLMF 10.25), finite where I_nu overflows
   and K_nu underflows
-* ``bessel_i_log_derivative``: ``ive``, as ive(nu+1)/ive(nu) + nu/x, finite
-  where I_nu itself overflows (x beyond ~700)
 * ``hankel1``, ``hankel1_prime``: ``hankel1``, ``h1vp`` (AMOS)
 * ``hankel1e``: ``hankel1e``, the scaled e^{-iz} H_nu^(1)(z), whose phase stays
   small at large z so a caller can fold e^{iz} into a phase of its own
@@ -24,7 +22,6 @@ the scalar call at its order.  Backing scipy routines:
   (DLMF 13.3.15).  Re z above ``_KUMMER_Z_MAX`` is refused unless that
   element's a is 0, -1, -2, ...: there |F| has long overflowed, and for a
   real z scipy would take seconds or not return at all
-* ``gamma_fn``: ``gamma``
 
 scipy returns inf or nan where the library raises instead:
 
@@ -35,7 +32,7 @@ scipy returns inf or nan where the library raises instead:
   z != 0.  An array raises if any element would.
 * ``SingularArgumentError``: a non-finite result at z = 0, where the function
   diverges (every Hankel function; J, J' where their leading power is negative).
-* ``PoleError``: gamma at z, or Kummer's F at c, within 1e-12 of 0, -1, -2, ...
+* ``PoleError``: Kummer's F at c within 1e-12 of 0, -1, -2, ...
 """
 
 from __future__ import annotations
@@ -47,13 +44,11 @@ from .errors import OutOfRangeError, PoleError, SingularArgumentError
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
-    "gamma_fn",
     "bessel_j",
     "bessel_j_prime",
     "bessel_j_ladder",
     "bessel_ie",
     "bessel_ke",
-    "bessel_i_log_derivative",
     "hankel1",
     "hankel1e",
     "hankel1_prime",
@@ -70,7 +65,7 @@ _KUMMER_Z_MAX = 1e9
 def _order(nu, max_order: float | None) -> np.ndarray:
     cap = DEFAULT_MAX_ORDER if max_order is None else float(max_order)
     nu = np.asarray(nu, dtype=np.float64)
-    if not (np.all(np.isfinite(nu)) and np.all(np.abs(nu) <= cap)):
+    if not (np.isfinite(nu).all() and (np.abs(nu) <= cap).all()):
         raise OutOfRangeError(f"order not finite or above the maximum {cap}")
     return nu
 
@@ -108,12 +103,6 @@ def _check_pole(x, name: str) -> None:
         raise PoleError(f"{name} pole at {x}")
 
 
-def gamma_fn(z: complex) -> complex:
-    """Gamma function; a real argument takes scipy's real routine."""
-    _check_pole(z, "gamma")
-    return complex(_evaluate(_sp.gamma, z, "gamma", dtype=None))
-
-
 def bessel_j(nu: float, z, max_order: float | None = None):
     """Bessel function J_nu(z) for real order and complex argument."""
     return _evaluate(_sp.jv, z, "J_nu", _order(nu, max_order))
@@ -148,16 +137,6 @@ def bessel_ke(nu: float, x):
     """Exponentially scaled modified Bessel function e^{x} K_nu(x), real x > 0."""
     return _evaluate(_sp.kve, _positive(x, "bessel_ke"), "Ke_nu", _order(nu, None),
                      dtype=np.float64)
-
-
-def _ive_log_derivative(nu, x):
-    return _sp.ive(nu + 1.0, x) / _sp.ive(nu, x) + nu / x
-
-
-def bessel_i_log_derivative(nu: float, x):
-    """I'_nu(x) / I_nu(x) for real x > 0, finite where I_nu itself overflows."""
-    return _evaluate(_ive_log_derivative, _positive(x, "bessel_i_log_derivative"),
-                     "I'_nu/I_nu", _order(nu, None), dtype=np.float64)
 
 
 def hankel1(nu: float, z, max_order: float | None = None):

@@ -11,7 +11,7 @@ import pytest
 from abdirac import bare_tube as bt
 from abdirac import shielded as sh
 from abdirac import specfun as sf
-from abdirac.errors import RegimeError, RegionError
+from abdirac.errors import OutOfRangeError, RegimeError, RegionError
 from abdirac.model import BarrierConfig, Coupling, TubeConfig, channel_index, make_kinematics
 from _helpers import aitken_limit, loglog_slope, mp_bare_weight, run_python
 
@@ -50,6 +50,23 @@ class TestInteriorChi:
         tube = tube_at(0.1, 0.3)
         with pytest.raises(RegionError):
             bt.interior_chi(0, 1, tube, KIN, 2 * tube.r0)
+
+    @pytest.mark.parametrize("m", [0, 3, 30])
+    def test_free_interior_against_mpmath(self, m):
+        # alpha = 0: J_m(k r) Gamma(m + 1) 2^m, with Gamma(m + 1) = m! exact
+        tube = TubeConfig(r0=1.0, coupling=Coupling(0.0))
+        kin = make_kinematics(k=1.0)
+        for r in (0.3, 0.7, 1.0):
+            with mpmath.workdps(40):
+                want = complex(mpmath.besselj(m, r) * mpmath.factorial(m) * 2 ** m)
+            got = bt.interior_chi(m, 1, tube, kin, r)
+            assert abs(got - want) <= 1e-13 * abs(want), (m, r)
+
+    def test_free_interior_factorial_overflow_raises(self):
+        # 171! overflows a double; the order itself is below the cap
+        tube = TubeConfig(r0=1.0, coupling=Coupling(0.0))
+        with pytest.raises(OutOfRangeError):
+            bt.interior_chi(171, 1, tube, make_kinematics(k=1.0), 0.5)
 
 
 class TestLogDerivative:

@@ -2,17 +2,19 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from abdirac import bare_tube as bt
 from abdirac import shielded as sh
 from abdirac import specfun as sf
-from abdirac.errors import RegimeError
+from abdirac.errors import OutOfRangeError, RegimeError
 from abdirac.model import (
     BarrierConfig,
     Coupling,
@@ -130,6 +132,59 @@ class TestFFactor:
         kin = make_kinematics(E=1.5, U=1.0)
         with pytest.raises(RegimeError):
             sh.f_factor(0, 1, BarrierConfig(R0=10.0, U=kin.energy_E + 1.0), kin, C03)
+
+
+class TestBarrierLogDerivative:
+    # (l, channel, alpha) at the principal orders -0.62 and -0.41 (anomalous
+    # channels of alpha = -2.62 and 0.41), 0.59, 1.38 and 10.59
+    CHANNELS = [(-3, 2, -2.62), (0, 1, 0.41), (1, 1, 0.41), (0, 1, -1.38), (11, 1, 0.41)]
+
+    def test_against_mpmath(self):
+        # 40 digits at kappa R0 up to 5000; I_nu itself overflows double
+        # precision beyond kappa R0 ~ 700
+        for l, ch, alpha in self.CHANNELS:
+            coupling = Coupling(alpha)
+            nu = bt._principal_order(l, ch, coupling)
+            for kappa_r0 in (6.0, 50.0, 1000.0, 5000.0):
+                b, kin = sh.shielded_sweep_point(kR0=0.05, kappaR0=kappa_r0)
+                with mpmath.workdps(40):
+                    xm, num = mpmath.mpf(kin.kappa * b.R0), mpmath.mpf(nu)
+                    want = float(mpmath.besseli(num + 1, xm) / mpmath.besseli(num, xm)
+                                 + num / xm)
+                got = sh.barrier_log_derivative(l, ch, coupling, kin, b.R0)
+                assert abs(got - want) <= 1e-12 * abs(want), (nu, kappa_r0)
+
+    def test_underflow_raises_typed_error(self):
+        # order 150.5 at kappa R0 = 1e-3, where the scaled I_nu underflows to
+        # 0, and a non-finite or non-positive R0: OutOfRangeError, with no
+        # ZeroDivisionError and no numpy warning before it
+        coupling = Coupling(0.5)
+        b, kin = sh.shielded_sweep_point(kR0=1e-4, kappaR0=1e-3)
+        assert bt._principal_order(151, 1, coupling) == 150.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(sh.barrier_log_derivative(151, 1, coupling, kin,
+                                                           200.0 / kin.kappa))
+            for r0 in (b.R0, math.nan, math.inf, -math.inf, 0.0):
+                with pytest.raises(OutOfRangeError):
+                    sh.barrier_log_derivative(151, 1, coupling, kin, r0)
+
+    def test_equals_two_call_formula(self):
+        # I'/I as two scalar ive calls on numpy doubles,
+        # ive(nu + 1, x) / ive(nu, x) + nu / x, over the matching_sweep grid:
+        # bit for bit
+        for alpha in (0.41, -1.38):
+            coupling = Coupling(alpha)
+            for kr0 in (1e-4, 3.1e-3, 0.0965, 3.0):
+                for kappa_r0 in (50.0, 6.0):
+                    b, kin = sh.shielded_sweep_point(kr0, kappa_r0)
+                    x = np.float64(kin.kappa * b.R0)
+                    for l in range(-10, 11):
+                        for ch in (1, 2):
+                            nu = np.float64(bt._principal_order(l, ch, coupling))
+                            want = float(special.ive(nu + 1.0, x) / special.ive(nu, x) + nu / x)
+                            got = sh.barrier_log_derivative(l, ch, coupling, kin, b.R0)
+                            assert got == want, (l, ch, alpha, kr0, kappa_r0)
 
 
 class TestShieldedMatching:
