@@ -12,6 +12,14 @@ hbar k / ((E + Mc^2)/c), which is how the state collapses onto the spinless
 wave function in the non-relativistic limit.  The bare string adds one more
 column, proportional to the upper amplitude a1, that survives that limit.
 
+A row (one radius, any number of angles) is one coefficient matrix over
+signed l in [-l_max, l_max] with one column per spinor component: the
+scalar coefficients e^{-i pi |l - nu|/2} J_{|l - nu|}(k r) from one Bessel
+call, times the incident spinor, with the Hankel corrections added in the
+l = 0 and l = 1 rows, since bare - shielded and each lower-component
+correction live in one partial wave.  One product with the phases
+e^{i (l + [alpha]) theta} then gives all four components at every angle.
+
 Far-field closed forms: incident spinor times e^{-i k r cos(theta) + i nu theta}
 plus a scattered spinor with per-component half-angle phases and the common
 factor sin(pi nu)/cos(theta/2) * e^{i k r + i pi/4} / sqrt(2 pi k r).  The
@@ -86,40 +94,50 @@ def truncation_order(kr: float) -> int:
     return int(math.ceil(kr)) + 12 + int(math.ceil(4.0 * kr ** (1.0 / 3.0)))
 
 
-def _reduced_sum(nu: float, x: float, theta, tol: float):
-    """Partial-wave sum for reduced coupling nu in [0, 1).
+def _j_orders(nu: float, inner: int, outer: int) -> np.ndarray:
+    """|l - nu| for l = -outer..-inner, then l = max(inner, 1)..outer.
 
-    Returns (values, PartialWaveSum).
+    l = -m <= 0 has order nu + m and l = m + 1 >= 1 order (1 - nu) + m, each in
+    one rounding, so orders of a range continued outward are bit-identical to
+    those of one wider range.
+    """
+    left = nu + np.arange(outer, inner - 1, -1)
+    right = (1.0 - nu) + np.arange(max(inner, 1) - 1, outer)
+    return np.concatenate((left, right))
+
+
+def _wave_coefficients(nu: float, x: float, tol: float):
+    """Coefficients e^{-i pi |l - nu|/2} J_{|l - nu|}(x) of the reduced sum.
+
+    Returns (coefficients over signed l = -l_max..l_max, PartialWaveSum).
     """
     if not (0.0 <= nu < 1.0):
         raise RegimeError("reduced coupling must lie in [0, 1)")
     if x < 0:
         raise RegimeError("kr must be >= 0")
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     l_max = truncation_order(x)
-    # one ladder per side: l in [-l_max, 0] has orders nu + m, l in
-    # [1, l_max] orders 1 - nu + m, each followed by the next chunk.  A failed
-    # tail check appends the chunk after that to each side, so every order is
-    # evaluated once.  The cap is explicit because at large kr it exceeds the
-    # default one.
-    cap = float(l_max + _EXTENSION_CHUNK + 2)
-    down_all = sf.bessel_j_ladder(nu, l_max + 1 + _EXTENSION_CHUNK, x, max_order=cap)
-    up_all = sf.bessel_j_ladder(1.0 - nu, l_max + _EXTENSION_CHUNK, x, max_order=cap)
+    chunk = _EXTENSION_CHUNK
+    # one J call over l in [-n, n], n = l_max + chunk: the kept row plus the
+    # next chunk at both ends.  A failed tail check appends the chunk after
+    # that at both ends in one more call, so every order is evaluated once.
+    # The cap is explicit because at large kr it exceeds the default one.
+    n = l_max + chunk
+    orders = _j_orders(nu, 0, n)
+    js = sf.bessel_j(orders, x, max_order=float(n + 2))
     for attempt in range(_MAX_EXTENSIONS):
         if attempt:
-            l_max += _EXTENSION_CHUNK
-            cap = float(l_max + _EXTENSION_CHUNK + 2)
-            down_all = np.concatenate((down_all, sf.bessel_j_ladder(
-                nu, _EXTENSION_CHUNK, x, max_order=cap, start=down_all.size)))
-            up_all = np.concatenate((up_all, sf.bessel_j_ladder(
-                1.0 - nu, _EXTENSION_CHUNK, x, max_order=cap, start=up_all.size)))
-        down, tail_down = down_all[:l_max + 1], down_all[l_max + 1:]
-        up, tail_up = up_all[:l_max], up_all[l_max:]
-        # tail: sum of the next chunk's magnitudes on both ladders, with a
-        # geometric bound for everything beyond it
-        tail = float(np.sum(np.abs(tail_down)) + np.sum(np.abs(tail_up)))
-        last = abs(tail_down[-1]) + abs(tail_up[-1])
-        first = abs(tail_down[0]) + abs(tail_up[0])
+            l_max += chunk
+            n += chunk
+            new_orders = _j_orders(nu, n - chunk + 1, n)
+            ends = sf.bessel_j(new_orders, x, max_order=float(n + 2))
+            orders = np.concatenate((new_orders[:chunk], orders, new_orders[chunk:]))
+            js = np.concatenate((ends[:chunk], js, ends[chunk:]))
+        # tail: sum of the next chunk's magnitudes at both ends, each taken
+        # outward from the kept row, with a geometric bound for everything
+        # beyond it
+        down, up = np.abs(js[chunk - 1::-1]), np.abs(js[-chunk:])
+        tail = float(down.sum() + up.sum())
+        first, last = down[0] + up[0], down[-1] + up[-1]
         if first > 0 and last / first < 0.5:
             tail *= 2.0  # geometric remainder bound
         elif first > 0:
@@ -130,19 +148,23 @@ def _reduced_sum(nu: float, x: float, theta, tol: float):
         raise TruncationError(
             f"partial-wave tail {tail:.1e} above tolerance {tol:.1e} at l_max={l_max}"
         )
-
-    m_down = np.arange(l_max + 1)
-    m_up = np.arange(l_max)
-    coeff_down = np.exp(-0.5j * math.pi * (nu + m_down)) * down
-    coeff_up = np.exp(-0.5j * math.pi * (1.0 - nu + m_up)) * up
-    # l <= 0 terms carry e^{-i m theta}, l >= 1 terms e^{i (m+1) theta}
-    phase_down = np.exp(-1j * np.outer(theta_arr, m_down))
-    phase_up = np.exp(1j * np.outer(theta_arr, m_up + 1))
-    vals = phase_down @ coeff_down + phase_up @ coeff_up
+    kept = slice(chunk, -chunk)
+    coeffs = np.exp(-0.5j * math.pi * orders[kept]) * js[kept]
     info = PartialWaveSum(l_max=l_max, terms=2 * l_max + 1, tail_estimate=tail)
-    if np.ndim(theta) == 0:
-        return complex(vals[0]), info
-    return vals, info
+    return coeffs, info
+
+
+def _angular_sum(coeffs: np.ndarray, theta, shift: int):
+    """sum_l coeffs[l] e^{i (l + shift) theta} over signed l = -l_max..l_max.
+
+    `coeffs` is a column or a matrix of columns; a scalar theta drops the
+    angle axis, an array theta keeps it first.
+    """
+    l_max = (coeffs.shape[0] - 1) // 2
+    ls = np.arange(-l_max + shift, l_max + 1 + shift)
+    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
+    vals = np.exp(1j * np.outer(theta_arr, ls)) @ coeffs
+    return vals if np.ndim(theta) else vals[0]
 
 
 def ab_wavefunction(coupling: Coupling, kin: Kinematics, r: float, theta,
@@ -152,11 +174,9 @@ def ab_wavefunction(coupling: Coupling, kin: Kinematics, r: float, theta,
     Accepts scalar or array `theta`.  General coupling is reduced by the
     gauge shift; the returned function is exactly periodic in theta.
     """
-    nu = coupling.frac
-    x = kin.k * r
-    vals, info = _reduced_sum(nu, x, theta, tol)
-    gauge = np.exp(1j * coupling.int_part * np.asarray(theta, dtype=float))
-    out = vals * gauge if np.ndim(theta) else complex(vals * gauge)
+    coeffs, info = _wave_coefficients(coupling.frac, kin.k * r, tol)
+    out = _angular_sum(coeffs, theta, coupling.int_part)
+    out = out if np.ndim(theta) else complex(out)
     if return_info:
         return out, info
     return out
@@ -167,35 +187,57 @@ def bare_wavefunction_scalar(coupling: Coupling, kin: Kinematics, r: float,
                              return_info: bool = False):
     """Scalar scattering wave function of a bare string.
 
-    Identical to the shielded sum except in the surviving channel, where the
-    negative-order Bessel term replaces the regular one: the shielded sum plus
-    `_l0_hankel_term`.  Restricted to 0 < alpha < 1, the range where this
-    closed construction applies.
+    The psi1 column of the spin-up bare state: the shielded sum with the
+    negative-order Bessel term in place of the regular one in the surviving
+    l = 0 wave.  Restricted to 0 < alpha < 1, the range where this closed
+    construction applies.
     """
     if not (0.0 < coupling.alpha < 1.0):
         raise RegimeError("bare scalar wave function requires 0 < alpha < 1")
-    nu = coupling.alpha
-    x = kin.k * r
-    vals, info = _reduced_sum(nu, x, theta, tol)
-    out = vals + _l0_hankel_term(nu, x)
+    coeffs, info = _spinor_coefficients("bare", 1.0, 0.0, 0.0, coupling.alpha,
+                                        kin.k * r, tol)
+    out = _angular_sum(coeffs[:, 0], theta, 0)
+    out = out if np.ndim(theta) else complex(out)
     if return_info:
         return out, info
     return out
 
 
-def _l0_hankel_term(nu: float, x: float) -> complex:
-    """i sin(pi nu) e^{i pi nu/2} H^(1)_nu(x), for reduced coupling nu in (0, 1).
-
-    By e^{i pi nu/2} J_{-nu} - e^{-i pi nu/2} J_nu = i sin(pi nu) e^{i pi nu/2} H_nu,
-    the bare string's l = 0 term minus the shielded one; it is the bare column
-    on psi1 and, times -w a2, the shielded Hankel correction on psi3.
-    """
-    return 1j * math.sin(math.pi * nu) * cmath.exp(0.5j * math.pi * nu) * sf.hankel1(nu, x)
-
-
 def _lower_weight(kin: Kinematics) -> float:
     """hbar c k / (E + Mc^2): the small parameter of the lower components."""
     return kin.hbar * kin.c * kin.k / (kin.energy_E + kin.rest_energy)
+
+
+def _spinor_coefficients(kind: str, a1: complex, a2: complex, w: float,
+                         nu: float, x: float, tol: float):
+    """Coefficient matrix of the four-spinor: one row per signed l, one column
+    per component, for reduced coupling nu in [0, 1).
+
+    Every column is the scalar column times (a1, a2, -w a2, -w a1), plus the
+    Hankel corrections, each of which lives in one partial wave.  By
+    e^{i pi nu/2} J_{-nu} - e^{-i pi nu/2} J_nu = i sin(pi nu) e^{i pi nu/2} H_nu,
+    a Hankel term swaps a regular wave for the negative-order one:
+    - l = 0, psi3 (both kinds) and psi1 (bare): J_nu -> J_{-nu};
+    - l = 1, psi4 (shielded): J_{1-nu} -> J_{nu-1}.
+    The bare string keeps psi4 regular: its extra column
+    e^{i pi nu/2} sin(pi nu) H_{nu-1} cancels the shielded one exactly, since
+    H_{nu-1} = e^{i pi (1-nu)} H_{1-nu} (DLMF 10.4.6).
+    Returns (matrix, PartialWaveSum).
+    """
+    coeffs, info = _wave_coefficients(nu, x, tol)
+    matrix = np.outer(coeffs, [a1, a2, -w * a2, -w * a1])
+    if nu > 0.0:
+        bare = kind == "bare"
+        h = sf.hankel1(np.array([nu] if bare else [nu, 1.0 - nu]), x)
+        s = math.sin(math.pi * nu)
+        l0 = 1j * s * cmath.exp(0.5j * math.pi * nu) * h[0]
+        zero = info.l_max  # row of l = 0
+        matrix[zero, 2] -= w * a2 * l0
+        if bare:
+            matrix[zero, 0] += a1 * l0
+        else:
+            matrix[zero + 1, 3] += w * a1 * s * cmath.exp(-0.5j * math.pi * nu) * h[1]
+    return matrix, info
 
 
 def dirac_scattering_state(kind: str, amplitudes: SpinorAmplitudes,
@@ -207,41 +249,22 @@ def dirac_scattering_state(kind: str, amplitudes: SpinorAmplitudes,
     all four components plus a divergent Hankel correction on the lower pair;
     the bare state adds the surviving-channel column proportional to a1.
     `theta` is a scalar or an array: every angle at the radius shares one
-    partial-wave sum (Bessel ladders and cutoff) and one set of Hankel values,
-    and only the phases e^{i l theta} differ.
+    coefficient matrix (Bessel and Hankel values, cutoff), and the four
+    components come out of one product with the phases e^{i (l + [alpha]) theta}.
     """
     if kind not in ("bare", "shielded"):
         raise RegimeError("kind must be 'bare' or 'shielded'")
     if r <= 0:
         raise RegimeError("field point needs r > 0")
-    nu = coupling.frac
     if kind == "bare" and coupling.is_integer:
         raise RegimeError("bare-string construction needs non-integer coupling")
-    a1, a2 = complex(amplitudes.a1), complex(amplitudes.a2)
-    x = kin.k * r
-    w = _lower_weight(kin)
-    s = math.sin(math.pi * nu)
-    th = np.asarray(theta, dtype=float)
-    psi_sh, _ = _reduced_sum(nu, x, theta, tol)
-    psi1 = a1 * psi_sh
-    psi2 = a2 * psi_sh
-    psi3 = -w * a2 * psi_sh
-    psi4 = -w * a1 * psi_sh
-    if nu > 0.0:
-        l0_term = _l0_hankel_term(nu, x)
-        h_one_minus = sf.hankel1(1.0 - nu, x)
-        e_theta = np.exp(1j * th)
-        psi3 = psi3 - w * a2 * l0_term
-        psi4 = psi4 + w * a1 * cmath.exp(-0.5j * math.pi * nu) * s * h_one_minus * e_theta
-        if kind == "bare":
-            h_down = sf.hankel1(nu - 1.0, x)
-            psi1 = psi1 + a1 * l0_term
-            psi4 = psi4 + w * a1 * cmath.exp(0.5j * math.pi * nu) * s * h_down * e_theta
-    gauge = np.exp(1j * coupling.int_part * th)
-    psi = [psi1 * gauge, psi2 * gauge, psi3 * gauge, psi4 * gauge]
+    matrix, _ = _spinor_coefficients(
+        kind, complex(amplitudes.a1), complex(amplitudes.a2), _lower_weight(kin),
+        coupling.frac, kin.k * r, tol)
+    psi = _angular_sum(matrix, theta, coupling.int_part)
     if np.ndim(theta) == 0:
-        psi = [complex(p) for p in psi]
-    return WaveFieldSample(r, theta, *psi)
+        return WaveFieldSample(r, theta, *(complex(p) for p in psi))
+    return WaveFieldSample(r, theta, *psi.T)
 
 
 def asymptotic_state(kind: str, amplitudes: SpinorAmplitudes, coupling: Coupling,

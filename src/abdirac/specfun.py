@@ -8,7 +8,11 @@ against the argument the same way and returns an array, each element equal to
 the scalar call at its order.  Backing scipy routines:
 
 * ``bessel_j``, ``bessel_j_prime``: ``jv``, ``jvp`` (AMOS; reflection for nu < 0)
-* ``bessel_j_ladder``: one ``jv`` call over the orders nu0 + m, m from ``start``
+* ``bessel_j_ladder``: one ``jv`` call over the orders nu0 + m, m from ``start``.
+  Nothing in the library calls it any more (a scattering row takes its orders
+  from one ``bessel_j`` call over an order array); it stays only because the
+  benchmark's tracer (``perfbench/tracing.py`` ``TARGETS``) looks it up, and
+  goes together with that entry
 * ``bessel_ie``, ``bessel_ke``: ``ive``, ``kve``, the scaled e^{-x} I_nu(x)
   and e^{x} K_nu(x) of real x > 0 (DLMF 10.25), finite where I_nu overflows
   and K_nu underflows

@@ -1,9 +1,11 @@
 """Helpers shared by the tests: sequence extrapolation, log-log slopes, an
-mpmath oracle for the bare-tube outgoing-wave weight, two independent forms
-of the propagator difference (the J_{+/-nu} bracket and the regularized
-k-integral), and a fresh-interpreter runner."""
+mpmath oracle for the bare-tube outgoing-wave weight, an mpmath oracle for
+the Dirac scattering state, two independent forms of the propagator
+difference (the J_{+/-nu} bracket and the regularized k-integral), and a
+fresh-interpreter runner."""
 
 import cmath
+import functools
 import math
 import os
 import subprocess
@@ -98,6 +100,66 @@ def mp_bare_weight(alpha: float, l: int, channel: int, kr0: float, dps: int = 50
         h = j + 1j * mpmath.bessely(nu, x)
         hp = jp + 1j * mpmath.bessely(nu, x, 1)
         return complex(-(x * jp - rd * j) / (x * hp - rd * h))
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_partial_waves(nu: float, x: float, dps: int) -> tuple:
+    """mpmath coefficients e^{-i pi |l - nu|/2} J_{|l - nu|}(x) of the reduced
+    sum, as {l: coefficient}, taken outward from l = 0 on each side until an
+    order above x has a term below 10^-(dps - 10); plus the negative-order
+    waves e^{i pi mu/2} J_{-mu}(x) for mu = nu, 1 - nu."""
+    with mpmath.workdps(dps):
+        nu_mp, x_mp = mpmath.mpf(nu), mpmath.mpf(x)
+        small = mpmath.mpf(10) ** (10 - dps)
+        waves = {}
+        for sign in (-1, 1):  # l <= 0: order nu - l; l >= 1: order l - nu
+            l = 0 if sign < 0 else 1
+            while True:
+                order = abs(l - nu_mp)
+                val = mpmath.expjpi(-order / 2) * mpmath.besselj(order, x_mp)
+                waves[l] = val
+                if order > x_mp and abs(val) < small:
+                    break
+                l += sign
+        irregular = tuple(mpmath.expjpi(mu / 2) * mpmath.besselj(-mu, x_mp)
+                          for mu in (nu_mp, 1 - nu_mp))
+        return waves, irregular
+
+
+def mp_dirac_state(kind: str, amplitudes, coupling: Coupling, kin, r: float,
+                   thetas, dps: int = 30) -> np.ndarray:
+    """Four-spinor scattering state at radius r, every step in mpmath; (4, n).
+
+    Written from the partial waves, not from the library's Hankel terms.  psi
+    is the regular sum sum_l e^{-i pi |l - nu|/2} J_{|l - nu|}(kr) e^{i l theta}
+    at the reduced coupling nu = frac(alpha); psi_l0 and psi_l1 are psi with
+    the l = 0 (l = 1) wave J_mu, mu = nu (1 - nu), exchanged for the
+    divergent e^{i pi mu/2} J_{-mu}.  With w = hbar c k / (E + Mc^2):
+    shielded (a1 psi, a2 psi, -w a2 psi_l0, -w a1 psi_l1) and bare
+    (a1 psi_l0, a2 psi, -w a2 psi_l0, -w a1 psi), times e^{i [alpha] theta}.
+    This is the library's form for alpha > 0; at alpha < 0 the bare form is
+    not settled (the finite-tube limit moves its surviving wave to the other
+    spin channel), so the oracle is not used there.
+    """
+    nu = coupling.frac
+    waves, (irr0, irr1) = _mp_partial_waves(nu, kin.k * r, dps)
+    out = np.empty((4, len(thetas)), dtype=complex)
+    with mpmath.workdps(dps):
+        a1, a2 = mpmath.mpc(complex(amplitudes.a1)), mpmath.mpc(complex(amplitudes.a2))
+        w = (mpmath.mpf(kin.hbar) * kin.c * kin.k
+             / (mpmath.mpf(kin.energy_E) + kin.rest_energy))
+        for j, theta in enumerate(thetas):
+            th = mpmath.mpf(float(theta))
+            psi = mpmath.fsum(c * mpmath.expj(l * th) for l, c in waves.items())
+            psi_l0 = psi + irr0 - waves[0]
+            psi_l1 = psi + (irr1 - waves[1]) * mpmath.expj(th)
+            if kind == "shielded":
+                comps = (a1 * psi, a2 * psi, -w * a2 * psi_l0, -w * a1 * psi_l1)
+            else:
+                comps = (a1 * psi_l0, a2 * psi, -w * a2 * psi_l0, -w * a1 * psi)
+            gauge = mpmath.expj(coupling.int_part * th)
+            out[:, j] = [complex(c * gauge) for c in comps]
+    return out
 
 
 def greens_diff_bracket(coupling: Coupling, mass: float, r: float, rp: float,

@@ -255,6 +255,33 @@ class TestMatchingTerms:
             assert terms(nu, x, s) == self._four_calls(nu, x, s), (nu, x, s)
 
 
+class TestWeightMirror:
+    """A(l, ch; alpha) = A(-1 - l, 3 - ch; -alpha) bit for bit: flipping the
+    flux together with the spin and the angular momentum maps each channel onto
+    one with the same exterior order and the same weight."""
+
+    @pytest.mark.parametrize("kr0", [1e-5, 0.5])
+    @pytest.mark.parametrize("alpha", [0.37, 0.41, 1.62])
+    def test_bare(self, kr0, alpha):
+        kin = make_kinematics(k=1.0)
+        tube, mirror = TubeConfig(kr0, Coupling(alpha)), TubeConfig(kr0, Coupling(-alpha))
+        for l in range(-6, 7):
+            for ch in (1, 2):
+                got = bt.matching_coefficient(l, ch, tube, kin).value
+                assert got == bt.matching_coefficient(-1 - l, 3 - ch, mirror, kin).value
+
+    @pytest.mark.parametrize("kr0", [1e-5, 0.5])
+    @pytest.mark.parametrize("alpha", [0.37, 0.41, 1.62])
+    @pytest.mark.parametrize("kappa_r0", [50.0, 6.0])
+    def test_shielded(self, kr0, alpha, kappa_r0):
+        barrier, kin = sh.shielded_sweep_point(kr0, kappa_r0)
+        c, mirror = Coupling(alpha), Coupling(-alpha)
+        for l in range(-6, 7):
+            for ch in (1, 2):
+                got = sh.shielded_matching(l, ch, barrier, kin, c).value
+                assert got == sh.shielded_matching(-1 - l, 3 - ch, barrier, kin, mirror).value
+
+
 class TestAnomalousChannel:
     def test_positive(self):
         assert bt.anomalous_channel(Coupling(0.3)) == (0, 1)

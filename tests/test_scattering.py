@@ -12,6 +12,7 @@ from abdirac import scattering as sc
 from abdirac import specfun as sf
 from abdirac.errors import RegimeError, SingularArgumentError, TruncationError
 from abdirac.model import Coupling, SpinorAmplitudes, make_kinematics
+from _helpers import mp_dirac_state
 
 KIN = make_kinematics(E=math.sqrt(2.0))  # k = 1
 AMP = SpinorAmplitudes(a1=0.8 + 0.1j, a2=0.5 - 0.2j)
@@ -240,35 +241,85 @@ class TestThetaArray:
 
 
 class TestIncrementalCutoff:
-    def _record_ladders(self, monkeypatch):
+    def _record(self, monkeypatch, name):
+        """Record (orders, max_order, values) of every call to specfun `name`."""
         calls = []
-        ladder = sf.bessel_j_ladder
+        fn = getattr(sf, name)
 
-        def recording(nu0, count, z, max_order=None, start=0):
-            out = ladder(nu0, count, z, max_order=max_order, start=start)
-            calls.append((nu0, start, max_order, out))
+        def recording(nu, z, max_order=None):
+            out = fn(nu, z, max_order=max_order)
+            calls.append((np.array(nu, dtype=float), max_order, out))
             return out
 
-        monkeypatch.setattr(sf, "bessel_j_ladder", recording)
+        monkeypatch.setattr(sf, name, recording)
         return calls
 
-    @pytest.mark.parametrize("nu", [0.37, 0.41])
-    def test_extended_ladders_equal_one_call(self, monkeypatch, nu):
-        # at kr = 200 the first tail check fails and one chunk is appended;
-        # nu = 0.41 is a coupling where nu0 + start would round twice
-        calls = self._record_ladders(monkeypatch)
-        _, info = sc._reduced_sum(nu, 200.0, 0.3, 1e-10)
-        assert info.l_max == 252
-        assert len(calls) == 4  # (l <= 0 side, l >= 1 side) x (first, appended)
-        for base, side in ((nu, calls[0::2]), (1.0 - nu, calls[1::2])):
-            got = np.concatenate([c[3] for c in side])
-            want = sf.bessel_j_ladder(base, got.size, 200.0, max_order=side[-1][2])
-            assert np.array_equal(got, want)
-        assert max(c[2] for c in calls) == info.l_max + sc._EXTENSION_CHUNK + 2
+    @pytest.mark.parametrize("nu, tol, l_max", [(0.37, 1e-10, 252), (0.41, 1e-10, 252),
+                                                (0.37, 1e-30, 316)],
+                             ids=["0.37", "0.41", "0.37-tol1e-30"])
+    def test_extended_ladders_equal_one_call(self, monkeypatch, nu, tol, l_max):
+        # at kr = 200 the first tail check fails and a chunk is appended at
+        # both ends of the row (four times at tol = 1e-30); nu = 0.41 is a
+        # coupling where an order formed as (nu + start) + m would round twice
+        calls = self._record(monkeypatch, "bessel_j")
+        coeffs, info = sc._wave_coefficients(nu, 200.0, tol)
+        assert info.l_max == l_max
+        chunk = sc._EXTENSION_CHUNK
+        # one call per attempt: the row with its tail chunks, then both new ends
+        assert len(calls) == 1 + (l_max - sc.truncation_order(200.0)) // chunk
+        got_orders, _, got = calls[0]
+        for end_orders, _, ends in calls[1:]:
+            got_orders = np.concatenate((end_orders[:chunk], got_orders, end_orders[chunk:]))
+            got = np.concatenate((ends[:chunk], got, ends[chunk:]))
+        # |l - nu| over l = -n..n: nu + m at l = -m, (1 - nu) + m at l = m + 1
+        n = l_max + chunk
+        want_orders = np.concatenate((nu + np.arange(n, -1, -1), (1.0 - nu) + np.arange(n)))
+        assert np.array_equal(got_orders, want_orders)  # every order once
+        cap = calls[-1][1]
+        assert cap == n + 2
+        want = sf.bessel_j(want_orders, 200.0, max_order=cap)
+        assert np.array_equal(got, want)
+        kept = slice(chunk, -chunk)
+        assert np.array_equal(coeffs, np.exp(-0.5j * math.pi * want_orders[kept]) * want[kept])
 
     def test_tail_never_below_tol_raises(self, monkeypatch):
-        calls = self._record_ladders(monkeypatch)
+        calls = self._record(monkeypatch, "bessel_j")
         with pytest.raises(TruncationError):
-            sc._reduced_sum(0.3, 5.0, 0.0, 0.0)
-        # every ladder order is computed once: one call per side and attempt
-        assert len(calls) == 2 * sc._MAX_EXTENSIONS
+            sc._wave_coefficients(0.3, 5.0, 0.0)
+        # one J call per attempt, and every order is computed once
+        assert len(calls) == sc._MAX_EXTENSIONS
+        orders = np.concatenate([c[0] for c in calls])
+        assert np.unique(orders).size == orders.size
+
+    @pytest.mark.parametrize("kind", ["bare", "shielded"])
+    @pytest.mark.parametrize("kr", [0.5, 7.3, 200.0])
+    def test_row_makes_one_j_call_per_attempt_and_one_h_call(self, monkeypatch, kind, kr):
+        c = Coupling(1.62)
+        _, info = sc.ab_wavefunction(c, KIN, kr, 0.0, return_info=True)
+        attempts = 1 + (info.l_max - sc.truncation_order(kr)) // sc._EXTENSION_CHUNK
+        j_calls = self._record(monkeypatch, "bessel_j")
+        h_calls = self._record(monkeypatch, "hankel1")
+        sc.dirac_scattering_state(kind, AMP, c, KIN, kr, TestThetaArray.THETAS)
+        assert len(j_calls) == attempts
+        assert len(h_calls) == 1
+
+
+class TestMpmathOracle:
+    """Rows of the Dirac state against the 30-digit partial-wave oracle."""
+
+    THETAS = TestThetaArray.THETAS
+
+    @pytest.mark.parametrize("kind", ["bare", "shielded"])
+    @pytest.mark.parametrize("alpha", [0.37, 1.62])
+    @pytest.mark.parametrize("kr", [0.5, 7.3, 53.0, 200.0])
+    def test_row_and_points(self, kind, alpha, kr):
+        c = Coupling(alpha)
+        want = mp_dirac_state(kind, AMP, c, KIN, kr, self.THETAS)
+        row = sc.dirac_scattering_state(kind, AMP, c, KIN, kr, self.THETAS).as_array()
+        points = np.array([
+            sc.dirac_scattering_state(kind, AMP, c, KIN, kr, float(th)).as_array()
+            for th in self.THETAS
+        ]).T
+        for got in (row, points):
+            err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+            assert err.max() <= 1e-10
