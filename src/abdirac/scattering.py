@@ -14,11 +14,17 @@ column, proportional to the upper amplitude a1, that survives that limit.
 
 A row (one radius, any number of angles) is one coefficient matrix over
 signed l in [-l_max, l_max] with one column per spinor component: the
-scalar coefficients e^{-i pi |l - nu|/2} J_{|l - nu|}(k r) from one Bessel
-call, times the incident spinor, with the Hankel corrections added in the
-l = 0 and l = 1 rows, since bare - shielded and each lower-component
-correction live in one partial wave.  One product with the phases
-e^{i (l + [alpha]) theta} then gives all four components at every angle.
+scalar coefficients e^{-i pi mu/2} J_mu(k r), mu = |l - nu|, times the
+incident spinor.  Each Hankel correction lives in one partial wave, where it
+swaps the regular order for the negative one (DLMF 10.4.7): the l = 0 row
+takes the coefficient at mu = -nu in psi3 and the bare psi1, the l = 1 row
+the one at mu = nu - 1 in the shielded psi4, so bare - shielded is one order
+swap per partial wave.  A row's J values come from one scipy (AMOS) call
+over the orders below the turning point mu = k r, the first one at or above
+it and the signed orders; every order above the turning point comes
+from the backward three-term recurrence, where J is the minimal solution.
+One product with the phases e^{i (l + [alpha]) theta} then gives all four
+components at every angle.
 
 Far-field closed forms: incident spinor times e^{-i k r cos(theta) + i nu theta}
 plus a scattered spinor with per-component half-angle phases and the common
@@ -34,7 +40,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -59,6 +67,7 @@ __all__ = [
 DEFAULT_FORWARD_CONE = 0.1  # rad; asymptotics break down within this cone
 _MAX_EXTENSIONS = 8
 _EXTENSION_CHUNK = 16
+_RECURRENCE_MARGIN = 16  # orders above a row's top where the J ratios start at 0
 
 
 @dataclass(frozen=True)
@@ -94,22 +103,42 @@ def truncation_order(kr: float) -> int:
     return int(math.ceil(kr)) + 12 + int(math.ceil(4.0 * kr ** (1.0 / 3.0)))
 
 
-def _j_orders(nu: float, inner: int, outer: int) -> np.ndarray:
-    """|l - nu| for l = -outer..-inner, then l = max(inner, 1)..outer.
+def _j_family(mu: float, x: float, amos: list, top: int) -> list:
+    """J_{mu+m}(x) for m = 0..top, each order mu + m in one rounding.
 
-    l = -m <= 0 has order nu + m and l = m + 1 >= 1 order (1 - nu) + m, each in
-    one rounding, so orders of a range continued outward are bit-identical to
-    those of one wider range.
+    `amos` holds AMOS values for m = 0..t, where t is the first order at or
+    above the turning point mu + m >= x (every order at x = 0).  Above it J
+    is the minimal solution of the three-term recurrence (DLMF 10.6.1), so
+    the ratios r_m = J_{mu+m} / J_{mu+m-1} = 1 / (2 (mu + m)/x - r_{m+1}) are
+    stable run backward (DLMF 10.74(iv)).  They start from 0 at
+    _RECURRENCE_MARGIN orders above `top` and multiply up from J_{mu+t}, so
+    the values depend only on `top`, not on how the row was widened.
     """
-    left = nu + np.arange(outer, inner - 1, -1)
-    right = (1.0 - nu) + np.arange(max(inner, 1) - 1, outer)
-    return np.concatenate((left, right))
+    t = len(amos) - 1
+    if t >= top:
+        return amos[:top + 1]
+    r, ratios = 0.0, []
+    for m in range(top + _RECURRENCE_MARGIN, t, -1):
+        r = 1.0 / (2.0 * (mu + m) / x - r)
+        ratios.append(r)
+    del ratios[:_RECURRENCE_MARGIN]
+    return amos[:t] + list(accumulate(reversed(ratios), operator.mul, initial=amos[t]))
 
 
-def _wave_coefficients(nu: float, x: float, tol: float):
-    """Coefficients e^{-i pi |l - nu|/2} J_{|l - nu|}(x) of the reduced sum.
+def _row_bessel(nu: float, x: float, tol: float, signed: tuple = ()):
+    """J_{|l - nu|}(x) over l = -n..n, n = l_max + _EXTENSION_CHUNK, and the cutoff.
 
-    Returns (coefficients over signed l = -l_max..l_max, PartialWaveSum).
+    Returns (orders, values, PartialWaveSum).  The row keeps l in
+    [-l_max, l_max]; the chunk beyond it at each end sets the tail estimate.
+    l = -m has order nu + m and l = m + 1 order (1 - nu) + m.  The `signed`
+    orders (the negative ones a Hankel term swaps in) and their J follow at
+    the end.
+
+    One AMOS call per row takes, per family, the orders below the turning
+    point and the first one at or above it (see `_j_family`), and the signed
+    orders.  J at a real argument is real, so only the real part is kept.  A
+    failed tail check widens the row by a chunk at both ends and reruns only
+    the recurrence.
     """
     if not (0.0 <= nu < 1.0):
         raise RegimeError("reduced coupling must lie in [0, 1)")
@@ -117,27 +146,29 @@ def _wave_coefficients(nu: float, x: float, tol: float):
         raise RegimeError("kr must be >= 0")
     l_max = truncation_order(x)
     chunk = _EXTENSION_CHUNK
-    # one J call over l in [-n, n], n = l_max + chunk: the kept row plus the
-    # next chunk at both ends.  A failed tail check appends the chunk after
-    # that at both ends in one more call, so every order is evaluated once.
-    # The cap is explicit because at large kr it exceeds the default one.
     n = l_max + chunk
-    orders = _j_orders(nu, 0, n)
-    js = sf.bessel_j(orders, x, max_order=float(n + 2))
+    mu_right = 1.0 - nu
+    if x == 0:
+        t_left, t_right = n, n - 1
+    else:
+        t_left, t_right = (max(0, math.ceil(x - mu)) for mu in (nu, mu_right))
+    amos_orders = np.concatenate((nu + np.arange(t_left + 1),
+                                  mu_right + np.arange(t_right + 1), signed))
+    amos = sf.bessel_j(amos_orders, x, max_order=max(t_left, t_right) + 1.0).real.tolist()
+    left, right = amos[:t_left + 1], amos[t_left + 1:t_left + t_right + 2]
+    signed_js = amos[t_left + t_right + 2:]
     for attempt in range(_MAX_EXTENSIONS):
         if attempt:
             l_max += chunk
             n += chunk
-            new_orders = _j_orders(nu, n - chunk + 1, n)
-            ends = sf.bessel_j(new_orders, x, max_order=float(n + 2))
-            orders = np.concatenate((new_orders[:chunk], orders, new_orders[chunk:]))
-            js = np.concatenate((ends[:chunk], js, ends[chunk:]))
+        down = _j_family(nu, x, left, n)  # l = 0, -1, ..., -n
+        up = _j_family(mu_right, x, right, n - 1)  # l = 1, ..., n
         # tail: sum of the next chunk's magnitudes at both ends, each taken
         # outward from the kept row, with a geometric bound for everything
         # beyond it
-        down, up = np.abs(js[chunk - 1::-1]), np.abs(js[-chunk:])
-        tail = float(down.sum() + up.sum())
-        first, last = down[0] + up[0], down[-1] + up[-1]
+        tail = sum(map(abs, down[l_max + 1:])) + sum(map(abs, up[l_max:]))
+        first = abs(down[l_max + 1]) + abs(up[l_max])
+        last = abs(down[-1]) + abs(up[-1])
         if first > 0 and last / first < 0.5:
             tail *= 2.0  # geometric remainder bound
         elif first > 0:
@@ -148,10 +179,21 @@ def _wave_coefficients(nu: float, x: float, tol: float):
         raise TruncationError(
             f"partial-wave tail {tail:.1e} above tolerance {tol:.1e} at l_max={l_max}"
         )
-    kept = slice(chunk, -chunk)
-    coeffs = np.exp(-0.5j * math.pi * orders[kept]) * js[kept]
+    orders = np.concatenate((nu + np.arange(n, -1, -1), mu_right + np.arange(n), signed))
     info = PartialWaveSum(l_max=l_max, terms=2 * l_max + 1, tail_estimate=tail)
-    return coeffs, info
+    return orders, np.array(down[::-1] + up + signed_js), info
+
+
+def _wave_coefficients(nu: float, x: float, tol: float, signed: tuple = ()):
+    """Coefficients e^{-i pi mu/2} J_mu(x), mu = |l - nu|, of the reduced sum.
+
+    Returns (coefficients over signed l = -l_max..l_max, coefficients at the
+    `signed` orders, PartialWaveSum).
+    """
+    orders, js, info = _row_bessel(nu, x, tol, signed)
+    coeffs = np.exp(-0.5j * math.pi * orders) * js
+    row = 2 * (info.l_max + _EXTENSION_CHUNK) + 1
+    return coeffs[_EXTENSION_CHUNK:row - _EXTENSION_CHUNK], coeffs[row:], info
 
 
 def _angular_sum(coeffs: np.ndarray, theta, shift: int):
@@ -174,7 +216,7 @@ def ab_wavefunction(coupling: Coupling, kin: Kinematics, r: float, theta,
     Accepts scalar or array `theta`.  General coupling is reduced by the
     gauge shift; the returned function is exactly periodic in theta.
     """
-    coeffs, info = _wave_coefficients(coupling.frac, kin.k * r, tol)
+    coeffs, _, info = _wave_coefficients(coupling.frac, kin.k * r, tol)
     out = _angular_sum(coeffs, theta, coupling.int_part)
     out = out if np.ndim(theta) else complex(out)
     if return_info:
@@ -213,30 +255,31 @@ def _spinor_coefficients(kind: str, a1: complex, a2: complex, w: float,
     """Coefficient matrix of the four-spinor: one row per signed l, one column
     per component, for reduced coupling nu in [0, 1).
 
-    Every column is the scalar column times (a1, a2, -w a2, -w a1), plus the
-    Hankel corrections, each of which lives in one partial wave.  By
-    e^{i pi nu/2} J_{-nu} - e^{-i pi nu/2} J_nu = i sin(pi nu) e^{i pi nu/2} H_nu,
-    a Hankel term swaps a regular wave for the negative-order one:
-    - l = 0, psi3 (both kinds) and psi1 (bare): J_nu -> J_{-nu};
-    - l = 1, psi4 (shielded): J_{1-nu} -> J_{nu-1}.
-    The bare string keeps psi4 regular: its extra column
-    e^{i pi nu/2} sin(pi nu) H_{nu-1} cancels the shielded one exactly, since
-    H_{nu-1} = e^{i pi (1-nu)} H_{1-nu} (DLMF 10.4.6).
+    Every column is the scalar column times (a1, a2, -w a2, -w a1), with the
+    Hankel corrections as order swaps, each in one partial wave.  By
+    e^{i pi nu/2} J_{-nu} - e^{-i pi nu/2} J_nu = i sin(pi nu) e^{i pi nu/2} H_nu
+    (DLMF 10.4.7), a Hankel term swaps the regular coefficient for the same
+    coefficient e^{-i pi mu/2} J_mu at the signed order:
+    - l = 0, psi3 (both kinds) and psi1 (bare): mu = nu -> -nu;
+    - l = 1, psi4 (shielded): mu = 1 - nu -> nu - 1.
+    So bare - shielded is one order swap per partial wave.  The bare string
+    keeps psi4 regular: its extra column e^{i pi nu/2} sin(pi nu) H_{nu-1}
+    cancels the shielded one exactly, since H_{nu-1} = e^{i pi (1-nu)} H_{1-nu}
+    (DLMF 10.4.6).  Every J, the signed orders included, comes from the row's
+    one AMOS call and the recurrence above the turning point (`_row_bessel`);
+    no Hankel function is evaluated.
     Returns (matrix, PartialWaveSum).
     """
-    coeffs, info = _wave_coefficients(nu, x, tol)
+    bare = kind == "bare"
+    coeffs, swaps, info = _wave_coefficients(nu, x, tol,
+                                             (-nu,) if bare else (-nu, nu - 1.0))
     matrix = np.outer(coeffs, [a1, a2, -w * a2, -w * a1])
-    if nu > 0.0:
-        bare = kind == "bare"
-        h = sf.hankel1(np.array([nu] if bare else [nu, 1.0 - nu]), x)
-        s = math.sin(math.pi * nu)
-        l0 = 1j * s * cmath.exp(0.5j * math.pi * nu) * h[0]
-        zero = info.l_max  # row of l = 0
-        matrix[zero, 2] -= w * a2 * l0
-        if bare:
-            matrix[zero, 0] += a1 * l0
-        else:
-            matrix[zero + 1, 3] += w * a1 * s * cmath.exp(-0.5j * math.pi * nu) * h[1]
+    zero = info.l_max  # row of l = 0
+    matrix[zero, 2] = -w * a2 * swaps[0]
+    if bare:
+        matrix[zero, 0] = a1 * swaps[0]
+    else:
+        matrix[zero + 1, 3] = -w * a1 * swaps[1]
     return matrix, info
 
 
@@ -249,7 +292,7 @@ def dirac_scattering_state(kind: str, amplitudes: SpinorAmplitudes,
     all four components plus a divergent Hankel correction on the lower pair;
     the bare state adds the surviving-channel column proportional to a1.
     `theta` is a scalar or an array: every angle at the radius shares one
-    coefficient matrix (Bessel and Hankel values, cutoff), and the four
+    coefficient matrix (Bessel values, cutoff), and the four
     components come out of one product with the phases e^{i (l + [alpha]) theta}.
     """
     if kind not in ("bare", "shielded"):

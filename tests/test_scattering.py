@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,20 +241,21 @@ class TestThetaArray:
         assert all(type(p) is complex for p in (point.psi1, point.psi2, point.psi3, point.psi4))
 
 
+def _record(monkeypatch, name):
+    """Record (orders, max_order, values) of every call to specfun `name`."""
+    calls = []
+    fn = getattr(sf, name)
+
+    def recording(nu, z, max_order=None):
+        out = fn(nu, z, max_order=max_order)
+        calls.append((np.array(nu, dtype=float), max_order, out))
+        return out
+
+    monkeypatch.setattr(sf, name, recording)
+    return calls
+
+
 class TestIncrementalCutoff:
-    def _record(self, monkeypatch, name):
-        """Record (orders, max_order, values) of every call to specfun `name`."""
-        calls = []
-        fn = getattr(sf, name)
-
-        def recording(nu, z, max_order=None):
-            out = fn(nu, z, max_order=max_order)
-            calls.append((np.array(nu, dtype=float), max_order, out))
-            return out
-
-        monkeypatch.setattr(sf, name, recording)
-        return calls
-
     @pytest.mark.parametrize("nu, tol, l_max", [(0.37, 1e-10, 252), (0.41, 1e-10, 252),
                                                 (0.37, 1e-30, 316)],
                              ids=["0.37", "0.41", "0.37-tol1e-30"])
@@ -261,47 +263,130 @@ class TestIncrementalCutoff:
         # at kr = 200 the first tail check fails and a chunk is appended at
         # both ends of the row (four times at tol = 1e-30); nu = 0.41 is a
         # coupling where an order formed as (nu + start) + m would round twice
-        calls = self._record(monkeypatch, "bessel_j")
-        coeffs, info = sc._wave_coefficients(nu, 200.0, tol)
-        assert info.l_max == l_max
-        chunk = sc._EXTENSION_CHUNK
-        # one call per attempt: the row with its tail chunks, then both new ends
-        assert len(calls) == 1 + (l_max - sc.truncation_order(200.0)) // chunk
-        got_orders, _, got = calls[0]
-        for end_orders, _, ends in calls[1:]:
-            got_orders = np.concatenate((end_orders[:chunk], got_orders, end_orders[chunk:]))
-            got = np.concatenate((ends[:chunk], got, ends[chunk:]))
+        calls = _record(monkeypatch, "bessel_j")
+        orders, js, info = sc._row_bessel(nu, 200.0, tol, (-nu, nu - 1.0))
+        assert info.l_max == l_max > sc.truncation_order(200.0)
         # |l - nu| over l = -n..n: nu + m at l = -m, (1 - nu) + m at l = m + 1
-        n = l_max + chunk
-        want_orders = np.concatenate((nu + np.arange(n, -1, -1), (1.0 - nu) + np.arange(n)))
-        assert np.array_equal(got_orders, want_orders)  # every order once
-        cap = calls[-1][1]
-        assert cap == n + 2
-        want = sf.bessel_j(want_orders, 200.0, max_order=cap)
-        assert np.array_equal(got, want)
-        kept = slice(chunk, -chunk)
-        assert np.array_equal(coeffs, np.exp(-0.5j * math.pi * want_orders[kept]) * want[kept])
+        n = l_max + sc._EXTENSION_CHUNK
+        assert np.array_equal(orders, np.concatenate(
+            (nu + np.arange(n, -1, -1), (1.0 - nu) + np.arange(n), [-nu, nu - 1.0])))
+        # one AMOS call, every order once: per family up to the first order at
+        # or above the turning point kr = 200, then the signed pair
+        assert len(calls) == 1
+        amos_orders, _, amos = calls[0]
+        t_left, t_right = math.ceil(200.0 - nu), math.ceil(200.0 - (1.0 - nu))
+        assert np.array_equal(amos_orders, np.concatenate(
+            (nu + np.arange(t_left + 1), (1.0 - nu) + np.arange(t_right + 1), [-nu, nu - 1.0])))
+        at = np.concatenate((np.arange(n, n - t_left - 1, -1),
+                             n + 1 + np.arange(t_right + 1), [2 * n + 1, 2 * n + 2]))
+        assert np.array_equal(js[at], amos.real)
+        # the extended row equals the row evaluated directly at its final width
+        monkeypatch.setattr(sc, "truncation_order", lambda kr: l_max)
+        direct_orders, direct, direct_info = sc._row_bessel(nu, 200.0, math.inf, (-nu, nu - 1.0))
+        assert direct_info == info
+        assert np.array_equal(direct_orders, orders)
+        assert np.array_equal(direct, js)
 
     def test_tail_never_below_tol_raises(self, monkeypatch):
-        calls = self._record(monkeypatch, "bessel_j")
-        with pytest.raises(TruncationError):
+        calls = _record(monkeypatch, "bessel_j")
+        tops = []
+        family = sc._j_family
+
+        def recording(mu, x, amos, top):
+            tops.append(top)
+            return family(mu, x, amos, top)
+
+        monkeypatch.setattr(sc, "_j_family", recording)
+        chunk = sc._EXTENSION_CHUNK
+        last = sc.truncation_order(5.0) + (sc._MAX_EXTENSIONS - 1) * chunk
+        with pytest.raises(TruncationError, match=f"l_max={last}$"):
             sc._wave_coefficients(0.3, 5.0, 0.0)
-        # one J call per attempt, and every order is computed once
-        assert len(calls) == sc._MAX_EXTENSIONS
-        orders = np.concatenate([c[0] for c in calls])
-        assert np.unique(orders).size == orders.size
+        # _MAX_EXTENSIONS attempts, each a chunk wider at both ends, each
+        # rerunning only the recurrence on the one AMOS call
+        assert len(calls) == 1
+        n = sc.truncation_order(5.0) + chunk + chunk * np.arange(sc._MAX_EXTENSIONS)
+        assert tops == np.column_stack((n, n - 1)).ravel().tolist()
 
     @pytest.mark.parametrize("kind", ["bare", "shielded"])
     @pytest.mark.parametrize("kr", [0.5, 7.3, 200.0])
-    def test_row_makes_one_j_call_per_attempt_and_one_h_call(self, monkeypatch, kind, kr):
-        c = Coupling(1.62)
-        _, info = sc.ab_wavefunction(c, KIN, kr, 0.0, return_info=True)
-        attempts = 1 + (info.l_max - sc.truncation_order(kr)) // sc._EXTENSION_CHUNK
-        j_calls = self._record(monkeypatch, "bessel_j")
-        h_calls = self._record(monkeypatch, "hankel1")
-        sc.dirac_scattering_state(kind, AMP, c, KIN, kr, TestThetaArray.THETAS)
-        assert len(j_calls) == attempts
-        assert len(h_calls) == 1
+    def test_row_makes_one_j_call_and_no_h_call(self, monkeypatch, kind, kr):
+        j_calls = _record(monkeypatch, "bessel_j")
+        h_calls = _record(monkeypatch, "hankel1")
+        sc.dirac_scattering_state(kind, AMP, Coupling(1.62), KIN, kr, TestThetaArray.THETAS)
+        assert len(j_calls) == 1
+        assert not h_calls
+        # the signed orders the row swaps in: -nu (l = 0), and nu - 1 (l = 1)
+        # for the shielded psi4 only
+        nu = Coupling(1.62).frac
+        signed = [-nu] if kind == "bare" else [-nu, nu - 1.0]
+        assert np.array_equal(j_calls[0][0][-len(signed):], signed)
+
+
+def _amos_cutoff(nu, x, tol):
+    """(l_max, tail estimate) of a row with every J from one AMOS call per
+    cutoff attempt: the reference for the recurrence row's cutoff."""
+    chunk = sc._EXTENSION_CHUNK
+    l_max = sc.truncation_order(x)
+    for _ in range(sc._MAX_EXTENSIONS):
+        n = l_max + chunk
+        orders = np.concatenate((nu + np.arange(n, -1, -1), (1.0 - nu) + np.arange(n)))
+        js = np.abs(sf.bessel_j(orders, x, max_order=n + 2.0))
+        down, up = js[chunk - 1::-1], js[-chunk:]
+        tail = down.sum() + up.sum()
+        first, last = down[0] + up[0], down[-1] + up[-1]
+        if first > 0:
+            tail *= 2.0 if last / first < 0.5 else 10.0
+        if tail <= tol:
+            return l_max, tail
+        l_max += chunk
+    raise AssertionError("reference cutoff did not converge")
+
+
+class TestRowBessel:
+    """Every J of a row: AMOS below the turning point, recurrence above it."""
+
+    KRS = [1e-3, 0.5, 7.3, 14.4, 53.0, 200.0, 500.0]
+    NUS = [0.37, 0.41, 0.999]
+
+    @pytest.mark.parametrize("nu", NUS)
+    @pytest.mark.parametrize("kr", KRS)
+    def test_every_order_against_mpmath(self, monkeypatch, kr, nu):
+        # kept orders, the look-ahead chunk at both ends and the signed pair
+        calls = _record(monkeypatch, "bessel_j")
+        orders, js, info = sc._row_bessel(nu, kr, 1e-10, (-nu, nu - 1.0))
+        assert orders.size == 2 * (info.l_max + sc._EXTENSION_CHUNK) + 3
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.besselj(mpmath.mpf(float(mu)), mpmath.mpf(kr)))
+                             for mu in orders])
+        amos = sf.bessel_j(orders, kr, max_order=float(np.abs(orders).max())).real
+        # orders up to the turning point, and the signed pair, keep scipy's
+        # values (AMOS's own error reaches 1.4e-13 of the row's largest |J|
+        # at kr = 500, below the turning point)
+        from_amos = np.isin(orders, calls[0][0])
+        assert np.array_equal(js[from_amos], amos[from_amos])
+        # the recurrence orders: within 1e-13 of the row's largest |J|, and no
+        # worse than twice scipy's own worst error over the same orders, up to
+        # one rounding of the row's largest |J| (the small-kr rows, where both
+        # errors are below it)
+        scale = np.abs(want).max()
+        err = np.abs(js - want)[~from_amos].max()
+        amos_err = np.abs(amos - want)[~from_amos].max()
+        assert err <= 1e-13 * scale
+        assert err <= 2.0 * amos_err + np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-30])
+    @pytest.mark.parametrize("nu", NUS)
+    @pytest.mark.parametrize("kr", KRS)
+    def test_cutoff_matches_all_amos_row(self, kr, nu, tol):
+        _, _, info = sc._row_bessel(nu, kr, tol)
+        l_max, tail = _amos_cutoff(nu, kr, tol)
+        assert info.l_max == l_max
+        assert abs(info.tail_estimate - tail) <= 1e-9 * tail
+
+    @pytest.mark.parametrize("kr", [0.5, 200.0])
+    def test_values_are_real(self, kr):
+        _, js, _ = sc._row_bessel(0.37, kr, 1e-10, (-0.37, -0.63))
+        assert js.dtype == np.float64
 
 
 class TestMpmathOracle:
