@@ -8,6 +8,8 @@ Library layers:
 * :mod:`abdirac.shielded`   -- barrier region, shielded matching and eigenfunctions
 * :mod:`abdirac.scattering` -- plane-wave scattering states and amplitudes
 * :mod:`abdirac.propagate`  -- Green's-function differences and wave packets
+* :mod:`abdirac.numerics`   -- cached Gauss-Legendre panel quadrature
+* :mod:`abdirac.errors`     -- the typed errors every layer raises
 """
 
 __version__ = "0.1.0"

@@ -365,19 +365,20 @@ class RadialOdeSolution:
             return math.inf
         return dchi / chi
 
-    def extract_matching(self, r_fit: float | None = None) -> complex:
+    def extract_matching(self) -> complex:
         """Outgoing-Hankel weight from a two-point exterior fit.
 
         Decomposes the (real) numerical solution over {J_nu, H^(1)_nu} at two
-        radii a quarter period apart and returns the weight ratio.  Precision
-        is limited by the integrator tolerance when |A| is very small; prefer
-        `matching_from_interior` for strongly suppressed channels.
+        radii a quarter period apart, the first at max(1.5 edge, (nu + 2)/k,
+        2/k) with `edge` the tube or barrier radius, and returns the weight
+        ratio.  Precision is limited by the integrator tolerance when |A| is
+        very small; prefer `matching_from_interior` for strongly suppressed
+        channels.
         """
         kin = self.kin
         nu = exterior_order(self.l, self.channel, self.tube.coupling.alpha)
         edge = self.barrier.R0 if self.barrier is not None else self.tube.r0
-        if r_fit is None:
-            r_fit = max(1.5 * edge, (nu + 2.0) / kin.k, 2.0 / kin.k)
+        r_fit = max(1.5 * edge, (nu + 2.0) / kin.k, 2.0 / kin.k)
         r_b = r_fit + 0.5 * math.pi / kin.k
         top = self._segments[-1][1]
         if r_b > top:

@@ -42,11 +42,19 @@ class Coupling:
 
     @property
     def int_part(self) -> int:
-        return math.floor(self.alpha)
+        return self._split()[0]
 
     @property
     def frac(self) -> float:
-        return self.alpha - math.floor(self.alpha)
+        return self._split()[1]
+
+    def _split(self) -> tuple[int, float]:
+        """([alpha], frac) with 0 <= frac < 1.  For -5.6e-17 <~ alpha < 0,
+        alpha - floor(alpha) rounds to 1.0; that rounding is carried into the
+        integer part, (floor + 1, 0.0)."""
+        n = math.floor(self.alpha)
+        frac = self.alpha - n
+        return (n + 1, 0.0) if frac == 1.0 else (n, frac)
 
     @property
     def is_integer(self) -> bool:

@@ -205,15 +205,15 @@ def _packet_window(cfg: PacketConfig, n_sigma: float):
     return r_lo, r_hi, th_lo, th_hi
 
 
-def packet_norm(cfg: PacketConfig, coupling: Coupling, n_sigma: float = 8.0,
-                n_r: int = 400, n_theta: int = 400) -> float:
-    """Quadrature of |packet|^2 r' dr' dtheta' over the packet support.
+def packet_norm(cfg: PacketConfig, coupling: Coupling) -> float:
+    """Quadrature of |packet|^2 r' dr' dtheta' over the packet's 8-sigma support.
 
+    8-point Gauss-Legendre on 49 equal panels in each of r' and theta'.
     Raises QuadratureError when the support's angular window leaves (-pi, pi).
     """
-    r_lo, r_hi, th_lo, th_hi = _packet_window(cfg, n_sigma)
-    r_nodes, r_w = gauss_panel_nodes(np.linspace(r_lo, r_hi, n_r // 8), 8)
-    t_nodes, t_w = gauss_panel_nodes(np.linspace(th_lo, th_hi, n_theta // 8), 8)
+    r_lo, r_hi, th_lo, th_hi = _packet_window(cfg, 8.0)
+    r_nodes, r_w = gauss_panel_nodes(np.linspace(r_lo, r_hi, 50), 8)
+    t_nodes, t_w = gauss_panel_nodes(np.linspace(th_lo, th_hi, 50), 8)
     vals = np.abs(packet_initial(cfg, coupling, r_nodes[:, None], t_nodes[None, :])) ** 2
     return float(np.einsum("i,j,ij->", r_w * r_nodes, t_w, vals))
 
@@ -298,15 +298,15 @@ def _phase_panel_edges(r_lo: float, r_hi: float, s_star: float, slope: float,
 
 def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
                      r: float, theta: float, t: float, hbar: float = 1.0,
-                     n_sigma: float = 6.0, max_phase: float = 6.0,
-                     gauss_order: int = 16, refine_check: bool = False) -> complex:
+                     max_phase: float = 6.0, gauss_order: int = 16,
+                     refine_check: bool = False) -> complex:
     """Packet difference as the fold of the closed kernel with `packet_initial`.
 
     The packet exponent is quadratic in theta' and the kernel carries theta'
     only in e^{-i n0 theta'}, so the theta' integral over the real line is the
     Gaussian integral sqrt(pi / -A) exp(C - B^2 / 4A); what remains is a 1-d
     sum over `gauss_order`-point Gauss-Legendre panels in r' across the
-    packet's n-sigma support, reduced in extended precision.  The kernel phase
+    packet's 6-sigma support, reduced in extended precision.  The kernel phase
     less the packet's k r' completes the square about the stationary point
     s* = hbar t k / M - r,
 
@@ -325,14 +325,14 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
     of 4 and a cap of 20000.  `refine_check=True` re-evaluates on a 1.5x
     finer panel set with two more Gauss points and raises if the two
     disagree by more than 1e-4 relative.  QuadratureError is raised before
-    any node is built when the angular window theta0 +/- n_sigma * s_theta
+    any node is built when the angular window theta0 +/- 6 s_theta
     leaves (-pi, pi), where the small-angle packet does not hold (always so
-    for a window that reaches down to the axis, n_sigma * delta >= rho0), or
+    for a window that reaches down to the axis, 6 delta >= rho0), or
     when the radial phase needs more panels than the cap.
     """
     nu, n0, pref = _packet_kernel_parts(coupling, mass, t, hbar)
     d2 = 2.0 * cfg.delta * cfg.delta
-    r_lo, r_hi, _, _ = _packet_window(cfg, n_sigma)
+    r_lo, r_hi, _, _ = _packet_window(cfg, 6.0)
 
     # radial phase rate: kernel + packet, which cancel at the stationary point
     # s_star, plus the r'-linear phase of -B^2 / 4A and the envelope floor
@@ -408,21 +408,18 @@ def suppression_scan(cfg_template: PacketConfig, d_values, coupling: Coupling,
 
 
 def transit_fit(cfg: PacketConfig, coupling: Coupling, mass: float = 1.0,
-                r: float | None = None, hbar: float = 1.0,
-                n_points: int = 21, span_sigma: float = 1.5):
+                r: float | None = None, hbar: float = 1.0):
     """Least-squares Gaussian fit of |Delta|(t) at fixed r.
 
-    Returns {center, width, center_expected, width_expected} where the
-    expected width is delta M / (hbar k).
+    Fits log |Delta| at 21 equally spaced times over +/-1.5 sigma about the
+    peak time, sigma the expected width delta M / (hbar k).  Returns
+    {center, width, center_expected, width_expected}.
     """
     if r is None:
         r = cfg.rho0
     t_star = peak_time(cfg, r, mass, hbar)
     width_expected = cfg.delta * mass / (hbar * cfg.k)
-    ts = np.linspace(
-        t_star - span_sigma * width_expected, t_star + span_sigma * width_expected,
-        n_points,
-    )
+    ts = np.linspace(t_star - 1.5 * width_expected, t_star + 1.5 * width_expected, 21)
     mags = np.array(
         [abs(delta_closed(cfg, coupling, mass, r, 0.0, float(t), hbar)) for t in ts]
     )

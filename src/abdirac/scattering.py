@@ -29,8 +29,9 @@ components at every angle.
 Far-field closed forms: incident spinor times e^{-i k r cos(theta) + i nu theta}
 plus a scattered spinor with per-component half-angle phases and the common
 factor sin(pi nu)/cos(theta/2) * e^{i k r + i pi/4} / sqrt(2 pi k r).  The
-amplitude blows up toward the forward direction theta = +/-pi, so comparisons
-exclude a configurable forward cone.
+amplitude blows up toward the forward direction theta = +/-pi, so
+`asymptotic_state` refuses the forward cone |theta| >= pi -
+DEFAULT_FORWARD_CONE, which is fixed: a caller can neither widen nor narrow it.
 
 Stationary states are reported as t = 0 snapshots; the time factor is a
 global phase at fixed energy.
@@ -56,7 +57,6 @@ __all__ = [
     "DEFAULT_FORWARD_CONE",
     "truncation_order",
     "ab_wavefunction",
-    "bare_wavefunction_scalar",
     "dirac_scattering_state",
     "asymptotic_state",
     "scattering_amplitude",
@@ -224,27 +224,6 @@ def ab_wavefunction(coupling: Coupling, kin: Kinematics, r: float, theta,
     return out
 
 
-def bare_wavefunction_scalar(coupling: Coupling, kin: Kinematics, r: float,
-                             theta, tol: float = 1e-10,
-                             return_info: bool = False):
-    """Scalar scattering wave function of a bare string.
-
-    The psi1 column of the spin-up bare state: the shielded sum with the
-    negative-order Bessel term in place of the regular one in the surviving
-    l = 0 wave.  Restricted to 0 < alpha < 1, the range where this closed
-    construction applies.
-    """
-    if not (0.0 < coupling.alpha < 1.0):
-        raise RegimeError("bare scalar wave function requires 0 < alpha < 1")
-    coeffs, info = _spinor_coefficients("bare", 1.0, 0.0, 0.0, coupling.alpha,
-                                        kin.k * r, tol)
-    out = _angular_sum(coeffs[:, 0], theta, 0)
-    out = out if np.ndim(theta) else complex(out)
-    if return_info:
-        return out, info
-    return out
-
-
 def _lower_weight(kin: Kinematics) -> float:
     """hbar c k / (E + Mc^2): the small parameter of the lower components."""
     return kin.hbar * kin.c * kin.k / (kin.energy_E + kin.rest_energy)
@@ -311,21 +290,20 @@ def dirac_scattering_state(kind: str, amplitudes: SpinorAmplitudes,
 
 
 def asymptotic_state(kind: str, amplitudes: SpinorAmplitudes, coupling: Coupling,
-                     kin: Kinematics, r: float, theta: float,
-                     theta_cut: float = DEFAULT_FORWARD_CONE) -> WaveFieldSample:
+                     kin: Kinematics, r: float, theta: float) -> WaveFieldSample:
     """Closed far-field form of the scattering state.
 
     Valid for k r >> 1 away from the forward cone; enforced as k r >= 50 and
-    |theta| < pi - theta_cut.
+    |theta| < pi - DEFAULT_FORWARD_CONE.
     """
     if kind not in ("bare", "shielded"):
         raise RegimeError("kind must be 'bare' or 'shielded'")
     x = kin.k * r
     if x < 50.0:
         raise RegimeError(f"asymptotic form needs k r >= 50 (got {x:.3g})")
-    if abs(theta) >= math.pi - theta_cut:
+    if abs(theta) >= math.pi - DEFAULT_FORWARD_CONE:
         raise RegimeError(
-            f"theta={theta:.3f} inside the forward cone (cut {theta_cut})"
+            f"theta={theta:.3f} inside the forward cone (cut {DEFAULT_FORWARD_CONE})"
         )
     nu = coupling.frac
     a1, a2 = complex(amplitudes.a1), complex(amplitudes.a2)
@@ -385,13 +363,13 @@ def differential_cross_section(coupling: Coupling, kin: Kinematics,
 
 
 def integrated_cross_section(coupling: Coupling, kin: Kinematics,
-                             theta_cut: float = DEFAULT_FORWARD_CONE,
-                             n_points: int = 4096) -> float:
-    """Quadrature of |f|^2 over |theta| < pi - theta_cut."""
+                             theta_cut: float = DEFAULT_FORWARD_CONE) -> float:
+    """Quadrature of |f|^2 over |theta| < pi - theta_cut: 64 Gauss points on
+    each of 64 equal panels."""
     from .numerics import gauss_panel_nodes
 
     edges = np.linspace(-(math.pi - theta_cut), math.pi - theta_cut, 65)
-    nodes, weights = gauss_panel_nodes(edges, max(4, n_points // 64))
+    nodes, weights = gauss_panel_nodes(edges, 64)
     s2 = math.sin(math.pi * coupling.frac) ** 2
     vals = s2 / (2.0 * math.pi * kin.k * np.cos(0.5 * nodes) ** 2)
     return float(np.sum(vals * weights))

@@ -8,9 +8,10 @@ against the argument the same way and returns an array, each element equal to
 the scalar call at its order.  Backing scipy routines:
 
 * ``bessel_j``, ``bessel_j_prime``: ``jv``, ``jvp`` (AMOS; reflection for nu < 0)
-* ``bessel_j_ladder``: one ``jv`` call over the orders nu0 + m, m from ``start``.
-  Nothing in the library calls it any more (a scattering row takes its orders
-  from one ``bessel_j`` call over an order array); it stays only because the
+* ``bessel_j_ladder``: one ``jv`` call over the orders nu0 + m, m = 0..count-1.
+  Nothing in the library calls it any more: a scattering row takes its orders
+  up to the turning point nu = k r from one ``bessel_j`` call and every order
+  above from the three-term recurrence.  It stays only because the
   benchmark's tracer (``perfbench/tracing.py`` ``TARGETS``) looks it up, and
   goes together with that entry
 * ``bessel_ie``, ``bessel_ke``: ``ive``, ``kve``, the scaled e^{-x} I_nu(x)
@@ -29,11 +30,12 @@ the scalar call at its order.  Backing scipy routines:
 
 scipy returns inf or nan where the library raises instead:
 
-* ``OutOfRangeError``: an order above the cap (``max_order``, default
-  ``DEFAULT_MAX_ORDER``; a ladder checks every order it returns), a non-finite
-  argument, a non-real Kummer parameter, a Kummer argument with Re z above
-  ``_KUMMER_Z_MAX`` and a non-terminating series, or a non-finite result at
-  z != 0.  An array raises if any element would.
+* ``OutOfRangeError``: an order above ``DEFAULT_MAX_ORDER`` (only
+  ``bessel_j`` takes a cap of its own, ``max_order``; a ladder checks every
+  order it returns), a non-finite argument, a non-real Kummer parameter, a
+  Kummer argument with Re z above ``_KUMMER_Z_MAX`` and a non-terminating
+  series, or a non-finite result at z != 0.  An array raises if any element
+  would.
 * ``SingularArgumentError``: a non-finite result at z = 0, where the function
   diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: Kummer's F at c within 1e-12 of 0, -1, -2, ...
@@ -66,7 +68,7 @@ DEFAULT_MAX_ORDER = 200.0
 _KUMMER_Z_MAX = 1e9
 
 
-def _order(nu, max_order: float | None) -> np.ndarray:
+def _order(nu, max_order: float | None = None) -> np.ndarray:
     cap = DEFAULT_MAX_ORDER if max_order is None else float(max_order)
     nu = np.asarray(nu, dtype=np.float64)
     if not (np.isfinite(nu).all() and (np.abs(nu) <= cap).all()):
@@ -112,50 +114,45 @@ def bessel_j(nu: float, z, max_order: float | None = None):
     return _evaluate(_sp.jv, z, "J_nu", _order(nu, max_order))
 
 
-def bessel_j_prime(nu: float, z, max_order: float | None = None):
+def bessel_j_prime(nu: float, z):
     """d/dz J_nu(z)."""
-    return _evaluate(_sp.jvp, z, "J'_nu", _order(nu, max_order))
+    return _evaluate(_sp.jvp, z, "J'_nu", _order(nu))
 
 
-def bessel_j_ladder(nu0: float, count: int, z, max_order: float | None = None,
-                    start: int = 0) -> np.ndarray:
-    """J_{nu0+m}(z) for m = start..start+count-1 at a scalar argument.
-
-    Each order is nu0 + m in one rounding, so a ladder continued with `start`
-    is bit-identical to the tail of one longer call; passing nu0 + start as
-    nu0 instead rounds twice and can put an order an ulp off.
-    """
+def bessel_j_ladder(nu0: float, count: int, z) -> np.ndarray:
+    """J_{nu0+m}(z) for m = 0..count-1 at a scalar argument, each order
+    nu0 + m in one rounding."""
     if count < 1:
         raise OutOfRangeError("count must be >= 1")
-    orders = _order(float(nu0) + np.arange(start, start + count), max_order)
+    orders = _order(float(nu0) + np.arange(count))
     return _evaluate(_sp.jv, complex(z), "J ladder", orders)
 
 
 def bessel_ie(nu: float, x):
     """Exponentially scaled modified Bessel function e^{-x} I_nu(x), real x > 0."""
-    return _evaluate(_sp.ive, _positive(x, "bessel_ie"), "Ie_nu", _order(nu, None),
+    return _evaluate(_sp.ive, _positive(x, "bessel_ie"), "Ie_nu", _order(nu),
                      dtype=np.float64)
 
 
 def bessel_ke(nu: float, x):
     """Exponentially scaled modified Bessel function e^{x} K_nu(x), real x > 0."""
-    return _evaluate(_sp.kve, _positive(x, "bessel_ke"), "Ke_nu", _order(nu, None),
+    return _evaluate(_sp.kve, _positive(x, "bessel_ke"), "Ke_nu", _order(nu),
                      dtype=np.float64)
 
 
-def hankel1(nu: float, z, max_order: float | None = None):
+def hankel1(nu: float, z):
     """Hankel function of the first kind, H_nu^(1)(z)."""
-    return _evaluate(_sp.hankel1, z, "H1_nu", _order(nu, max_order))
+    return _evaluate(_sp.hankel1, z, "H1_nu", _order(nu))
 
 
-def hankel1e(nu: float, z, max_order: float | None = None):
+def hankel1e(nu: float, z):
     """Exponentially scaled Hankel function e^{-iz} H_nu^(1)(z)."""
-    return _evaluate(_sp.hankel1e, z, "H1e_nu", _order(nu, max_order))
+    return _evaluate(_sp.hankel1e, z, "H1e_nu", _order(nu))
 
 
-def hankel1_prime(nu: float, z, max_order: float | None = None):
+def hankel1_prime(nu: float, z):
     """d/dz H_nu^(1)(z)."""
-    return _evaluate(_sp.h1vp, z, "H1'_nu", _order(nu, max_order))
+    return _evaluate(_sp.h1vp, z, "H1'_nu", _order(nu))
 
 
 def kummer_f(a, c, z):

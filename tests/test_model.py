@@ -1,0 +1,155 @@
+"""Coupling decomposition and the unit scheme of `abdirac.model`."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from abdirac import bare_tube as bt
+from abdirac import propagate as pr
+from abdirac import scattering as sc
+from abdirac import shielded as sh
+from abdirac.errors import RegimeError
+from abdirac.model import BarrierConfig, Coupling, SpinorAmplitudes, TubeConfig, make_kinematics
+
+# couplings just below 0, where alpha - floor(alpha) rounds to 1.0
+TINY_NEGATIVE = [-1e-17, -5e-324]
+THETAS = np.linspace(-3.0, 3.0, 13)
+AMP = SpinorAmplitudes(a1=0.8 + 0.1j, a2=0.5 - 0.2j)
+
+
+class TestCoupling:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(alpha=st.floats(-3.0, 3.0))
+    @example(alpha=-1e-17)
+    @example(alpha=-5e-324)
+    @example(alpha=-5.55e-17)
+    @example(alpha=-5.56e-17)
+    @example(alpha=-2.0 ** -53)
+    @example(alpha=-0.0)
+    @example(alpha=-1.0)
+    @example(alpha=-3.0)
+    @example(alpha=1.0 - 2.0 ** -53)
+    def test_floor_split(self, alpha):
+        c = Coupling(alpha)
+        assert type(c.int_part) is int
+        assert 0.0 <= c.frac < 1.0
+        assert abs(c.int_part + c.frac - alpha) <= math.ulp(max(1.0, abs(alpha)))
+
+    @pytest.mark.parametrize("alpha", TINY_NEGATIVE)
+    def test_tiny_negative_coupling_is_zero_coupling(self, alpha):
+        kin = make_kinematics(k=1.0)
+        for r in (0.5, 7.3):
+            got = sc.ab_wavefunction(Coupling(alpha), kin, r, THETAS)
+            assert np.array_equal(got, sc.ab_wavefunction(Coupling(0.0), kin, r, THETAS))
+            got = sc.dirac_scattering_state("shielded", AMP, Coupling(alpha), kin, r, THETAS)
+            want = sc.dirac_scattering_state("shielded", AMP, Coupling(0.0), kin, r, THETAS)
+            assert np.array_equal(got.as_array(), want.as_array())
+
+    @pytest.mark.parametrize("alpha", TINY_NEGATIVE)
+    def test_tiny_negative_coupling_refuses_bare_state(self, alpha):
+        kin = make_kinematics(k=1.0)
+        with pytest.raises(RegimeError) as at_zero:
+            sc.dirac_scattering_state("bare", AMP, Coupling(0.0), kin, 0.5, THETAS)
+        with pytest.raises(RegimeError) as got:
+            sc.dirac_scattering_state("bare", AMP, Coupling(alpha), kin, 0.5, THETAS)
+        assert str(got.value) == str(at_zero.value)
+
+
+# SI: hbar, c and the electron mass; lengths scale by the Compton length
+# hbar/Mc, times by its light-crossing time, energies by Mc^2
+HBAR_SI = 1.054571817e-34  # J s
+C_SI = 299792458.0  # m / s
+M_SI = 9.1093837015e-31  # kg
+LAM = HBAR_SI / (M_SI * C_SI)  # m
+TAU = LAM / C_SI  # s
+REST_SI = M_SI * C_SI * C_SI  # J
+
+ALPHAS = [0.37, -0.61, 1.62]
+KR0S = [1e-4, 1e-3, 0.5, 2.0, 3.0]
+# the packet_scan packets: (delta, rho0, k, alpha)
+SCAN_PACKETS = [(4.0, 55.0, 13.0, 0.37), (3.0, 40.0, 15.0, -0.61), (5.0, 80.0, 12.0, 1.25),
+                (4.0, 60.0, 14.0, 0.52), (4.0, 50.0, 12.0, -1.4)]
+
+
+def _kin(k, U=None, si=False):
+    """Kinematics at wavenumber k (natural units), in natural or SI units."""
+    if not si:
+        return make_kinematics(k=k, U=U)
+    return make_kinematics(k=k / LAM, M=M_SI, hbar=HBAR_SI, c=C_SI,
+                           U=None if U is None else U * REST_SI)
+
+
+class TestUnitSchemes:
+    """Dimensionless outputs agree between natural and SI units.
+
+    Compared: the S-matrix elements 1 + 2A (absolutely: a relative check on A
+    reads cancellation in channels whose leading terms cancel), the Dirac
+    rows, and G lambda^2, Delta lambda and the transit times over lambda/c.
+    """
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_bare_matching(self, alpha):
+        c = Coupling(alpha)
+        for k, kr0 in itertools.product((0.2, 1.3, 5.0), KR0S):
+            tube, tube_si = TubeConfig(kr0 / k, c), TubeConfig(kr0 / k * LAM, c)
+            for l in (-2, -1, 0, 1, 2):
+                for channel in (1, 2):
+                    nat = bt.matching_coefficient(l, channel, tube, _kin(k))
+                    si = bt.matching_coefficient(l, channel, tube_si, _kin(k, si=True))
+                    assert abs(2.0 * (si.value - nat.value)) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_shielded_matching(self, alpha):
+        # the matching_sweep barriers, kappa R0 = 50
+        c = Coupling(alpha)
+        for kR0 in KR0S:
+            barrier, kin = sh.shielded_sweep_point(kR0)
+            barrier_si = BarrierConfig(barrier.R0 * LAM, barrier.U * REST_SI)
+            kin_si = _kin(kin.k, U=barrier.U, si=True)
+            for l in (-2, -1, 0, 1, 2):
+                for channel in (1, 2):
+                    nat = sh.shielded_matching(l, channel, barrier, kin, c)
+                    si = sh.shielded_matching(l, channel, barrier_si, kin_si, c)
+                    assert abs(2.0 * (si.value - nat.value)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["bare", "shielded"])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_dirac_rows(self, kind, alpha):
+        c = Coupling(alpha)
+        for kr in (0.5, 7.3, 53.0):
+            nat = sc.dirac_scattering_state(kind, AMP, c, _kin(1.0), kr, THETAS).as_array()
+            si = sc.dirac_scattering_state(kind, AMP, c, _kin(1.0, si=True), kr * LAM,
+                                           THETAS).as_array()
+            assert np.abs(si - nat).max() <= 1e-14 * np.abs(nat).max()
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_greens_diff(self, alpha):
+        c = Coupling(alpha)
+        for r, rp, t in ((30.0, 1.0, 1.0), (2.0, 0.5, 3.0), (0.1, 0.2, 0.01)):
+            nat = pr.greens_diff_closed(c, 1.0, r, rp, 0.2, -0.1, t)
+            si = pr.greens_diff_closed(c, M_SI, r * LAM, rp * LAM, 0.2, -0.1, t * TAU,
+                                       HBAR_SI)
+            assert abs(si * LAM ** 2 - nat) <= 1e-12 * abs(nat)
+
+    @pytest.mark.parametrize("delta, rho0, k, alpha", SCAN_PACKETS)
+    def test_packet_difference_and_transit(self, delta, rho0, k, alpha):
+        # the rounding of the SI inputs sets the bounds on Delta and on the
+        # width, measured in natural units: one ulp of t alone moves Delta by
+        # up to 2e-13 relative (its phase k r is ~700 rad), and one ulp of
+        # rho0 moves the fitted width by up to 2.8e-13
+        c = Coupling(alpha)
+        for d in (0.0, delta, 2.0 * delta):
+            nat = pr.PacketConfig(delta, rho0, d / rho0, k)
+            si = pr.PacketConfig(delta * LAM, rho0 * LAM, d / rho0, k / LAM)
+            want = pr.delta_quadrature(nat, c, 1.0, rho0, 0.3, pr.peak_time(nat, rho0))
+            t_si = pr.peak_time(si, rho0 * LAM, M_SI, HBAR_SI)
+            got = pr.delta_quadrature(si, c, M_SI, rho0 * LAM, 0.3, t_si, HBAR_SI)
+            assert abs(got * LAM - want) <= 1e-12 * abs(want)
+            fit_nat = pr.transit_fit(nat, c)
+            fit_si = pr.transit_fit(si, c, M_SI, rho0 * LAM, HBAR_SI)
+            for key, bound in (("center", 1e-13), ("width", 1e-12)):
+                assert abs(fit_si[key] / TAU - fit_nat[key]) <= bound * fit_nat[key]

@@ -45,29 +45,31 @@ class TestScalarSums:
         reduced = sc.ab_wavefunction(Coupling(0.3), KIN, r, th)
         assert abs(full - cmath.exp(2j * th) * reduced) < 1e-12
 
+    @staticmethod
+    def _bare_psi1(c, r, th):
+        """Scalar wave function of a bare string: psi1 of the spin-up state."""
+        up = SpinorAmplitudes(1.0, 0.0)
+        return sc.dirac_scattering_state("bare", up, c, KIN, r, th).psi1
+
     def test_bare_minus_shielded_is_l0_swap(self):
-        c = Coupling(0.3)
+        # alpha = 1.3 carries the gauge factor e^{i theta}
         r = 7.0
-        want = cmath.exp(1j * math.pi * 0.15) * sf.bessel_j(-0.3, r) - cmath.exp(
-            -1j * math.pi * 0.15
-        ) * sf.bessel_j(0.3, r)
-        for th in (0.3, 2.0, -1.4):
-            d = sc.bare_wavefunction_scalar(c, KIN, r, th) - sc.ab_wavefunction(
-                c, KIN, r, th
-            )
-            assert abs(d - want) < 1e-12
+        for c in (Coupling(0.3), Coupling(1.3)):
+            nu = c.frac
+            swap = cmath.exp(0.5j * math.pi * nu) * sf.bessel_j(-nu, r) - cmath.exp(
+                -0.5j * math.pi * nu
+            ) * sf.bessel_j(nu, r)
+            for th in (0.3, 2.0, -1.4):
+                d = self._bare_psi1(c, r, th) - sc.ab_wavefunction(c, KIN, r, th)
+                assert abs(d - cmath.exp(1j * c.int_part * th) * swap) < 1e-12
 
     def test_bare_scalar_diverges_at_origin(self):
         c = Coupling(0.5)
-        small = sc.bare_wavefunction_scalar(c, KIN, 1e-6, 0.0)
-        smaller = sc.bare_wavefunction_scalar(c, KIN, 1e-8, 0.0)
+        small = self._bare_psi1(c, 1e-6, 0.0)
+        smaller = self._bare_psi1(c, 1e-8, 0.0)
         assert abs(smaller) > 9 * abs(small)  # (kr)^(-1/2) growth
         sh_small = sc.ab_wavefunction(c, KIN, 1e-8, 0.0)
         assert abs(sh_small) < 2.0
-
-    def test_bare_range_enforced(self):
-        with pytest.raises(RegimeError):
-            sc.bare_wavefunction_scalar(Coupling(1.3), KIN, 1.0, 0.0)
 
     def test_truncation_metadata(self):
         _, info = sc.ab_wavefunction(
@@ -242,13 +244,14 @@ class TestThetaArray:
 
 
 def _record(monkeypatch, name):
-    """Record (orders, max_order, values) of every call to specfun `name`."""
+    """Record (first argument as a float array, keyword arguments, values) of
+    every call to specfun `name`, whatever its signature."""
     calls = []
     fn = getattr(sf, name)
 
-    def recording(nu, z, max_order=None):
-        out = fn(nu, z, max_order=max_order)
-        calls.append((np.array(nu, dtype=float), max_order, out))
+    def recording(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append((np.array(args[0], dtype=float), kwargs, out))
         return out
 
     monkeypatch.setattr(sf, name, recording)

@@ -96,9 +96,9 @@ class TestBesselJ:
             sf.bessel_j(-0.3, 0.0)
 
     def test_ladder_matches_direct(self):
-        vals = sf.bessel_j_ladder(0.3, 40, 55.0, max_order=50.0)
+        vals = sf.bessel_j_ladder(0.3, 40, 55.0)
         for m in [0, 1, 7, 25, 39]:
-            direct = sf.bessel_j(0.3 + m, 55.0, max_order=50.0)
+            direct = sf.bessel_j(0.3 + m, 55.0)
             scale = max(abs(direct), 1e-30)
             assert abs(vals[m] - direct) < 1e-11 * max(scale, 0.3)
 
@@ -170,7 +170,6 @@ class TestHankel:
             sf.hankel1e(0.3, np.inf)
         with pytest.raises(OutOfRangeError):
             sf.hankel1e(250.0, 300.0)
-        assert sf.hankel1e(250.0, 300.0, max_order=300.0) != 0
 
     def test_integer_order_consistent_with_neighbours(self):
         # integer-order path must be the limit of nearby non-integer orders
