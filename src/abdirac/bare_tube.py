@@ -12,8 +12,8 @@ s = nu + r d(ln chi)/dr from the inside and x C' = x C_{nu-1} - nu C
     A = -(x J_{nu-1}(x) - s J_nu(x)) / (x H_{nu-1}(x) - s H_nu(x)),  x = k r0,
 
 the one matching formula of the bare tube, the shielded string and the ODE
-oracle.  The bare interior supplies s itself, so no digits cancel between nu
-and a nearly opposite log-derivative as k r0 -> 0.
+oracle.  The bare interior and the shielded barrier supply s themselves, so no
+digits cancel between nu and a nearly opposite log-derivative as x -> 0.
 
 As k r0 -> 0 every weight dies off as a power of k r0 except in one channel,
 l = [alpha] (channel 1 for alpha > 0, channel 2 for alpha < 0), where s -> 0,
@@ -181,13 +181,6 @@ def _interior_s(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     return k_term + 2.0 * abs(alpha) * (f1 / f0)
 
 
-def _interior_dlog(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
-                   U: float = 0.0) -> float:
-    """d(ln chi)/dr of the interior solution at r = r0 (real, may be +/-inf)."""
-    nu = exterior_order(l, channel, tube.coupling.alpha)
-    return (_interior_s(l, channel, tube, kin, U) - nu) / tube.r0
-
-
 def log_derivative_interior(l: int, channel: int, tube: TubeConfig,
                             kin: Kinematics, U: float = 0.0) -> complex:
     """Interior logarithmic derivative Lambda = (d chi / (k_ch dr)) / chi at r0.
@@ -197,7 +190,8 @@ def log_derivative_interior(l: int, channel: int, tube: TubeConfig,
     d(ln chi)/dr itself stays real.  A zero of chi at r0 (an interior node)
     is reported as an infinite value rather than raising.
     """
-    d = _interior_dlog(l, channel, tube, kin, U)
+    nu = exterior_order(l, channel, tube.coupling.alpha)
+    d = (_interior_s(l, channel, tube, kin, U) - nu) / tube.r0
     ksq = tube.interior_ksq(channel, kin, U)
     k_ch = cmath.sqrt(complex(ksq))
     if math.isinf(d):
@@ -229,9 +223,9 @@ def matching_from_log_derivative(l: int, channel: int, coupling: Coupling,
                                  dlog: float) -> complex:
     """Outgoing-wave weight from a known d(ln chi)/dr at r_match.
 
-    For the ODE oracle and the shielded matching, whose log-derivatives come
-    as such (units 1/length): s = nu + r_match * dlog goes into the one
-    matching formula.  The bare tube passes its interior s directly.
+    For the ODE oracle's bare tube, whose log-derivative comes as such (units
+    1/length): s = nu + r_match * dlog goes into the one matching formula.
+    The bare tube and the shielded string pass their s directly.
     """
     nu = exterior_order(l, channel, coupling.alpha)
     num, den = _matching_terms(nu, kin.k * r_match, nu + r_match * dlog)
@@ -349,9 +343,6 @@ class RadialOdeSolution:
     def chi(self, r: float) -> float:
         return self._eval(r)[0]
 
-    def dchi(self, r: float) -> float:
-        return self._eval(r)[1]
-
     def _eval(self, r: float):
         for (lo, hi, sol), s in zip(self._segments, self._scales):
             if lo <= r <= hi * (1 + 1e-12):
@@ -402,31 +393,30 @@ class RadialOdeSolution:
         kin = self.kin
         coupling = self.tube.coupling
         if self.barrier is None:
-            d = self.log_derivative(self.tube.r0)
-            return matching_from_log_derivative(
-                self.l, self.channel, coupling, kin, self.tube.r0, d
-            )
+            r0 = self.tube.r0
+            return matching_from_log_derivative(self.l, self.channel, coupling, kin, r0,
+                                                self.log_derivative(r0))
         R0 = self.barrier.R0
-        d_out = _spinor_jump(self.l, self.channel, coupling.alpha, kin, R0,
-                             self.barrier.U, self.log_derivative(R0))
-        return matching_from_log_derivative(
-            self.l, self.channel, coupling, kin, R0, d_out
-        )
+        nu = exterior_order(self.l, self.channel, coupling.alpha)
+        s = _spinor_jump(self.l, self.channel, coupling.alpha, kin, self.barrier.U,
+                         nu + R0 * self.log_derivative(R0))
+        num, den = _matching_terms(nu, kin.k * R0, s)
+        return complex(-num / den)
 
 
-def _spinor_jump(l: int, channel: int, alpha: float, kin: Kinematics, R0: float,
-                 U: float, dlog_in: float) -> float:
-    """Transform d(ln chi)/dr across the potential step U -> 0 at R0.
+def _spinor_jump(l: int, channel: int, alpha: float, kin: Kinematics, U: float,
+                 s_in: float) -> float:
+    """Carry s = nu + r d(ln chi)/dr across the potential step U -> 0.
 
     By the ladder relation the lower spinor component is proportional to
-    (chi' + (g/r) chi) / (E + Mc^2 - phi); it stays continuous with chi, so
-    chi' jumps.  Undefined at U = E + Mc^2.
+    (chi' + (g/r) chi) / (ew - phi), ew = E + Mc^2, and continuous with chi,
+    so s_out = (ew s_in + U (g - nu)) / (ew - U).  Undefined at U = ew.
     """
     ew = kin.energy_E + kin.rest_energy
     if ew == U:
         raise RegimeError("barrier height E + Mc^2 excluded (matching degenerates)")
     g = _ladder_coefficient(l, channel, alpha)
-    return (ew / (ew - U)) * dlog_in + (U / (ew - U)) * g / R0
+    return (ew * s_in + U * (g - exterior_order(l, channel, alpha))) / (ew - U)
 
 
 def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
@@ -515,8 +505,8 @@ def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
         carry *= mag
         y = [y_end[0] / mag, y_end[1] / mag]
         if in_bar and not inside and barrier is not None and math.isclose(r_hi, R0):
-            d_in = y[1] / y[0] if y[0] != 0 else math.inf
-            d_out = _spinor_jump(l, channel, alpha, kin, R0, U, d_in)
-            y = [y[0], d_out * y[0]]
+            nu = exterior_order(l, channel, alpha)
+            s_in = nu + R0 * y[1] / y[0] if y[0] != 0 else math.inf
+            y = [y[0], (_spinor_jump(l, channel, alpha, kin, U, s_in) - nu) / R0 * y[0]]
 
     return RadialOdeSolution(l, channel, tube, kin, barrier, segments, scales)

@@ -412,20 +412,20 @@ def transit_fit(cfg: PacketConfig, coupling: Coupling, mass: float = 1.0,
     """Least-squares Gaussian fit of |Delta|(t) at fixed r.
 
     Fits log |Delta| at 21 equally spaced times over +/-1.5 sigma about the
-    peak time, sigma the expected width delta M / (hbar k).  Returns
-    {center, width, center_expected, width_expected}.
+    peak time t*, sigma the expected width delta M / (hbar k), in the
+    variable u = (t - t*)/sigma: a fit in raw t would be conditioned like
+    (t*/sigma)^2.  Returns {center, width, center_expected, width_expected}.
     """
     if r is None:
         r = cfg.rho0
     t_star = peak_time(cfg, r, mass, hbar)
     width_expected = cfg.delta * mass / (hbar * cfg.k)
-    ts = np.linspace(t_star - 1.5 * width_expected, t_star + 1.5 * width_expected, 21)
-    mags = np.array(
-        [abs(delta_closed(cfg, coupling, mass, r, 0.0, float(t), hbar)) for t in ts]
-    )
-    coeffs = np.polyfit(ts, np.log(mags), 2)
-    width = math.sqrt(-0.5 / coeffs[0])
-    center = -0.5 * coeffs[1] / coeffs[0]
+    us = np.linspace(-1.5, 1.5, 21)
+    ts = t_star + width_expected * us
+    mags = np.array([abs(delta_closed(cfg, coupling, mass, r, 0.0, float(t), hbar)) for t in ts])
+    coeffs = np.polyfit(us, np.log(mags), 2)
+    width = width_expected * math.sqrt(-0.5 / coeffs[0])
+    center = t_star - width_expected * 0.5 * coeffs[1] / coeffs[0]
     return {
         "center": float(center),
         "width": width,

@@ -5,8 +5,8 @@ the evanescent window E - Mc^2 < U < E + Mc^2.  In the tube limit r0 -> 0 the
 barrier-region radial solutions collapse onto single imaginary-argument Bessel
 functions, with the same anomalous-channel order swap as the bare string.
 Continuity of the four spinor components across the potential step at R0
-produces an effective exterior logarithmic derivative (kappa/k) * f, and with
-it the outgoing-wave weight A^(R0).
+carries the barrier's s = nu + r d(ln chi)/dr to the exterior side, where the
+one matching formula of `bare_tube` turns it into the outgoing-wave weight A^(R0).
 
 The decisive difference from the bare tube: as k R0 -> 0 at fixed kappa R0,
 A^(R0) vanishes like (k R0)^(2 |l - alpha|) in *every* channel, including
@@ -31,7 +31,6 @@ from .bare_tube import (
     _principal_order,
     _spinor_jump,
     exterior_order,
-    matching_from_log_derivative,
 )
 from .errors import OutOfRangeError, RegimeError
 from .model import BarrierConfig, Coupling, Kinematics, TubeConfig, barrier_kappa, make_kinematics
@@ -69,8 +68,7 @@ def barrier_log_derivative(l: int, channel: int, coupling: Coupling,
     """Lambda^(R0): d(ln chi)/d(kappa r) of the barrier solution at r = R0.
 
     chi = J_order(i kappa r) is e^{i pi order/2} I_order(kappa r), so Lambda is
-    I'/I = I_{order+1}/I_order + order/x at x = kappa R0 (DLMF 10.29.2), with
-    both I from one `bessel_ie` call at the order pair (order, order + 1).
+    I'/I = I_{order+1}/I_order + order/x at x = kappa R0 (DLMF 10.29.2).
     The scaling e^{-x} cancels in the ratio, which stays finite where I_order
     itself overflows (kappa R0 beyond ~700); OutOfRangeError where the scaled
     I_order underflows to 0 (high order at small kappa R0).  Real-valued;
@@ -78,46 +76,57 @@ def barrier_log_derivative(l: int, channel: int, coupling: Coupling,
     """
     if kin.kappa is None:
         raise RegimeError("kinematics carries no barrier height; kappa undefined")
-    order = _principal_order(l, channel, coupling)
     x = kin.kappa * R0
+    order, i0, i1 = _barrier_pair(l, channel, coupling, x)
+    return i1 / i0 + order / x
+
+
+def _barrier_pair(l: int, channel: int, coupling: Coupling, x: float) -> tuple[float, ...]:
+    """(o, I_o, I_{o+1}) at x = kappa R0, o the barrier order: one `bessel_ie` call."""
+    order = _principal_order(l, channel, coupling)
     i0, i1 = sf.bessel_ie(np.array([order, order + 1.0]), x).tolist()
     if i0 == 0.0:
         raise OutOfRangeError(f"I'_nu/I_nu: scaled I_nu underflows at nu={order}, x={x}")
-    return i1 / i0 + order / x
+    return order, i0, i1
+
+
+def _edge_s(l: int, channel: int, barrier: BarrierConfig, kin: Kinematics,
+            coupling: Coupling) -> tuple[float, float, float]:
+    """(nu, kappa R0, s), s = nu + R0 d(ln chi)/dr on the exterior side of R0,
+    kappa from the barrier's height.  The barrier side has s = x I_{o+1}/I_o +
+    (o + nu) at x = kappa R0 (DLMF 10.29.2); in the anomalous channel o = -nu
+    and the ladder coefficient g = nu, so no nu term is left to cancel."""
+    x = barrier_kappa(kin, barrier.U) * barrier.R0
+    order, i0, i1 = _barrier_pair(l, channel, coupling, x)
+    nu = exterior_order(l, channel, coupling.alpha)
+    s_in = x * (i1 / i0) + (order + nu)
+    return nu, x, _spinor_jump(l, channel, coupling.alpha, kin, barrier.U, s_in)
 
 
 def f_factor(l: int, channel: int, barrier: BarrierConfig, kin: Kinematics,
              coupling: Coupling) -> float:
-    """Effective matching quantity f at the barrier edge.
-
-    Combines the barrier-side logarithmic derivative with the potential-step
-    term from spinor continuity; (kappa/k) * f is the exterior-side
-    d(ln chi)/d(kr) used in the outgoing-wave weight.
-    """
-    kappa = barrier_kappa(kin, barrier.U)
-    lam = barrier_log_derivative(l, channel, coupling, kin, barrier.R0)
-    return _spinor_jump(l, channel, coupling.alpha, kin, barrier.R0, barrier.U,
-                        kappa * lam) / kappa
+    """f = (s - nu)/(kappa R0) of the exterior-side s that `shielded_matching`
+    uses, so (kappa/k) * f is the exterior-side d(ln chi)/d(kr) at R0."""
+    nu, x, s = _edge_s(l, channel, barrier, kin, coupling)
+    return (s - nu) / x
 
 
 def shielded_matching(l: int, channel: int, barrier: BarrierConfig,
                       kin: Kinematics, coupling: Coupling) -> MatchingCoefficient:
     """Outgoing-Hankel weight A^(R0) of the shielded-string exterior solution."""
-    dlog = barrier_kappa(kin, barrier.U) * f_factor(l, channel, barrier, kin, coupling)
-    value = matching_from_log_derivative(l, channel, coupling, kin, barrier.R0, dlog)
-    return MatchingCoefficient(l=l, channel=channel, value=value)
+    nu, _, s = _edge_s(l, channel, barrier, kin, coupling)
+    num, den = _matching_terms(nu, kin.k * barrier.R0, s)
+    return MatchingCoefficient(l=l, channel=channel, value=complex(-num / den))
 
 
 def shielded_matching_denominator(l: int, channel: int, barrier: BarrierConfig,
                                   kin: Kinematics, coupling: Coupling) -> complex:
     """Exact denominator H'_nu - (kappa/k) f H_nu at x = k R0 (diagnostic surface).
 
-    The matching formula's D = x H_{nu-1} - s H_nu over x, with
-    s = nu + kappa R0 f.
+    The matching formula's D = x H_{nu-1} - s H_nu over x, with the s of
+    `shielded_matching`.
     """
-    nu = exterior_order(l, channel, coupling.alpha)
-    f = f_factor(l, channel, barrier, kin, coupling)
-    s = nu + barrier_kappa(kin, barrier.U) * barrier.R0 * f
+    nu, _, s = _edge_s(l, channel, barrier, kin, coupling)
     x = kin.k * barrier.R0
     return complex(_matching_terms(nu, x, s)[1] / x)
 

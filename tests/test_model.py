@@ -104,10 +104,12 @@ class TestUnitSchemes:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_shielded_matching(self, alpha):
-        # the matching_sweep barriers, kappa R0 = 50
+        # the matching_sweep barriers, kappa R0 = 50, and a weak barrier,
+        # kappa R0 = 1e-3, at the kR0 its evanescent window admits
         c = Coupling(alpha)
-        for kR0 in KR0S:
-            barrier, kin = sh.shielded_sweep_point(kR0)
+        points = [(kR0, 50.0) for kR0 in KR0S] + [(kR0, 1e-3) for kR0 in KR0S[:2]]
+        for kR0, kappa_r0 in points:
+            barrier, kin = sh.shielded_sweep_point(kR0, kappa_r0)
             barrier_si = BarrierConfig(barrier.R0 * LAM, barrier.U * REST_SI)
             kin_si = _kin(kin.k, U=barrier.U, si=True)
             for l in (-2, -1, 0, 1, 2):
@@ -140,7 +142,8 @@ class TestUnitSchemes:
         # the rounding of the SI inputs sets the bounds on Delta and on the
         # width, measured in natural units: one ulp of t alone moves Delta by
         # up to 2e-13 relative (its phase k r is ~700 rad), and one ulp of
-        # rho0 moves the fitted width by up to 2.8e-13
+        # rho0 moves the fitted width by up to 2e-15 (SI against natural
+        # units: up to 1.4e-14)
         c = Coupling(alpha)
         for d in (0.0, delta, 2.0 * delta):
             nat = pr.PacketConfig(delta, rho0, d / rho0, k)
@@ -151,5 +154,5 @@ class TestUnitSchemes:
             assert abs(got * LAM - want) <= 1e-12 * abs(want)
             fit_nat = pr.transit_fit(nat, c)
             fit_si = pr.transit_fit(si, c, M_SI, rho0 * LAM, HBAR_SI)
-            for key, bound in (("center", 1e-13), ("width", 1e-12)):
+            for key, bound in (("center", 1e-13), ("width", 1e-13)):
                 assert abs(fit_si[key] / TAU - fit_nat[key]) <= bound * fit_nat[key]

@@ -338,6 +338,15 @@ class TestPacket:
         assert fit["center_expected"] == pytest.approx(55.0 / 13.0 * 2.0, rel=1e-12)
         assert fit["width_expected"] == pytest.approx(4.0 / 13.0, rel=1e-12)
 
+    @pytest.mark.parametrize("delta, rho0, k, alpha", [
+        (4.0, 55.0, 13.0, 0.37), (3.0, 40.0, 15.0, -0.61), (5.0, 80.0, 12.0, 1.25),
+        (4.0, 60.0, 14.0, 0.52), (4.0, 50.0, 12.0, -1.4)])
+    def test_transit_width_exact(self, delta, rho0, k, alpha):
+        # log |Delta|(t) is an exact parabola, so the fit returns the expected
+        # width to rounding once it is conditioned in (t - t*)/sigma
+        fit = pr.transit_fit(pr.PacketConfig(delta, rho0, 0.0, k), Coupling(alpha))
+        assert abs(fit["width"] / fit["width_expected"] - 1.0) <= 1e-14
+
 
 class TestPanelEdges:
     # (r_lo, r_hi, s_star): stationary point inside, below and above the window

@@ -20,6 +20,7 @@ from abdirac.model import (
     Coupling,
     TubeConfig,
     barrier_kappa,
+    channel_index,
     make_kinematics,
 )
 from _helpers import loglog_slope
@@ -187,7 +188,56 @@ class TestBarrierLogDerivative:
                             assert got == want, (l, ch, alpha, kr0, kappa_r0)
 
 
+def _mp_shielded_s_matrix(l, ch, coupling, barrier, kin, dps=50):
+    """S = 1 + 2A of the shielded string in mpmath, from the library's double
+    E and kappa: Lambda = I'_o/I_o at kappa R0 (o the barrier order), the
+    spinor-continuity jump on d(ln chi)/dr, and J, Y of the exterior order."""
+    kappa = barrier_kappa(kin, barrier.U)
+    with mpmath.workdps(dps):
+        l_ch, spin = channel_index(l, ch)
+        d = mpmath.mpf(l_ch) - mpmath.mpf(coupling.alpha)
+        nu, g = abs(d), -spin * d
+        order = -nu if bt.anomalous_channel(coupling) == (l, ch) else nu
+        R0, U, km = mpmath.mpf(barrier.R0), mpmath.mpf(barrier.U), mpmath.mpf(kappa)
+        lam = mpmath.besseli(order, km * R0, 1) / mpmath.besseli(order, km * R0)
+        ew = mpmath.mpf(kin.energy_E) + mpmath.mpf(kin.rest_energy)
+        s = nu + R0 * (ew * km * lam + U * g / R0) / (ew - U)
+        x = mpmath.mpf(kin.k) * R0
+
+        def term(f):
+            return x * f(nu - 1, x) - s * f(nu, x)
+
+        num = term(mpmath.besselj)
+        den = num + 1j * term(mpmath.bessely)
+        return complex(1 - 2 * num / den)
+
+
 class TestShieldedMatching:
+    @pytest.mark.parametrize("alpha, channels", [(-0.61, [(-1, 2), (0, 1)]),
+                                                 (0.37, [(0, 1)])])
+    def test_weak_barrier_against_mpmath(self, alpha, channels):
+        # the anomalous channel's s is a pure modified-Bessel ratio that tends
+        # to 0 with kappa R0; (0, 1) at alpha = -0.61 is a regular channel
+        kin = make_kinematics(k=1.0, U=1.0)
+        kappa = barrier_kappa(kin, 1.0)
+        c = Coupling(alpha)
+        for l, ch in channels:
+            for kappa_r0 in (1e-3, 1e-5, 1e-7, 1e-9):
+                b = BarrierConfig(R0=kappa_r0 / kappa, U=1.0)
+                got = 1.0 + 2.0 * sh.shielded_matching(l, ch, b, kin, c).value
+                want = _mp_shielded_s_matrix(l, ch, c, b, kin)
+                assert abs(got - want) <= 1e-14, (l, ch, kappa_r0)
+
+    def test_barrier_height_from_barrier(self):
+        # kappa comes from the barrier's height, whatever height (or none)
+        # the kinematics carries
+        b, c = BarrierConfig(R0=5.0, U=1.0), Coupling(0.37)
+        weights = [sh.shielded_matching(0, 1, b, make_kinematics(k=1.0, U=U), c).value
+                   for U in (1.0, 0.5, None)]
+        assert weights[0] == weights[1] == weights[2]
+        fs = [sh.f_factor(0, 1, b, make_kinematics(k=1.0, U=U), c) for U in (1.0, 0.5, None)]
+        assert fs[0] == fs[1] == fs[2]
+
     def test_thick_barrier_is_finite_and_unitary(self):
         # kappa R0 = 1000: I_nu(kappa R0) overflows double precision, its
         # log-derivative does not
