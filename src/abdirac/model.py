@@ -69,19 +69,16 @@ class Coupling:
 class Kinematics:
     """Energy / mass / wavenumber bundle for the incident electron.
 
-    `energy_E` includes the rest mass.  `kappa` is the evanescent decay
-    constant inside a shielding barrier of height `barrier_U` and is None when
-    no barrier was supplied.
+    `energy_E` includes the rest mass.  A barrier's decay constant follows
+    from its own height, `barrier_kappa(kin, U)`.
     """
 
     energy_E: float
     mass_M: float = 1.0
     hbar: float = 1.0
     c: float = 1.0
-    barrier_U: float | None = None
     k_exact: float | None = None
     k: float = field(init=False)
-    kappa: float | None = field(init=False)
 
     def __post_init__(self):
         E, M, hbar, c = self.energy_E, self.mass_M, self.hbar, self.c
@@ -95,10 +92,6 @@ class Kinematics:
         else:
             k = math.sqrt(max(E * E - rest * rest, 0.0)) / (hbar * c)
         object.__setattr__(self, "k", k)
-        if self.barrier_U is None:
-            object.__setattr__(self, "kappa", None)
-        else:
-            object.__setattr__(self, "kappa", barrier_kappa(self, self.barrier_U))
 
     @property
     def rest_energy(self) -> float:
@@ -136,7 +129,6 @@ def barrier_kappa(kin: Kinematics, U: float) -> float:
 def make_kinematics(
     E: float | None = None,
     M: float = 1.0,
-    U: float | None = None,
     hbar: float = 1.0,
     c: float = 1.0,
     k: float | None = None,
@@ -151,8 +143,8 @@ def make_kinematics(
     if E is None:
         rest = M * c * c
         E = math.sqrt(rest * rest + (hbar * c * k) ** 2)
-        return Kinematics(energy_E=E, mass_M=M, hbar=hbar, c=c, barrier_U=U, k_exact=k)
-    return Kinematics(energy_E=E, mass_M=M, hbar=hbar, c=c, barrier_U=U)
+        return Kinematics(energy_E=E, mass_M=M, hbar=hbar, c=c, k_exact=k)
+    return Kinematics(energy_E=E, mass_M=M, hbar=hbar, c=c)
 
 
 @dataclass(frozen=True)

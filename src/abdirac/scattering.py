@@ -10,21 +10,31 @@ shielded four-spinor rides this scalar function plus a divergent Hankel
 correction on the lower components, every correction carrying the factor
 hbar k / ((E + Mc^2)/c), which is how the state collapses onto the spinless
 wave function in the non-relativistic limit.  The bare string adds one more
-column, proportional to the upper amplitude a1, that survives that limit.
+column that survives that limit, in its anomalous channel
+(`bare_tube.anomalous_channel`): proportional to the upper amplitude a1 at
+alpha > 0 (channel 1) and to a2 at alpha < 0 (channel 2).
 
 A row (one radius, any number of angles) is one coefficient matrix over
 signed l in [-l_max, l_max] with one column per spinor component: the
 scalar coefficients e^{-i pi mu/2} J_mu(k r), mu = |l - nu|, times the
 incident spinor.  Each Hankel correction lives in one partial wave, where it
-swaps the regular order for the negative one (DLMF 10.4.7): the l = 0 row
-takes the coefficient at mu = -nu in psi3 and the bare psi1, the l = 1 row
-the one at mu = nu - 1 in the shielded psi4, so bare - shielded is one order
-swap per partial wave.  A row's J values come from one scipy (AMOS) call
-over the orders below the turning point mu = k r, the first one at or above
-it and the signed orders; every order above the turning point comes
-from the backward three-term recurrence, where J is the minimal solution.
-One product with the phases e^{i (l + [alpha]) theta} then gives all four
-components at every angle.
+swaps the regular order for the negative one (DLMF 10.4.7), with
+nu = frac(alpha):
+
+==============  =======================  ==========================
+state           l = 0 takes mu = -nu in  l = 1 takes mu = nu - 1 in
+==============  =======================  ==========================
+shielded        psi3                     psi4
+bare, alpha>0   psi1, psi3               --
+bare, alpha<0   --                       psi2, psi4
+==============  =======================  ==========================
+
+so bare - shielded is one order swap per partial wave.  A row's J values
+come from one scipy (AMOS) call over the orders below the turning point
+mu = k r, the first one at or above it and the signed orders; every order
+above the turning point comes from the backward three-term recurrence, where
+J is the minimal solution.  One product with the phases
+e^{i (l + [alpha]) theta} then gives all four components at every angle.
 
 Far-field closed forms: incident spinor times e^{-i k r cos(theta) + i nu theta}
 plus a scattered spinor with per-component half-angle phases and the common
@@ -48,6 +58,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import specfun as sf
+from .bare_tube import anomalous_channel
 from .errors import RegimeError, SingularArgumentError, TruncationError
 from .model import Coupling, Kinematics, SpinorAmplitudes
 
@@ -229,36 +240,61 @@ def _lower_weight(kin: Kinematics) -> float:
     return kin.hbar * kin.c * kin.k / (kin.energy_E + kin.rest_energy)
 
 
-def _spinor_coefficients(kind: str, a1: complex, a2: complex, w: float,
+def _swapped_waves(kind: str, coupling: Coupling) -> tuple[tuple[int, int], ...]:
+    """(l, component) pairs, psi1..psi4 as 0..3, whose partial wave takes the
+    negative order (the table in `_spinor_coefficients`).
+
+    The bare string's surviving wave follows `bare_tube.anomalous_channel`:
+    channel c swaps psi_c and psi_{c+2} in the partial wave l = c - 1.
+    Integer coupling has no anomalous channel and no swap.
+    """
+    if kind == "shielded":
+        return ((0, 2), (1, 3))
+    anomalous = anomalous_channel(coupling)
+    if anomalous is None:
+        return ()
+    l = anomalous[1] - 1
+    return ((l, l), (l, l + 2))
+
+
+def _spinor_coefficients(swapped: tuple, a1: complex, a2: complex, w: float,
                          nu: float, x: float, tol: float):
     """Coefficient matrix of the four-spinor: one row per signed l, one column
     per component, for reduced coupling nu in [0, 1).
 
     Every column is the scalar column times (a1, a2, -w a2, -w a1), with the
     Hankel corrections as order swaps, each in one partial wave.  By
-    e^{i pi nu/2} J_{-nu} - e^{-i pi nu/2} J_nu = i sin(pi nu) e^{i pi nu/2} H_nu
+    e^{i pi mu/2} J_{-mu} - e^{-i pi mu/2} J_mu = i sin(pi mu) e^{i pi mu/2} H_mu
     (DLMF 10.4.7), a Hankel term swaps the regular coefficient for the same
-    coefficient e^{-i pi mu/2} J_mu at the signed order:
-    - l = 0, psi3 (both kinds) and psi1 (bare): mu = nu -> -nu;
-    - l = 1, psi4 (shielded): mu = 1 - nu -> nu - 1.
-    So bare - shielded is one order swap per partial wave.  The bare string
-    keeps psi4 regular: its extra column e^{i pi nu/2} sin(pi nu) H_{nu-1}
-    cancels the shielded one exactly, since H_{nu-1} = e^{i pi (1-nu)} H_{1-nu}
-    (DLMF 10.4.6).  Every J, the signed orders included, comes from the row's
-    one AMOS call and the recurrence above the turning point (`_row_bessel`);
-    no Hankel function is evaluated.
+    coefficient e^{-i pi mu/2} J_mu at the signed order, at the `swapped`
+    (l, component) pairs of `_swapped_waves`:
+
+    ==============  ==================  ==================
+    state           l = 0: mu -> -nu    l = 1: mu -> nu - 1
+    ==============  ==================  ==================
+    shielded        psi3                psi4
+    bare, alpha>0   psi1, psi3          --
+    bare, alpha<0   --                  psi2, psi4
+    ==============  ==================  ==================
+
+    So bare - shielded is one order swap per partial wave.  At alpha > 0 the
+    bare string keeps psi4 regular: its extra column
+    e^{i pi nu/2} sin(pi nu) H_{nu-1} cancels the shielded one exactly, since
+    H_{nu-1} = e^{i pi (1-nu)} H_{1-nu} (DLMF 10.4.6); at alpha < 0 the same
+    holds for psi3 with the roles of the partial waves exchanged.  Every J,
+    the signed orders included, comes from the row's one AMOS call and the
+    recurrence above the turning point (`_row_bessel`); the call adds only
+    the signed orders of the swapped waves, and no Hankel function is
+    evaluated.
     Returns (matrix, PartialWaveSum).
     """
-    bare = kind == "bare"
+    waves = sorted({l for l, _ in swapped})
     coeffs, swaps, info = _wave_coefficients(nu, x, tol,
-                                             (-nu,) if bare else (-nu, nu - 1.0))
-    matrix = np.outer(coeffs, [a1, a2, -w * a2, -w * a1])
-    zero = info.l_max  # row of l = 0
-    matrix[zero, 2] = -w * a2 * swaps[0]
-    if bare:
-        matrix[zero, 0] = a1 * swaps[0]
-    else:
-        matrix[zero + 1, 3] = -w * a1 * swaps[1]
+                                             tuple((-nu, nu - 1.0)[l] for l in waves))
+    col = np.array([a1, a2, -w * a2, -w * a1])
+    matrix = np.outer(coeffs, col)
+    for l, comp in swapped:
+        matrix[info.l_max + l, comp] = col[comp] * swaps[waves.index(l)]
     return matrix, info
 
 
@@ -269,7 +305,8 @@ def dirac_scattering_state(kind: str, amplitudes: SpinorAmplitudes,
 
     `kind` is "shielded" or "bare".  The shielded state is the scalar sum on
     all four components plus a divergent Hankel correction on the lower pair;
-    the bare state adds the surviving-channel column proportional to a1.
+    the bare state adds the surviving-channel column, proportional to a1 at
+    alpha > 0 and to a2 at alpha < 0.
     `theta` is a scalar or an array: every angle at the radius shares one
     coefficient matrix (Bessel values, cutoff), and the four
     components come out of one product with the phases e^{i (l + [alpha]) theta}.
@@ -281,8 +318,8 @@ def dirac_scattering_state(kind: str, amplitudes: SpinorAmplitudes,
     if kind == "bare" and coupling.is_integer:
         raise RegimeError("bare-string construction needs non-integer coupling")
     matrix, _ = _spinor_coefficients(
-        kind, complex(amplitudes.a1), complex(amplitudes.a2), _lower_weight(kin),
-        coupling.frac, kin.k * r, tol)
+        _swapped_waves(kind, coupling), complex(amplitudes.a1), complex(amplitudes.a2),
+        _lower_weight(kin), coupling.frac, kin.k * r, tol)
     psi = _angular_sum(matrix, theta, coupling.int_part)
     if np.ndim(theta) == 0:
         return WaveFieldSample(r, theta, *(complex(p) for p in psi))
@@ -314,24 +351,14 @@ def asymptotic_state(kind: str, amplitudes: SpinorAmplitudes, coupling: Coupling
         2.0 * math.pi * x
     )
     col_in = np.array([a1, a2, -w * a2, -w * a1])
-    if kind == "shielded":
-        col_sc = -np.array(
-            [
-                a1 * cmath.exp(0.5j * theta),
-                a2 * cmath.exp(0.5j * theta),
-                w * a2 * cmath.exp(-0.5j * theta),
-                w * a1 * cmath.exp(1.5j * theta),
-            ]
-        )
-    else:
-        col_sc = np.array(
-            [
-                a1 * cmath.exp(-0.5j * theta),
-                -a2 * cmath.exp(0.5j * theta),
-                -w * a2 * cmath.exp(-0.5j * theta),
-                w * a1 * cmath.exp(0.5j * theta),
-            ]
-        )
+    # in units of `scattered` the regular sum scatters -e^{i theta/2}.  A swap
+    # adds i sin(pi mu) e^{i pi mu/2} H_mu(x) e^{i l theta} (mu = nu at l = 0,
+    # 1 - nu at l = 1, sin(pi mu) = sin(pi nu)), whose far field (DLMF 10.17.5)
+    # is 2 cos(theta/2) e^{i l theta} = e^{i (l - 1/2) theta} + e^{i (l + 1/2) theta};
+    # a swapped component thus scatters e^{-i theta/2} (l = 0) or e^{3i theta/2} (l = 1)
+    col_sc = col_in * -cmath.exp(0.5j * theta)
+    for l, comp in _swapped_waves(kind, coupling):
+        col_sc[comp] = col_in[comp] * cmath.exp((2 * l - 0.5) * 1j * theta)
     gauge = cmath.exp(1j * coupling.int_part * theta)
     psi = (col_in * incident + col_sc * scattered) * gauge
     return WaveFieldSample(

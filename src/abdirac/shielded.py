@@ -48,24 +48,23 @@ __all__ = [
 ]
 
 
-def barrier_radial_limit(l: int, channel: int, coupling: Coupling,
-                         kin: Kinematics, r: float) -> complex:
-    """Barrier-region radial solution in the r0 -> 0 limit: J_order(i kappa r).
+def barrier_radial_limit(l: int, channel: int, barrier: BarrierConfig, kin: Kinematics,
+                         coupling: Coupling, r: float) -> complex:
+    """Barrier-region radial solution in the r0 -> 0 limit: J_order(i kappa r),
+    kappa from the barrier's height.
 
-    The order follows the same anomalous-channel selection as the bare string;
-    `kin` must carry a barrier height (kappa set).
+    The order follows the same anomalous-channel selection as the bare string.
     """
-    if kin.kappa is None:
-        raise RegimeError("kinematics carries no barrier height; kappa undefined")
     if r <= 0:
         raise RegimeError("barrier solution needs r > 0")
     order = _principal_order(l, channel, coupling)
-    return complex(sf.bessel_j(order, 1j * kin.kappa * r))
+    return complex(sf.bessel_j(order, 1j * barrier_kappa(kin, barrier.U) * r))
 
 
-def barrier_log_derivative(l: int, channel: int, coupling: Coupling,
-                           kin: Kinematics, R0: float) -> float:
-    """Lambda^(R0): d(ln chi)/d(kappa r) of the barrier solution at r = R0.
+def barrier_log_derivative(l: int, channel: int, barrier: BarrierConfig,
+                           kin: Kinematics, coupling: Coupling) -> float:
+    """Lambda^(R0): d(ln chi)/d(kappa r) of the barrier solution at r = R0,
+    kappa from the barrier's height.
 
     chi = J_order(i kappa r) is e^{i pi order/2} I_order(kappa r), so Lambda is
     I'/I = I_{order+1}/I_order + order/x at x = kappa R0 (DLMF 10.29.2).
@@ -74,9 +73,7 @@ def barrier_log_derivative(l: int, channel: int, coupling: Coupling,
     I_order underflows to 0 (high order at small kappa R0).  Real-valued;
     tends to 1 from below once kappa R0 >> 1.
     """
-    if kin.kappa is None:
-        raise RegimeError("kinematics carries no barrier height; kappa undefined")
-    x = kin.kappa * R0
+    x = barrier_kappa(kin, barrier.U) * barrier.R0
     order, i0, i1 = _barrier_pair(l, channel, coupling, x)
     return i1 / i0 + order / x
 
@@ -210,5 +207,5 @@ def shielded_sweep_point(kR0: float, kappaR0: float = 50.0, U: float = 1.0,
         raise RegimeError("kR0 and kappaR0 must be positive")
     kappa0 = math.sqrt(U * (2.0 * M - U))
     R0 = kappaR0 / kappa0
-    kin = make_kinematics(k=kR0 / R0, M=M, U=U)
+    kin = make_kinematics(k=kR0 / R0, M=M)
     return BarrierConfig(R0=R0, U=U), kin

@@ -39,9 +39,17 @@ scipy returns inf or nan where the library raises instead:
 * ``SingularArgumentError``: a non-finite result at z = 0, where the function
   diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: Kummer's F at c within 1e-12 of 0, -1, -2, ...
+
+Each guard is one reduction over its array, with the errors and messages
+above.  The order guard tests |nu| <= cap alone, which NaN and +-inf fail
+too (an infinite ``max_order`` still refuses an infinite order); the result
+guard tests isfinite once and tells z = 0 from an overflow only on the way
+to raising.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 from scipy import special as _sp
@@ -69,9 +77,12 @@ _KUMMER_Z_MAX = 1e9
 
 
 def _order(nu, max_order: float | None = None) -> np.ndarray:
+    """nu as a float64 array; one reduction, since NaN and +-inf fail |nu| <= cap.
+    The cap is clamped to the largest double, so max_order = inf still
+    refuses an infinite order."""
     cap = DEFAULT_MAX_ORDER if max_order is None else float(max_order)
     nu = np.asarray(nu, dtype=np.float64)
-    if not (np.isfinite(nu).all() and (np.abs(nu) <= cap).all()):
+    if not (np.abs(nu) <= min(cap, sys.float_info.max)).all():
         raise OutOfRangeError(f"order not finite or above the maximum {cap}")
     return nu
 
@@ -85,9 +96,8 @@ def _evaluate(fn, z, name: str, *params, dtype=np.complex128):
     if not np.isfinite(z).all():
         raise OutOfRangeError(f"{name}: argument must be finite")
     out = fn(*params, z)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        if (bad & (z == 0)).any():
+    if not np.isfinite(out).all():
+        if (~np.isfinite(out) & (z == 0)).any():
             raise SingularArgumentError(f"{name} diverges at z=0")
         raise OutOfRangeError(f"{name} is not finite in double precision here")
     return out.item() if np.ndim(out) == 0 else out

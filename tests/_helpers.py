@@ -135,11 +135,10 @@ def mp_dirac_state(kind: str, amplitudes, coupling: Coupling, kin, r: float,
     at the reduced coupling nu = frac(alpha); psi_l0 and psi_l1 are psi with
     the l = 0 (l = 1) wave J_mu, mu = nu (1 - nu), exchanged for the
     divergent e^{i pi mu/2} J_{-mu}.  With w = hbar c k / (E + Mc^2):
-    shielded (a1 psi, a2 psi, -w a2 psi_l0, -w a1 psi_l1) and bare
-    (a1 psi_l0, a2 psi, -w a2 psi_l0, -w a1 psi), times e^{i [alpha] theta}.
-    This is the library's form for alpha > 0; at alpha < 0 the bare form is
-    not settled (the finite-tube limit moves its surviving wave to the other
-    spin channel), so the oracle is not used there.
+    shielded (a1 psi, a2 psi, -w a2 psi_l0, -w a1 psi_l1); bare at alpha > 0
+    (a1 psi_l0, a2 psi, -w a2 psi_l0, -w a1 psi) and at alpha < 0, where the
+    surviving wave is in spin channel 2, (a1 psi, a2 psi_l1, -w a2 psi,
+    -w a1 psi_l1); all times e^{i [alpha] theta}.
     """
     nu = coupling.frac
     waves, (irr0, irr1) = _mp_partial_waves(nu, kin.k * r, dps)
@@ -155,8 +154,10 @@ def mp_dirac_state(kind: str, amplitudes, coupling: Coupling, kin, r: float,
             psi_l1 = psi + (irr1 - waves[1]) * mpmath.expj(th)
             if kind == "shielded":
                 comps = (a1 * psi, a2 * psi, -w * a2 * psi_l0, -w * a1 * psi_l1)
-            else:
+            elif coupling.alpha > 0:
                 comps = (a1 * psi_l0, a2 * psi, -w * a2 * psi_l0, -w * a1 * psi)
+            else:
+                comps = (a1 * psi, a2 * psi_l1, -w * a2 * psi, -w * a1 * psi_l1)
             gauge = mpmath.expj(coupling.int_part * th)
             out[:, j] = [complex(c * gauge) for c in comps]
     return out

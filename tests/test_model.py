@@ -75,12 +75,11 @@ SCAN_PACKETS = [(4.0, 55.0, 13.0, 0.37), (3.0, 40.0, 15.0, -0.61), (5.0, 80.0, 1
                 (4.0, 60.0, 14.0, 0.52), (4.0, 50.0, 12.0, -1.4)]
 
 
-def _kin(k, U=None, si=False):
+def _kin(k, si=False):
     """Kinematics at wavenumber k (natural units), in natural or SI units."""
     if not si:
-        return make_kinematics(k=k, U=U)
-    return make_kinematics(k=k / LAM, M=M_SI, hbar=HBAR_SI, c=C_SI,
-                           U=None if U is None else U * REST_SI)
+        return make_kinematics(k=k)
+    return make_kinematics(k=k / LAM, M=M_SI, hbar=HBAR_SI, c=C_SI)
 
 
 class TestUnitSchemes:
@@ -111,7 +110,7 @@ class TestUnitSchemes:
         for kR0, kappa_r0 in points:
             barrier, kin = sh.shielded_sweep_point(kR0, kappa_r0)
             barrier_si = BarrierConfig(barrier.R0 * LAM, barrier.U * REST_SI)
-            kin_si = _kin(kin.k, U=barrier.U, si=True)
+            kin_si = _kin(kin.k, si=True)
             for l in (-2, -1, 0, 1, 2):
                 for channel in (1, 2):
                     nat = sh.shielded_matching(l, channel, barrier, kin, c)

@@ -89,6 +89,33 @@ class TestDiracStates:
             s = sc.dirac_scattering_state("shielded", amp, c, KIN, 9.0, th)
             assert np.allclose(b.as_array(), s.as_array(), rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("alpha", [-0.4, -1.4])
+    def test_spin_up_incidence_shields_equal_bare_at_negative_coupling(self, alpha):
+        # at alpha < 0 the anomalous channel is 2: the bare-string extra column
+        # is proportional to a2, so spin-up incidence sees no difference
+        amp = SpinorAmplitudes(a1=1.0, a2=0.0)
+        c = Coupling(alpha)
+        for kr in (0.7, 3.0, 12.0):
+            b = sc.dirac_scattering_state("bare", amp, c, KIN, kr, TestThetaArray.THETAS)
+            s = sc.dirac_scattering_state("shielded", amp, c, KIN, kr, TestThetaArray.THETAS)
+            assert np.allclose(b.as_array(), s.as_array(), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["bare", "shielded"])
+    def test_mirror_symmetry(self, kind):
+        # the reflection y -> -y takes alpha -> -alpha and theta -> -theta and
+        # exchanges the spin components: a1 <-> a2, (psi1, psi2, psi3, psi4)
+        # -> (psi2, psi1, psi4, psi3); the moduli agree (the phases differ by
+        # the gauge factors e^{i [alpha] theta} of the two couplings)
+        thetas = TestThetaArray.THETAS
+        mirrored = SpinorAmplitudes(a1=AMP.a2, a2=AMP.a1)
+        for alpha in (0.4, 1.4, 0.37, 2.62):
+            for kr in (0.7, 3.0, 12.0, 60.0):
+                got = sc.dirac_scattering_state(kind, AMP, Coupling(alpha), KIN, kr, thetas)
+                mirror = sc.dirac_scattering_state(kind, mirrored, Coupling(-alpha), KIN, kr,
+                                                   -thetas).as_array()[[1, 0, 3, 2]]
+                err = np.abs(np.abs(got.as_array()) - np.abs(mirror)).max()
+                assert err <= 1e-12, (alpha, kr, err)
+
     def test_bare_minus_shielded_is_hankel_column(self):
         c = Coupling(0.5)
         r, th = 10.0, math.pi / 2
@@ -125,7 +152,7 @@ class TestDiracStates:
             for kr in (100.0, 400.0):
                 tol = max(0.01, 3.0 / kr)
                 for th in (math.pi / 4, -math.pi / 2, 3 * math.pi / 4):
-                    for alpha in (0.25, 0.5, 0.75):
+                    for alpha in (0.25, 0.5, 0.75, -0.25, -0.5, -1.75, 1.25):
                         c = Coupling(alpha)
                         ex = sc.dirac_scattering_state(kind, AMP, c, KIN, kr, th)
                         asy = sc.asymptotic_state(kind, AMP, c, KIN, kr, th)
@@ -168,8 +195,8 @@ class TestDiracStates:
     def test_gauge_shift(self, alpha, kind, kr, offset):
         # the bare state only for alpha and alpha + 1 of one sign: across zero
         # the finite-tube limit moves its surviving wave to the other spin
-        # channel, so the two bare states are not gauge copies (the bare
-        # state does not follow that channel yet, ROADMAP item 1)
+        # channel (bare_tube.anomalous_channel), so the two bare states are
+        # not gauge copies
         if kind == "bare" and -1.0 < alpha < 0.0:
             return
         thetas = np.linspace(-math.pi, math.pi, 8, endpoint=False) + offset
@@ -315,14 +342,20 @@ class TestIncrementalCutoff:
     def test_row_makes_one_j_call_and_no_h_call(self, monkeypatch, kind, kr):
         j_calls = _record(monkeypatch, "bessel_j")
         h_calls = _record(monkeypatch, "hankel1")
-        sc.dirac_scattering_state(kind, AMP, Coupling(1.62), KIN, kr, TestThetaArray.THETAS)
-        assert len(j_calls) == 1
+        alphas = (1.62, -1.62)
+        for alpha in alphas:
+            sc.dirac_scattering_state(kind, AMP, Coupling(alpha), KIN, kr,
+                                      TestThetaArray.THETAS)
+        assert len(j_calls) == len(alphas)
         assert not h_calls
-        # the signed orders the row swaps in: -nu (l = 0), and nu - 1 (l = 1)
-        # for the shielded psi4 only
-        nu = Coupling(1.62).frac
-        signed = [-nu] if kind == "bare" else [-nu, nu - 1.0]
-        assert np.array_equal(j_calls[0][0][-len(signed):], signed)
+        # the row's only negative orders are the signed ones it swaps in:
+        # -nu (l = 0) and nu - 1 (l = 1) for the shielded state, -nu for the
+        # bare one at alpha > 0 and nu - 1 at alpha < 0
+        for (orders, _, _), alpha in zip(j_calls, alphas):
+            nu = Coupling(alpha).frac
+            signed = [-nu, nu - 1.0] if kind == "shielded" else [-nu] if alpha > 0 else [nu - 1.0]
+            assert np.array_equal(orders[-len(signed):], signed)
+            assert np.array_equal(orders[orders < 0], signed)
 
 
 def _amos_cutoff(nu, x, tol):
@@ -398,7 +431,7 @@ class TestMpmathOracle:
     THETAS = TestThetaArray.THETAS
 
     @pytest.mark.parametrize("kind", ["bare", "shielded"])
-    @pytest.mark.parametrize("alpha", [0.37, 1.62])
+    @pytest.mark.parametrize("alpha", [0.37, 1.62, -0.4, -1.62])
     @pytest.mark.parametrize("kr", [0.5, 7.3, 53.0, 200.0])
     def test_row_and_points(self, kind, alpha, kr):
         c = Coupling(alpha)

@@ -32,23 +32,23 @@ class TestBarrierRadial:
     def test_non_anomalous_order(self):
         b, kin = sh.shielded_sweep_point(kR0=0.05, kappaR0=10.0)
         r = 0.4 * b.R0
-        got = sh.barrier_radial_limit(1, 1, C03, kin, r)
-        want = sf.bessel_j(0.7, 1j * kin.kappa * r)
+        got = sh.barrier_radial_limit(1, 1, b, kin, C03, r)
+        want = sf.bessel_j(0.7, 1j * barrier_kappa(kin, b.U) * r)
         assert abs(got - want) < 1e-13 * abs(want)
 
     def test_anomalous_order_swap(self):
         b, kin = sh.shielded_sweep_point(kR0=0.05, kappaR0=10.0)
         r = 0.4 * b.R0
-        got = sh.barrier_radial_limit(0, 1, C03, kin, r)
-        want = sf.bessel_j(-0.3, 1j * kin.kappa * r)
+        got = sh.barrier_radial_limit(0, 1, b, kin, C03, r)
+        want = sf.bessel_j(-0.3, 1j * barrier_kappa(kin, b.U) * r)
         assert abs(got - want) < 1e-13 * abs(want)
 
     def test_imaginary_argument_route(self):
         # J_nu(i kappa r) must agree with the e^{i pi nu/2} I_nu route
         b, kin = sh.shielded_sweep_point(kR0=0.05, kappaR0=10.0)
         r = 0.5 * b.R0
-        x = kin.kappa * r
-        got = sh.barrier_radial_limit(1, 1, C03, kin, r)
+        x = barrier_kappa(kin, b.U) * r
+        got = sh.barrier_radial_limit(1, 1, b, kin, C03, r)
         want = np.exp(1j * math.pi * 0.7 / 2) * float(mpmath.besseli(0.7, x))
         assert abs(got - want) < 1e-11 * abs(want)
 
@@ -101,18 +101,19 @@ class TestFFactor:
     def test_lambda_tends_to_one(self):
         b, kin = sh.shielded_sweep_point(kR0=0.01, kappaR0=50.0)
         for l, ch in [(0, 1), (1, 1), (-1, 2), (0, 2), (2, 1)]:
-            lam = sh.barrier_log_derivative(l, ch, C03, kin, b.R0)
+            lam = sh.barrier_log_derivative(l, ch, b, kin, C03)
             assert abs(lam - 1.0) < 0.02, (l, ch)
 
     def test_formula_structure(self):
         # f (E + Mc^2 - U) - U * step == (E + Mc^2) * Lambda; the barrier-height
-        # term carries -(l - alpha) for channel 1 and +(l + 1 - alpha) for 2
+        # term carries -(l - alpha) for channel 1 and +(l + 1 - alpha) for 2;
+        # the kinematics carries no barrier height, both sides take it from b
         b, kin = sh.shielded_sweep_point(kR0=0.05, kappaR0=10.0)
         kappa = barrier_kappa(kin, b.U)
         ew = kin.energy_E + kin.rest_energy
         for l, ch in [(0, 1), (1, 1), (-2, 2), (0, 2)]:
             f = sh.f_factor(l, ch, b, kin, C03)
-            lam = sh.barrier_log_derivative(l, ch, C03, kin, b.R0)
+            lam = sh.barrier_log_derivative(l, ch, b, kin, C03)
             step = (
                 -(l - C03.alpha) / (kappa * b.R0)
                 if ch == 1
@@ -126,11 +127,11 @@ class TestFFactor:
         b, kin = sh.shielded_sweep_point(kR0=0.05, kappaR0=10.0)
         x = barrier_kappa(kin, b.U) * b.R0
         want = float(mpmath.besseli(-0.3, x, derivative=1) / mpmath.besseli(-0.3, x))
-        got = sh.barrier_log_derivative(0, 1, C03, kin, b.R0)
+        got = sh.barrier_log_derivative(0, 1, b, kin, C03)
         assert abs(got - want) < 1e-8
 
     def test_excluded_height(self):
-        kin = make_kinematics(E=1.5, U=1.0)
+        kin = make_kinematics(E=1.5)
         with pytest.raises(RegimeError):
             sh.f_factor(0, 1, BarrierConfig(R0=10.0, U=kin.energy_E + 1.0), kin, C03)
 
@@ -149,26 +150,30 @@ class TestBarrierLogDerivative:
             for kappa_r0 in (6.0, 50.0, 1000.0, 5000.0):
                 b, kin = sh.shielded_sweep_point(kR0=0.05, kappaR0=kappa_r0)
                 with mpmath.workdps(40):
-                    xm, num = mpmath.mpf(kin.kappa * b.R0), mpmath.mpf(nu)
+                    xm, num = mpmath.mpf(barrier_kappa(kin, b.U) * b.R0), mpmath.mpf(nu)
                     want = float(mpmath.besseli(num + 1, xm) / mpmath.besseli(num, xm)
                                  + num / xm)
-                got = sh.barrier_log_derivative(l, ch, coupling, kin, b.R0)
+                got = sh.barrier_log_derivative(l, ch, b, kin, coupling)
                 assert abs(got - want) <= 1e-12 * abs(want), (nu, kappa_r0)
 
     def test_underflow_raises_typed_error(self):
         # order 150.5 at kappa R0 = 1e-3, where the scaled I_nu underflows to
-        # 0, and a non-finite or non-positive R0: OutOfRangeError, with no
-        # ZeroDivisionError and no numpy warning before it
+        # 0, and a non-finite R0: OutOfRangeError, with no ZeroDivisionError
+        # and no numpy warning before it; the barrier itself refuses R0 <= 0
         coupling = Coupling(0.5)
         b, kin = sh.shielded_sweep_point(kR0=1e-4, kappaR0=1e-3)
         assert bt._principal_order(151, 1, coupling) == 150.5
+        thick = BarrierConfig(R0=200.0 / barrier_kappa(kin, b.U), U=b.U)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isfinite(sh.barrier_log_derivative(151, 1, coupling, kin,
-                                                           200.0 / kin.kappa))
-            for r0 in (b.R0, math.nan, math.inf, -math.inf, 0.0):
+            assert math.isfinite(sh.barrier_log_derivative(151, 1, thick, kin, coupling))
+            for r0 in (b.R0, math.nan, math.inf):
                 with pytest.raises(OutOfRangeError):
-                    sh.barrier_log_derivative(151, 1, coupling, kin, r0)
+                    sh.barrier_log_derivative(151, 1, BarrierConfig(R0=r0, U=b.U), kin,
+                                              coupling)
+        for r0 in (0.0, -math.inf):
+            with pytest.raises(RegimeError):
+                BarrierConfig(R0=r0, U=b.U)
 
     def test_equals_two_call_formula(self):
         # I'/I as two scalar ive calls on numpy doubles,
@@ -179,12 +184,12 @@ class TestBarrierLogDerivative:
             for kr0 in (1e-4, 3.1e-3, 0.0965, 3.0):
                 for kappa_r0 in (50.0, 6.0):
                     b, kin = sh.shielded_sweep_point(kr0, kappa_r0)
-                    x = np.float64(kin.kappa * b.R0)
+                    x = np.float64(barrier_kappa(kin, b.U) * b.R0)
                     for l in range(-10, 11):
                         for ch in (1, 2):
                             nu = np.float64(bt._principal_order(l, ch, coupling))
                             want = float(special.ive(nu + 1.0, x) / special.ive(nu, x) + nu / x)
-                            got = sh.barrier_log_derivative(l, ch, coupling, kin, b.R0)
+                            got = sh.barrier_log_derivative(l, ch, b, kin, coupling)
                             assert got == want, (l, ch, alpha, kr0, kappa_r0)
 
 
@@ -218,7 +223,7 @@ class TestShieldedMatching:
     def test_weak_barrier_against_mpmath(self, alpha, channels):
         # the anomalous channel's s is a pure modified-Bessel ratio that tends
         # to 0 with kappa R0; (0, 1) at alpha = -0.61 is a regular channel
-        kin = make_kinematics(k=1.0, U=1.0)
+        kin = make_kinematics(k=1.0)
         kappa = barrier_kappa(kin, 1.0)
         c = Coupling(alpha)
         for l, ch in channels:
@@ -229,14 +234,19 @@ class TestShieldedMatching:
                 assert abs(got - want) <= 1e-14, (l, ch, kappa_r0)
 
     def test_barrier_height_from_barrier(self):
-        # kappa comes from the barrier's height, whatever height (or none)
-        # the kinematics carries
-        b, c = BarrierConfig(R0=5.0, U=1.0), Coupling(0.37)
-        weights = [sh.shielded_matching(0, 1, b, make_kinematics(k=1.0, U=U), c).value
-                   for U in (1.0, 0.5, None)]
-        assert weights[0] == weights[1] == weights[2]
-        fs = [sh.f_factor(0, 1, b, make_kinematics(k=1.0, U=U), c) for U in (1.0, 0.5, None)]
-        assert fs[0] == fs[1] == fs[2]
+        # kappa comes from the barrier's height: Lambda equals I'/I at
+        # barrier_kappa(kin, U) R0 for each height, and two heights give two
+        # weights
+        kin, c = make_kinematics(k=1.0), Coupling(0.37)
+        weights = []
+        for U in (1.0, 0.5):
+            b = BarrierConfig(R0=5.0, U=U)
+            x = barrier_kappa(kin, U) * b.R0
+            nu = bt._principal_order(0, 1, c)
+            want = float(special.ive(nu + 1.0, x) / special.ive(nu, x) + nu / x)
+            assert sh.barrier_log_derivative(0, 1, b, kin, c) == want
+            weights.append(sh.shielded_matching(0, 1, b, kin, c).value)
+        assert weights[0] != weights[1]
 
     def test_thick_barrier_is_finite_and_unitary(self):
         # kappa R0 = 1000: I_nu(kappa R0) overflows double precision, its
@@ -379,8 +389,8 @@ class TestShieldedEigenfunction:
         kappa = barrier_kappa(kin, b.U)
         r = b.R0 - 2.0 / kappa
         ratio = abs(
-            sh.barrier_radial_limit(1, 1, C03, kin, r)
-            / sh.barrier_radial_limit(1, 1, C03, kin, b.R0)
+            sh.barrier_radial_limit(1, 1, b, kin, C03, r)
+            / sh.barrier_radial_limit(1, 1, b, kin, C03, b.R0)
         )
         assert abs(ratio / math.exp(-kappa * (b.R0 - r)) - 1) < 0.05
 

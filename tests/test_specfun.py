@@ -431,3 +431,115 @@ class TestTypedErrors:
                 fn(bad, 1.0)
             with pytest.raises(OutOfRangeError):
                 fn(np.array([0.3, bad]), 1.0)
+
+
+# public function of (order, z) -> (name in its messages, error at z = 0, and
+# the order where the value there diverges)
+ORDER_FUNCTIONS = {
+    "bessel_j": ("J_nu", SingularArgumentError, -0.5),
+    "bessel_j_prime": ("J'_nu", SingularArgumentError, 0.5),
+    "hankel1": ("H1_nu", SingularArgumentError, 0.5),
+    "hankel1e": ("H1e_nu", SingularArgumentError, 0.5),
+    "hankel1_prime": ("H1'_nu", SingularArgumentError, 0.5),
+    "bessel_ie": ("Ie_nu", OutOfRangeError, 0.5),
+    "bessel_ke": ("Ke_nu", OutOfRangeError, 0.5),
+}
+ORDER_MESSAGE = "order not finite or above the maximum {}"
+
+
+def _raises(error, message, fn, *args, **kwargs):
+    with pytest.raises(error) as caught:
+        fn(*args, **kwargs)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+class TestGuardMessages:
+    """Each guard's exact error type and message, for a scalar and for an
+    array holding one bad element next to a good one."""
+
+    @staticmethod
+    def _both(value, good):
+        return (value, np.array([good, value]))
+
+    @pytest.mark.parametrize("name", sorted(ORDER_FUNCTIONS))
+    def test_order_guard(self, name):
+        fn = getattr(sf, name)
+        for bad in (NAN, INF, -INF, 250.0, -250.0):
+            for nu in self._both(bad, 0.3):
+                _raises(OutOfRangeError, ORDER_MESSAGE.format(200.0), fn, nu, 1.0)
+
+    @pytest.mark.parametrize("name", sorted(ORDER_FUNCTIONS))
+    def test_argument_guard(self, name):
+        fn = getattr(sf, name)
+        label = ORDER_FUNCTIONS[name][0]
+        bad = (NAN, INF) if name in ("bessel_ie", "bessel_ke") else (
+            NAN, INF, -INF, complex(0.0, INF), complex(NAN, 1.0))
+        for z in bad:
+            for arg in self._both(z, 1.0):
+                _raises(OutOfRangeError, f"{label}: argument must be finite", fn, 0.3, arg)
+
+    @pytest.mark.parametrize("name", sorted(ORDER_FUNCTIONS))
+    def test_origin_guard(self, name):
+        fn = getattr(sf, name)
+        label, error, order = ORDER_FUNCTIONS[name]
+        message = f"{name} expects x > 0" if error is OutOfRangeError else (
+            f"{label} diverges at z=0")
+        for z in self._both(0.0, 1.0):
+            _raises(error, message, fn, order, z)
+        if error is OutOfRangeError:
+            _raises(error, message, fn, order, -INF)
+
+    def test_overflow_guard(self):
+        for name, nu in (("bessel_j", -150.5), ("bessel_j_prime", -150.5),
+                         ("hankel1", 150.5), ("hankel1e", 150.5), ("hankel1_prime", 150.5)):
+            label = ORDER_FUNCTIONS[name][0]
+            for z in self._both(1e-3, 1.0):
+                _raises(OutOfRangeError, f"{label} is not finite in double precision here",
+                        getattr(sf, name), nu, z)
+        # a mixed array: the element at z = 0 decides
+        _raises(SingularArgumentError, "J_nu diverges at z=0",
+                sf.bessel_j, -150.5, np.array([1e-3, 0.0]))
+
+    def test_explicit_cap(self):
+        _raises(OutOfRangeError, ORDER_MESSAGE.format(50.0), sf.bessel_j, 60.0, 1.0,
+                max_order=50.0)
+        # an infinite cap still refuses a non-finite order
+        for bad in (INF, -INF, NAN):
+            for nu in self._both(bad, 0.3):
+                _raises(OutOfRangeError, ORDER_MESSAGE.format(INF), sf.bessel_j, nu, 1.0,
+                        max_order=math.inf)
+        # and admits a finite one of any size, which then overflows
+        _raises(OutOfRangeError, "J_nu is not finite in double precision here",
+                sf.bessel_j, 1e300, 1.0, max_order=math.inf)
+        # a NaN cap refuses every order
+        _raises(OutOfRangeError, ORDER_MESSAGE.format(NAN), sf.bessel_j, 0.3, 1.0,
+                max_order=NAN)
+
+    def test_ladder(self):
+        for bad in (NAN, INF, -INF, 199.5):
+            _raises(OutOfRangeError, ORDER_MESSAGE.format(200.0),
+                    sf.bessel_j_ladder, bad, 2, 1.0)
+        for z in (NAN, INF, -INF):
+            _raises(OutOfRangeError, "J ladder: argument must be finite",
+                    sf.bessel_j_ladder, 0.3, 2, z)
+        _raises(SingularArgumentError, "J ladder diverges at z=0",
+                sf.bessel_j_ladder, -150.5, 2, 0.0)
+        _raises(OutOfRangeError, "J ladder is not finite in double precision here",
+                sf.bessel_j_ladder, -150.5, 2, 1e-3)
+
+    def test_kummer(self):
+        for z in (NAN, -INF):
+            for arg in self._both(z, 1.0):
+                _raises(OutOfRangeError, "kummer_f: argument must be finite",
+                        sf.kummer_f, 0.5, 1.5, arg)
+        # a terminating series passes the Re z check and meets the argument guard
+        _raises(OutOfRangeError, "kummer_f: argument must be finite",
+                sf.kummer_f, -2.0, 1.5, INF)
+        _raises(OutOfRangeError, "kummer_f overflows at Re z above 1e+09",
+                sf.kummer_f, 0.5, 1.5, INF)
+        for arg in self._both(1000.0, 1.0):
+            _raises(OutOfRangeError, "kummer_f is not finite in double precision here",
+                    sf.kummer_f, 0.5, 1.5, arg)
+        # finite at z = 0
+        assert sf.kummer_f(0.5, 1.5, 0.0) == 1.0
