@@ -22,7 +22,9 @@ entirely in the probability mass that actually overlaps the flux region.
 The packet is Gaussian in theta' and the kernel depends on theta' only
 through e^{-i n0 theta'}, so the theta' integral is done in closed form and
 the quadrature of Delta is a 1-d radial sum, its phase written as a square
-completed about the stationary point.
+completed about the stationary point.  The closed theta' factor is split by
+its powers of r' into a constant, an r' term and a 1/r' term, so the 1-d
+integrand is a Gaussian in r' - s*, that factor and e^{-ix} H^(1)_nu(x).
 
 The surviving partial wave is `bare_tube.anomalous_channel` for either sign
 of the coupling: order nu = frac(alpha), n0 = [alpha] for alpha > 0 and
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -306,15 +309,23 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
     only in e^{-i n0 theta'}, so the theta' integral over the real line is the
     Gaussian integral sqrt(pi / -A) exp(C - B^2 / 4A); what remains is a 1-d
     sum over `gauss_order`-point Gauss-Legendre panels in r' across the
-    packet's 6-sigma support, reduced in extended precision.  The kernel phase
-    less the packet's k r' completes the square about the stationary point
+    packet's 6-sigma support, reduced in extended precision.  With
+    A = a r', B = i beta + g r', C = c r' (beta = alpha - n0,
+    g = rho0 theta0 / delta^2, b = g^2 / 4a) and r' > 0, that factor splits
+    by powers of r' on the principal branch,
+
+        sqrt(pi / -A) = sqrt(pi / -a) / sqrt(r'),
+        C - B^2 / 4A = (c - b) r' + beta^2 / (4 a r') - i beta g / (2a),
+
+    and its r'-free parts join one constant.  The kernel phase less the
+    packet's k r' completes the square about the stationary point
     s* = hbar t k / M - r,
 
         M (r + r')^2 / (2 hbar t) - k r' = M (r' - s*)^2 / (2 hbar t) + k (r - s*) / 2,
 
-    so each node carries the scaled Hankel function e^{-ix} H^(1)_nu(x), one
-    square root and one exponential whose phase is tens of radians rather
-    than ~1e3, and the constant k (r - s*) / 2 is applied once to the sum.
+    and the constant k (r - s*) / 2 joins it too.  So each node carries the
+    scaled Hankel function e^{-ix} H^(1)_nu(x), one real square root and one
+    complex exponential whose phase is tens of radians rather than ~1e3.
     The panel edges are placed in closed form, at equal steps of at most
     `max_phase` of the phase the 1-d integrand carries, accumulated at rate
     (M / hbar t) |r' - s*| + |Im b| + 1 / (3 delta): the kernel chirp about
@@ -338,28 +349,29 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
     # s_star, plus the r'-linear phase of -B^2 / 4A and the envelope floor
     slope = mass / (hbar * t)
     s_star = hbar * t * cfg.k / mass - r
-    # A = a_per_r r', and -B^2 / 4A = -b_per_r r' + const + O(1 / r')
+    # packet exponent A theta'^2 + B theta' + C with A = a_per_r r' and
+    # B = i beta + g r'; lin and inv are the r' and 1/r' coefficients of
+    # C - B^2 / 4A, and its r'-free part joins const
     a_per_r = 0.5j * cfg.k - cfg.rho0 / d2
-    b_per_r = (cfg.rho0 * cfg.theta0 / d2) ** 2 / a_per_r
+    beta = coupling.alpha - n0
+    g = 2.0 * cfg.rho0 * cfg.theta0 / d2
+    b_per_r = (0.5 * g) ** 2 / a_per_r
+    lin = -cfg.rho0 * cfg.theta0 ** 2 / d2 - b_per_r
+    inv = beta * beta / (4.0 * a_per_r)
     floor = abs(b_per_r.imag) + 1.0 / (3.0 * cfg.delta)
-    const = cmath.exp(1j * (0.5 * cfg.k * (r - s_star) + n0 * theta)) / (
-        math.sqrt(math.pi) * cfg.delta
-    )
+    const = cmath.sqrt(-math.pi / a_per_r) * cmath.exp(
+        1j * (0.5 * cfg.k * (r - s_star) + n0 * theta) - 0.5j * beta * g / a_per_r
+    ) / (math.sqrt(math.pi) * cfg.delta)
 
     def evaluate(phase_cap: float, order: int) -> complex:
         r_edges = _phase_panel_edges(r_lo, r_hi, s_star, slope, floor, phase_cap)
         rp, w = gauss_panel_nodes(r_edges, order)
-        # packet exponent A theta'^2 + B theta' + C, kernel phase included
-        a = rp * a_per_r
-        b = 1j * (coupling.alpha - n0) + 2.0 * rp * cfg.rho0 * cfg.theta0 / d2
-        c = -rp * cfg.rho0 * cfg.theta0 ** 2 / d2
         exponent = (
             1j * _kernel_phase(mass, t, hbar, rp - s_star)
             - (rp - cfg.rho0) ** 2 / d2
-            + c - b * b / (4.0 * a)
+            + lin * rp + inv / rp
         )
-        terms = (w * rp * np.sqrt(-math.pi / a) * np.exp(exponent)
-                 * _scaled_kernel(nu, pref, slope * r * rp))
+        terms = w * np.sqrt(rp) * np.exp(exponent) * _scaled_kernel(nu, pref, slope * r * rp)
         return complex(np.sum(terms.astype(np.clongdouble)) * const)
 
     value = evaluate(max_phase, gauss_order)
@@ -415,6 +427,9 @@ def transit_fit(cfg: PacketConfig, coupling: Coupling, mass: float = 1.0,
     peak time t*, sigma the expected width delta M / (hbar k), in the
     variable u = (t - t*)/sigma: a fit in raw t would be conditioned like
     (t*/sigma)^2.  Returns {center, width, center_expected, width_expected}.
+    Raises RegimeError when any |Delta| on the grid is below the smallest
+    normal double: the suppression exp(-d^2 / (2 delta^2)) reaches there from
+    d ~ 37 delta, and a subnormal or zero |Delta| has no usable logarithm.
     """
     if r is None:
         r = cfg.rho0
@@ -423,6 +438,11 @@ def transit_fit(cfg: PacketConfig, coupling: Coupling, mass: float = 1.0,
     us = np.linspace(-1.5, 1.5, 21)
     ts = t_star + width_expected * us
     mags = np.array([abs(delta_closed(cfg, coupling, mass, r, 0.0, float(t), hbar)) for t in ts])
+    if not (mags >= sys.float_info.min).all():
+        raise RegimeError(
+            f"|Delta| underflows on the transit fit grid at d = {cfg.d:.3g} "
+            f"= {cfg.d / cfg.delta:.3g} delta"
+        )
     coeffs = np.polyfit(us, np.log(mags), 2)
     width = width_expected * math.sqrt(-0.5 / coeffs[0])
     center = t_star - width_expected * 0.5 * coeffs[1] / coeffs[0]

@@ -25,7 +25,6 @@ from .bare_tube import (
     MatchingCoefficient,
     RadialComponents,
     _interior_s,
-    _ladder_coefficient,
     _ladder_components,
     _matching_terms,
     _principal_order,
@@ -40,8 +39,6 @@ __all__ = [
     "barrier_log_derivative",
     "f_factor",
     "shielded_matching",
-    "shielded_matching_denominator",
-    "denominator_leading_form",
     "shielded_eigenfunction",
     "finite_tube_barrier_ratio",
     "shielded_sweep_point",
@@ -114,35 +111,6 @@ def shielded_matching(l: int, channel: int, barrier: BarrierConfig,
     nu, _, s = _edge_s(l, channel, barrier, kin, coupling)
     num, den = _matching_terms(nu, kin.k * barrier.R0, s)
     return MatchingCoefficient(l=l, channel=channel, value=complex(-num / den))
-
-
-def shielded_matching_denominator(l: int, channel: int, barrier: BarrierConfig,
-                                  kin: Kinematics, coupling: Coupling) -> complex:
-    """Exact denominator H'_nu - (kappa/k) f H_nu at x = k R0 (diagnostic surface).
-
-    The matching formula's D = x H_{nu-1} - s H_nu over x, with the s of
-    `shielded_matching`.
-    """
-    nu, _, s = _edge_s(l, channel, barrier, kin, coupling)
-    x = kin.k * barrier.R0
-    return complex(_matching_terms(nu, x, s)[1] / x)
-
-
-def denominator_leading_form(l: int, channel: int, barrier: BarrierConfig,
-                             kin: Kinematics, coupling: Coupling) -> complex:
-    """Small-kR0 leading form of the matching denominator (over H_nu).
-
-    With Lambda -> 1 the denominator is H_nu(kR0) times an elementary bracket;
-    this returns bracket * H_nu(kR0) for direct comparison with the exact one.
-    """
-    nu = exterior_order(l, channel, coupling.alpha)
-    ew = kin.energy_E + kin.rest_energy
-    U = barrier.U
-    kappa = barrier_kappa(kin, U)
-    x = kin.k * barrier.R0
-    u_num = nu - _ladder_coefficient(l, channel, coupling.alpha)
-    bracket = (ew * (-nu / x - kappa / kin.k) + U * u_num / x) / (ew - U)
-    return complex(bracket * sf.hankel1(nu, x))
 
 
 def shielded_eigenfunction(l: int, coupling: Coupling, kin: Kinematics,

@@ -1,8 +1,9 @@
 """Helpers shared by the tests: sequence extrapolation, log-log slopes, an
-mpmath oracle for the bare-tube outgoing-wave weight, an mpmath oracle for
-the Dirac scattering state, two independent forms of the propagator
-difference (the J_{+/-nu} bracket and the regularized k-integral), and a
-fresh-interpreter runner."""
+mpmath oracle for the bare-tube outgoing-wave weight, the shielded matching
+denominator with its small-kR0 leading form, an mpmath oracle for the Dirac
+scattering state, two independent forms of the propagator difference (the
+J_{+/-nu} bracket and the regularized k-integral), and a fresh-interpreter
+runner."""
 
 import cmath
 import functools
@@ -18,10 +19,12 @@ import pytest
 
 import abdirac
 from abdirac import specfun as sf
+from abdirac.bare_tube import _ladder_coefficient, _matching_terms, exterior_order
 from abdirac.errors import QuadratureError, RegimeError
-from abdirac.model import Coupling
+from abdirac.model import BarrierConfig, Coupling, Kinematics, barrier_kappa
 from abdirac.numerics import gauss_panel_nodes
 from abdirac.propagate import _kernel_parts
+from abdirac.shielded import _edge_s
 
 SRC = str(Path(abdirac.__file__).resolve().parents[1])
 
@@ -100,6 +103,35 @@ def mp_bare_weight(alpha: float, l: int, channel: int, kr0: float, dps: int = 50
         h = j + 1j * mpmath.bessely(nu, x)
         hp = jp + 1j * mpmath.bessely(nu, x, 1)
         return complex(-(x * jp - rd * j) / (x * hp - rd * h))
+
+
+def shielded_matching_denominator(l: int, channel: int, barrier: BarrierConfig,
+                                  kin: Kinematics, coupling: Coupling) -> complex:
+    """Exact denominator H'_nu - (kappa/k) f H_nu at x = k R0.
+
+    The matching formula's D = x H_{nu-1} - s H_nu over x, with the s of
+    `shielded.shielded_matching`.
+    """
+    nu, _, s = _edge_s(l, channel, barrier, kin, coupling)
+    x = kin.k * barrier.R0
+    return complex(_matching_terms(nu, x, s)[1] / x)
+
+
+def denominator_leading_form(l: int, channel: int, barrier: BarrierConfig,
+                             kin: Kinematics, coupling: Coupling) -> complex:
+    """Small-kR0 leading form of the shielded matching denominator.
+
+    With Lambda -> 1 the denominator is H_nu(kR0) times an elementary bracket;
+    this returns bracket * H_nu(kR0) for direct comparison with the exact one.
+    """
+    nu = exterior_order(l, channel, coupling.alpha)
+    ew = kin.energy_E + kin.rest_energy
+    U = barrier.U
+    kappa = barrier_kappa(kin, U)
+    x = kin.k * barrier.R0
+    u_num = nu - _ladder_coefficient(l, channel, coupling.alpha)
+    bracket = (ew * (-nu / x - kappa / kin.k) + U * u_num / x) / (ew - U)
+    return complex(bracket * sf.hankel1(nu, x))
 
 
 @functools.lru_cache(maxsize=None)

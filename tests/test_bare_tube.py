@@ -284,6 +284,42 @@ class TestWeightMirror:
                 assert got == sh.shielded_matching(-1 - l, 3 - ch, barrier, kin, mirror).value
 
 
+class TestWeightGaugeShift:
+    """A(l + 1, ch; alpha + 1) against A(l, ch; alpha): both have the exterior
+    order |l - alpha|, but the tube's interior field grows with alpha, so the
+    pair is a gauge copy only in the string limit k r0 -> 0."""
+
+    KR0 = np.geomspace(1e-4, 1e-10, 7)
+
+    @staticmethod
+    def _worst_gap(alpha: float, kr0: float) -> tuple[float, int]:
+        gaps = [
+            (abs(bt.matching_coefficient(l + 1, ch, tube_at(kr0, alpha + 1.0), KIN).value
+                 - bt.matching_coefficient(l, ch, tube_at(kr0, alpha), KIN).value), l)
+            for l in range(-4, 5) for ch in (1, 2)
+        ]
+        return max(gaps)
+
+    @pytest.mark.parametrize("alpha", [0.37, 1.62, -1.38])
+    def test_gap_closes_in_string_limit(self, alpha):
+        # alpha and alpha + 1 of one sign: the worst gap over l in [-4, 4] and
+        # both channels falls like (k r0)^(2 min(nu, 1 - nu)), nu = frac(alpha)
+        nu = alpha - math.floor(alpha)
+        want = 2.0 * min(nu, 1.0 - nu)
+        gaps = [self._worst_gap(alpha, x)[0] for x in self.KR0]
+        assert abs(loglog_slope(self.KR0, gaps) - want) <= 0.01 * want
+
+    def test_no_gauge_copy_across_zero(self):
+        # alpha = -0.61 -> 0.39: the anomalous channel moves from 2 to 1, so at
+        # l = -1 each channel holds the surviving weight, |A| -> |sin pi alpha|,
+        # on one side and a vanishing one on the other
+        alpha = -0.61
+        for x in self.KR0:
+            gap, l = self._worst_gap(alpha, x)
+            assert l == -1
+            assert abs(gap - abs(math.sin(math.pi * alpha))) <= 2e-3, x
+
+
 class TestAnomalousChannel:
     def test_positive(self):
         assert bt.anomalous_channel(Coupling(0.3)) == (0, 1)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from abdirac import bare_tube as bt
 from abdirac import propagate as pr
-from abdirac.errors import QuadratureError
+from abdirac.errors import QuadratureError, RegimeError
 from abdirac.model import Coupling, channel_index
 from abdirac.numerics import gauss_panel_nodes
 from _helpers import greens_diff_bracket, greens_diff_integral_oracle
@@ -234,9 +234,13 @@ class TestPacket:
         quad = pr.delta_quadrature(cfg, c, 1.0, cfg.rho0, 0.3, t)
         assert _rel(quad, _fold_oracle(cfg, c, 1.0, cfg.rho0, 0.3, t)) <= 1e-10
 
-    @pytest.mark.parametrize("alpha", [0.37, -0.61])
-    def test_quadrature_matches_mpmath_sum(self, alpha):
-        cfg = PACKETS[0]
+    @pytest.mark.parametrize("cfg, alpha", [
+        pytest.param(cfg, alpha, id=f"{alpha}" if cfg is PACKETS[0] else f"theta0<0-{alpha}")
+        for cfg in PACKETS for alpha in (0.37, -0.61, 1.25, -1.4)])
+    def test_quadrature_matches_mpmath_sum(self, cfg, alpha):
+        # alpha = 1.25 and -1.4 have n0 != 0, so beta = alpha - n0 is not
+        # alpha; the two packets give both signs of the theta' factor's
+        # g = rho0 theta0 / delta^2
         t = pr.peak_time(cfg, cfg.rho0)
         got = pr.delta_quadrature(cfg, Coupling(alpha), 1.0, cfg.rho0, 0.3, t)
         want = _mp_delta(cfg, alpha, cfg.rho0, 0.3, t)
@@ -337,6 +341,15 @@ class TestPacket:
         assert fit["width"] == pytest.approx(fit["width_expected"], rel=1e-6)
         assert fit["center_expected"] == pytest.approx(55.0 / 13.0 * 2.0, rel=1e-12)
         assert fit["width_expected"] == pytest.approx(4.0 / 13.0, rel=1e-12)
+
+    @pytest.mark.parametrize("delta, rho0, theta0, k", [(1.0, 200.0, 0.2, 1e3),
+                                                       (1.0, 1000.0, 0.3, 1e4)])
+    def test_transit_fit_underflow_raises(self, delta, rho0, theta0, k):
+        # d = 40 delta and 300 delta: exp(-d^2 / (2 delta^2)) is below the
+        # smallest normal double on the fit grid, where the fit returned nan
+        cfg = pr.PacketConfig(delta, rho0, theta0, k)
+        with pytest.raises(RegimeError, match="underflows"):
+            pr.transit_fit(cfg, Coupling(0.37))
 
     @pytest.mark.parametrize("delta, rho0, k, alpha", [
         (4.0, 55.0, 13.0, 0.37), (3.0, 40.0, 15.0, -0.61), (5.0, 80.0, 12.0, 1.25),

@@ -23,7 +23,7 @@ from abdirac.model import (
     channel_index,
     make_kinematics,
 )
-from _helpers import loglog_slope
+from _helpers import denominator_leading_form, loglog_slope, shielded_matching_denominator
 
 C03 = Coupling(0.3)
 
@@ -284,8 +284,8 @@ class TestShieldedMatching:
     def test_denominator_leading_form(self):
         c5 = Coupling(0.5)
         b, kin = sh.shielded_sweep_point(kR0=0.16, kappaR0=50.0)
-        exact = sh.shielded_matching_denominator(0, 1, b, kin, c5)
-        lead = sh.denominator_leading_form(0, 1, b, kin, c5)
+        exact = shielded_matching_denominator(0, 1, b, kin, c5)
+        lead = denominator_leading_form(0, 1, b, kin, c5)
         assert abs(exact / lead - 1) < 0.10
 
     def test_dichotomy_against_bare_string(self):
