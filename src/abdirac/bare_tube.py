@@ -203,18 +203,19 @@ def _matching_terms(nu: float, x: float, s: float) -> tuple[complex, complex]:
     """(N, D) of the outgoing-wave weight A = -N/D at x = k r_match:
     N = x J_{nu-1}(x) - s J_nu(x) and D = x H_{nu-1}(x) - s H_nu(x).
 
-    J and H are each evaluated once, at the order pair (nu - 1, nu); scipy
-    runs the same kernel per order, so the values equal two scalar calls.
-    A real s never makes D vanish (the Wronskian of J and Y is 2/(pi x));
-    s = +/-inf, a node of chi at r_match, leaves N, D = J_nu, H_nu.
+    One `bessel_j_hankel1` call gives J and H at the order pair (nu - 1, nu),
+    each guard run once; scipy runs the same kernel per order, so the values
+    equal four scalar calls.  A real s never makes D vanish (the Wronskian of
+    J and Y is 2/(pi x)); s = +/-inf, a node of chi at r_match, leaves
+    N, D = J_nu, H_nu from one call at nu alone.
     """
     if x <= 0:
         raise RegimeError("matching needs k * r_match > 0")
     if math.isinf(s):
-        return sf.bessel_j(nu, x), sf.hankel1(nu, x)
-    orders = np.array([nu - 1.0, nu])
-    j_below, j = sf.bessel_j(orders, x).tolist()
-    h_below, h = sf.hankel1(orders, x).tolist()
+        return sf.bessel_j_hankel1(nu, x)
+    j_pair, h_pair = sf.bessel_j_hankel1(np.array([nu - 1.0, nu]), x)
+    j_below, j = j_pair.tolist()
+    h_below, h = h_pair.tolist()
     return x * j_below - s * j, x * h_below - s * h
 
 
@@ -315,16 +316,13 @@ def _ladder_components(l: int, alpha: float, kin: Kinematics, r: float,
     """Spinor components a1 J_nu1, a2 J_nu2 at r > 0 and the lower pair the
     ladder relation derives from them: chi3 from channel 2, chi4 from channel 1."""
     k = kin.k
-    x = k * r
     cfac = -1j * kin.hbar * kin.c / (kin.energy_E + kin.rest_energy)
-
-    def lower(nu: float, channel: int) -> complex:
-        order, sign = _lower_order(l, channel, alpha, nu)
-        return cfac * sign * k * sf.bessel_j(order, x)
-
+    order3, sign3 = _lower_order(l, 2, alpha, nu2)
+    order4, sign4 = _lower_order(l, 1, alpha, nu1)
+    j1, j2, j3, j4 = sf.bessel_j(np.array([nu1, nu2, order3, order4]), k * r).tolist()
     return RadialComponents(
-        complex(a1 * sf.bessel_j(nu1, x)), complex(a2 * sf.bessel_j(nu2, x)),
-        complex(a2 * lower(nu2, 2)), complex(a1 * lower(nu1, 1)),
+        complex(a1 * j1), complex(a2 * j2),
+        complex(a2 * (cfac * sign3 * k * j3)), complex(a1 * (cfac * sign4 * k * j4)),
     )
 
 
@@ -376,13 +374,8 @@ class RadialOdeSolution:
             raise RegionError("fit radii beyond the integrated range")
         chi_a = self.chi(r_fit)
         chi_b = self.chi(r_b)
-        mat = np.array(
-            [
-                [sf.bessel_j(nu, kin.k * r_fit), sf.hankel1(nu, kin.k * r_fit)],
-                [sf.bessel_j(nu, kin.k * r_b), sf.hankel1(nu, kin.k * r_b)],
-            ],
-            dtype=complex,
-        )
+        j, h = sf.bessel_j_hankel1(nu, np.array([kin.k * r_fit, kin.k * r_b]))
+        mat = np.column_stack((j, h))
         p, q = np.linalg.solve(mat, np.array([chi_a, chi_b], dtype=complex))
         return complex(q / p)
 

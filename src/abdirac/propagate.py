@@ -426,7 +426,8 @@ def transit_fit(cfg: PacketConfig, coupling: Coupling, mass: float = 1.0,
     Fits log |Delta| at 21 equally spaced times over +/-1.5 sigma about the
     peak time t*, sigma the expected width delta M / (hbar k), in the
     variable u = (t - t*)/sigma: a fit in raw t would be conditioned like
-    (t*/sigma)^2.  Returns {center, width, center_expected, width_expected}.
+    (t*/sigma)^2.  The log at the middle point u = 0 is subtracted first.
+    Returns {center, width, center_expected, width_expected}.
     Raises RegimeError when any |Delta| on the grid is below the smallest
     normal double: the suppression exp(-d^2 / (2 delta^2)) reaches there from
     d ~ 37 delta, and a subnormal or zero |Delta| has no usable logarithm.
@@ -443,7 +444,10 @@ def transit_fit(cfg: PacketConfig, coupling: Coupling, mass: float = 1.0,
             f"|Delta| underflows on the transit fit grid at d = {cfg.d:.3g} "
             f"= {cfg.d / cfg.delta:.3g} delta"
         )
-    coeffs = np.polyfit(us, np.log(mags), 2)
+    # log|Delta| less its value at u = 0: the constant -d^2 / 2 delta^2 would
+    # otherwise dwarf the curvature being fitted at large d
+    logs = np.log(mags)
+    coeffs = np.polyfit(us, logs - logs[10], 2)
     width = width_expected * math.sqrt(-0.5 / coeffs[0])
     center = t_star - width_expected * 0.5 * coeffs[1] / coeffs[0]
     return {

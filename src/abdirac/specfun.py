@@ -17,7 +17,16 @@ the scalar call at its order.  Backing scipy routines:
 * ``bessel_ie``, ``bessel_ke``: ``ive``, ``kve``, the scaled e^{-x} I_nu(x)
   and e^{x} K_nu(x) of real x > 0 (DLMF 10.25), finite where I_nu overflows
   and K_nu underflows
-* ``hankel1``, ``hankel1_prime``: ``hankel1``, ``h1vp`` (AMOS)
+* ``bessel_j_hankel1``: ``jv`` and ``hankel1`` at the same orders and
+  argument, the pair the matching formula needs.  Its guards run once each,
+  in the order ``bessel_j`` followed by ``hankel1`` would meet them: the
+  order, the argument (named as J's), J's result, then H's result; so it
+  raises exactly what that sequence raises, and its values are the two
+  calls' bit for bit
+* ``hankel1``, ``hankel1_prime``: ``hankel1``, ``h1vp`` (AMOS).  Nothing in
+  the library calls either any more (the matching formula takes H from
+  ``bessel_j_hankel1``); like ``bessel_j_ladder`` they stay only for the
+  tracer's ``TARGETS``
 * ``hankel1e``: ``hankel1e``, the scaled e^{-iz} H_nu^(1)(z), whose phase stays
   small at large z so a caller can fold e^{iz} into a phase of its own
 * ``kummer_f``: ``hyp1f1`` for real a, c, each scalar or an array that
@@ -59,6 +68,7 @@ from .errors import OutOfRangeError, PoleError, SingularArgumentError
 __all__ = [
     "DEFAULT_MAX_ORDER",
     "bessel_j",
+    "bessel_j_hankel1",
     "bessel_j_prime",
     "bessel_j_ladder",
     "bessel_ie",
@@ -87,20 +97,30 @@ def _order(nu, max_order: float | None = None) -> np.ndarray:
     return nu
 
 
-def _evaluate(fn, z, name: str, *params, dtype=np.complex128):
-    """fn(*params, z) at a finite argument; scipy's inf/nan becomes a typed error.
-
-    Returns a Python scalar for a scalar result, else the array.
-    """
+def _argument(z, name: str, dtype=np.complex128) -> np.ndarray:
+    """z as an array of `dtype`; OutOfRangeError unless every element is finite."""
     z = np.asarray(z, dtype=dtype)
     if not np.isfinite(z).all():
         raise OutOfRangeError(f"{name}: argument must be finite")
-    out = fn(*params, z)
+    return z
+
+
+def _finite(out, z: np.ndarray, name: str):
+    """out, a Python scalar if 0-d; a non-finite element becomes a typed error."""
     if not np.isfinite(out).all():
         if (~np.isfinite(out) & (z == 0)).any():
             raise SingularArgumentError(f"{name} diverges at z=0")
         raise OutOfRangeError(f"{name} is not finite in double precision here")
     return out.item() if np.ndim(out) == 0 else out
+
+
+def _evaluate(fn, z, name: str, *params, dtype=np.complex128):
+    """fn(*params, z) at a finite argument; scipy's inf/nan becomes a typed error.
+
+    Returns a Python scalar for a scalar result, else the array.
+    """
+    z = _argument(z, name, dtype)
+    return _finite(fn(*params, z), z, name)
 
 
 def _positive(x, name: str):
@@ -153,6 +173,15 @@ def bessel_ke(nu: float, x):
 def hankel1(nu: float, z):
     """Hankel function of the first kind, H_nu^(1)(z)."""
     return _evaluate(_sp.hankel1, z, "H1_nu", _order(nu))
+
+
+def bessel_j_hankel1(nu: float, z):
+    """(J_nu(z), H_nu^(1)(z)) at the same orders and argument, each guard run
+    once; raises what `bessel_j` followed by `hankel1` would raise."""
+    nu = _order(nu)
+    z = _argument(z, "J_nu")
+    j = _finite(_sp.jv(nu, z), z, "J_nu")
+    return j, _finite(_sp.hankel1(nu, z), z, "H1_nu")
 
 
 def hankel1e(nu: float, z):

@@ -256,6 +256,41 @@ class TestMatchingTerms:
         for nu, x, s in cases:
             assert terms(nu, x, s) == self._four_calls(nu, x, s), (nu, x, s)
 
+    def test_one_specfun_call_per_weight(self, monkeypatch):
+        # every public specfun function records its calls; each weight's
+        # formula makes exactly one, the pair, in both branches
+        calls = []
+        for name in sf.__all__:
+            fn = getattr(sf, name)
+            if callable(fn):
+                def recorded(*args, _fn=fn, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(sf, name, recorded)
+        per_weight = []
+        terms = bt._matching_terms
+
+        def recording(nu, x, s):
+            start = len(calls)
+            out = terms(nu, x, s)
+            per_weight.append(calls[start:])
+            return out
+
+        for module in (bt, sh):
+            monkeypatch.setattr(module, "_matching_terms", recording)
+        kin = make_kinematics(k=1.0)
+        for alpha in (0.41, -1.38):
+            c = Coupling(alpha)
+            tube = TubeConfig(r0=0.5, coupling=c)
+            barrier, kin_b = sh.shielded_sweep_point(0.5, 6.0)
+            for l in range(-3, 4):
+                for ch in (1, 2):
+                    bt.matching_coefficient(l, ch, tube, kin)
+                    sh.shielded_matching(l, ch, barrier, kin_b, c)
+                    bt.matching_from_log_derivative(l, ch, c, kin, 0.5, 0.3)
+                    recording(bt.exterior_order(l, ch, alpha), 0.5, math.inf)
+        assert per_weight == [["bessel_j_hankel1"]] * (2 * 7 * 2 * 4)
+
 
 class TestWeightMirror:
     """A(l, ch; alpha) = A(-1 - l, 3 - ch; -alpha) bit for bit: flipping the
@@ -379,6 +414,43 @@ class TestBareStringRadial:
         # the ladder image of J_-0.3 is -J_0.7, which vanishes at the origin
         assert comp.chi4 == 0
 
+    @staticmethod
+    def _four_calls(l, alpha, kin, r, nu1, nu2, a1=1.0, a2=1.0):
+        # the four components with one scalar bessel_j call each
+        k = kin.k
+        x = k * r
+        cfac = -1j * kin.hbar * kin.c / (kin.energy_E + kin.rest_energy)
+
+        def lower(nu, channel):
+            order, sign = bt._lower_order(l, channel, alpha, nu)
+            return cfac * sign * k * sf.bessel_j(order, x)
+
+        return (complex(a1 * sf.bessel_j(nu1, x)), complex(a2 * sf.bessel_j(nu2, x)),
+                complex(a2 * lower(nu2, 2)), complex(a1 * lower(nu1, 1)))
+
+    @staticmethod
+    def _bits(values):
+        return [(v.real.hex(), v.imag.hex()) for v in values]
+
+    def test_one_call_equals_four_calls(self):
+        kin = make_kinematics(k=0.5)
+        swaps = 0
+        for alpha in (0.3, -0.4, 1.3, -1.62):
+            c = Coupling(alpha)
+            for l in range(-3, 4):
+                nu1, nu2 = (bt._principal_order(l, ch, c) for ch in (1, 2))
+                swaps += nu1 < 0 or nu2 < 0
+                mu1, mu2 = (bt.exterior_order(l, ch, alpha) for ch in (1, 2))
+                for r in (1e-6, 0.3, 2.0, 40.0):
+                    bare = bt.bare_string_radial(l, c, kin, r)
+                    want = self._four_calls(l, alpha, kin, r, nu1, nu2)
+                    assert self._bits(bare.as_tuple()) == self._bits(want), (alpha, l, r)
+                    shielded = sh.shielded_eigenfunction(l, c, kin, r, 0.6 - 0.2j, -1.3)
+                    want = self._four_calls(l, alpha, kin, r, mu1, mu2, 0.6 - 0.2j, -1.3)
+                    assert self._bits(shielded.as_tuple()) == self._bits(want), (alpha, l, r)
+        # the anomalous swap, one channel per coupling
+        assert swaps == 4
+
     @pytest.mark.parametrize("kr", [5e-3, 5e-5, 5e-9])
     def test_lower_components_against_mpmath(self, kr):
         # two-term ladder c (k J_nu' + (g/r) J_nu) at 40 digits, for the bare
@@ -452,6 +524,25 @@ class TestOdeOracle:
                 A_f = bt.matching_coefficient(l, ch, tube, KIN).value
                 if abs(A_f) >= 1e-4:
                     assert abs(A_ode - A_f) < 1e-6 * abs(A_f), (alpha, l, ch)
+
+    def test_exterior_fit_matrix_equals_scalar_calls(self, monkeypatch):
+        # the fit matrix comes from one pair call at both radii; each entry
+        # equals the scalar J or H call at its radius
+        seen = []
+        pair = sf.bessel_j_hankel1
+
+        def recording(nu, z):
+            out = pair(nu, z)
+            seen.append((nu, z, out))
+            return out
+
+        monkeypatch.setattr(sf, "bessel_j_hankel1", recording)
+        sol = bt.ode_radial_oracle(0, 1, tube_at(0.2, 0.3), KIN, r_max=12.0 / K)
+        sol.extract_matching()
+        [(nu, z, (j, h))] = seen
+        assert z.shape == (2,)
+        assert j.tolist() == [sf.bessel_j(nu, x) for x in z.tolist()]
+        assert h.tolist() == [sf.hankel1(nu, x) for x in z.tolist()]
 
     def test_interior_route_matches_formula_on_grid(self):
         for alpha in (0.25, -0.25, 0.5, -0.5, 0.75, -0.75):

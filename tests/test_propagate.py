@@ -360,6 +360,13 @@ class TestPacket:
         fit = pr.transit_fit(pr.PacketConfig(delta, rho0, 0.0, k), Coupling(alpha))
         assert abs(fit["width"] / fit["width_expected"] - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("d", [0.0, 20.0, 30.0, 36.0])
+    def test_transit_width_exact_off_axis(self, d):
+        # at d up to 36 delta the constant -d^2 / (2 delta^2) of log |Delta|
+        # dwarfs the fitted curvature unless the fit subtracts it first
+        fit = pr.transit_fit(pr.PacketConfig(1.0, 200.0, d / 200.0, 1e3), Coupling(0.37))
+        assert abs(fit["width"] / fit["width_expected"] - 1.0) <= 1e-14
+
 
 class TestPanelEdges:
     # (r_lo, r_hi, s_star): stationary point inside, below and above the window

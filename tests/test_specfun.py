@@ -215,16 +215,24 @@ class TestIdentitySuite:
                 assert abs(lhs - rhs) <= 1e-11 * abs(rhs), (nu, x)
 
 
+# the orders and arguments the physics layers use
+ORACLE_ORDERS = [-2.7, -2.0, -1.5, -0.7, -0.3, 0.0, 0.3, 0.5, 1.0, 1.3, 2.7, 7.4, 15.6, 25.3]
+ORACLE_ARGS = np.geomspace(1e-4, 300.0, 25)
+
+
+def _bits(values):
+    """The raw float bits of a complex scalar or array, for exact comparison."""
+    return np.atleast_1d(np.asarray(values, dtype=np.complex128)).view(np.uint64).tolist()
+
+
 class TestMpmathOracle:
     """Public functions against 40-digit mpmath over the orders and arguments
     the physics layers use."""
 
-    @pytest.mark.parametrize(
-        "nu", [-2.7, -2.0, -1.5, -0.7, -0.3, 0.0, 0.3, 0.5, 1.0, 1.3, 2.7, 7.4, 15.6, 25.3]
-    )
+    @pytest.mark.parametrize("nu", ORACLE_ORDERS)
     def test_cylinder_functions(self, nu):
         with mpmath.workdps(40):
-            for x in np.geomspace(1e-4, 300.0, 25):
+            for x in ORACLE_ARGS:
                 xm, num = mpmath.mpf(x), mpmath.mpf(nu)
                 j = {d: mpmath.besselj(num + d, xm) for d in (-1, 0, 1)}
                 y = {d: mpmath.bessely(num + d, xm) for d in (-1, 0, 1)}
@@ -283,6 +291,34 @@ class TestMpmathOracle:
             want = float(mpmath.besseli(nu + 1, xm) / mpmath.besseli(nu, xm) + nu / xm)
         i0, i1 = sf.bessel_ie(np.array([nu, nu + 1.0]), x).tolist()
         assert abs(i1 / i0 + nu / x - want) <= 1e-12 * abs(want)
+
+
+class TestBesselJHankel1:
+    """The pair equals `bessel_j` and `hankel1` at the same orders and
+    argument, bit for bit, over the oracle grid."""
+
+    @pytest.mark.parametrize("nu", ORACLE_ORDERS)
+    def test_scalar_order(self, nu):
+        for x in [*ORACLE_ARGS, *(1j * ORACLE_ARGS[::4])]:
+            j, h = sf.bessel_j_hankel1(nu, x)
+            assert type(j) is complex and type(h) is complex
+            assert _bits([j, h]) == _bits([sf.bessel_j(nu, x), sf.hankel1(nu, x)]), (nu, x)
+
+    def test_order_array(self):
+        orders = np.array(ORACLE_ORDERS)
+        for x in ORACLE_ARGS:
+            j, h = sf.bessel_j_hankel1(orders, x)
+            assert j.shape == h.shape == orders.shape
+            assert _bits(j) == _bits(sf.bessel_j(orders, x)), x
+            assert _bits(h) == _bits(sf.hankel1(orders, x)), x
+
+    @pytest.mark.parametrize("nu", ORACLE_ORDERS)
+    def test_argument_array(self, nu):
+        j, h = sf.bessel_j_hankel1(nu, ORACLE_ARGS)
+        assert j.shape == h.shape == ORACLE_ARGS.shape
+        assert _bits(j) == _bits(sf.bessel_j(nu, ORACLE_ARGS))
+        assert _bits(h) == _bits(sf.hankel1(nu, ORACLE_ARGS))
+        assert _bits(j) == _bits([sf.bessel_j(nu, x) for x in ORACLE_ARGS])
 
 
 class TestKummer:
@@ -515,6 +551,31 @@ class TestGuardMessages:
         # a NaN cap refuses every order
         _raises(OutOfRangeError, ORDER_MESSAGE.format(NAN), sf.bessel_j, 0.3, 1.0,
                 max_order=NAN)
+
+    # (order, argument, error, message) of `bessel_j` then `hankel1`: the
+    # order and argument guards, H diverging at z = 0 where J is finite, J
+    # diverging there first, and each function's overflow
+    PAIR_CASES = [
+        *[(bad, 1.0, OutOfRangeError, ORDER_MESSAGE.format(200.0))
+          for bad in (NAN, INF, -INF, 250.0, -250.0)],
+        *[(0.3, z, OutOfRangeError, "J_nu: argument must be finite")
+          for z in (NAN, INF, -INF, complex(0.0, INF), complex(NAN, 1.0))],
+        (0.5, 0.0, SingularArgumentError, "H1_nu diverges at z=0"),
+        (-0.5, 0.0, SingularArgumentError, "J_nu diverges at z=0"),
+        (-150.5, 1e-3, OutOfRangeError, "J_nu is not finite in double precision here"),
+        (150.5, 1e-3, OutOfRangeError, "H1_nu is not finite in double precision here"),
+    ]
+
+    @pytest.mark.parametrize("nu, z, error, message", PAIR_CASES)
+    def test_pair_raises_as_the_sequence(self, nu, z, error, message):
+        def sequence(nu, z):
+            sf.bessel_j(nu, z)
+            sf.hankel1(nu, z)
+
+        # the bad value alone, and in an array next to a good one
+        for nu_arg, z_arg in ((nu, z), (np.array([0.3, nu]), z), (nu, np.array([1.0, z]))):
+            _raises(error, message, sequence, nu_arg, z_arg)
+            _raises(error, message, sf.bessel_j_hankel1, nu_arg, z_arg)
 
     def test_ladder(self):
         for bad in (NAN, INF, -INF, 199.5):
