@@ -83,12 +83,14 @@ class Kinematics:
     def __post_init__(self):
         E, M, hbar, c = self.energy_E, self.mass_M, self.hbar, self.c
         rest = M * c * c
-        if E < rest:
-            raise RegimeError(f"energy {E} below the rest mass {rest}")
+        if not rest <= E < math.inf:
+            raise RegimeError(f"energy {E} not finite or below the rest mass {rest}")
         if self.k_exact is not None:
             # near-threshold energies lose k to cancellation in E^2 - (Mc^2)^2;
             # an explicitly supplied wavenumber survives that
             k = self.k_exact
+            if not 0 <= k < math.inf:
+                raise RegimeError(f"wavenumber {k} not finite or negative")
         else:
             k = math.sqrt(max(E * E - rest * rest, 0.0)) / (hbar * c)
         object.__setattr__(self, "k", k)
@@ -160,8 +162,8 @@ class TubeConfig:
     coupling: Coupling
 
     def __post_init__(self):
-        if self.r0 <= 0:
-            raise RegimeError("tube radius r0 must be positive")
+        if not 0 < self.r0 < math.inf:
+            raise RegimeError("tube radius r0 must be positive and finite")
 
     @property
     def qB_over_hbar(self) -> float:
@@ -192,8 +194,8 @@ class BarrierConfig:
     U: float
 
     def __post_init__(self):
-        if self.R0 <= 0:
-            raise RegimeError("barrier radius R0 must be positive")
+        if not 0 < self.R0 < math.inf:
+            raise RegimeError("barrier radius R0 must be positive and finite")
 
 
 @dataclass(frozen=True)

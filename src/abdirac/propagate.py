@@ -77,9 +77,9 @@ class PacketConfig:
     d: float = field(init=False)
 
     def __post_init__(self):
-        if self.delta <= 0 or self.rho0 <= 0 or self.k <= 0:
-            raise RegimeError("packet needs positive delta, rho0 and k")
-        if abs(self.theta0) > 0.3:
+        if not all(0 < v < math.inf for v in (self.delta, self.rho0, self.k)):
+            raise RegimeError("packet needs finite positive delta, rho0 and k")
+        if not abs(self.theta0) <= 0.3:
             raise RegimeError("packet launch angle must satisfy |theta0| << 1")
         if self.delta / self.rho0 > 0.3:
             raise RegimeError("packet width must satisfy delta << rho0")
@@ -99,7 +99,7 @@ def _surviving_wave(coupling: Coupling) -> tuple[float, int]:
 
 
 def _kernel_parts(coupling: Coupling, mass: float, t: float, hbar: float):
-    if t <= 0:
+    if not t > 0:
         raise SingularArgumentError("propagator difference needs t > 0")
     nu, n0 = _surviving_wave(coupling)
     pref = mass / (2.0 * math.pi * hbar * t)
@@ -229,9 +229,9 @@ def peak_time(cfg: PacketConfig, r: float, mass: float = 1.0,
 
 def _require_closed_regime(cfg: PacketConfig, r: float):
     kd2 = cfg.k * cfg.delta * cfg.delta
-    if cfg.k * r < 30.0:
+    if not cfg.k * r >= 30.0:
         raise RegimeError("closed packet difference needs k r >> 1")
-    if cfg.rho0 > 0.3 * kd2 or r > 0.3 * kd2:
+    if not (cfg.rho0 <= 0.3 * kd2 and r <= 0.3 * kd2):
         raise RegimeError(
             "closed packet difference needs rho0, r << k delta^2"
         )

@@ -153,8 +153,8 @@ def _row_bessel(nu: float, x: float, tol: float, signed: tuple = ()):
     """
     if not (0.0 <= nu < 1.0):
         raise RegimeError("reduced coupling must lie in [0, 1)")
-    if x < 0:
-        raise RegimeError("kr must be >= 0")
+    if not 0 <= x < math.inf:
+        raise RegimeError("kr must be finite and >= 0")
     l_max = truncation_order(x)
     chunk = _EXTENSION_CHUNK
     n = l_max + chunk
@@ -216,6 +216,8 @@ def _angular_sum(coeffs: np.ndarray, theta, shift: int):
     l_max = (coeffs.shape[0] - 1) // 2
     ls = np.arange(-l_max + shift, l_max + 1 + shift)
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
+    if not np.isfinite(theta_arr).all():
+        raise RegimeError("theta must be finite")
     vals = np.exp(1j * np.outer(theta_arr, ls)) @ coeffs
     return vals if np.ndim(theta) else vals[0]
 
@@ -313,7 +315,7 @@ def dirac_scattering_state(kind: str, amplitudes: SpinorAmplitudes,
     """
     if kind not in ("bare", "shielded"):
         raise RegimeError("kind must be 'bare' or 'shielded'")
-    if r <= 0:
+    if not r > 0:
         raise RegimeError("field point needs r > 0")
     if kind == "bare" and coupling.is_integer:
         raise RegimeError("bare-string construction needs non-integer coupling")
@@ -336,11 +338,12 @@ def asymptotic_state(kind: str, amplitudes: SpinorAmplitudes, coupling: Coupling
     if kind not in ("bare", "shielded"):
         raise RegimeError("kind must be 'bare' or 'shielded'")
     x = kin.k * r
-    if x < 50.0:
+    if not x >= 50.0:
         raise RegimeError(f"asymptotic form needs k r >= 50 (got {x:.3g})")
-    if abs(theta) >= math.pi - DEFAULT_FORWARD_CONE:
+    if not abs(theta) < math.pi - DEFAULT_FORWARD_CONE:
         raise RegimeError(
-            f"theta={theta:.3f} inside the forward cone (cut {DEFAULT_FORWARD_CONE})"
+            f"theta={theta:.3f} not finite or inside the forward cone "
+            f"(cut {DEFAULT_FORWARD_CONE})"
         )
     nu = coupling.frac
     a1, a2 = complex(amplitudes.a1), complex(amplitudes.a2)
@@ -371,6 +374,8 @@ def scattering_amplitude(coupling: Coupling, kin: Kinematics,
                          theta: float) -> complex:
     """Scalar scattering amplitude f(theta), defined through
     psi ~ e^{-i k r cos theta + i alpha theta} + f(theta) e^{i k r} / sqrt(r)."""
+    if math.isnan(theta):
+        raise RegimeError("theta must be a number")
     if abs(theta) >= math.pi:
         raise SingularArgumentError("amplitude diverges at theta = +/- pi")
     nu = coupling.frac

@@ -171,7 +171,7 @@ def shielded_sweep_point(kR0: float, kappaR0: float = 50.0, U: float = 1.0,
     The barrier radius is fixed from the threshold decay constant
     kappa0 = sqrt(U (2M - U)); sweeping kR0 then only moves the energy.
     """
-    if kR0 <= 0 or kappaR0 <= 0:
+    if not (kR0 > 0 and kappaR0 > 0):
         raise RegimeError("kR0 and kappaR0 must be positive")
     kappa0 = math.sqrt(U * (2.0 * M - U))
     R0 = kappaR0 / kappa0

@@ -18,11 +18,11 @@ the scalar call at its order.  Backing scipy routines:
   and e^{x} K_nu(x) of real x > 0 (DLMF 10.25), finite where I_nu overflows
   and K_nu underflows
 * ``bessel_j_hankel1``: ``jv`` and ``hankel1`` at the same orders and
-  argument, the pair the matching formula needs.  Its guards run once each,
-  in the order ``bessel_j`` followed by ``hankel1`` would meet them: the
-  order, the argument (named as J's), J's result, then H's result; so it
-  raises exactly what that sequence raises, and its values are the two
-  calls' bit for bit
+  argument, the pair the matching formula needs.  One test covers both
+  results; on the way to raising, the guards run in the order ``bessel_j``
+  followed by ``hankel1`` would meet them: the order, the argument (named
+  as J's), J's result, then H's result.  So it raises exactly what that
+  sequence raises, and its values are the two calls' bit for bit
 * ``hankel1``, ``hankel1_prime``: ``hankel1``, ``h1vp`` (AMOS).  Nothing in
   the library calls either any more (the matching formula takes H from
   ``bessel_j_hankel1``); like ``bessel_j_ladder`` they stay only for the
@@ -49,11 +49,16 @@ scipy returns inf or nan where the library raises instead:
   diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: Kummer's F at c within 1e-12 of 0, -1, -2, ...
 
-Each guard is one reduction over its array, with the errors and messages
-above.  The order guard tests |nu| <= cap alone, which NaN and +-inf fail
-too (an infinite ``max_order`` still refuses an infinite order); the result
-guard tests isfinite once and tells z = 0 from an overflow only on the way
-to raising.
+A call makes two tests, each one reduction.  The input test broadcasts
+|nu| <= cap, isfinite(z) and, for ``bessel_ie`` and ``bessel_ke``, z > 0
+into one boolean and reduces it once; NaN and +-inf orders fail it, and the
+cap is clamped to the largest double, so an infinite ``max_order`` still
+refuses an infinite order.  The result test is one isfinite reduction.
+Only when a test fails (or a conversion fails, or the broadcast fails or is
+empty) do the single guards run, one reduction each, in the order x > 0,
+order, argument, result.  The first of them to fail raises its error and
+message above, as it would alone; the result guard tells z = 0 from an
+overflow only there.  A valid call runs none of them.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from __future__ import annotations
 import sys
 
 import numpy as np
+from numpy.exceptions import ComplexWarning
 from scipy import special as _sp
 
 from .errors import OutOfRangeError, PoleError, SingularArgumentError
@@ -86,13 +92,20 @@ DEFAULT_MAX_ORDER = 200.0
 _KUMMER_Z_MAX = 1e9
 
 
+def _bound(max_order: float | None) -> float:
+    """The bound |nu| is tested against: the cap, clamped to the largest double
+    so that max_order = inf still refuses an infinite order.  NaN and +-inf
+    orders fail |nu| <= bound, and every order fails a NaN cap."""
+    if max_order is None:
+        return DEFAULT_MAX_ORDER
+    return min(float(max_order), sys.float_info.max)
+
+
 def _order(nu, max_order: float | None = None) -> np.ndarray:
-    """nu as a float64 array; one reduction, since NaN and +-inf fail |nu| <= cap.
-    The cap is clamped to the largest double, so max_order = inf still
-    refuses an infinite order."""
+    """nu as a float64 array; OutOfRangeError unless every |nu| <= the cap."""
     cap = DEFAULT_MAX_ORDER if max_order is None else float(max_order)
     nu = np.asarray(nu, dtype=np.float64)
-    if not (np.abs(nu) <= min(cap, sys.float_info.max)).all():
+    if not (np.abs(nu) <= _bound(max_order)).all():
         raise OutOfRangeError(f"order not finite or above the maximum {cap}")
     return nu
 
@@ -105,28 +118,69 @@ def _argument(z, name: str, dtype=np.complex128) -> np.ndarray:
     return z
 
 
-def _finite(out, z: np.ndarray, name: str):
-    """out, a Python scalar if 0-d; a non-finite element becomes a typed error."""
+def _positive(x, name: str):
+    """OutOfRangeError unless every element of x is > 0 (NaN passes here and
+    meets the argument guard)."""
+    if (np.asarray(x) <= 0).any():
+        raise OutOfRangeError(f"{name} expects x > 0")
+    return x
+
+
+def _finite(out, z: np.ndarray, name: str) -> None:
+    """Raise for a non-finite element of out: SingularArgumentError if it sits
+    at z = 0, else OutOfRangeError."""
     if not np.isfinite(out).all():
         if (~np.isfinite(out) & (z == 0)).any():
             raise SingularArgumentError(f"{name} diverges at z=0")
         raise OutOfRangeError(f"{name} is not finite in double precision here")
+
+
+def _inputs(nu, z, name: str, dtype=np.complex128, max_order: float | None = None,
+            positive: str | None = None):
+    """(nu, z) as arrays after one test of both: |nu| within `_bound`, z finite
+    and, where `positive` names the function, z > 0, broadcast into one
+    boolean and reduced once.  nu None takes no order.
+
+    Only when that test fails, or a conversion or the broadcast does (a
+    ComplexWarning counts, under an error filter), or the broadcast is empty
+    (it may then have dropped a bad element), do the single guards run:
+    `_positive`, `_order`, `_argument`, in that order.  So the first of them
+    to fail raises, as it would alone; if none does, the caller meets
+    whatever scipy raises for the same inputs.
+    """
+    try:
+        z_in = np.asarray(z, dtype=dtype)
+        ok = np.isfinite(z_in)
+        if nu is not None:
+            nu = np.asarray(nu, dtype=np.float64)
+            ok = ok & (np.abs(nu) <= _bound(max_order))
+        if positive is not None:
+            ok = ok & (z_in > 0)
+        if ok.size and ok.all():
+            return nu, z_in
+    except (TypeError, ValueError, ComplexWarning):
+        pass
+    if positive is not None:
+        _positive(z, positive)
+    if nu is not None:
+        nu = _order(nu, max_order)
+    return nu, _argument(z, name, dtype)
+
+
+def _result(out, z: np.ndarray, name: str):
+    """out after one isfinite test (`_finite` raises if it fails); a Python
+    scalar if 0-d, else the array."""
+    if not np.isfinite(out).all():
+        _finite(out, z, name)
     return out.item() if np.ndim(out) == 0 else out
 
 
-def _evaluate(fn, z, name: str, *params, dtype=np.complex128):
-    """fn(*params, z) at a finite argument; scipy's inf/nan becomes a typed error.
-
-    Returns a Python scalar for a scalar result, else the array.
-    """
-    z = _argument(z, name, dtype)
-    return _finite(fn(*params, z), z, name)
-
-
-def _positive(x, name: str):
-    if (np.asarray(x) <= 0).any():
-        raise OutOfRangeError(f"{name} expects x > 0")
-    return x
+def _evaluate(fn, nu, z, name: str, dtype=np.complex128, max_order: float | None = None,
+              positive: str | None = None):
+    """fn(nu, z) with one test of the inputs and one of the result (`_inputs`,
+    `_result`): scipy's inf/nan becomes a typed error."""
+    nu, z = _inputs(nu, z, name, dtype, max_order, positive)
+    return _result(fn(nu, z), z, name)
 
 
 def _check_pole(x, name: str) -> None:
@@ -141,12 +195,12 @@ def _check_pole(x, name: str) -> None:
 
 def bessel_j(nu: float, z, max_order: float | None = None):
     """Bessel function J_nu(z) for real order and complex argument."""
-    return _evaluate(_sp.jv, z, "J_nu", _order(nu, max_order))
+    return _evaluate(_sp.jv, nu, z, "J_nu", max_order=max_order)
 
 
 def bessel_j_prime(nu: float, z):
     """d/dz J_nu(z)."""
-    return _evaluate(_sp.jvp, z, "J'_nu", _order(nu))
+    return _evaluate(_sp.jvp, nu, z, "J'_nu")
 
 
 def bessel_j_ladder(nu0: float, count: int, z) -> np.ndarray:
@@ -154,44 +208,50 @@ def bessel_j_ladder(nu0: float, count: int, z) -> np.ndarray:
     nu0 + m in one rounding."""
     if count < 1:
         raise OutOfRangeError("count must be >= 1")
-    orders = _order(float(nu0) + np.arange(count))
-    return _evaluate(_sp.jv, complex(z), "J ladder", orders)
+    orders = float(nu0) + np.arange(count)
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        _order(orders)  # a bad order is reported first
+        raise
+    return _evaluate(_sp.jv, orders, z, "J ladder")
 
 
 def bessel_ie(nu: float, x):
     """Exponentially scaled modified Bessel function e^{-x} I_nu(x), real x > 0."""
-    return _evaluate(_sp.ive, _positive(x, "bessel_ie"), "Ie_nu", _order(nu),
-                     dtype=np.float64)
+    return _evaluate(_sp.ive, nu, x, "Ie_nu", np.float64, positive="bessel_ie")
 
 
 def bessel_ke(nu: float, x):
     """Exponentially scaled modified Bessel function e^{x} K_nu(x), real x > 0."""
-    return _evaluate(_sp.kve, _positive(x, "bessel_ke"), "Ke_nu", _order(nu),
-                     dtype=np.float64)
+    return _evaluate(_sp.kve, nu, x, "Ke_nu", np.float64, positive="bessel_ke")
 
 
 def hankel1(nu: float, z):
     """Hankel function of the first kind, H_nu^(1)(z)."""
-    return _evaluate(_sp.hankel1, z, "H1_nu", _order(nu))
+    return _evaluate(_sp.hankel1, nu, z, "H1_nu")
 
 
 def bessel_j_hankel1(nu: float, z):
-    """(J_nu(z), H_nu^(1)(z)) at the same orders and argument, each guard run
-    once; raises what `bessel_j` followed by `hankel1` would raise."""
-    nu = _order(nu)
-    z = _argument(z, "J_nu")
-    j = _finite(_sp.jv(nu, z), z, "J_nu")
-    return j, _finite(_sp.hankel1(nu, z), z, "H1_nu")
+    """(J_nu(z), H_nu^(1)(z)) at the same orders and argument, one test of the
+    inputs and one of both results; raises what `bessel_j` followed by
+    `hankel1` would raise."""
+    nu, z = _inputs(nu, z, "J_nu")
+    j, h = _sp.jv(nu, z), _sp.hankel1(nu, z)
+    if not (np.isfinite(j) & np.isfinite(h)).all():
+        _finite(j, z, "J_nu")
+        _finite(h, z, "H1_nu")
+    return (j.item(), h.item()) if np.ndim(j) == 0 else (j, h)
 
 
 def hankel1e(nu: float, z):
     """Exponentially scaled Hankel function e^{-iz} H_nu^(1)(z)."""
-    return _evaluate(_sp.hankel1e, z, "H1e_nu", _order(nu))
+    return _evaluate(_sp.hankel1e, nu, z, "H1e_nu")
 
 
 def hankel1_prime(nu: float, z):
     """d/dz H_nu^(1)(z)."""
-    return _evaluate(_sp.h1vp, z, "H1'_nu", _order(nu))
+    return _evaluate(_sp.h1vp, nu, z, "H1'_nu")
 
 
 def kummer_f(a, c, z):
@@ -209,5 +269,6 @@ def kummer_f(a, c, z):
     far = np.asarray(z).real > _KUMMER_Z_MAX
     if far.any() and (far & ((a > 0) | (np.mod(a, 1.0) != 0))).any():
         raise OutOfRangeError(f"kummer_f overflows at Re z above {_KUMMER_Z_MAX:g}")
-    out = _evaluate(_sp.hyp1f1, z, "kummer_f", a, c, dtype=None)
+    _, z = _inputs(None, z, "kummer_f", dtype=None)
+    out = _result(_sp.hyp1f1(a, c, z), z, "kummer_f")
     return out if isinstance(out, np.ndarray) else complex(out)

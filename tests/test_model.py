@@ -12,7 +12,7 @@ from abdirac import bare_tube as bt
 from abdirac import propagate as pr
 from abdirac import scattering as sc
 from abdirac import shielded as sh
-from abdirac.errors import RegimeError
+from abdirac.errors import RegimeError, SingularArgumentError
 from abdirac.model import BarrierConfig, Coupling, SpinorAmplitudes, TubeConfig, make_kinematics
 
 # couplings just below 0, where alpha - floor(alpha) rounds to 1.0
@@ -155,3 +155,56 @@ class TestUnitSchemes:
             fit_si = pr.transit_fit(si, c, M_SI, rho0 * LAM, HBAR_SI)
             for key, bound in (("center", 1e-13), ("width", 1e-13)):
                 assert abs(fit_si[key] / TAU - fit_nat[key]) <= bound * fit_nat[key]
+
+
+NAN, INF = math.nan, math.inf
+KIN1 = make_kinematics(k=1.0)
+C03 = Coupling(0.3)
+PACKET = pr.PacketConfig(delta=10.0, rho0=100.0, theta0=0.05, k=5.0)
+
+# entry point with one non-finite (or negative) input -> the typed error it
+# raises, never a bare OverflowError or ValueError and never a NaN result
+NON_FINITE_CASES = {
+    "dirac_scattering_state r=inf":
+        (lambda: sc.dirac_scattering_state("shielded", AMP, C03, KIN1, INF, 0.3), RegimeError),
+    "dirac_scattering_state r=nan":
+        (lambda: sc.dirac_scattering_state("bare", AMP, C03, KIN1, NAN, 0.3), RegimeError),
+    "dirac_scattering_state theta=nan":
+        (lambda: sc.dirac_scattering_state("shielded", AMP, C03, KIN1, 1.0, NAN), RegimeError),
+    "dirac_scattering_state theta row with nan":
+        (lambda: sc.dirac_scattering_state("bare", AMP, C03, KIN1, 1.0, np.array([0.1, NAN])),
+         RegimeError),
+    "ab_wavefunction r=inf": (lambda: sc.ab_wavefunction(C03, KIN1, INF, 0.3), RegimeError),
+    "ab_wavefunction r=nan": (lambda: sc.ab_wavefunction(C03, KIN1, NAN, 0.3), RegimeError),
+    "ab_wavefunction theta=inf": (lambda: sc.ab_wavefunction(C03, KIN1, 1.0, INF), RegimeError),
+    "TubeConfig r0=nan": (lambda: TubeConfig(r0=NAN, coupling=C03), RegimeError),
+    "TubeConfig r0=inf": (lambda: TubeConfig(r0=INF, coupling=C03), RegimeError),
+    "BarrierConfig R0=nan": (lambda: BarrierConfig(R0=NAN, U=1.0), RegimeError),
+    "make_kinematics k=inf": (lambda: make_kinematics(k=INF), RegimeError),
+    "make_kinematics k=nan": (lambda: make_kinematics(k=NAN), RegimeError),
+    "make_kinematics k<0": (lambda: make_kinematics(k=-1.0), RegimeError),
+    "make_kinematics E=inf": (lambda: make_kinematics(E=INF), RegimeError),
+    "PacketConfig delta=nan":
+        (lambda: pr.PacketConfig(delta=NAN, rho0=100.0, theta0=0.05, k=5.0), RegimeError),
+    "PacketConfig theta0=nan":
+        (lambda: pr.PacketConfig(delta=10.0, rho0=100.0, theta0=NAN, k=5.0), RegimeError),
+    "shielded_sweep_point kR0=nan": (lambda: sh.shielded_sweep_point(NAN), RegimeError),
+    "delta_closed r=nan": (lambda: pr.delta_closed(PACKET, C03, 1.0, NAN, 0.0, 30.0), RegimeError),
+    "delta_closed t=nan":
+        (lambda: pr.delta_closed(PACKET, C03, 1.0, 100.0, 0.0, NAN), SingularArgumentError),
+    "delta_quadrature t=nan":
+        (lambda: pr.delta_quadrature(PACKET, C03, 1.0, 100.0, 0.0, NAN), SingularArgumentError),
+    "scattering_amplitude theta=nan": (lambda: sc.scattering_amplitude(C03, KIN1, NAN), RegimeError),
+    "asymptotic_state theta=nan":
+        (lambda: sc.asymptotic_state("shielded", AMP, C03, KIN1, 100.0, NAN), RegimeError),
+    "asymptotic_state r=nan":
+        (lambda: sc.asymptotic_state("bare", AMP, C03, KIN1, NAN, 0.3), RegimeError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_input_raises_typed_error(case):
+    fn, error = NON_FINITE_CASES[case]
+    with pytest.raises(error) as caught:
+        fn()
+    assert type(caught.value) is error

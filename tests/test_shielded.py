@@ -158,8 +158,8 @@ class TestBarrierLogDerivative:
 
     def test_underflow_raises_typed_error(self):
         # order 150.5 at kappa R0 = 1e-3, where the scaled I_nu underflows to
-        # 0, and a non-finite R0: OutOfRangeError, with no ZeroDivisionError
-        # and no numpy warning before it; the barrier itself refuses R0 <= 0
+        # 0: OutOfRangeError, with no ZeroDivisionError and no numpy warning
+        # before it; the barrier itself refuses R0 <= 0 and a non-finite R0
         coupling = Coupling(0.5)
         b, kin = sh.shielded_sweep_point(kR0=1e-4, kappaR0=1e-3)
         assert bt._principal_order(151, 1, coupling) == 150.5
@@ -167,11 +167,9 @@ class TestBarrierLogDerivative:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isfinite(sh.barrier_log_derivative(151, 1, thick, kin, coupling))
-            for r0 in (b.R0, math.nan, math.inf):
-                with pytest.raises(OutOfRangeError):
-                    sh.barrier_log_derivative(151, 1, BarrierConfig(R0=r0, U=b.U), kin,
-                                              coupling)
-        for r0 in (0.0, -math.inf):
+            with pytest.raises(OutOfRangeError):
+                sh.barrier_log_derivative(151, 1, b, kin, coupling)
+        for r0 in (0.0, -math.inf, math.nan, math.inf):
             with pytest.raises(RegimeError):
                 BarrierConfig(R0=r0, U=b.U)
 

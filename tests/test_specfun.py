@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from abdirac import bare_tube as bt
 from abdirac import specfun as sf
@@ -577,6 +578,64 @@ class TestGuardMessages:
             _raises(error, message, sequence, nu_arg, z_arg)
             _raises(error, message, sf.bessel_j_hankel1, nu_arg, z_arg)
 
+    # (function, its arguments, error, message) where two guards fail at once:
+    # the first guard in the order positive, order, argument, result raises
+    TWO_GUARD_CASES = [
+        ("bessel_j", (NAN, INF), OutOfRangeError, ORDER_MESSAGE.format(200.0)),
+        ("hankel1", (np.array([0.3, NAN]), np.array([1.0, INF])), OutOfRangeError,
+         ORDER_MESSAGE.format(200.0)),
+        ("bessel_j_hankel1", (NAN, np.array([INF, 1.0])), OutOfRangeError,
+         ORDER_MESSAGE.format(200.0)),
+        ("bessel_ie", (NAN, -1.0), OutOfRangeError, "bessel_ie expects x > 0"),
+        ("bessel_ke", (NAN, np.array([1.0, -1.0])), OutOfRangeError, "bessel_ke expects x > 0"),
+        ("bessel_ie", (0.3, np.array([NAN, -1.0])), OutOfRangeError, "bessel_ie expects x > 0"),
+        ("bessel_ke", (INF, NAN), OutOfRangeError, ORDER_MESSAGE.format(200.0)),
+        # a complex x warns as it is cast (an error under this suite's
+        # filter), after the x > 0 and order guards have had their turn
+        ("bessel_ie", (NAN, np.array([1.0 + 1.0j])), OutOfRangeError,
+         ORDER_MESSAGE.format(200.0)),
+        ("bessel_ie", (0.3, np.array([-1.0 + 1.0j])), OutOfRangeError, "bessel_ie expects x > 0"),
+        ("bessel_j", (250.0, 0.0), OutOfRangeError, ORDER_MESSAGE.format(200.0)),
+        ("hankel1_prime", (-250.0, np.array([0.0, 1.0])), OutOfRangeError,
+         ORDER_MESSAGE.format(200.0)),
+        ("bessel_j_hankel1", (250.0, 0.0), OutOfRangeError, ORDER_MESSAGE.format(200.0)),
+        # an order and an argument that cannot broadcast: the order guard first
+        ("bessel_j", (np.array([0.3, NAN]), np.array([1.0, 2.0, 3.0])), OutOfRangeError,
+         ORDER_MESSAGE.format(200.0)),
+        ("bessel_j_hankel1", (np.array([0.3, 250.0]), np.array([1.0, 2.0, 3.0])),
+         OutOfRangeError, ORDER_MESSAGE.format(200.0)),
+        # an empty broadcast still tests every element of each input
+        ("bessel_j", (NAN, np.array([])), OutOfRangeError, ORDER_MESSAGE.format(200.0)),
+        ("bessel_j", (np.array([]), INF), OutOfRangeError, "J_nu: argument must be finite"),
+        ("bessel_ie", (np.array([]), -1.0), OutOfRangeError, "bessel_ie expects x > 0"),
+        ("bessel_j_hankel1", (np.empty((1, 0)), np.array([INF])), OutOfRangeError,
+         "J_nu: argument must be finite"),
+        ("kummer_f", (np.array([]), 1.5, NAN), OutOfRangeError, "kummer_f: argument must be finite"),
+        # a ladder's argument that is no complex number: its orders first
+        ("bessel_j_ladder", (NAN, 2, "x"), OutOfRangeError, ORDER_MESSAGE.format(200.0)),
+    ]
+
+    @pytest.mark.parametrize("name, args, error, message", TWO_GUARD_CASES)
+    def test_two_guards_fail(self, name, args, error, message):
+        _raises(error, message, getattr(sf, name), *args)
+
+    @pytest.mark.parametrize("name", [*sorted(ORDER_FUNCTIONS), "bessel_j_hankel1"])
+    def test_empty_arrays_pass(self, name):
+        fn = getattr(sf, name)
+        for nu, z in ((np.array([]), 1.0), (0.3, np.array([])), (np.array([]), np.array([]))):
+            out = fn(nu, z)
+            for part in (out if isinstance(out, tuple) else (out,)):
+                assert isinstance(part, np.ndarray) and part.shape == (0,)
+        assert sf.kummer_f(0.5, 1.5, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("name", [*sorted(ORDER_FUNCTIONS), "bessel_j_hankel1"])
+    def test_arrays_that_cannot_broadcast(self, name):
+        # valid values whose shapes do not broadcast: scipy's own ValueError
+        nu, z = np.array([0.3, 0.4]), np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError) as want:
+            special.jv(nu, z)
+        _raises(ValueError, str(want.value), getattr(sf, name), nu, z)
+
     def test_ladder(self):
         for bad in (NAN, INF, -INF, 199.5):
             _raises(OutOfRangeError, ORDER_MESSAGE.format(200.0),
@@ -604,3 +663,77 @@ class TestGuardMessages:
                     sf.kummer_f, 0.5, 1.5, arg)
         # finite at z = 0
         assert sf.kummer_f(0.5, 1.5, 0.0) == 1.0
+
+
+# public function -> (its raw scipy routine, the dtype its argument is cast to)
+SCIPY_ROUTINES = {
+    "bessel_j": (special.jv, np.complex128),
+    "bessel_j_prime": (special.jvp, np.complex128),
+    "hankel1": (special.hankel1, np.complex128),
+    "hankel1_prime": (special.h1vp, np.complex128),
+    "hankel1e": (special.hankel1e, np.complex128),
+    "bessel_ie": (special.ive, np.float64),
+    "bessel_ke": (special.kve, np.float64),
+}
+KUMMER_C = 1.5  # Kummer's c beside a = each oracle order
+
+
+def _returned(fn, *args):
+    """fn(*args), or None where the library refuses it with a typed error."""
+    try:
+        return fn(*args)
+    except (OutOfRangeError, SingularArgumentError, PoleError):
+        return None
+
+
+class TestValidCallsSkipTheGuards:
+    """A valid call meets one test of its inputs and one of its results, and
+    returns its raw scipy routine's value on the same cast inputs."""
+
+    def test_single_guards_not_called(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a single guard ran on a valid call")
+
+        for helper in ("_order", "_argument", "_positive", "_finite"):
+            monkeypatch.setattr(sf, helper, refuse)
+        orders, args = np.array([-1.3, 0.3, 2.7]), np.array([0.5, 1.0, 4.0])
+        for nu, z in ((0.3, 1.0), (orders, 1.0), (0.3, args), (orders, args)):
+            for name in SCIPY_ROUTINES:
+                getattr(sf, name)(nu, z)
+            sf.bessel_j_hankel1(nu, z)
+            sf.bessel_j(nu, z, max_order=10.0)
+            sf.bessel_j(nu, 2.0j * z)
+            sf.kummer_f(nu, KUMMER_C, z)
+            sf.kummer_f(nu, KUMMER_C, -z + 0.5j)
+        sf.bessel_j_ladder(0.3, 4, 2.0)
+
+    @pytest.mark.parametrize("name", sorted(SCIPY_ROUTINES))
+    def test_bits_equal_scipy(self, name):
+        routine, dtype = SCIPY_ROUTINES[name]
+        fn = getattr(sf, name)
+        for nu in ORACLE_ORDERS:
+            for x in ORACLE_ARGS:
+                got = _returned(fn, nu, x)
+                if got is not None:
+                    want = routine(np.float64(nu), np.asarray(x, dtype=dtype))
+                    assert _bits(got) == _bits(want), (nu, x)
+            got = _returned(fn, nu, ORACLE_ARGS)
+            if got is not None:
+                want = routine(np.float64(nu), ORACLE_ARGS.astype(dtype))
+                assert _bits(got) == _bits(want), nu
+
+    def test_pair_bits_equal_scipy(self):
+        for nu in ORACLE_ORDERS:
+            for z in (*ORACLE_ARGS, ORACLE_ARGS, 1j * ORACLE_ARGS):
+                got = _returned(sf.bessel_j_hankel1, nu, z)
+                if got is not None:
+                    z_in = np.asarray(z, dtype=np.complex128)
+                    want = special.jv(nu, z_in), special.hankel1(nu, z_in)
+                    assert _bits(got) == _bits(want), (nu, z)
+
+    def test_kummer_bits_equal_scipy(self):
+        for a in ORACLE_ORDERS:
+            for z in (*ORACLE_ARGS, ORACLE_ARGS, -ORACLE_ARGS, 1j * ORACLE_ARGS):
+                got = _returned(sf.kummer_f, a, KUMMER_C, z)
+                if got is not None:
+                    assert _bits(got) == _bits(special.hyp1f1(a, KUMMER_C, np.asarray(z))), (a, z)
