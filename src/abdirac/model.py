@@ -82,6 +82,10 @@ class Kinematics:
 
     def __post_init__(self):
         E, M, hbar, c = self.energy_E, self.mass_M, self.hbar, self.c
+        if not (0 <= M < math.inf and 0 < hbar < math.inf and 0 < c < math.inf):
+            raise RegimeError(
+                f"mass {M} must be finite and non-negative, hbar {hbar} and c {c} "
+                f"finite and positive")
         rest = M * c * c
         if not rest <= E < math.inf:
             raise RegimeError(f"energy {E} not finite or below the rest mass {rest}")
@@ -92,7 +96,11 @@ class Kinematics:
             if not 0 <= k < math.inf:
                 raise RegimeError(f"wavenumber {k} not finite or negative")
         else:
+            if not 0 < hbar * c < math.inf:
+                raise RegimeError(f"hbar c = {hbar * c} not finite and positive")
             k = math.sqrt(max(E * E - rest * rest, 0.0)) / (hbar * c)
+            if not k < math.inf:
+                raise RegimeError(f"wavenumber at energy {E} overflows")
         object.__setattr__(self, "k", k)
 
     @property
@@ -144,7 +152,10 @@ def make_kinematics(
         raise RegimeError("specify exactly one of E and k")
     if E is None:
         rest = M * c * c
-        E = math.sqrt(rest * rest + (hbar * c * k) ** 2)
+        try:
+            E = math.sqrt(rest * rest + (hbar * c * k) ** 2)
+        except OverflowError:
+            raise RegimeError(f"wavenumber k={k} overflows the energy") from None
         return Kinematics(energy_E=E, mass_M=M, hbar=hbar, c=c, k_exact=k)
     return Kinematics(energy_E=E, mass_M=M, hbar=hbar, c=c)
 

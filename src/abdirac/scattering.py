@@ -338,8 +338,8 @@ def asymptotic_state(kind: str, amplitudes: SpinorAmplitudes, coupling: Coupling
     if kind not in ("bare", "shielded"):
         raise RegimeError("kind must be 'bare' or 'shielded'")
     x = kin.k * r
-    if not x >= 50.0:
-        raise RegimeError(f"asymptotic form needs k r >= 50 (got {x:.3g})")
+    if not 50.0 <= x < math.inf:
+        raise RegimeError(f"asymptotic form needs finite k r >= 50 (got {x:.3g})")
     if not abs(theta) < math.pi - DEFAULT_FORWARD_CONE:
         raise RegimeError(
             f"theta={theta:.3f} not finite or inside the forward cone "
@@ -396,12 +396,17 @@ def differential_cross_section(coupling: Coupling, kin: Kinematics,
 
 def integrated_cross_section(coupling: Coupling, kin: Kinematics,
                              theta_cut: float = DEFAULT_FORWARD_CONE) -> float:
-    """Quadrature of |f|^2 over |theta| < pi - theta_cut: 64 Gauss points on
-    each of 64 equal panels."""
-    from .numerics import gauss_panel_nodes
+    """|f|^2 integrated over |theta| < pi - theta_cut, 0 < theta_cut < pi.
 
-    edges = np.linspace(-(math.pi - theta_cut), math.pi - theta_cut, 65)
-    nodes, weights = gauss_panel_nodes(edges, 64)
+    The integral of sec^2(theta / 2) over that range is 4 cot(theta_cut / 2),
+    so sigma = 2 sin^2(pi nu) cot(theta_cut / 2) / (pi k).
+    """
+    if not 0 < theta_cut < math.pi:
+        raise RegimeError(f"forward cut theta_cut={theta_cut} outside (0, pi)")
     s2 = math.sin(math.pi * coupling.frac) ** 2
-    vals = s2 / (2.0 * math.pi * kin.k * np.cos(0.5 * nodes) ** 2)
-    return float(np.sum(vals * weights))
+    den = math.tan(0.5 * theta_cut) * math.pi * kin.k
+    sigma = 2.0 * s2 / den if den > 0 else math.inf
+    if not sigma < math.inf:
+        raise SingularArgumentError(
+            f"cross section diverges at theta_cut={theta_cut}, k={kin.k}")
+    return sigma

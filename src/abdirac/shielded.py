@@ -17,6 +17,7 @@ Bessel functions (`shielded_eigenfunction`).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -173,7 +174,13 @@ def shielded_sweep_point(kR0: float, kappaR0: float = 50.0, U: float = 1.0,
     """
     if not (kR0 > 0 and kappaR0 > 0):
         raise RegimeError("kR0 and kappaR0 must be positive")
+    if not sys.float_info.min <= M < math.inf:
+        raise RegimeError(f"mass M={M} must be positive, finite and normal")
+    if not 0 < U < 2.0 * M:
+        raise RegimeError(f"barrier height U={U} outside (0, 2M) = (0, {2.0 * M})")
     kappa0 = math.sqrt(U * (2.0 * M - U))
     R0 = kappaR0 / kappa0
+    if not 0 < R0 < math.inf:
+        raise RegimeError(f"barrier radius R0={R0} from kappaR0={kappaR0}, kappa0={kappa0}")
     kin = make_kinematics(k=kR0 / R0, M=M)
     return BarrierConfig(R0=R0, U=U), kin

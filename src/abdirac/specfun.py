@@ -42,9 +42,9 @@ scipy returns inf or nan where the library raises instead:
 * ``OutOfRangeError``: an order above ``DEFAULT_MAX_ORDER`` (only
   ``bessel_j`` takes a cap of its own, ``max_order``; a ladder checks every
   order it returns), a non-finite argument, a non-real Kummer parameter, a
-  Kummer argument with Re z above ``_KUMMER_Z_MAX`` and a non-terminating
-  series, or a non-finite result at z != 0.  An array raises if any element
-  would.
+  Kummer c of -inf, a Kummer argument with Re z above ``_KUMMER_Z_MAX`` and
+  a non-terminating series, or a non-finite result at z != 0.  An array
+  raises if any element would.
 * ``SingularArgumentError``: a non-finite result at z = 0, where the function
   diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: Kummer's F at c within 1e-12 of 0, -1, -2, ...
@@ -184,13 +184,23 @@ def _evaluate(fn, nu, z, name: str, dtype=np.complex128, max_order: float | None
 
 
 def _check_pole(x, name: str) -> None:
-    """PoleError if x, or any element of an array x, is within 1e-12 of 0, -1, -2, ..."""
+    """PoleError if x, or any element of an array x, is within 1e-12 of 0, -1, -2, ...;
+    OutOfRangeError if an element is -inf.
+
+    The distance to the nearest integer is exact from the fractional part f
+    of `np.modf` as min(|f|, 1 - |f|); f is -0 at -inf, so -inf takes the
+    pole branch without the inf - inf of real - round(real), and is told
+    apart only there.  An x above 1/2 takes no reduction beyond the first.
+    """
     x = np.asarray(x)
     real = x.real
     left = real <= 0.5
-    if left.any() and (left & (np.abs(x.imag) < 1e-12)
-                       & (np.abs(real - np.round(real)) < 1e-12)).any():
-        raise PoleError(f"{name} pole at {x}")
+    if left.any():
+        frac = np.abs(np.modf(real)[0])
+        if (left & (np.abs(x.imag) < 1e-12) & (np.minimum(frac, 1.0 - frac) < 1e-12)).any():
+            if np.isinf(real).any():
+                raise OutOfRangeError(f"{name} needs a finite parameter, got {x}")
+            raise PoleError(f"{name} pole at {x}")
 
 
 def bessel_j(nu: float, z, max_order: float | None = None):
@@ -267,7 +277,7 @@ def kummer_f(a, c, z):
         a, c = a.real, c.real
     _check_pole(c, "kummer_f")
     far = np.asarray(z).real > _KUMMER_Z_MAX
-    if far.any() and (far & ((a > 0) | (np.mod(a, 1.0) != 0))).any():
+    if far.any() and (far & ((a > 0) | (np.modf(a)[0] != 0))).any():
         raise OutOfRangeError(f"kummer_f overflows at Re z above {_KUMMER_Z_MAX:g}")
     _, z = _inputs(None, z, "kummer_f", dtype=None)
     out = _result(_sp.hyp1f1(a, c, z), z, "kummer_f")

@@ -1,0 +1,171 @@
+"""Every float parameter of the guarded entry points refuses what it cannot use.
+
+Each property draws every float parameter of one public entry point from its
+valid range mixed with the values a range check must meet: NaN, +-inf, 0, -1,
+the largest double's neighbourhood 1e308 and the smallest subnormal 5e-324.
+The call must either return a result whose every float is finite or raise an
+`AbdiracError` subclass.  pytest turns a numpy `RuntimeWarning` into an
+error, so an overflow inside numpy fails the property too.  Each `example`
+is a case that once returned NaN or raised a bare Python error.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from abdirac import propagate as pr
+from abdirac import scattering as sc
+from abdirac import shielded as sh
+from abdirac import specfun as sf
+from abdirac.errors import AbdiracError
+from abdirac.model import Coupling, SpinorAmplitudes, make_kinematics
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+EDGES = st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, 5e-324))
+
+# alpha at least 0.05 from an integer, either sign
+ALPHA = st.floats(-2.95, 2.95).filter(lambda a: abs(a - round(a)) >= 0.05)
+PACKET = pr.PacketConfig(delta=4.0, rho0=55.0, theta0=0.05, k=13.0)
+KIN1 = make_kinematics(k=1.0)
+
+
+def _or_edge(lo: float, hi: float):
+    """A float from [lo, hi] or one of the edge values."""
+    return st.one_of(st.floats(lo, hi), EDGES)
+
+
+def _floats(value):
+    """Every float (and complex part) inside a result."""
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _floats(v)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _floats(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _floats(getattr(value, f.name))
+    elif isinstance(value, np.ndarray):
+        yield from value.ravel().tolist()
+    elif isinstance(value, complex):
+        yield value.real
+        yield value.imag
+    elif isinstance(value, float):
+        yield value
+
+
+def _finite_or_typed(call) -> None:
+    try:
+        out = call()
+    except AbdiracError:
+        return
+    assert all(math.isfinite(v) for v in _floats(out)), out
+
+
+MASS = _or_edge(0.5, 2.0)
+HBAR = _or_edge(0.5, 2.0)
+ANGLE = _or_edge(-math.pi, math.pi)
+
+
+@SETTINGS
+@given(alpha=ALPHA, mass=MASS, r=_or_edge(0.5, 50.0), rp=_or_edge(0.5, 50.0),
+       theta=ANGLE, thetap=ANGLE, t=_or_edge(0.5, 5.0), hbar=HBAR)
+def test_greens_diff_closed(alpha, mass, r, rp, theta, thetap, t, hbar):
+    _finite_or_typed(lambda: pr.greens_diff_closed(
+        Coupling(alpha), mass, r, rp, theta, thetap, t, hbar))
+
+
+@SETTINGS
+@given(alpha=ALPHA, mass=MASS, r=_or_edge(10.0, 50.0), rp=_or_edge(10.0, 50.0),
+       theta=ANGLE, thetap=ANGLE, t=_or_edge(0.5, 5.0), hbar=HBAR)
+def test_greens_diff_asymptotic(alpha, mass, r, rp, theta, thetap, t, hbar):
+    _finite_or_typed(lambda: pr.greens_diff_asymptotic(
+        Coupling(alpha), mass, r, rp, theta, thetap, t, hbar))
+
+
+@SETTINGS
+@given(alpha=ALPHA, mass=MASS, r=_or_edge(40.0, 80.0), theta=ANGLE,
+       t=_or_edge(5.0, 15.0), hbar=HBAR)
+@example(alpha=0.37, mass=0.0, r=55.0, theta=0.0, t=8.5, hbar=1.0)
+@example(alpha=0.37, mass=1.0, r=55.0, theta=math.nan, t=8.5, hbar=1.0)
+@example(alpha=0.37, mass=1.0, r=55.0, theta=math.inf, t=8.5, hbar=1.0)
+@example(alpha=0.37, mass=1.0, r=55.0, theta=0.0, t=math.inf, hbar=1.0)
+def test_delta_closed(alpha, mass, r, theta, t, hbar):
+    _finite_or_typed(lambda: pr.delta_closed(PACKET, Coupling(alpha), mass, r, theta, t, hbar))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(alpha=ALPHA, mass=MASS, r=_or_edge(40.0, 80.0), theta=ANGLE,
+       t=_or_edge(5.0, 15.0), hbar=HBAR)
+@example(alpha=0.37, mass=math.nan, r=55.0, theta=0.0, t=8.5, hbar=1.0)
+@example(alpha=0.37, mass=1.0, r=55.0, theta=-math.inf, t=8.5, hbar=1.0)
+@example(alpha=0.37, mass=1.0, r=55.0, theta=math.nan, t=8.5, hbar=1.0)
+def test_delta_quadrature(alpha, mass, r, theta, t, hbar):
+    _finite_or_typed(lambda: pr.delta_quadrature(
+        PACKET, Coupling(alpha), mass, r, theta, t, hbar))
+
+
+@SETTINGS
+@given(r=_or_edge(0.0, 100.0), mass=MASS, hbar=HBAR)
+@example(r=55.0, mass=math.nan, hbar=1.0)
+def test_peak_time(r, mass, hbar):
+    _finite_or_typed(lambda: pr.peak_time(PACKET, r, mass, hbar))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(alpha=ALPHA, mass=MASS, r=_or_edge(40.0, 80.0), hbar=HBAR)
+def test_transit_fit(alpha, mass, r, hbar):
+    _finite_or_typed(lambda: pr.transit_fit(PACKET, Coupling(alpha), mass, r, hbar))
+
+
+@SETTINGS
+@given(kr0=_or_edge(1e-4, 3.0), kappa_r0=_or_edge(1.0, 60.0), U=_or_edge(0.1, 1.9),
+       M=_or_edge(0.5, 2.0))
+@example(kr0=1.0, kappa_r0=50.0, U=3.0, M=1.0)
+@example(kr0=1.0, kappa_r0=50.0, U=2.0, M=1.0)
+@example(kr0=1.0, kappa_r0=50.0, U=0.0, M=1.0)
+@example(kr0=1.0, kappa_r0=50.0, U=1.0, M=0.0)
+@example(kr0=1e308, kappa_r0=50.0, U=1.0, M=1.0)
+def test_shielded_sweep_point(kr0, kappa_r0, U, M):
+    _finite_or_typed(lambda: sh.shielded_sweep_point(kr0, kappa_r0, U, M))
+
+
+@SETTINGS
+@given(k=_or_edge(0.0, 10.0), M=_or_edge(0.5, 2.0), hbar=HBAR, c=_or_edge(0.5, 2.0))
+@example(k=1e308, M=1.0, hbar=1.0, c=1.0)
+def test_make_kinematics_from_k(k, M, hbar, c):
+    _finite_or_typed(lambda: make_kinematics(k=k, M=M, hbar=hbar, c=c))
+
+
+@SETTINGS
+@given(E=_or_edge(1.0, 10.0), M=_or_edge(0.5, 1.0), hbar=HBAR, c=_or_edge(0.5, 1.0))
+def test_make_kinematics_from_energy(E, M, hbar, c):
+    _finite_or_typed(lambda: make_kinematics(E=E, M=M, hbar=hbar, c=c))
+
+
+@SETTINGS
+@given(alpha=ALPHA, theta_cut=_or_edge(1e-3, 3.0))
+@example(alpha=0.3, theta_cut=math.nan)
+@example(alpha=0.3, theta_cut=-1.0)
+def test_integrated_cross_section(alpha, theta_cut):
+    _finite_or_typed(lambda: sc.integrated_cross_section(Coupling(alpha), KIN1, theta_cut))
+
+
+@SETTINGS
+@given(alpha=ALPHA, kind=st.sampled_from(("bare", "shielded")), r=_or_edge(50.0, 500.0),
+       theta=_or_edge(-3.0, 3.0))
+@example(alpha=0.3, kind="bare", r=math.inf, theta=0.3)
+def test_asymptotic_state(alpha, kind, r, theta):
+    _finite_or_typed(lambda: sc.asymptotic_state(
+        kind, SpinorAmplitudes(), Coupling(alpha), KIN1, r, theta))
+
+
+@SETTINGS
+@given(a=_or_edge(-5.0, 5.0), c=_or_edge(0.6, 5.0), z=_or_edge(-20.0, 20.0))
+@example(a=0.5, c=-math.inf, z=1.0)
+def test_kummer_f(a, c, z):
+    _finite_or_typed(lambda: sf.kummer_f(a, c, z))

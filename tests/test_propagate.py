@@ -4,6 +4,7 @@ import cmath
 import math
 from dataclasses import replace
 from functools import lru_cache
+from itertools import islice
 
 import mpmath
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from abdirac import bare_tube as bt
 from abdirac import propagate as pr
-from abdirac.errors import QuadratureError, RegimeError
+from abdirac.errors import OutOfRangeError, QuadratureError, RegimeError
 from abdirac.model import Coupling, channel_index
 from abdirac.numerics import gauss_panel_nodes
 from _helpers import greens_diff_bracket, greens_diff_integral_oracle
@@ -207,6 +208,118 @@ class TestKernel:
         got = pr.greens_diff_closed(Coupling(alpha + 1.0), **args)
         want = pr.greens_diff_closed(Coupling(alpha), **args) * cmath.exp(1j * (theta - thetap))
         assert _rel(got, want) <= 1e-13
+
+
+# orders of the kernel's surviving wave (0 <= nu < 1, 1/2 where the expansion
+# is one term) and two larger ones; above nu ~ 3 the kernel's own double
+# prefactor sin(pi nu) e^{i pi nu / 2} carries ~1e-15, so larger orders test
+# the expansion alone (LARGE_ORDERS)
+SERIES_ORDERS = (0.03, 0.37, 0.5, 0.61, 0.97, 1.5, 2.37)
+LARGE_ORDERS = (2.9, 5.3, 11.8, 30.2)
+
+
+def _mp_kernel(nu, x):
+    """sin(pi nu) e^{i pi nu / 2} e^{-ix} H^(1)_nu(x) to 40 digits."""
+    with mpmath.workdps(40):
+        xm, num = mpmath.mpf(x), mpmath.mpf(nu)
+        return complex(mpmath.sinpi(num) * mpmath.expjpi(num / 2)
+                       * mpmath.hankel1(num, xm) * mpmath.expj(-xm))
+
+
+class TestSeriesKernel:
+    """`_scaled_kernel` from Hankel's expansion at x >= X0(nu), AMOS below."""
+
+    @staticmethod
+    def _kernel(nu, x, monkeypatch):
+        """The kernel at the points x (pref = 1) and whether it called AMOS."""
+        calls = []
+        hankel1e = pr.sf.hankel1e
+
+        def spy(order, z):
+            calls.append(order)
+            return hankel1e(order, z)
+
+        monkeypatch.setattr(pr.sf, "hankel1e", spy)
+        return np.asarray(pr._scaled_kernel(nu, 1.0, np.asarray(x, dtype=float))), bool(calls)
+
+    @pytest.mark.parametrize("nu", SERIES_ORDERS)
+    def test_against_mpmath_across_switch(self, nu, monkeypatch):
+        x0 = pr._hankel_rules(nu)[-1][0]
+        if x0 == 0.0:  # half-integer order: the expansion terminates
+            below, above = [], [1e-3, 0.5, 3.0, 156.0, 1e3, 1e6]
+        else:
+            below = [0.5 * x0, 0.75 * x0, x0 * (1.0 - 1e-12)]
+            above = [x0 * (1.0 + 1e-12), 1.5 * x0, 156.0, 662.0, 1e4, 1e6]
+        for xs, amos in ((below, True), (above, False)):
+            for x in xs:
+                got, called = self._kernel(nu, [x], monkeypatch)
+                assert called is amos, x
+                assert _rel(complex(got[0]), _mp_kernel(nu, x)) <= 1e-15, x
+
+    @pytest.mark.parametrize("nu", LARGE_ORDERS)
+    def test_expansion_at_larger_orders(self, nu):
+        # rules need K >= nu - 1/2 terms (DLMF 10.17(iii)) and keep no term
+        # above the leading 1, so X0 grows with nu (69.5 at nu = 11.8)
+        x0 = pr._hankel_rules(nu)[-1][0]
+        assert pr._hankel_expansion(nu, np.array([x0 * (1.0 - 1e-12)])) is None
+        for x in (x0 * (1.0 + 1e-12), 1.5 * x0, 1e3, 1e6):
+            got = complex(pr._hankel_expansion(nu, np.array([x]))[0])
+            with mpmath.workdps(40):
+                xm = mpmath.mpf(x)
+                want = complex(mpmath.sqrt(mpmath.pi / 2)
+                               * mpmath.expjpi(mpmath.mpf(nu) / 2 + mpmath.mpf(1) / 4)
+                               * mpmath.hankel1(nu, xm) * mpmath.expj(-xm))
+            assert _rel(got, want) <= 1e-15, x
+
+    @pytest.mark.parametrize("nu", [o for o in SERIES_ORDERS if o != 0.5])
+    def test_paths_agree_at_switch(self, nu, monkeypatch):
+        # both paths at the same points just above X0, where the series has
+        # the most terms
+        x0 = pr._hankel_rules(nu)[-1][0]
+        xs = x0 * np.array([1.0 + 1e-12, 1.001, 1.1])
+        series, called = self._kernel(nu, xs, monkeypatch)
+        assert not called
+        amos = math.sin(math.pi * nu) * cmath.exp(0.5j * math.pi * nu) * pr.sf.hankel1e(nu, xs)
+        assert np.max(np.abs(series - amos) / np.abs(amos)) <= 1e-15
+
+    def test_one_point_below_switch_takes_amos(self, monkeypatch):
+        x0 = pr._hankel_rules(0.37)[-1][0]
+        _, called = self._kernel(0.37, [0.99 * x0, 156.0, 1e3], monkeypatch)
+        assert called
+
+    def test_switch_point_near_17(self):
+        # X0 for 0 < nu < 1 sits where the smallest term of the expansion
+        # first reaches half an ulp; the truncation bound sets it there
+        for nu in (0.03, 0.37, 0.61, 0.97):
+            assert 16.0 < pr._hankel_rules(nu)[-1][0] < 18.0
+
+    def test_terms_at_benchmark_nodes(self):
+        # the packet_scan quadrature nodes have x >= 156: eight terms at most
+        for nu in (0.25, 0.37, 0.4, 0.52, 0.61):
+            rule = next(r for r in pr._hankel_rules(nu) if 156.0 >= r[0])
+            assert len(rule[1]) + len(rule[2]) <= 8
+
+    @pytest.mark.parametrize("nu", [0.37, 5.3])
+    def test_coefficients_against_definition(self, nu):
+        # a_k(nu) = prod_{j=1}^{k} (4 nu^2 - (2j - 1)^2) / (k! 8^k) (DLMF 10.17.1)
+        got = list(islice(pr._hankel_coefficients(nu), 12))
+        with mpmath.workdps(30):
+            for k, a in enumerate(got):
+                want = mpmath.fprod(4 * mpmath.mpf(nu) ** 2 - (2 * j - 1) ** 2
+                                    for j in range(1, k + 1)) / (mpmath.factorial(k) * 8 ** k)
+                assert abs(a - float(want)) <= 4e-16 * k * abs(float(want))
+
+    def test_negative_order_has_no_rule(self):
+        assert pr._hankel_rules(-0.3) == ()
+
+    def test_half_order_below_normal_takes_amos(self, monkeypatch):
+        # at nu = 1/2 the expansion is exact for every x > 0, but 1/x
+        # overflows below the smallest normal double; AMOS, which takes that
+        # call, has no finite value there either
+        got, called = self._kernel(0.5, [1e-300, 1.0], monkeypatch)
+        assert not called and np.isfinite(got).all()
+        with pytest.raises(OutOfRangeError):
+            self._kernel(0.5, [1e-310, 1.0], monkeypatch)
 
 
 class TestPacket:
