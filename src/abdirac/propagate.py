@@ -19,27 +19,34 @@ difference Delta.  Its stationary-phase closed form factorizes into a moving
 Gaussian envelope and the suppression factor exp(-d^2 / (2 delta^2)) in the
 impact parameter d = rho0 * theta0: the bare/shielded distinction lives
 entirely in the probability mass that actually overlaps the flux region.
-The packet is Gaussian in theta' and the kernel depends on theta' only
-through e^{-i n0 theta'}, so the theta' integral is done in closed form and
-the quadrature of Delta is a 1-d radial sum, its phase written as a square
-completed about the stationary point.  The closed theta' factor is split by
-its powers of r' into a constant, an r' term and a 1/r' term, so the 1-d
-integrand is a Gaussian in r' - s*, that factor and e^{-ix} H^(1)_nu(x).
+The closed form is array-capable in t, so a transit curve over a time grid
+is one call.  The packet is Gaussian in theta' and the kernel depends on
+theta' only through e^{-i n0 theta'}, so the theta' integral is done in
+closed form and the quadrature of Delta is a 1-d radial sum, its phase
+written as a square completed about the stationary point.  The closed
+theta' factor is split by its powers of r' into a constant, an r' term and
+a 1/r' term, so the 1-d integrand is a Gaussian in r' - s*, that factor and
+e^{-ix} H^(1)_nu(x).
+The kernel is evaluated as sqrt(x) e^{-ix} H^(1)_nu(x) (`_scaled_kernel`):
+with x proportional to r', its sqrt(r') cancels the theta' factor's
+1 / sqrt(r'), so no quadrature node takes a square root.
 
 The kernel e^{-ix} H^(1)_nu(x) takes one of two paths per call.  Where every
 x of the call is finite and at least a switch point X0(nu) (about 17 for
 0 < nu < 1), it is Hankel's large-argument expansion (DLMF 10.17.3-4), cut
 at the fewest terms whose remainder bound (DLMF 10.17(iii)) is half an ulp
 at the smallest x: two real Horner sums in x^-2, exact to double precision
-and about twice as fast as AMOS.  A packet's quadrature nodes sit at
-x = M r r' / (hbar t) in the hundreds, so the packet fold always takes this
-path.  Anywhere else the call goes to `specfun.hankel1e` (AMOS), which also
-raises the typed errors.  X0 and the term count follow from nu and the half
-ulp alone (`_hankel_rules`).
+and about twice as fast as AMOS; times sqrt(x), the sums need only a
+constant.  A packet's quadrature nodes sit at x = M r r' / (hbar t) in the
+hundreds, so the packet fold always takes this path.  Anywhere else the
+call goes to `specfun.hankel1e` (AMOS), which also raises the typed errors.
+X0 and the term count follow from nu and the half ulp alone
+(`_hankel_rules`).
 
 The surviving partial wave is `bare_tube.anomalous_channel` for either sign
 of the coupling: order nu = frac(alpha), n0 = [alpha] for alpha > 0 and
-nu = frac(-alpha), n0 = [alpha] + 1 for alpha < 0.  All formulas use
+nu = frac(-alpha), n0 = [alpha] + 1 for alpha < 0; it is derived once per
+coupling (`_surviving_wave` is cached).  All formulas use
 hbar = 1 by default; pass `hbar` explicitly for other unit schemes.
 """
 
@@ -48,6 +55,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import islice
@@ -92,6 +100,8 @@ class PacketConfig:
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.delta, self.rho0, self.k)):
             raise RegimeError("packet needs finite positive delta, rho0 and k")
+        if not self.delta * self.delta >= sys.float_info.min:
+            raise RegimeError(f"packet width delta = {self.delta} underflows when squared")
         if not abs(self.theta0) <= 0.3:
             raise RegimeError("packet launch angle must satisfy |theta0| << 1")
         if self.delta / self.rho0 > 0.3:
@@ -101,9 +111,11 @@ class PacketConfig:
         object.__setattr__(self, "d", self.rho0 * self.theta0)
 
 
+@lru_cache(maxsize=64)
 def _surviving_wave(coupling: Coupling) -> tuple[float, int]:
     """Order nu and angular index n0 of the one partial wave that differs
-    between bare and shielded strings; nu = 0 at integer coupling."""
+    between bare and shielded strings; nu = 0 at integer coupling.  Cached:
+    it depends on the (frozen, hashable) coupling alone."""
     wave = anomalous_channel(coupling)
     if wave is None:
         return 0.0, coupling.int_part
@@ -220,7 +232,7 @@ def _horner(coeffs: tuple, y):
 
 
 def _hankel_expansion(nu: float, x: np.ndarray):
-    """x^(-1/2) (P + iQ) = sqrt(pi / 2) e^{i (nu pi / 2 + pi / 4)} e^{-ix} H^(1)_nu(x)
+    """P + iQ = sqrt(pi x / 2) e^{i (nu pi / 2 + pi / 4)} e^{-ix} H^(1)_nu(x)
     from the first rule of `_hankel_rules` that holds at the smallest x, or
     None where none does, or where an x is not finite or below the smallest
     normal double (only nu = 1/2 has rules that low)."""
@@ -231,34 +243,38 @@ def _hankel_expansion(nu: float, x: np.ndarray):
                 return None
             r = 1.0 / x
             y = r * r if len(p) > 1 else None
-            amp = np.sqrt(r)
             out = np.empty(x.shape, dtype=np.complex128)
-            np.multiply(_horner(p, y), amp, out=out.real)
-            np.multiply(_horner(q, y) * r, amp, out=out.imag)
+            out.real = _horner(p, y)
+            out.imag = _horner(q, y) * r
             return out
     return None
 
 
 def _scaled_kernel(nu: float, pref: float, x):
-    """pref sin(pi nu) e^{i pi nu / 2} e^{-ix} H^(1)_nu(x): the propagator
-    difference at x = M r r' / (hbar t) without its phase
-    e^{i _kernel_phase(r + r')} and angular factor e^{i n0 (theta - theta')}.
-    Array-capable in x.
+    """pref sin(pi nu) e^{i pi nu / 2} sqrt(x) e^{-ix} H^(1)_nu(x): the
+    propagator difference at x = M r r' / (hbar t) without its phase
+    e^{i _kernel_phase(r + r')} and angular factor e^{i n0 (theta - theta')},
+    times sqrt(x).  Array-capable in x.
 
+    The factor sqrt(x) takes out the kernel's x^(-1/2) decay, so callers
+    that fold it against a sqrt(r') (the packet quadrature) multiply no
+    square root per node; `greens_diff_closed` divides it back out once.
     Where every x is finite and at least the switch point X0(nu) (about 17
     for 0 < nu < 1; every node of the benchmark packets has x >= 156), the
     Hankel function comes from its own large-argument expansion
     (`_hankel_expansion`), cut by `_hankel_rules` at the fewest terms that
     are exact to half an ulp at the smallest x: two real Horner sums in
-    x^-2, in about half the time AMOS takes.  The expansion's phase
-    e^{-i nu pi / 2} cancels the kernel's e^{i pi nu / 2}.  Anywhere else
-    (an x below X0 or not finite) the call goes to `specfun.hankel1e`, as
-    before, and raises its typed errors.
+    x^-2, in about half the time AMOS takes.  There the kernel is P + iQ
+    times one constant: the expansion's phase e^{-i nu pi / 2} cancels the
+    kernel's e^{i pi nu / 2}, and its sqrt(2 / (pi x)) the factor sqrt(x).
+    Anywhere else (an x below X0 or not finite) the call goes to
+    `specfun.hankel1e`, as before, and raises its typed errors.
     """
     x = np.asarray(x, dtype=np.float64)
     out = _hankel_expansion(nu, x)
     if out is None:
-        return pref * math.sin(math.pi * nu) * cmath.exp(0.5j * math.pi * nu) * sf.hankel1e(nu, x)
+        return (pref * math.sin(math.pi * nu) * cmath.exp(0.5j * math.pi * nu)
+                * sf.hankel1e(nu, x) * np.sqrt(x))
     out *= pref * math.sin(math.pi * nu) * math.sqrt(2.0 / math.pi) * cmath.exp(-0.25j * math.pi)
     return out
 
@@ -272,8 +288,9 @@ def greens_diff_closed(coupling: Coupling, mass: float, r: float, rp: float,
         raise RegimeError("coordinates must be positive and finite")
     if nu == 0.0:
         return 0.0j
+    x = mass * r * rp / (hbar * t)
     return complex(
-        _scaled_kernel(nu, pref, mass * r * rp / (hbar * t))
+        _scaled_kernel(nu, pref, x) / math.sqrt(x)
         * cmath.exp(1j * _phase(_kernel_phase(mass, t, hbar, r + rp)))
         * cmath.exp(1j * _phase(n0 * (theta - thetap)))
     )
@@ -311,22 +328,26 @@ def packet_initial(cfg: PacketConfig, coupling: Coupling, rp, thetap):
     The plane-wave phase is expanded to second order in the polar angle,
     which is what makes the closed packet difference tractable; the e^{i
     alpha theta'} prefactor carries the full (unreduced) coupling.
+    RegimeError where any value is not finite: at an r' or theta' of NaN or
+    +-inf, or where the exponent overflows.  Far out, where only its real
+    part does, the packet reads 0.
     """
     rp = np.asarray(rp, dtype=float)
     thetap = np.asarray(thetap, dtype=float)
     alpha = coupling.alpha
     d2 = 2.0 * cfg.delta * cfg.delta
-    exponent = (
-        1j * alpha * thetap
-        - 1j * cfg.k * rp * (1.0 - 0.5 * thetap ** 2)
-        - (
-            rp ** 2
-            + cfg.rho0 ** 2
-            - 2.0 * rp * cfg.rho0 * (1.0 - 0.5 * (thetap - cfg.theta0) ** 2)
+    # |r' - r0|^2 to second order in theta' - theta0, written without the
+    # cancellation of r'^2 + rho0^2 - 2 r' rho0 (1 - (theta' - theta0)^2 / 2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        exponent = (
+            1j * alpha * thetap
+            - 1j * cfg.k * rp * (1.0 - 0.5 * thetap ** 2)
+            - ((rp - cfg.rho0) ** 2 + rp * (cfg.rho0 * (thetap - cfg.theta0) ** 2)) / d2
         )
-        / d2
-    )
-    out = np.exp(exponent) / (math.sqrt(math.pi) * cfg.delta)
+        out = np.exp(exponent) / (math.sqrt(math.pi) * cfg.delta)
+    if not np.isfinite(out).all():
+        raise RegimeError("packet is not finite: r' and theta' must be finite, "
+                          "and so must its exponent")
     return out if out.ndim else complex(out)
 
 
@@ -337,6 +358,9 @@ def _packet_window(cfg: PacketConfig, n_sigma: float):
     QuadratureError when that window leaves (-pi, pi), where the small-angle
     packet does not hold.  The 1e-3 rho0 floor on r_lo binds only when
     n_sigma * delta >= rho0, and then the window is wider than +/-31 rad.
+    Raises RegimeError when either window has no width in double precision
+    (delta below the resolution of r' at rho0, or r_lo rho0 overflowing) or
+    its midpoint (r_lo + r_hi) / 2 overflows.
     """
     r_lo = max(cfg.rho0 - n_sigma * cfg.delta, 1e-3 * cfg.rho0)
     r_hi = cfg.rho0 + n_sigma * cfg.delta
@@ -346,6 +370,11 @@ def _packet_window(cfg: PacketConfig, n_sigma: float):
     if th_lo <= -math.pi or th_hi >= math.pi:
         raise QuadratureError(
             f"packet angular window [{th_lo:.3g}, {th_hi:.3g}] leaves (-pi, pi)"
+        )
+    if not (r_lo < r_hi and r_lo + r_hi < math.inf and th_lo < th_hi):
+        raise RegimeError(
+            f"packet window [{r_lo:.3g}, {r_hi:.3g}] x [{th_lo:.3g}, {th_hi:.3g}] "
+            f"has no width or overflows"
         )
     return r_lo, r_hi, th_lo, th_hi
 
@@ -395,34 +424,50 @@ def _packet_kernel_parts(coupling: Coupling, mass: float, t: float,
 
 
 def delta_closed(cfg: PacketConfig, coupling: Coupling, mass: float, r: float,
-                 theta: float, t: float, hbar: float = 1.0) -> complex:
+                 theta: float, t, hbar: float = 1.0):
     """Closed stationary-phase form of the packet difference.
 
     Moving Gaussian envelope times the impact-parameter suppression
-    exp(-rho0^2 theta0^2 / (2 delta^2)).
+    exp(-rho0^2 theta0^2 / (2 delta^2)).  Array-capable in t: a scalar t
+    returns a complex, an array of times the array of values, so a time grid
+    takes one call.  The guards hold elementwise: SingularArgumentError if
+    any t <= 0 or is NaN, RegimeError if any phase is not finite.  The
+    envelope reads 0 where the square of its argument overflows.
     """
     _require_closed_regime(cfg, r)
-    nu, n0, _ = _packet_kernel_parts(coupling, mass, t, hbar)
+    grid = type(t) is not float  # numpy scalars too: their overflow warns
+    if grid:
+        t = np.asarray(t, dtype=np.float64)
+        t_lo, t_hi = float(t.min()), float(t.max())
+    else:
+        t_lo = t_hi = t
+    # every time guard is monotone in t, so a grid's two ends carry it (min
+    # and max are NaN where any t is)
+    nu, n0, _ = _packet_kernel_parts(coupling, mass, t_lo, hbar)
+    if grid:
+        _kernel_parts(coupling, mass, t_hi, hbar)
     d2 = 2.0 * cfg.delta * cfg.delta
-    envelope_arg = r + cfg.rho0 - hbar * cfg.k * t / mass - 0.5 * cfg.rho0 * cfg.theta0 ** 2
-    try:
-        envelope = math.exp(-(envelope_arg ** 2) / d2)
-    except OverflowError:  # the square overflowed, so the envelope is 0
-        envelope = 0.0
     outgoing = cfg.k * r + n0 * theta
+    free_hi = hbar * cfg.k ** 2 * t_hi / (2.0 * mass)
+    if not (abs(outgoing) < math.inf and free_hi < math.inf):
+        raise RegimeError(f"phases {outgoing} and {free_hi} must be finite")
     free = hbar * cfg.k ** 2 * t / (2.0 * mass)
-    if not (abs(outgoing) < math.inf and abs(free) < math.inf):
-        raise RegimeError(f"phases {outgoing} and {free} must be finite")
+    # where the square overflows the envelope is 0: a Python float overflows
+    # to inf quietly, a numpy array only under errstate
+    with np.errstate(over="ignore") if grid else nullcontext():
+        envelope_arg = r + cfg.rho0 - hbar * cfg.k * t / mass - 0.5 * cfg.rho0 * cfg.theta0 ** 2
+        envelope = np.exp(-(envelope_arg * envelope_arg) / d2)
     pref = cmath.exp(0.25j * math.pi) * math.sqrt(2.0) / (math.pi * cfg.delta)
-    return complex(
+    out = (
         pref
         * math.sin(math.pi * nu)
         * cmath.exp(1j * outgoing)
         / math.sqrt(cfg.k * r)
-        * cmath.exp(-1j * free)
+        * np.exp(-1j * free)
         * math.exp(-cfg.rho0 ** 2 * cfg.theta0 ** 2 / d2)
         * envelope
     )
+    return out if out.ndim else complex(out)
 
 
 _MAX_RADIAL_PANELS = 20000
@@ -482,9 +527,12 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
 
         M (r + r')^2 / (2 hbar t) - k r' = M (r' - s*)^2 / (2 hbar t) + k (r - s*) / 2,
 
-    and the constant k (r - s*) / 2 joins it too.  So each node carries the
-    scaled Hankel function e^{-ix} H^(1)_nu(x), one real square root and one
-    complex exponential whose phase is tens of radians rather than ~1e3.
+    and the constant k (r - s*) / 2 joins it too.  The kernel is taken as
+    `_scaled_kernel`, sqrt(x) e^{-ix} H^(1)_nu(x) with
+    sqrt(x) = sqrt(M r / hbar t) sqrt(r'): its sqrt(r') cancels the theta'
+    factor's 1 / sqrt(r'), and 1 / sqrt(M r / hbar t) joins the constant.
+    So each node carries that kernel and one complex exponential whose phase
+    is tens of radians rather than ~1e3, and no square root.
     The panel edges are placed in closed form, at equal steps of at most
     `max_phase` of the phase the 1-d integrand carries, accumulated at rate
     (M / hbar t) |r' - s*| + |Im b| + 1 / (3 delta): the kernel chirp about
@@ -520,9 +568,11 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
     lin = -cfg.rho0 * cfg.theta0 ** 2 / d2 - b_per_r
     inv = beta * beta / (4.0 * a_per_r)
     floor = abs(b_per_r.imag) + 1.0 / (3.0 * cfg.delta)
+    # the theta' factor's 1 / sqrt(r') and the kernel's sqrt(x) = sqrt(slope r r')
+    # leave 1 / sqrt(slope r) in const
     const = cmath.sqrt(-math.pi / a_per_r) * cmath.exp(
         1j * _phase(0.5 * cfg.k * (r - s_star) + n0 * theta) - 0.5j * beta * g / a_per_r
-    ) / (math.sqrt(math.pi) * cfg.delta)
+    ) / (math.sqrt(math.pi) * cfg.delta * math.sqrt(slope * r))
 
     def evaluate(phase_cap: float, order: int) -> complex:
         r_edges = _phase_panel_edges(r_lo, r_hi, s_star, slope, floor, phase_cap)
@@ -532,7 +582,7 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
             - (rp - cfg.rho0) ** 2 / d2
             + lin * rp + inv / rp
         )
-        terms = w * np.sqrt(rp) * np.exp(exponent) * _scaled_kernel(nu, pref, slope * r * rp)
+        terms = w * np.exp(exponent) * _scaled_kernel(nu, pref, slope * r * rp)
         return complex(np.sum(terms.astype(np.clongdouble)) * const)
 
     value = evaluate(max_phase, gauss_order)
@@ -580,14 +630,31 @@ def suppression_scan(cfg_template: PacketConfig, d_values, coupling: Coupling,
     return rows
 
 
+def _parabola_fit(u: np.ndarray) -> np.ndarray:
+    """Least-squares projection of values on a grid u symmetric about 0 onto
+    the coefficients of u^2, u and 1, from the normal equations with the odd
+    moments of u taken as 0.  Closed form: a LAPACK solve would map about
+    1 MB of library code into the process."""
+    n, s2, s4 = len(u), np.sum(u * u), np.sum(u ** 4)
+    det = n * s4 - s2 * s2
+    return np.array([(n * u * u - s2) / det, u / s2, (s4 - s2 * u * u) / det])
+
+
+# the transit fit's time grid in u = (t - t*) / sigma and its projection
+_TRANSIT_U = np.linspace(-1.5, 1.5, 21)
+_TRANSIT_FIT = _parabola_fit(_TRANSIT_U)
+
+
 def transit_fit(cfg: PacketConfig, coupling: Coupling, mass: float = 1.0,
                 r: float | None = None, hbar: float = 1.0):
     """Least-squares Gaussian fit of |Delta|(t) at fixed r.
 
     Fits log |Delta| at 21 equally spaced times over +/-1.5 sigma about the
-    peak time t*, sigma the expected width delta M / (hbar k), in the
-    variable u = (t - t*)/sigma: a fit in raw t would be conditioned like
-    (t*/sigma)^2.  The log at the middle point u = 0 is subtracted first.
+    peak time t* (one `delta_closed` call over that grid), sigma the expected
+    width delta M / (hbar k), in the variable u = (t - t*)/sigma: a fit in
+    raw t would be conditioned like (t*/sigma)^2.  The log at the middle
+    point u = 0 is subtracted first, and the parabola's coefficients are the
+    grid's fixed least-squares projection (`_parabola_fit`).
     Returns {center, width, center_expected, width_expected}.
     Raises RegimeError when any |Delta| on the grid is below the smallest
     normal double: the suppression exp(-d^2 / (2 delta^2)) reaches there from
@@ -597,9 +664,8 @@ def transit_fit(cfg: PacketConfig, coupling: Coupling, mass: float = 1.0,
         r = cfg.rho0
     t_star = peak_time(cfg, r, mass, hbar)
     width_expected = cfg.delta * mass / (hbar * cfg.k)
-    us = np.linspace(-1.5, 1.5, 21)
-    ts = t_star + width_expected * us
-    mags = np.array([abs(delta_closed(cfg, coupling, mass, r, 0.0, float(t), hbar)) for t in ts])
+    ts = t_star + width_expected * _TRANSIT_U
+    mags = np.abs(delta_closed(cfg, coupling, mass, r, 0.0, ts, hbar))
     if not (mags >= sys.float_info.min).all():
         raise RegimeError(
             f"|Delta| underflows on the transit fit grid at d = {cfg.d:.3g} "
@@ -608,7 +674,7 @@ def transit_fit(cfg: PacketConfig, coupling: Coupling, mass: float = 1.0,
     # log|Delta| less its value at u = 0: the constant -d^2 / 2 delta^2 would
     # otherwise dwarf the curvature being fitted at large d
     logs = np.log(mags)
-    coeffs = np.polyfit(us, logs - logs[10], 2)
+    coeffs = _TRANSIT_FIT @ (logs - logs[10])
     width = width_expected * math.sqrt(-0.5 / coeffs[0])
     center = t_star - width_expected * 0.5 * coeffs[1] / coeffs[0]
     return {

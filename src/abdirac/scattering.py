@@ -378,6 +378,8 @@ def scattering_amplitude(coupling: Coupling, kin: Kinematics,
         raise RegimeError("theta must be a number")
     if abs(theta) >= math.pi:
         raise SingularArgumentError("amplitude diverges at theta = +/- pi")
+    if not kin.k > 0:
+        raise RegimeError("scattering amplitude needs k > 0")
     nu = coupling.frac
     return complex(
         -cmath.exp(0.5j * theta)
@@ -391,7 +393,11 @@ def scattering_amplitude(coupling: Coupling, kin: Kinematics,
 def differential_cross_section(coupling: Coupling, kin: Kinematics,
                                theta: float) -> float:
     """|f(theta)|^2 = sin^2(pi alpha) / (2 pi k cos^2(theta/2))."""
-    return abs(scattering_amplitude(coupling, kin, theta)) ** 2
+    f = abs(scattering_amplitude(coupling, kin, theta))
+    sigma = f * f
+    if not sigma < math.inf:
+        raise SingularArgumentError(f"cross section overflows at theta={theta}, k={kin.k}")
+    return sigma
 
 
 def integrated_cross_section(coupling: Coupling, kin: Kinematics,

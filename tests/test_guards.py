@@ -6,7 +6,7 @@ the largest double's neighbourhood 1e308 and the smallest subnormal 5e-324.
 The call must either return a result whose every float is finite or raise an
 `AbdiracError` subclass.  pytest turns a numpy `RuntimeWarning` into an
 error, so an overflow inside numpy fails the property too.  Each `example`
-is a case that once returned NaN or raised a bare Python error.
+is a case that once returned NaN, warned or raised a bare Python error.
 """
 
 import dataclasses
@@ -117,6 +117,35 @@ def test_peak_time(r, mass, hbar):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(alpha=ALPHA, d=_or_edge(0.0, 8.0), mass=MASS,
+       r=st.one_of(st.none(), _or_edge(40.0, 80.0)), hbar=HBAR, use_quadrature=st.booleans())
+def test_suppression_scan(alpha, d, mass, r, hbar, use_quadrature):
+    _finite_or_typed(lambda: pr.suppression_scan(
+        PACKET, [d], Coupling(alpha), mass, r, hbar, use_quadrature))
+
+
+@SETTINGS
+@given(alpha=ALPHA, rp=_or_edge(0.0, 200.0), thetap=ANGLE)
+@example(alpha=0.37, rp=math.nan, thetap=0.0)
+@example(alpha=0.37, rp=55.0, thetap=math.nan)
+@example(alpha=0.37, rp=math.inf, thetap=0.0)
+@example(alpha=0.37, rp=55.0, thetap=-math.inf)
+@example(alpha=0.37, rp=1e200, thetap=0.0)
+def test_packet_initial(alpha, rp, thetap):
+    _finite_or_typed(lambda: pr.packet_initial(PACKET, Coupling(alpha), rp, thetap))
+
+
+@SETTINGS
+@given(alpha=ALPHA, delta=_or_edge(1.0, 10.0), rho0=_or_edge(40.0, 200.0),
+       theta0=_or_edge(-0.3, 0.3), k=_or_edge(1.0, 30.0))
+@example(alpha=1.5, delta=5e-324, rho0=40.0, theta0=0.0, k=1.0)
+@example(alpha=1.5, delta=1.0, rho0=1e308, theta0=0.0, k=1.0)
+def test_packet_norm(alpha, delta, rho0, theta0, k):
+    _finite_or_typed(lambda: pr.packet_norm(
+        pr.PacketConfig(delta, rho0, theta0, k), Coupling(alpha)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(alpha=ALPHA, mass=MASS, r=_or_edge(40.0, 80.0), hbar=HBAR)
 def test_transit_fit(alpha, mass, r, hbar):
     _finite_or_typed(lambda: pr.transit_fit(PACKET, Coupling(alpha), mass, r, hbar))
@@ -153,6 +182,15 @@ def test_make_kinematics_from_energy(E, M, hbar, c):
 @example(alpha=0.3, theta_cut=-1.0)
 def test_integrated_cross_section(alpha, theta_cut):
     _finite_or_typed(lambda: sc.integrated_cross_section(Coupling(alpha), KIN1, theta_cut))
+
+
+@SETTINGS
+@given(alpha=ALPHA, k=_or_edge(0.0, 10.0), theta=ANGLE)
+@example(alpha=0.3, k=0.0, theta=0.5)
+@example(alpha=0.3, k=5e-324, theta=3.1415926535897927)
+def test_scattering_amplitude(alpha, k, theta):
+    for fn in (sc.scattering_amplitude, sc.differential_cross_section):
+        _finite_or_typed(lambda: fn(Coupling(alpha), make_kinematics(k=k), theta))
 
 
 @SETTINGS

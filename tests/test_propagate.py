@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from abdirac import bare_tube as bt
 from abdirac import propagate as pr
-from abdirac.errors import OutOfRangeError, QuadratureError, RegimeError
+from abdirac.errors import (OutOfRangeError, QuadratureError, RegimeError,
+                            SingularArgumentError)
 from abdirac.model import Coupling, channel_index
 from abdirac.numerics import gauss_panel_nodes
 from _helpers import greens_diff_bracket, greens_diff_integral_oracle
@@ -219,15 +220,16 @@ LARGE_ORDERS = (2.9, 5.3, 11.8, 30.2)
 
 
 def _mp_kernel(nu, x):
-    """sin(pi nu) e^{i pi nu / 2} e^{-ix} H^(1)_nu(x) to 40 digits."""
+    """sqrt(x) sin(pi nu) e^{i pi nu / 2} e^{-ix} H^(1)_nu(x) to 40 digits."""
     with mpmath.workdps(40):
         xm, num = mpmath.mpf(x), mpmath.mpf(nu)
-        return complex(mpmath.sinpi(num) * mpmath.expjpi(num / 2)
+        return complex(mpmath.sqrt(xm) * mpmath.sinpi(num) * mpmath.expjpi(num / 2)
                        * mpmath.hankel1(num, xm) * mpmath.expj(-xm))
 
 
 class TestSeriesKernel:
-    """`_scaled_kernel` from Hankel's expansion at x >= X0(nu), AMOS below."""
+    """`_scaled_kernel`, sqrt(x) times the kernel, from Hankel's expansion at
+    x >= X0(nu), AMOS below."""
 
     @staticmethod
     def _kernel(nu, x, monkeypatch):
@@ -266,7 +268,7 @@ class TestSeriesKernel:
             got = complex(pr._hankel_expansion(nu, np.array([x]))[0])
             with mpmath.workdps(40):
                 xm = mpmath.mpf(x)
-                want = complex(mpmath.sqrt(mpmath.pi / 2)
+                want = complex(mpmath.sqrt(mpmath.pi * xm / 2)
                                * mpmath.expjpi(mpmath.mpf(nu) / 2 + mpmath.mpf(1) / 4)
                                * mpmath.hankel1(nu, xm) * mpmath.expj(-xm))
             assert _rel(got, want) <= 1e-15, x
@@ -279,7 +281,8 @@ class TestSeriesKernel:
         xs = x0 * np.array([1.0 + 1e-12, 1.001, 1.1])
         series, called = self._kernel(nu, xs, monkeypatch)
         assert not called
-        amos = math.sin(math.pi * nu) * cmath.exp(0.5j * math.pi * nu) * pr.sf.hankel1e(nu, xs)
+        amos = (math.sin(math.pi * nu) * cmath.exp(0.5j * math.pi * nu) * pr.sf.hankel1e(nu, xs)
+                * np.sqrt(xs))
         assert np.max(np.abs(series - amos) / np.abs(amos)) <= 1e-15
 
     def test_one_point_below_switch_takes_amos(self, monkeypatch):
@@ -443,6 +446,69 @@ class TestPacket:
         assert rows[1]["delta_abs"] / rows[0]["delta_abs"] == pytest.approx(
             math.exp(-0.5), rel=1e-12
         )
+
+    @pytest.mark.parametrize("alpha", [0.37, -0.61, 1.25, -1.4])
+    @pytest.mark.parametrize("cfg", PACKETS, ids=["theta0>0", "theta0<0"])
+    def test_closed_time_grid_matches_scalar_calls(self, cfg, alpha):
+        # +/-3 sigma about the peak, 20 sigma early, then out to where the
+        # envelope underflows to 0 (u > 38.6) and where its argument's square
+        # overflows (t = 1e200)
+        c = Coupling(alpha)
+        sigma = cfg.delta / cfg.k
+        t_star = pr.peak_time(cfg, cfg.rho0)
+        ts = np.concatenate([t_star + sigma * np.linspace(-3.0, 3.0, 61),
+                             t_star + sigma * np.array([-20.0, 39.0, 60.0]), [1e200]])
+        got = pr.delta_closed(cfg, c, 1.0, cfg.rho0, 0.3, ts)
+        assert got.shape == ts.shape and got.dtype == np.complex128
+        want = [pr.delta_closed(cfg, c, 1.0, cfg.rho0, 0.3, float(t)) for t in ts]
+        assert all(type(w) is complex for w in want)
+        assert want[-3:] == [0.0, 0.0, 0.0] and abs(want[-4]) > 0
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-15 * abs(w)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_closed_time_grid_refuses_like_scalar(self, bad):
+        cfg, c = PACKETS[0], Coupling(0.37)
+        t_star = pr.peak_time(cfg, cfg.rho0)
+        with pytest.raises(SingularArgumentError) as scalar:
+            pr.delta_closed(cfg, c, 1.0, cfg.rho0, 0.0, bad)
+        with pytest.raises(SingularArgumentError) as grid:
+            pr.delta_closed(cfg, c, 1.0, cfg.rho0, 0.0, [t_star, bad, 2.0 * t_star])
+        assert str(grid.value) == str(scalar.value)
+
+    def test_transit_fit_takes_one_closed_call(self, monkeypatch):
+        calls = []
+        closed = pr.delta_closed
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return closed(*args, **kwargs)
+
+        monkeypatch.setattr(pr, "delta_closed", spy)
+        pr.transit_fit(PACKETS[0], Coupling(0.37))
+        assert len(calls) == 1
+
+    def test_surviving_wave_once_per_coupling(self, monkeypatch):
+        # a scan with quadrature and a transit fit per coupling: the surviving
+        # wave is derived once for each of the two couplings
+        seen = []
+        channel = pr.anomalous_channel
+
+        def spy(coupling):
+            seen.append(coupling.alpha)
+            return channel(coupling)
+
+        monkeypatch.setattr(pr, "anomalous_channel", spy)
+        template = replace(PACKETS[0], theta0=0.0)
+        pr._surviving_wave.cache_clear()
+        try:
+            for alpha in (0.37, -0.61):
+                pr.suppression_scan(template, [0.0, 4.0, 8.0], Coupling(alpha),
+                                    use_quadrature=True)
+                pr.transit_fit(template, Coupling(alpha))
+        finally:
+            pr._surviving_wave.cache_clear()
+        assert seen == [0.37, -0.61]
 
     @pytest.mark.parametrize("alpha", [0.37, -1.4])
     def test_transit_fit(self, alpha):
