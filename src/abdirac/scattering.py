@@ -36,6 +36,10 @@ above the turning point comes from the backward three-term recurrence, where
 J is the minimal solution.  One product with the phases
 e^{i (l + [alpha]) theta} then gives all four components at every angle.
 
+The cutoff is closed-form: past the turning point J_mu(x) falls as the Airy
+function of (mu - x)/x^{1/3} (DLMF 10.19.8), so `truncation_order` gives l_max
+from k r and the tolerance, and a row is built and its tail checked in one pass.
+
 Far-field closed forms: incident spinor times e^{-i k r cos(theta) + i nu theta}
 plus a scattered spinor with per-component half-angle phases and the common
 factor sin(pi nu)/cos(theta/2) * e^{i k r + i pi/4} / sqrt(2 pi k r).  The
@@ -76,8 +80,10 @@ __all__ = [
 ]
 
 DEFAULT_FORWARD_CONE = 0.1  # rad; asymptotics break down within this cone
-_MAX_EXTENSIONS = 8
-_EXTENSION_CHUNK = 16
+_TAIL_LOOKAHEAD = 16  # orders beyond the cutoff, at each end, that set the tail estimate
+# largest k r of a row: its cost grows linearly in k r, to ~1 s for an
+# 8-angle row at 1e5 (2-core VM)
+_MAX_KR = 1e5
 _RECURRENCE_MARGIN = 16  # orders above a row's top where the J ratios start at 0
 
 
@@ -109,9 +115,22 @@ class WaveFieldSample:
         return np.array([self.psi1, self.psi2, self.psi3, self.psi4])
 
 
-def truncation_order(kr: float) -> int:
-    """Initial angular-momentum cutoff for a partial-wave sum at argument kr."""
-    return int(math.ceil(kr)) + 12 + int(math.ceil(4.0 * kr ** (1.0 / 3.0)))
+def truncation_order(kr: float, tol: float) -> int:
+    """Angular-momentum cutoff of a partial-wave row, 0 <= kr <= _MAX_KR, 0 < tol < 1.
+
+    Past the turning point J_mu(x) ~ (2/x)^{1/3} Ai(2^{1/3} tau) with
+    mu = x + tau x^{1/3} (DLMF 10.19.8), and Ai(z) ~ e^{-2 z^{3/2}/3}, so the
+    terms fall below tol at tau = 2^{-1/3} (1.5 ln(1/tol))^{2/3}.  The cutoff
+    is l_max = ceil(kr + tau kr^{1/3}) + 8; the 8 covers kr <~ 1, where
+    J_l ~ (kr/2)^l / l! and the Airy form does not hold.  Checked for
+    tol >= 1e-30; far below it the law falls short at small kr.
+    """
+    if not 0 <= kr <= _MAX_KR:
+        raise RegimeError(f"kr must lie in [0, {_MAX_KR:.0e}]")
+    if not 0.0 < tol < 1.0:
+        raise RegimeError(f"partial-wave tolerance {tol} outside (0, 1)")
+    tau = (-1.5 * math.log(tol)) ** (2.0 / 3.0) / 2.0 ** (1.0 / 3.0)
+    return math.ceil(kr + tau * kr ** (1.0 / 3.0)) + 8
 
 
 def _j_family(mu: float, x: float, amos: list, top: int) -> list:
@@ -122,8 +141,9 @@ def _j_family(mu: float, x: float, amos: list, top: int) -> list:
     is the minimal solution of the three-term recurrence (DLMF 10.6.1), so
     the ratios r_m = J_{mu+m} / J_{mu+m-1} = 1 / (2 (mu + m)/x - r_{m+1}) are
     stable run backward (DLMF 10.74(iv)).  They start from 0 at
-    _RECURRENCE_MARGIN orders above `top` and multiply up from J_{mu+t}, so
-    the values depend only on `top`, not on how the row was widened.
+    _RECURRENCE_MARGIN orders above `top`, a look-ahead past the cutoff where J
+    has fallen by the Airy law of DLMF 10.19.8 (`truncation_order`), and
+    multiply up from J_{mu+t}.
     """
     t = len(amos) - 1
     if t >= top:
@@ -137,27 +157,25 @@ def _j_family(mu: float, x: float, amos: list, top: int) -> list:
 
 
 def _row_bessel(nu: float, x: float, tol: float, signed: tuple = ()):
-    """J_{|l - nu|}(x) over l = -n..n, n = l_max + _EXTENSION_CHUNK, and the cutoff.
+    """J_{|l - nu|}(x) over l = -n..n, n = l_max + _TAIL_LOOKAHEAD, and the cutoff.
 
     Returns (orders, values, PartialWaveSum).  The row keeps l in
-    [-l_max, l_max]; the chunk beyond it at each end sets the tail estimate.
-    l = -m has order nu + m and l = m + 1 order (1 - nu) + m.  The `signed`
-    orders (the negative ones a Hankel term swaps in) and their J follow at
-    the end.
+    [-l_max, l_max], l_max = `truncation_order`(x, tol) from the Airy law of
+    DLMF 10.19.8; the look-ahead beyond it at each end sets the tail
+    estimate.  l = -m has order nu + m and l = m + 1 order (1 - nu) + m.  The
+    `signed` orders (the negative ones a Hankel term swaps in) and their J
+    follow at the end.
 
-    One AMOS call per row takes, per family, the orders below the turning
-    point and the first one at or above it (see `_j_family`), and the signed
-    orders.  J at a real argument is real, so only the real part is kept.  A
-    failed tail check widens the row by a chunk at both ends and reruns only
-    the recurrence.
+    One pass: one AMOS call per row takes, per family, the orders below the
+    turning point and the first one at or above it (see `_j_family`), and the
+    signed orders; one recurrence per family fills the rest.  J at a real
+    argument is real, so only the real part is kept.  A tail above tol raises
+    `TruncationError`.
     """
     if not (0.0 <= nu < 1.0):
         raise RegimeError("reduced coupling must lie in [0, 1)")
-    if not 0 <= x < math.inf:
-        raise RegimeError("kr must be finite and >= 0")
-    l_max = truncation_order(x)
-    chunk = _EXTENSION_CHUNK
-    n = l_max + chunk
+    l_max = truncation_order(x, tol)  # refuses x and tol before any Bessel call
+    n = l_max + _TAIL_LOOKAHEAD
     mu_right = 1.0 - nu
     if x == 0:
         t_left, t_right = n, n - 1
@@ -167,32 +185,22 @@ def _row_bessel(nu: float, x: float, tol: float, signed: tuple = ()):
                                   mu_right + np.arange(t_right + 1), signed))
     amos = sf.bessel_j(amos_orders, x, max_order=max(t_left, t_right) + 1.0).real.tolist()
     left, right = amos[:t_left + 1], amos[t_left + 1:t_left + t_right + 2]
-    signed_js = amos[t_left + t_right + 2:]
-    for attempt in range(_MAX_EXTENSIONS):
-        if attempt:
-            l_max += chunk
-            n += chunk
-        down = _j_family(nu, x, left, n)  # l = 0, -1, ..., -n
-        up = _j_family(mu_right, x, right, n - 1)  # l = 1, ..., n
-        # tail: sum of the next chunk's magnitudes at both ends, each taken
-        # outward from the kept row, with a geometric bound for everything
-        # beyond it
-        tail = sum(map(abs, down[l_max + 1:])) + sum(map(abs, up[l_max:]))
-        first = abs(down[l_max + 1]) + abs(up[l_max])
-        last = abs(down[-1]) + abs(up[-1])
-        if first > 0 and last / first < 0.5:
-            tail *= 2.0  # geometric remainder bound
-        elif first > 0:
-            tail *= 10.0
-        if tail <= tol or x == 0:
-            break
-    else:
+    down = _j_family(nu, x, left, n)  # l = 0, -1, ..., -n
+    up = _j_family(mu_right, x, right, n - 1)  # l = 1, ..., n
+    # tail: sum of the look-ahead's magnitudes at both ends, each taken
+    # outward from the kept row, with a geometric bound for everything beyond it
+    tail = sum(map(abs, down[l_max + 1:])) + sum(map(abs, up[l_max:]))
+    first = abs(down[l_max + 1]) + abs(up[l_max])
+    last = abs(down[-1]) + abs(up[-1])
+    if first > 0:
+        tail *= 2.0 if last / first < 0.5 else 10.0  # geometric remainder bound
+    if not tail <= tol:
         raise TruncationError(
             f"partial-wave tail {tail:.1e} above tolerance {tol:.1e} at l_max={l_max}"
         )
     orders = np.concatenate((nu + np.arange(n, -1, -1), mu_right + np.arange(n), signed))
     info = PartialWaveSum(l_max=l_max, terms=2 * l_max + 1, tail_estimate=tail)
-    return orders, np.array(down[::-1] + up + signed_js), info
+    return orders, np.array(down[::-1] + up + amos[t_left + t_right + 2:]), info
 
 
 def _wave_coefficients(nu: float, x: float, tol: float, signed: tuple = ()):
@@ -203,8 +211,8 @@ def _wave_coefficients(nu: float, x: float, tol: float, signed: tuple = ()):
     """
     orders, js, info = _row_bessel(nu, x, tol, signed)
     coeffs = np.exp(-0.5j * math.pi * orders) * js
-    row = 2 * (info.l_max + _EXTENSION_CHUNK) + 1
-    return coeffs[_EXTENSION_CHUNK:row - _EXTENSION_CHUNK], coeffs[row:], info
+    row = 2 * (info.l_max + _TAIL_LOOKAHEAD) + 1
+    return coeffs[_TAIL_LOOKAHEAD:row - _TAIL_LOOKAHEAD], coeffs[row:], info
 
 
 def _angular_sum(coeffs: np.ndarray, theta, shift: int):
@@ -216,8 +224,8 @@ def _angular_sum(coeffs: np.ndarray, theta, shift: int):
     l_max = (coeffs.shape[0] - 1) // 2
     ls = np.arange(-l_max + shift, l_max + 1 + shift)
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not np.isfinite(theta_arr).all():
-        raise RegimeError("theta must be finite")
+    if not float(np.abs(theta_arr).max(initial=0.0)) * (l_max + abs(shift)) < math.inf:
+        raise RegimeError("theta and theta * l must be finite")
     vals = np.exp(1j * np.outer(theta_arr, ls)) @ coeffs
     return vals if np.ndim(theta) else vals[0]
 
@@ -244,7 +252,7 @@ def _lower_weight(kin: Kinematics) -> float:
 
 def _swapped_waves(kind: str, coupling: Coupling) -> tuple[tuple[int, int], ...]:
     """(l, component) pairs, psi1..psi4 as 0..3, whose partial wave takes the
-    negative order (the table in `_spinor_coefficients`).
+    negative order (the table in the module docstring).
 
     The bare string's surviving wave follows `bare_tube.anomalous_channel`:
     channel c swaps psi_c and psi_{c+2} in the partial wave l = c - 1.
@@ -252,6 +260,8 @@ def _swapped_waves(kind: str, coupling: Coupling) -> tuple[tuple[int, int], ...]
     """
     if kind == "shielded":
         return ((0, 2), (1, 3))
+    if kind != "bare":
+        raise RegimeError("kind must be 'bare' or 'shielded'")
     anomalous = anomalous_channel(coupling)
     if anomalous is None:
         return ()
@@ -269,15 +279,7 @@ def _spinor_coefficients(swapped: tuple, a1: complex, a2: complex, w: float,
     e^{i pi mu/2} J_{-mu} - e^{-i pi mu/2} J_mu = i sin(pi mu) e^{i pi mu/2} H_mu
     (DLMF 10.4.7), a Hankel term swaps the regular coefficient for the same
     coefficient e^{-i pi mu/2} J_mu at the signed order, at the `swapped`
-    (l, component) pairs of `_swapped_waves`:
-
-    ==============  ==================  ==================
-    state           l = 0: mu -> -nu    l = 1: mu -> nu - 1
-    ==============  ==================  ==================
-    shielded        psi3                psi4
-    bare, alpha>0   psi1, psi3          --
-    bare, alpha<0   --                  psi2, psi4
-    ==============  ==================  ==================
+    (l, component) pairs of `_swapped_waves` (the module docstring's table).
 
     So bare - shielded is one order swap per partial wave.  At alpha > 0 the
     bare string keeps psi4 regular: its extra column
@@ -313,8 +315,6 @@ def dirac_scattering_state(kind: str, amplitudes: SpinorAmplitudes,
     coefficient matrix (Bessel values, cutoff), and the four
     components come out of one product with the phases e^{i (l + [alpha]) theta}.
     """
-    if kind not in ("bare", "shielded"):
-        raise RegimeError("kind must be 'bare' or 'shielded'")
     if not r > 0:
         raise RegimeError("field point needs r > 0")
     if kind == "bare" and coupling.is_integer:
@@ -335,8 +335,6 @@ def asymptotic_state(kind: str, amplitudes: SpinorAmplitudes, coupling: Coupling
     Valid for k r >> 1 away from the forward cone; enforced as k r >= 50 and
     |theta| < pi - DEFAULT_FORWARD_CONE.
     """
-    if kind not in ("bare", "shielded"):
-        raise RegimeError("kind must be 'bare' or 'shielded'")
     x = kin.k * r
     if not 50.0 <= x < math.inf:
         raise RegimeError(f"asymptotic form needs finite k r >= 50 (got {x:.3g})")

@@ -4,15 +4,18 @@ Each property draws every float parameter of one public entry point from its
 valid range mixed with the values a range check must meet: NaN, +-inf, 0, -1,
 the largest double's neighbourhood 1e308 and the smallest subnormal 5e-324.
 The call must either return a result whose every float is finite or raise an
-`AbdiracError` subclass.  pytest turns a numpy `RuntimeWarning` into an
-error, so an overflow inside numpy fails the property too.  Each `example`
-is a case that once returned NaN, warned or raised a bare Python error.
+`AbdiracError` subclass; a partial-wave row must also refuse a tolerance
+outside (0, 1) with `RegimeError`.  pytest turns a numpy `RuntimeWarning`
+into an error, so an overflow inside numpy fails the property too.  Each
+`example` is a case that once returned NaN, warned, raised a bare Python
+error or returned a row whose tail went unchecked.
 """
 
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +23,7 @@ from abdirac import propagate as pr
 from abdirac import scattering as sc
 from abdirac import shielded as sh
 from abdirac import specfun as sf
-from abdirac.errors import AbdiracError
+from abdirac.errors import AbdiracError, RegimeError
 from abdirac.model import Coupling, SpinorAmplitudes, make_kinematics
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -64,6 +67,16 @@ def _finite_or_typed(call) -> None:
     except AbdiracError:
         return
     assert all(math.isfinite(v) for v in _floats(out)), out
+
+
+def _row_or_typed(call, tol: float) -> None:
+    """A partial-wave row: as `_finite_or_typed`, and a tolerance outside
+    (0, 1), which the cutoff law cannot take, is refused with RegimeError."""
+    if 0.0 < tol < 1.0:
+        _finite_or_typed(call)
+    else:
+        with pytest.raises(RegimeError):
+            call()
 
 
 MASS = _or_edge(0.5, 2.0)
@@ -200,6 +213,30 @@ def test_scattering_amplitude(alpha, k, theta):
 def test_asymptotic_state(alpha, kind, r, theta):
     _finite_or_typed(lambda: sc.asymptotic_state(
         kind, SpinorAmplitudes(), Coupling(alpha), KIN1, r, theta))
+
+
+@SETTINGS
+@given(alpha=ALPHA, r=_or_edge(0.5, 200.0), theta=ANGLE, tol=_or_edge(1e-30, 1e-6))
+@example(alpha=0.3, r=10.0, theta=1e308, tol=1e-10)
+@example(alpha=0.3, r=1e308, theta=0.3, tol=1e-10)
+@example(alpha=0.3, r=10.0, theta=0.3, tol=math.inf)
+def test_ab_wavefunction(alpha, r, theta, tol):
+    _row_or_typed(lambda: sc.ab_wavefunction(Coupling(alpha), KIN1, r, theta, tol), tol)
+
+
+@SETTINGS
+@given(alpha=ALPHA, kind=st.sampled_from(("bare", "shielded")), r=_or_edge(0.5, 200.0),
+       theta=ANGLE, tol=_or_edge(1e-30, 1e-6))
+@example(alpha=0.3, kind="bare", r=10.0, theta=1e308, tol=1e-10)
+@example(alpha=0.3, kind="shielded", r=10.0, theta=1e308, tol=1e-10)
+@example(alpha=0.3, kind="bare", r=1e308, theta=0.3, tol=1e-10)
+@example(alpha=0.3, kind="shielded", r=1e308, theta=0.3, tol=1e-10)
+@example(alpha=0.3, kind="bare", r=10.0, theta=0.3, tol=math.inf)
+@example(alpha=0.3, kind="shielded", r=10.0, theta=0.3, tol=math.inf)
+def test_dirac_scattering_state(alpha, kind, r, theta, tol):
+    _row_or_typed(lambda: sc.dirac_scattering_state(
+        kind, SpinorAmplitudes(0.8 + 0.1j, 0.5 - 0.2j), Coupling(alpha), KIN1, r, theta, tol),
+        tol)
 
 
 @SETTINGS

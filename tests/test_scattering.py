@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from abdirac import scattering as sc
 from abdirac import specfun as sf
-from abdirac.errors import RegimeError, SingularArgumentError, TruncationError
+from abdirac.errors import RegimeError, SingularArgumentError
 from abdirac.model import Coupling, SpinorAmplitudes, make_kinematics
 from _helpers import mp_dirac_state
 
@@ -76,7 +76,7 @@ class TestScalarSums:
             Coupling(0.3), KIN, 30.0, 0.5, tol=1e-10, return_info=True
         )
         assert info.tail_estimate <= 1e-10
-        assert info.l_max >= sc.truncation_order(30.0)
+        assert info.l_max == sc.truncation_order(30.0, 1e-10)
 
 
 class TestDiracStates:
@@ -158,6 +158,27 @@ class TestDiracStates:
                         asy = sc.asymptotic_state(kind, AMP, c, KIN, kr, th)
                         for pe, pa in zip(ex.as_array(), asy.as_array()):
                             assert abs(pe - pa) <= tol * abs(pe), (kind, kr, th, alpha)
+
+    @pytest.mark.parametrize("kind", ["bare", "shielded"])
+    @pytest.mark.parametrize("alpha", [0.37, -0.61])
+    def test_paper_scale_row_matches_asymptotics(self, kind, alpha):
+        # the paper's half-fringe tube (2 T, r0 ~ 18 nm, 100 keV) sits at
+        # k r0 ~ 3.1e4; a row there keeps l_max ~ 3.1e4 + 260
+        kr = 3.1e4
+        kin = make_kinematics(k=1.0)  # r = kr exactly
+        c = Coupling(alpha)
+        thetas = np.linspace(-2.5, 2.5, 8)
+        row = sc.dirac_scattering_state(kind, AMP, c, kin, kr, thetas).as_array()
+        for j, th in enumerate(thetas):
+            asy = sc.asymptotic_state(kind, AMP, c, kin, kr, float(th)).as_array()
+            assert np.all(np.abs(row[:, j] - asy) <= 3.0 / kr * np.abs(row[:, j])), (kind, th)
+
+    def test_unknown_kind_raises(self):
+        c = Coupling(0.3)
+        with pytest.raises(RegimeError, match="kind must be 'bare' or 'shielded'"):
+            sc.dirac_scattering_state("string", AMP, c, KIN, 10.0, 0.5)
+        with pytest.raises(RegimeError, match="kind must be 'bare' or 'shielded'"):
+            sc.asymptotic_state("string", AMP, c, KIN, 100.0, 0.5)
 
     def test_asymptotic_guards(self):
         c = Coupling(0.3)
@@ -304,56 +325,63 @@ def _record(monkeypatch, name):
 
 
 class TestIncrementalCutoff:
-    @pytest.mark.parametrize("nu, tol, l_max", [(0.37, 1e-10, 252), (0.41, 1e-10, 252),
-                                                (0.37, 1e-30, 316)],
-                             ids=["0.37", "0.41", "0.37-tol1e-30"])
-    def test_extended_ladders_equal_one_call(self, monkeypatch, nu, tol, l_max):
-        # at kr = 200 the first tail check fails and a chunk is appended at
-        # both ends of the row (four times at tol = 1e-30); nu = 0.41 is a
-        # coupling where an order formed as (nu + start) + m would round twice
-        calls = _record(monkeypatch, "bessel_j")
-        orders, js, info = sc._row_bessel(nu, 200.0, tol, (-nu, nu - 1.0))
-        assert info.l_max == l_max > sc.truncation_order(200.0)
-        # |l - nu| over l = -n..n: nu + m at l = -m, (1 - nu) + m at l = m + 1
-        n = l_max + sc._EXTENSION_CHUNK
-        assert np.array_equal(orders, np.concatenate(
-            (nu + np.arange(n, -1, -1), (1.0 - nu) + np.arange(n), [-nu, nu - 1.0])))
-        # one AMOS call, every order once: per family up to the first order at
-        # or above the turning point kr = 200, then the signed pair
-        assert len(calls) == 1
-        amos_orders, _, amos = calls[0]
-        t_left, t_right = math.ceil(200.0 - nu), math.ceil(200.0 - (1.0 - nu))
-        assert np.array_equal(amos_orders, np.concatenate(
-            (nu + np.arange(t_left + 1), (1.0 - nu) + np.arange(t_right + 1), [-nu, nu - 1.0])))
-        at = np.concatenate((np.arange(n, n - t_left - 1, -1),
-                             n + 1 + np.arange(t_right + 1), [2 * n + 1, 2 * n + 2]))
-        assert np.array_equal(js[at], amos.real)
-        # the extended row equals the row evaluated directly at its final width
-        monkeypatch.setattr(sc, "truncation_order", lambda kr: l_max)
-        direct_orders, direct, direct_info = sc._row_bessel(nu, 200.0, math.inf, (-nu, nu - 1.0))
-        assert direct_info == info
-        assert np.array_equal(direct_orders, orders)
-        assert np.array_equal(direct, js)
+    """The row's cutoff comes from `truncation_order`; the row is built in one pass."""
 
-    def test_tail_never_below_tol_raises(self, monkeypatch):
+    @pytest.mark.parametrize("nu, kr, tol", [(0.37, 200.0, 1e-10), (0.41, 200.0, 1e-10),
+                                             (0.37, 200.0, 1e-30), (0.37, 3.1e4, 1e-10)],
+                             ids=["0.37", "0.41", "0.37-tol1e-30", "0.37-kr3.1e4"])
+    def test_one_pass_row(self, monkeypatch, nu, kr, tol):
+        # nu = 0.41 is a coupling where an order formed as (nu + start) + m
+        # would round twice
         calls = _record(monkeypatch, "bessel_j")
         tops = []
         family = sc._j_family
 
         def recording(mu, x, amos, top):
-            tops.append(top)
+            tops.append((mu, top))
             return family(mu, x, amos, top)
 
         monkeypatch.setattr(sc, "_j_family", recording)
-        chunk = sc._EXTENSION_CHUNK
-        last = sc.truncation_order(5.0) + (sc._MAX_EXTENSIONS - 1) * chunk
-        with pytest.raises(TruncationError, match=f"l_max={last}$"):
-            sc._wave_coefficients(0.3, 5.0, 0.0)
-        # _MAX_EXTENSIONS attempts, each a chunk wider at both ends, each
-        # rerunning only the recurrence on the one AMOS call
+        orders, js, info = sc._row_bessel(nu, kr, tol, (-nu, nu - 1.0))
+        l_max = sc.truncation_order(kr, tol)
+        assert info == sc.PartialWaveSum(l_max, 2 * l_max + 1, info.tail_estimate)
+        assert info.tail_estimate <= tol
+        # |l - nu| over l = -n..n: nu + m at l = -m, (1 - nu) + m at l = m + 1
+        n = l_max + sc._TAIL_LOOKAHEAD
+        assert np.array_equal(orders, np.concatenate(
+            (nu + np.arange(n, -1, -1), (1.0 - nu) + np.arange(n), [-nu, nu - 1.0])))
+        # one recurrence per family, up to the look-ahead's last order
+        assert tops == [(nu, n), (1.0 - nu, n - 1)]
+        # one AMOS call, every order once: per family up to the first order at
+        # or above the turning point kr, then the signed pair
         assert len(calls) == 1
-        n = sc.truncation_order(5.0) + chunk + chunk * np.arange(sc._MAX_EXTENSIONS)
-        assert tops == np.column_stack((n, n - 1)).ravel().tolist()
+        amos_orders, _, amos = calls[0]
+        t_left, t_right = math.ceil(kr - nu), math.ceil(kr - (1.0 - nu))
+        assert np.array_equal(amos_orders, np.concatenate(
+            (nu + np.arange(t_left + 1), (1.0 - nu) + np.arange(t_right + 1), [-nu, nu - 1.0])))
+        at = np.concatenate((np.arange(n, n - t_left - 1, -1),
+                             n + 1 + np.arange(t_right + 1), [2 * n + 1, 2 * n + 2]))
+        assert np.array_equal(js[at], amos.real)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 2.0, math.inf, math.nan])
+    def test_tol_outside_unit_interval_raises(self, monkeypatch, tol):
+        # the cutoff takes ln(1/tol): the row refuses before any Bessel call
+        calls = _record(monkeypatch, "bessel_j")
+        with pytest.raises(RegimeError, match="tolerance"):
+            sc._wave_coefficients(0.3, 5.0, tol)
+        with pytest.raises(RegimeError, match="tolerance"):
+            sc.ab_wavefunction(Coupling(0.3), KIN, 5.0, 0.5, tol=tol)
+        assert not calls
+
+    @pytest.mark.parametrize("kr", [-1.0, 1.0000001e5, 1e308, math.inf, math.nan])
+    def test_kr_beyond_reach_raises(self, monkeypatch, kr):
+        # the cutoff law refuses kr too, so the row allocates nothing
+        calls = _record(monkeypatch, "bessel_j")
+        with pytest.raises(RegimeError, match="kr must lie in"):
+            sc.truncation_order(kr, 1e-10)
+        with pytest.raises(RegimeError, match="kr must lie in"):
+            sc._wave_coefficients(0.3, kr, 1e-10)
+        assert not calls
 
     @pytest.mark.parametrize("kind", ["bare", "shielded"])
     @pytest.mark.parametrize("kr", [0.5, 7.3, 200.0])
@@ -376,24 +404,19 @@ class TestIncrementalCutoff:
             assert np.array_equal(orders[orders < 0], signed)
 
 
-def _amos_cutoff(nu, x, tol):
-    """(l_max, tail estimate) of a row with every J from one AMOS call per
-    cutoff attempt: the reference for the recurrence row's cutoff."""
-    chunk = sc._EXTENSION_CHUNK
-    l_max = sc.truncation_order(x)
-    for _ in range(sc._MAX_EXTENSIONS):
-        n = l_max + chunk
-        orders = np.concatenate((nu + np.arange(n, -1, -1), (1.0 - nu) + np.arange(n)))
-        js = np.abs(sf.bessel_j(orders, x, max_order=n + 2.0))
-        down, up = js[chunk - 1::-1], js[-chunk:]
-        tail = down.sum() + up.sum()
-        first, last = down[0] + up[0], down[-1] + up[-1]
-        if first > 0:
-            tail *= 2.0 if last / first < 0.5 else 10.0
-        if tail <= tol:
-            return l_max, tail
-        l_max += chunk
-    raise AssertionError("reference cutoff did not converge")
+def _amos_tail(nu, x, tol):
+    """Tail estimate of the row at the cutoff `truncation_order`(x, tol) with
+    every J from one AMOS call: the reference for the recurrence row's tail."""
+    chunk = sc._TAIL_LOOKAHEAD
+    n = sc.truncation_order(x, tol) + chunk
+    orders = np.concatenate((nu + np.arange(n, -1, -1), (1.0 - nu) + np.arange(n)))
+    js = np.abs(sf.bessel_j(orders, x, max_order=n + 2.0))
+    down, up = js[chunk - 1::-1], js[-chunk:]
+    tail = down.sum() + up.sum()
+    first, last = down[0] + up[0], down[-1] + up[-1]
+    if first > 0:
+        tail *= 2.0 if last / first < 0.5 else 10.0
+    return tail
 
 
 class TestRowBessel:
@@ -408,7 +431,7 @@ class TestRowBessel:
         # kept orders, the look-ahead chunk at both ends and the signed pair
         calls = _record(monkeypatch, "bessel_j")
         orders, js, info = sc._row_bessel(nu, kr, 1e-10, (-nu, nu - 1.0))
-        assert orders.size == 2 * (info.l_max + sc._EXTENSION_CHUNK) + 3
+        assert orders.size == 2 * (info.l_max + sc._TAIL_LOOKAHEAD) + 3
         with mpmath.workdps(40):
             want = np.array([float(mpmath.besselj(mpmath.mpf(float(mu)), mpmath.mpf(kr)))
                              for mu in orders])
@@ -433,9 +456,17 @@ class TestRowBessel:
     @pytest.mark.parametrize("kr", KRS)
     def test_cutoff_matches_all_amos_row(self, kr, nu, tol):
         _, _, info = sc._row_bessel(nu, kr, tol)
-        l_max, tail = _amos_cutoff(nu, kr, tol)
-        assert info.l_max == l_max
+        assert info.l_max == sc.truncation_order(kr, tol)
+        tail = _amos_tail(nu, kr, tol)
         assert abs(info.tail_estimate - tail) <= 1e-9 * tail
+
+    @pytest.mark.parametrize("kr", [1e-3, 0.5, 7.3, 53.0, 200.0, 1e3, 3.1e4])
+    def test_tail_check_passes_on_grid(self, kr):
+        # the Airy-law cutoff meets the unchanged tail check in one pass
+        for nu in (0.0, 0.37, 0.999):
+            for tol in (1e-10, 1e-16, 1e-30):
+                _, _, info = sc._row_bessel(nu, kr, tol, (-nu, nu - 1.0))
+                assert info.tail_estimate <= tol, (nu, tol)
 
     @pytest.mark.parametrize("kr", [0.5, 200.0])
     def test_values_are_real(self, kr):
