@@ -156,10 +156,12 @@ def _interior_s(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     """s = nu + r0 d(ln chi)/dr of the interior solution at r0, nu the exterior order.
 
     Real, and +/-inf at a node of chi.  With F'(b|c|z) = (b/c) F(b+1|c+1|z)
-    (DLMF 13.3.15), F and F' come from one `kummer_f` call at the parameter
-    pairs (b, b + 1), (c, c + 1), and s = K + 2 |alpha| F'/F at z = |alpha|,
+    (DLMF 13.3.15), F and F' come from two scalar `kummer_f` calls, at
+    (b, c) and (b + 1, c + 1), and s = K + 2 |alpha| F'/F at z = |alpha|,
     where K = nu + m - |alpha| is 2 max(l' - |alpha|, 0) for l' >= 0 and 2m
-    for l' < 0.  In the anomalous
+    for l' < 0.  Float arguments with c >= 1 pass `kummer_f`'s input test on
+    Python floats, which costs less than building the parameter pairs as
+    arrays; the values equal the pair call's bit for bit.  In the anomalous
     channel s -> 0 through b, never as a difference of nearly equal terms.
     """
     alpha = tube.coupling.alpha
@@ -173,8 +175,9 @@ def _interior_s(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
             return math.inf
         return float((x * j_below / j).real)
     l_rel, b, c = args
-    f0, f1 = sf.kummer_f(np.array([b, b + 1.0]), np.array([c, c + 1.0]), abs(alpha)).tolist()
-    f1 = b / c * f1
+    z = abs(alpha)
+    f0 = sf.kummer_f(b, c, z).real
+    f1 = b / c * sf.kummer_f(b + 1.0, c + 1.0, z).real
     if f0 == 0.0:
         return math.inf if f1 > 0 else -math.inf
     k_term = 2.0 * max(l_rel - abs(alpha), 0.0) if l_rel >= 0 else 2.0 * m
@@ -190,10 +193,11 @@ def log_derivative_interior(l: int, channel: int, tube: TubeConfig,
     d(ln chi)/dr itself stays real.  A zero of chi at r0 (an interior node)
     is reported as an infinite value rather than raising.
     """
+    k_ch = cmath.sqrt(complex(tube.interior_ksq(channel, kin, U)))
+    if k_ch == 0:
+        raise RegimeError("interior wavenumber is 0: Lambda = chi'/(k_ch chi) is undefined")
     nu = exterior_order(l, channel, tube.coupling.alpha)
     d = (_interior_s(l, channel, tube, kin, U) - nu) / tube.r0
-    ksq = tube.interior_ksq(channel, kin, U)
-    k_ch = cmath.sqrt(complex(ksq))
     if math.isinf(d):
         return complex(d, 0.0)
     return complex(d / k_ch)
@@ -207,7 +211,8 @@ def _matching_terms(nu: float, x: float, s: float) -> tuple[complex, complex]:
     each guard run once; scipy runs the same kernel per order, so the values
     equal four scalar calls.  A real s never makes D vanish (the Wronskian of
     J and Y is 2/(pi x)); s = +/-inf, a node of chi at r_match, leaves
-    N, D = J_nu, H_nu from one call at nu alone.
+    N, D = J_nu, H_nu from one call at nu alone.  Where a finite s is so large
+    that s J or s H overflows, both terms come divided by s, which keeps A.
     """
     if x <= 0:
         raise RegimeError("matching needs k * r_match > 0")
@@ -216,7 +221,10 @@ def _matching_terms(nu: float, x: float, s: float) -> tuple[complex, complex]:
     j_pair, h_pair = sf.bessel_j_hankel1(np.array([nu - 1.0, nu]), x)
     j_below, j = j_pair.tolist()
     h_below, h = h_pair.tolist()
-    return x * j_below - s * j, x * h_below - s * h
+    num, den = x * j_below - s * j, x * h_below - s * h
+    if cmath.isinf(num) or cmath.isinf(den):
+        return x * j_below / s - j, x * h_below / s - h
+    return num, den
 
 
 def matching_from_log_derivative(l: int, channel: int, coupling: Coupling,
@@ -228,6 +236,8 @@ def matching_from_log_derivative(l: int, channel: int, coupling: Coupling,
     1/length): s = nu + r_match * dlog goes into the one matching formula.
     The bare tube and the shielded string pass their s directly.
     """
+    if math.isnan(dlog):
+        raise RegimeError("log-derivative dlog is NaN")
     nu = exterior_order(l, channel, coupling.alpha)
     num, den = _matching_terms(nu, kin.k * r_match, nu + r_match * dlog)
     return complex(-num / den)

@@ -18,6 +18,7 @@ to the left), also for negative alpha.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import RegimeError
@@ -173,8 +174,13 @@ class TubeConfig:
     coupling: Coupling
 
     def __post_init__(self):
-        if not 0 < self.r0 < math.inf:
-            raise RegimeError("tube radius r0 must be positive and finite")
+        # the field enters as `qB_over_hbar` = 2 alpha / r0^2: r0^2 must be a
+        # normal double, and the field finite
+        if not (0 < self.r0 and sys.float_info.min <= self.r0 * self.r0 < math.inf
+                and abs(self.qB_over_hbar) < math.inf):
+            raise RegimeError(
+                f"tube radius r0={self.r0} must be positive, with r0^2 a normal double "
+                f"and the field 2 alpha / r0^2 finite")
 
     @property
     def qB_over_hbar(self) -> float:

@@ -497,7 +497,7 @@ def _phase_panel_edges(r_lo: float, r_hi: float, s_star: float, slope: float,
             f"above the cap of {_MAX_RADIAL_PANELS}"
         )
     n = max(math.ceil(span), 4)
-    y = np.linspace(y_lo, y_hi, n + 1)
+    y = np.arange(n + 1, dtype=float) * ((y_hi - y_lo) / n) + y_lo  # np.linspace's steps
     edges = s_star + 2.0 * y / (floor + np.sqrt(floor * floor + 2.0 * slope * np.abs(y)))
     edges[0], edges[-1] = r_lo, r_hi
     return edges

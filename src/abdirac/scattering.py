@@ -36,9 +36,11 @@ above the turning point comes from the backward three-term recurrence, where
 J is the minimal solution.  One product with the phases
 e^{i (l + [alpha]) theta} then gives all four components at every angle.
 
-The cutoff is closed-form: past the turning point J_mu(x) falls as the Airy
-function of (mu - x)/x^{1/3} (DLMF 10.19.8), so `truncation_order` gives l_max
-from k r and the tolerance, and a row is built and its tail checked in one pass.
+The cutoff is known before the row is built: past the turning point J_mu(x)
+falls as the Airy function of (mu - x)/x^{1/3} (DLMF 10.19.8), and a rigorous
+bound on J raises that law's l_max where it falls short, so `truncation_order`
+gives l_max from k r and the tolerance, and a row is built and its tail
+checked in one pass.
 
 Far-field closed forms: incident spinor times e^{-i k r cos(theta) + i nu theta}
 plus a scattered spinor with per-component half-angle phases and the common
@@ -115,22 +117,44 @@ class WaveFieldSample:
         return np.array([self.psi1, self.psi2, self.psi3, self.psi4])
 
 
+def _log_j_bound(mu: float, x: float) -> float:
+    """ln of a bound on |J_nu(x)| for every nu >= mu, at 0 < x <= mu.
+
+    The smaller of two rigorous bounds, each falling with the order for
+    mu >= x: (x/2)^mu / Gamma(mu + 1) (DLMF 10.14.4), close to |J| well past
+    the turning point, and Kapteyn's w^mu e^{mu s} / (1 + s)^mu with w = x/mu,
+    s = sqrt(1 - w^2) (DLMF §10.14), close to it near the turning point.
+    """
+    log_x = math.log(x)
+    power = mu * (log_x - math.log(2.0)) - math.lgamma(mu + 1.0)
+    w = x / mu
+    s = math.sqrt((1.0 - w) * (1.0 + w))
+    kapteyn = mu * (log_x - math.log(mu) + s - math.log1p(s))
+    return min(power, kapteyn)
+
+
 def truncation_order(kr: float, tol: float) -> int:
     """Angular-momentum cutoff of a partial-wave row, 0 <= kr <= _MAX_KR, 0 < tol < 1.
 
     Past the turning point J_mu(x) ~ (2/x)^{1/3} Ai(2^{1/3} tau) with
     mu = x + tau x^{1/3} (DLMF 10.19.8), and Ai(z) ~ e^{-2 z^{3/2}/3}, so the
     terms fall below tol at tau = 2^{-1/3} (1.5 ln(1/tol))^{2/3}.  The cutoff
-    is l_max = ceil(kr + tau kr^{1/3}) + 8; the 8 covers kr <~ 1, where
-    J_l ~ (kr/2)^l / l! and the Airy form does not hold.  Checked for
-    tol >= 1e-30; far below it the law falls short at small kr.
+    starts at l = ceil(kr + tau kr^{1/3}) + 8; the 8 covers kr <~ 1, where
+    J_l ~ (kr/2)^l / l! and the Airy form does not hold.  Where J falls slower
+    than the Airy form says (small kr at a tiny tol), l then rises until
+    `_log_j_bound` caps every order past it low enough that the tail check's
+    estimate, 2 _TAIL_LOOKAHEAD terms times at most 10, is below tol.
     """
     if not 0 <= kr <= _MAX_KR:
         raise RegimeError(f"kr must lie in [0, {_MAX_KR:.0e}]")
     if not 0.0 < tol < 1.0:
         raise RegimeError(f"partial-wave tolerance {tol} outside (0, 1)")
     tau = (-1.5 * math.log(tol)) ** (2.0 / 3.0) / 2.0 ** (1.0 / 3.0)
-    return math.ceil(kr + tau * kr ** (1.0 / 3.0)) + 8
+    l_max = math.ceil(kr + tau * kr ** (1.0 / 3.0)) + 8
+    log_cap = math.log(tol) - math.log(20.0 * _TAIL_LOOKAHEAD)
+    while kr > 0 and _log_j_bound(l_max, kr) > log_cap:
+        l_max += 1
+    return l_max
 
 
 def _j_family(mu: float, x: float, amos: list, top: int) -> list:
@@ -141,9 +165,9 @@ def _j_family(mu: float, x: float, amos: list, top: int) -> list:
     is the minimal solution of the three-term recurrence (DLMF 10.6.1), so
     the ratios r_m = J_{mu+m} / J_{mu+m-1} = 1 / (2 (mu + m)/x - r_{m+1}) are
     stable run backward (DLMF 10.74(iv)).  They start from 0 at
-    _RECURRENCE_MARGIN orders above `top`, a look-ahead past the cutoff where J
-    has fallen by the Airy law of DLMF 10.19.8 (`truncation_order`), and
-    multiply up from J_{mu+t}.
+    _RECURRENCE_MARGIN orders above `top`, a look-ahead past the cutoff
+    (`truncation_order`) where J has fallen far below tol, and multiply up
+    from J_{mu+t}.
     """
     t = len(amos) - 1
     if t >= top:
@@ -160,11 +184,10 @@ def _row_bessel(nu: float, x: float, tol: float, signed: tuple = ()):
     """J_{|l - nu|}(x) over l = -n..n, n = l_max + _TAIL_LOOKAHEAD, and the cutoff.
 
     Returns (orders, values, PartialWaveSum).  The row keeps l in
-    [-l_max, l_max], l_max = `truncation_order`(x, tol) from the Airy law of
-    DLMF 10.19.8; the look-ahead beyond it at each end sets the tail
-    estimate.  l = -m has order nu + m and l = m + 1 order (1 - nu) + m.  The
-    `signed` orders (the negative ones a Hankel term swaps in) and their J
-    follow at the end.
+    [-l_max, l_max], l_max = `truncation_order`(x, tol); the look-ahead
+    beyond it at each end sets the tail estimate.  l = -m has order nu + m
+    and l = m + 1 order (1 - nu) + m.  The `signed` orders (the negative ones
+    a Hankel term swaps in) and their J follow at the end.
 
     One pass: one AMOS call per row takes, per family, the orders below the
     turning point and the first one at or above it (see `_j_family`), and the

@@ -31,11 +31,18 @@ the scalar call at its order.  Backing scipy routines:
   small at large z so a caller can fold e^{iz} into a phase of its own
 * ``kummer_f``: ``hyp1f1`` for real a, c, each scalar or an array that
   broadcasts against the others like an order array (a real z keeps scipy's
-  real routine and returns a real array).  A caller takes F' from the pair
-  F(a|c|z), F(a+1|c+1|z) of one call: F'(a|c|z) = (a/c) F(a+1|c+1|z)
-  (DLMF 13.3.15).  Re z above ``_KUMMER_Z_MAX`` is refused unless that
-  element's a is 0, -1, -2, ...: there |F| has long overflowed, and for a
-  real z scipy would take seconds or not return at all
+  real routine and returns a real array).  A caller takes F' from
+  F'(a|c|z) = (a/c) F(a+1|c+1|z) (DLMF 13.3.15), by a second scalar call or
+  from the parameter pair (a, a + 1), (c, c + 1) of one call.  Re z above
+  ``_KUMMER_Z_MAX`` is refused unless that element's a is 0, -1, -2, ...:
+  there |F| has long overflowed, and for a real z scipy would take seconds
+  or not return at all.  Its input test is a, c real, c > 1/2 (clear of
+  every pole) and z finite with Re z <= ``_KUMMER_Z_MAX``; for float a, c
+  and z it and the result test run on Python floats.  Only where the input
+  test fails do its single guards run: the real-parameter test, the pole
+  test, the Re z test with its terminating-series exemption, then the
+  argument guard; so a c <= 1/2 off a pole, or a terminating series at Re z
+  above the cap, still evaluates
 
 scipy returns inf or nan where the library raises instead:
 
@@ -49,20 +56,24 @@ scipy returns inf or nan where the library raises instead:
   diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: Kummer's F at c within 1e-12 of 0, -1, -2, ...
 
-A call makes two tests, each one reduction.  The input test broadcasts
-|nu| <= cap, isfinite(z) and, for ``bessel_ie`` and ``bessel_ke``, z > 0
-into one boolean and reduces it once; NaN and +-inf orders fail it, and the
-cap is clamped to the largest double, so an infinite ``max_order`` still
-refuses an infinite order.  The result test is one isfinite reduction.
-Only when a test fails (or a conversion fails, or the broadcast fails or is
-empty) do the single guards run, one reduction each, in the order x > 0,
-order, argument, result.  The first of them to fail raises its error and
-message above, as it would alone; the result guard tells z = 0 from an
-overflow only there.  A valid call runs none of them.
+A call makes two tests, each one reduction (Python comparisons for
+``kummer_f`` at float a, c and z).  The input test broadcasts |nu| <= cap,
+isfinite(z) and, for ``bessel_ie`` and ``bessel_ke``, z > 0 into one
+boolean and reduces it once; NaN and +-inf orders fail it, and the cap is
+clamped to the largest double, so an infinite ``max_order`` still refuses
+an infinite order.  The result test is one isfinite reduction.  Only when a
+test fails (or a conversion fails, or the broadcast fails or is empty) do
+the single guards run, one reduction each, in the order x > 0, order,
+argument, result (for ``kummer_f``: real parameters, pole, Re z, argument,
+result).  The first of them to fail raises its error and message above, as
+it would alone; the result guard tells z = 0 from an overflow only there.
+A call that passes both tests runs none of them.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import sys
 
 import numpy as np
@@ -139,7 +150,7 @@ def _inputs(nu, z, name: str, dtype=np.complex128, max_order: float | None = Non
             positive: str | None = None):
     """(nu, z) as arrays after one test of both: |nu| within `_bound`, z finite
     and, where `positive` names the function, z > 0, broadcast into one
-    boolean and reduced once.  nu None takes no order.
+    boolean and reduced once.
 
     Only when that test fails, or a conversion or the broadcast does (a
     ComplexWarning counts, under an error filter), or the broadcast is empty
@@ -150,10 +161,8 @@ def _inputs(nu, z, name: str, dtype=np.complex128, max_order: float | None = Non
     """
     try:
         z_in = np.asarray(z, dtype=dtype)
-        ok = np.isfinite(z_in)
-        if nu is not None:
-            nu = np.asarray(nu, dtype=np.float64)
-            ok = ok & (np.abs(nu) <= _bound(max_order))
+        nu = np.asarray(nu, dtype=np.float64)
+        ok = np.isfinite(z_in) & (np.abs(nu) <= _bound(max_order))
         if positive is not None:
             ok = ok & (z_in > 0)
         if ok.size and ok.all():
@@ -162,9 +171,7 @@ def _inputs(nu, z, name: str, dtype=np.complex128, max_order: float | None = Non
         pass
     if positive is not None:
         _positive(z, positive)
-    if nu is not None:
-        nu = _order(nu, max_order)
-    return nu, _argument(z, name, dtype)
+    return _order(nu, max_order), _argument(z, name, dtype)
 
 
 def _result(out, z: np.ndarray, name: str):
@@ -264,21 +271,65 @@ def hankel1_prime(nu: float, z):
     return _evaluate(_sp.h1vp, nu, z, "H1'_nu")
 
 
+def _real_parameters(a, c):
+    """(a, c) as arrays, real; OutOfRangeError if either has a non-zero
+    imaginary part."""
+    a, c = np.asarray(a), np.asarray(c)
+    if a.dtype.kind == "c" or c.dtype.kind == "c":
+        if a.imag.any() or c.imag.any():
+            raise OutOfRangeError(f"kummer_f needs real a and c, got a={a}, c={c}")
+        a, c = a.real, c.real
+    return a, c
+
+
+def _check_far(a, z) -> None:
+    """OutOfRangeError if an element has Re z above `_KUMMER_Z_MAX` and a
+    series that does not terminate (its a is not 0, -1, -2, ...)."""
+    far = np.asarray(z).real > _KUMMER_Z_MAX
+    if far.any() and (far & ((a > 0) | (np.modf(a)[0] != 0))).any():
+        raise OutOfRangeError(f"kummer_f overflows at Re z above {_KUMMER_Z_MAX:g}")
+
+
+def _kummer_inputs(a, c, z):
+    """(a, c, z) for `hyp1f1` after one test: a and c real, every c > 1/2
+    (clear of every pole) and z finite with Re z <= `_KUMMER_Z_MAX`.
+
+    Float a, c and z (the library's calls) are tested on Python floats;
+    other inputs are broadcast into one boolean and reduced once.  Only when
+    the test fails, or a conversion or the broadcast does, or the broadcast
+    is empty, do the single guards run: `_real_parameters`, `_check_pole`,
+    `_check_far`, `_argument`, in that order.  So the first of them to fail
+    raises, as it would alone; if none does, the caller meets whatever scipy
+    raises for the same inputs.
+    """
+    if isinstance(a, float) and isinstance(c, float) and isinstance(z, float):
+        if c > 0.5 and -math.inf < z <= _KUMMER_Z_MAX:
+            return a, c, z
+    else:
+        try:
+            a_in, c_in, z_in = np.asarray(a), np.asarray(c), np.asarray(z)
+            if a_in.dtype.kind in "biuf" and c_in.dtype.kind in "biuf":
+                ok = (c_in > 0.5) & np.isfinite(z_in) & (z_in.real <= _KUMMER_Z_MAX)
+                if ok.size and ok.all():
+                    return a_in, c_in, z_in
+        except (TypeError, ValueError):
+            pass
+    a, c = _real_parameters(a, c)
+    _check_pole(c, "kummer_f")
+    _check_far(a, z)
+    return a, c, _argument(z, "kummer_f", None)
+
+
 def kummer_f(a, c, z):
     """Confluent hypergeometric function F(a|c|z) for real a and c.
 
     A Python ``complex`` for scalar a, c and z; else an array, each element
     equal to the scalar call at its (a, c, z).
     """
-    a, c = np.asarray(a), np.asarray(c)
-    if a.dtype.kind == "c" or c.dtype.kind == "c":
-        if a.imag.any() or c.imag.any():
-            raise OutOfRangeError(f"kummer_f needs real a and c, got a={a}, c={c}")
-        a, c = a.real, c.real
-    _check_pole(c, "kummer_f")
-    far = np.asarray(z).real > _KUMMER_Z_MAX
-    if far.any() and (far & ((a > 0) | (np.modf(a)[0] != 0))).any():
-        raise OutOfRangeError(f"kummer_f overflows at Re z above {_KUMMER_Z_MAX:g}")
-    _, z = _inputs(None, z, "kummer_f", dtype=None)
-    out = _result(_sp.hyp1f1(a, c, z), z, "kummer_f")
-    return out if isinstance(out, np.ndarray) else complex(out)
+    a, c, z = _kummer_inputs(a, c, z)
+    out = _sp.hyp1f1(a, c, z)
+    if isinstance(out, np.ndarray):
+        return _result(out, z, "kummer_f")
+    if not cmath.isfinite(out):
+        _finite(out, z, "kummer_f")
+    return complex(out)

@@ -7,8 +7,8 @@ The call must either return a result whose every float is finite or raise an
 `AbdiracError` subclass; a partial-wave row must also refuse a tolerance
 outside (0, 1) with `RegimeError`.  pytest turns a numpy `RuntimeWarning`
 into an error, so an overflow inside numpy fails the property too.  Each
-`example` is a case that once returned NaN, warned, raised a bare Python
-error or returned a row whose tail went unchecked.
+`example` is a case that once returned NaN or inf, warned, raised a bare
+Python error or returned a row whose tail went unchecked.
 """
 
 import dataclasses
@@ -19,12 +19,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from abdirac import bare_tube as bt
 from abdirac import propagate as pr
 from abdirac import scattering as sc
 from abdirac import shielded as sh
 from abdirac import specfun as sf
 from abdirac.errors import AbdiracError, RegimeError
-from abdirac.model import Coupling, SpinorAmplitudes, make_kinematics
+from abdirac.model import (BarrierConfig, Coupling, SpinorAmplitudes, TubeConfig,
+                           make_kinematics)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -244,3 +246,54 @@ def test_dirac_scattering_state(alpha, kind, r, theta, tol):
 @example(a=0.5, c=-math.inf, z=1.0)
 def test_kummer_f(a, c, z):
     _finite_or_typed(lambda: sf.kummer_f(a, c, z))
+
+
+L = st.integers(-6, 6)
+CHANNEL = st.sampled_from((1, 2))
+COUPLING = _or_edge(-2.95, 2.95)
+
+
+@SETTINGS
+@given(l=L, channel=CHANNEL, alpha=COUPLING, r0=_or_edge(1e-4, 5.0), k=_or_edge(1e-3, 5.0))
+@example(l=0, channel=1, alpha=0.0, r0=5e-324, k=1.0)
+@example(l=0, channel=1, alpha=1.0, r0=1e308, k=1.0)
+def test_matching_coefficient(l, channel, alpha, r0, k):
+    _finite_or_typed(lambda: bt.matching_coefficient(
+        l, channel, TubeConfig(r0, Coupling(alpha)), make_kinematics(k=k)))
+
+
+@SETTINGS
+@given(l=L, channel=CHANNEL, alpha=COUPLING, r0=_or_edge(1e-3, 5.0), k=_or_edge(1e-3, 5.0),
+       rho=_or_edge(0.0, 1.0), U=_or_edge(0.0, 1.9))
+@example(l=1, channel=1, alpha=1e308, r0=1.0, k=1.0, rho=1.0, U=0.0)
+def test_interior_chi(l, channel, alpha, r0, k, rho, U):
+    _finite_or_typed(lambda: bt.interior_chi(
+        l, channel, TubeConfig(r0, Coupling(alpha)), make_kinematics(k=k), rho * r0, U))
+
+
+@SETTINGS
+@given(l=L, channel=CHANNEL, alpha=COUPLING, r0=_or_edge(1e-3, 5.0), k=_or_edge(1e-3, 5.0),
+       U=_or_edge(0.0, 1.9))
+@example(l=0, channel=1, alpha=0.0, r0=1.0, k=0.0, U=0.0)
+@example(l=0, channel=2, alpha=0.0, r0=1.0, k=0.0, U=0.0)
+def test_log_derivative_interior(l, channel, alpha, r0, k, U):
+    _finite_or_typed(lambda: bt.log_derivative_interior(
+        l, channel, TubeConfig(r0, Coupling(alpha)), make_kinematics(k=k), U))
+
+
+@SETTINGS
+@given(l=L, channel=CHANNEL, alpha=COUPLING, k=_or_edge(1e-3, 5.0),
+       r_match=_or_edge(1e-3, 5.0), dlog=_or_edge(-50.0, 50.0))
+@example(l=0, channel=1, alpha=0.0, k=1.0, r_match=1.0, dlog=math.nan)
+@example(l=4, channel=2, alpha=0.0, k=0.03125, r_match=0.015625, dlog=1e308)
+def test_matching_from_log_derivative(l, channel, alpha, k, r_match, dlog):
+    _finite_or_typed(lambda: bt.matching_from_log_derivative(
+        l, channel, Coupling(alpha), make_kinematics(k=k), r_match, dlog))
+
+
+@SETTINGS
+@given(l=L, channel=CHANNEL, alpha=COUPLING, R0=_or_edge(1e-3, 5.0), U=_or_edge(0.1, 1.9),
+       k=_or_edge(1e-3, 5.0))
+def test_shielded_matching(l, channel, alpha, R0, U, k):
+    _finite_or_typed(lambda: sh.shielded_matching(
+        l, channel, BarrierConfig(R0, U), make_kinematics(k=k), Coupling(alpha)))

@@ -569,6 +569,22 @@ class TestPanelEdges:
         steps = np.diff(phase)
         assert np.max(np.abs(steps - total / n)) <= 1e-12 * total / n
 
+    def test_edges_equal_linspace_ones(self):
+        # equal phase steps from np.linspace, then the same inverse map: bit for bit
+        rng = np.random.default_rng(24)
+        for _ in range(2000):
+            r_lo = rng.uniform(1.0, 100.0)
+            r_hi = r_lo + rng.uniform(1e-3, 100.0)
+            s_star = rng.uniform(-50.0, 250.0)
+            slope, floor = 10.0 ** rng.uniform(-3.0, 0.0), 10.0 ** rng.uniform(-4.0, 1.0)
+            max_phase = rng.uniform(0.5, 6.0)
+            edges = pr._phase_panel_edges(r_lo, r_hi, s_star, slope, floor, max_phase)
+            y = np.linspace(self._phase(r_lo - s_star, slope, floor),
+                            self._phase(r_hi - s_star, slope, floor), len(edges))
+            want = s_star + 2.0 * y / (floor + np.sqrt(floor * floor + 2.0 * slope * np.abs(y)))
+            want[0], want[-1] = r_lo, r_hi
+            assert np.array_equal(edges, want), (r_lo, r_hi, s_star, slope, floor, max_phase)
+
     def test_panel_floor(self):
         edges = pr._phase_panel_edges(1.0, 1.001, 1.0005, 1.0, 1.0, 2.5)
         assert len(edges) == 5

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from abdirac import scattering as sc
 from abdirac import specfun as sf
@@ -460,13 +461,22 @@ class TestRowBessel:
         tail = _amos_tail(nu, kr, tol)
         assert abs(info.tail_estimate - tail) <= 1e-9 * tail
 
-    @pytest.mark.parametrize("kr", [1e-3, 0.5, 7.3, 53.0, 200.0, 1e3, 3.1e4])
+    @pytest.mark.parametrize("kr", [1e-3, 3e-3, 0.04, 0.5, 2.0, 7.3, 53.0, 200.0, 1e3, 3.1e4])
     def test_tail_check_passes_on_grid(self, kr):
-        # the Airy-law cutoff meets the unchanged tail check in one pass
+        # the cutoff meets the unchanged tail check in one pass, also far below
+        # tol = 1e-30, where J falls slower than the Airy law at small kr
         for nu in (0.0, 0.37, 0.999):
-            for tol in (1e-10, 1e-16, 1e-30):
+            for tol in (1e-10, 1e-16, 1e-30, 1e-40, 1e-60):
                 _, _, info = sc._row_bessel(nu, kr, tol, (-nu, nu - 1.0))
                 assert info.tail_estimate <= tol, (nu, tol)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 7.3, 53.0, 200.0, 1e3])
+    def test_j_bound_above_j(self, x):
+        # every order mu >= x, from the turning point to far past it
+        for mu in x * (1.0 + np.geomspace(1e-8, 30.0, 60)):
+            j = abs(special.jv(mu, x))
+            if j > 1e-300:
+                assert math.log(j) <= sc._log_j_bound(mu, x) + 1e-12, mu
 
     @pytest.mark.parametrize("kr", [0.5, 200.0])
     def test_values_are_real(self, kr):

@@ -613,6 +613,28 @@ class TestGuardMessages:
         ("kummer_f", (np.array([]), 1.5, NAN), OutOfRangeError, "kummer_f: argument must be finite"),
         # a ladder's argument that is no complex number: its orders first
         ("bessel_j_ladder", (NAN, 2, "x"), OutOfRangeError, ORDER_MESSAGE.format(200.0)),
+        # Kummer's guards: real parameters, pole, Re z, argument
+        ("kummer_f", (0.3 + 1e-3j, -2.0, 0.5), OutOfRangeError,
+         "kummer_f needs real a and c, got a=(0.3+0.001j), c=-2.0"),
+        ("kummer_f", (0.5, -2.0, NAN), PoleError, "kummer_f pole at -2.0"),
+        ("kummer_f", (0.5, -2.0, 2e9), PoleError, "kummer_f pole at -2.0"),
+        ("kummer_f", (0.5, -INF, 2e9), OutOfRangeError,
+         "kummer_f needs a finite parameter, got -inf"),
+        ("kummer_f", (0.5, 1.5, np.array([2e9, NAN])), OutOfRangeError,
+         "kummer_f overflows at Re z above 1e+09"),
+        ("kummer_f", (np.array([0.5, 1.5]), np.array([1.5, -1.0]), np.array([1.0, INF])),
+         PoleError, "kummer_f pole at [ 1.5 -1. ]"),
+        # an empty broadcast, or shapes that cannot broadcast: each guard still
+        # tests every element of its own input
+        ("kummer_f", (0.5, np.array([]), NAN), OutOfRangeError,
+         "kummer_f: argument must be finite"),
+        ("kummer_f", (np.array([]), -2.0, 1.0), PoleError, "kummer_f pole at -2.0"),
+        ("kummer_f", (0.5, np.array([]), 2e9), OutOfRangeError,
+         "kummer_f overflows at Re z above 1e+09"),
+        ("kummer_f", (np.array([0.5, 0.6]), np.array([1.5, -2.0, 3.5]), 1.0), PoleError,
+         "kummer_f pole at [ 1.5 -2.   3.5]"),
+        ("kummer_f", (np.array([0.5, 0.6]), 1.5, np.array([1.0, NAN, 3.0])), OutOfRangeError,
+         "kummer_f: argument must be finite"),
     ]
 
     @pytest.mark.parametrize("name, args, error, message", TWO_GUARD_CASES)
@@ -626,7 +648,9 @@ class TestGuardMessages:
             out = fn(nu, z)
             for part in (out if isinstance(out, tuple) else (out,)):
                 assert isinstance(part, np.ndarray) and part.shape == (0,)
-        assert sf.kummer_f(0.5, 1.5, np.array([])).shape == (0,)
+        for a, c, z in ((0.5, 1.5, np.array([])), (np.array([]), 1.5, 1.0),
+                        (0.5, np.array([]), 1.0)):
+            assert sf.kummer_f(a, c, z).shape == (0,)
 
     @pytest.mark.parametrize("name", [*sorted(ORDER_FUNCTIONS), "bessel_j_hankel1"])
     def test_arrays_that_cannot_broadcast(self, name):
@@ -635,6 +659,13 @@ class TestGuardMessages:
         with pytest.raises(ValueError) as want:
             special.jv(nu, z)
         _raises(ValueError, str(want.value), getattr(sf, name), nu, z)
+
+    def test_kummer_arrays_that_cannot_broadcast(self):
+        for a, c, z in ((np.array([0.5, 0.6]), np.array([1.5, 2.5, 3.5]), 1.0),
+                        (0.5, np.array([1.5, 2.5]), np.array([1.0, 2.0, 3.0]))):
+            with pytest.raises(ValueError) as want:
+                special.hyp1f1(a, c, z)
+            _raises(ValueError, str(want.value), sf.kummer_f, a, c, z)
 
     def test_ladder(self):
         for bad in (NAN, INF, -INF, 199.5):
@@ -694,7 +725,8 @@ class TestValidCallsSkipTheGuards:
         def refuse(*_args, **_kwargs):
             raise AssertionError("a single guard ran on a valid call")
 
-        for helper in ("_order", "_argument", "_positive", "_finite"):
+        for helper in ("_order", "_argument", "_positive", "_finite",
+                       "_real_parameters", "_check_pole", "_check_far"):
             monkeypatch.setattr(sf, helper, refuse)
         orders, args = np.array([-1.3, 0.3, 2.7]), np.array([0.5, 1.0, 4.0])
         for nu, z in ((0.3, 1.0), (orders, 1.0), (0.3, args), (orders, args)):
@@ -706,6 +738,11 @@ class TestValidCallsSkipTheGuards:
             sf.kummer_f(nu, KUMMER_C, z)
             sf.kummer_f(nu, KUMMER_C, -z + 0.5j)
         sf.bessel_j_ladder(0.3, 4, 2.0)
+        # Kummer's scalar and parameter-pair calls, real and complex z
+        pair = np.array([0.3, 1.3]), np.array([KUMMER_C, KUMMER_C + 1.0])
+        for a, c in ((0.3, KUMMER_C), pair):
+            for z in (0.7, -3.0, 0.0, 500.0, -1e9, 2.5 + 1.0j):
+                sf.kummer_f(a, c, z)
 
     @pytest.mark.parametrize("name", sorted(SCIPY_ROUTINES))
     def test_bits_equal_scipy(self, name):
@@ -732,8 +769,20 @@ class TestValidCallsSkipTheGuards:
                     assert _bits(got) == _bits(want), (nu, z)
 
     def test_kummer_bits_equal_scipy(self):
+        # c > 1/2 passes the one input test; c <= 1/2 off a pole fails it and
+        # meets the single guards, which let it through
         for a in ORACLE_ORDERS:
-            for z in (*ORACLE_ARGS, ORACLE_ARGS, -ORACLE_ARGS, 1j * ORACLE_ARGS):
-                got = _returned(sf.kummer_f, a, KUMMER_C, z)
-                if got is not None:
-                    assert _bits(got) == _bits(special.hyp1f1(a, KUMMER_C, np.asarray(z))), (a, z)
+            for c in (KUMMER_C, 0.3, -1.5):
+                for z in (*ORACLE_ARGS, ORACLE_ARGS, -ORACLE_ARGS, 1j * ORACLE_ARGS):
+                    got = _returned(sf.kummer_f, a, c, z)
+                    if got is not None:
+                        assert _bits(got) == _bits(special.hyp1f1(a, c, np.asarray(z))), (a, c, z)
+                a_pair, c_pair = np.array([a, a + 1.0]), np.array([c, c + 1.0])
+                for z in (*ORACLE_ARGS.tolist(), *(-ORACLE_ARGS).tolist()):
+                    got = _returned(sf.kummer_f, a_pair, c_pair, z)
+                    if got is not None:
+                        assert _bits(got) == _bits(special.hyp1f1(a_pair, c_pair, z)), (a, c, z)
+        # a terminating series at Re z above 1e9
+        for a in (0.0, -1.0, -2.0, -3.0):
+            for z in (2e9, 1e12, 1e20, 3e9 + 1.0j):
+                assert _bits(sf.kummer_f(a, KUMMER_C, z)) == _bits(special.hyp1f1(a, KUMMER_C, z))
