@@ -84,11 +84,14 @@ class RadialComponents:
 def exterior_order(l: int, channel: int, alpha: float) -> float:
     """Exterior Bessel order of a partial-wave channel.
 
-    A subnormal order (|alpha| below ~2.2e-308 at l_ch = 0) is returned as 0,
+    RegimeError for an order that is not finite (alpha NaN or +-inf).  A
+    subnormal order (|alpha| below ~2.2e-308 at l_ch = 0) is returned as 0,
     which it equals in double precision; scipy's Hankel function is nan there.
     """
     l_ch, _ = channel_index(l, channel)
     nu = abs(l_ch - alpha)
+    if not nu < math.inf:
+        raise RegimeError(f"exterior order at alpha = {alpha} is not finite")
     return nu if nu >= sys.float_info.min else 0.0
 
 
@@ -207,20 +210,25 @@ def _matching_terms(nu: float, x: float, s: float) -> tuple[complex, complex]:
     """(N, D) of the outgoing-wave weight A = -N/D at x = k r_match:
     N = x J_{nu-1}(x) - s J_nu(x) and D = x H_{nu-1}(x) - s H_nu(x).
 
-    One `bessel_j_hankel1` call gives J and H at the order pair (nu - 1, nu),
-    each guard run once; scipy runs the same kernel per order, so the values
-    equal four scalar calls.  A real s never makes D vanish (the Wronskian of
-    J and Y is 2/(pi x)); s = +/-inf, a node of chi at r_match, leaves
-    N, D = J_nu, H_nu from one call at nu alone.  Where a finite s is so large
-    that s J or s H overflows, both terms come divided by s, which keeps A.
+    J and H come from two scalar `bessel_j_hankel1` calls, at nu - 1 and at
+    nu; float orders and arguments take its Python-float route, and the
+    values equal four scalar calls bit for bit.  The errors keep the
+    precedence of one call at the order pair (nu - 1, nu): nu >= 0, so J can
+    be non-finite only at nu - 1, the first call, and an order nu above the
+    cap is refused before any result at nu - 1 is tested.  A real s never
+    makes D vanish (the Wronskian of J and Y is 2/(pi x)); s = +/-inf, a node
+    of chi at r_match, leaves N, D = J_nu, H_nu from one call at nu alone.
+    Where a finite s is so large that s J or s H overflows, both terms come
+    divided by s, which keeps A.
     """
     if x <= 0:
         raise RegimeError("matching needs k * r_match > 0")
     if math.isinf(s):
         return sf.bessel_j_hankel1(nu, x)
-    j_pair, h_pair = sf.bessel_j_hankel1(np.array([nu - 1.0, nu]), x)
-    j_below, j = j_pair.tolist()
-    h_below, h = h_pair.tolist()
+    if nu > sf.DEFAULT_MAX_ORDER:
+        sf.bessel_j_hankel1(nu, x)  # raises the order guard's error
+    j_below, h_below = sf.bessel_j_hankel1(nu - 1.0, x)
+    j, h = sf.bessel_j_hankel1(nu, x)
     num, den = x * j_below - s * j, x * h_below - s * h
     if cmath.isinf(num) or cmath.isinf(den):
         return x * j_below / s - j, x * h_below / s - h
@@ -267,10 +275,16 @@ def anomalous_channel(coupling: Coupling) -> tuple[int, int] | None:
 
 
 def anomalous_limit(coupling: Coupling, channel: int) -> complex:
-    """Limit of the anomalous-channel weight as k r0 -> 0."""
-    alpha = coupling.alpha
+    """Limit of the anomalous-channel weight as k r0 -> 0,
+    +/- i sin(pi alpha) e^{+/- i pi alpha}.
+
+    Taken at the coupling's fractional part f: alpha = [alpha] + f gives
+    sin(pi alpha) e^{i pi alpha} = sin(pi f) e^{i pi f} exactly, and pi f
+    stays finite where pi alpha would overflow.
+    """
+    frac = coupling.frac
     _, spin = channel_index(0, channel)
-    return spin * 1j * math.sin(math.pi * alpha) * cmath.exp(spin * 1j * math.pi * alpha)
+    return spin * 1j * math.sin(math.pi * frac) * cmath.exp(spin * 1j * math.pi * frac)
 
 
 def _principal_order(l: int, channel: int, coupling: Coupling) -> float:

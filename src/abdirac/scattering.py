@@ -58,6 +58,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -134,7 +135,11 @@ def _log_j_bound(mu: float, x: float) -> float:
 
 
 def truncation_order(kr: float, tol: float) -> int:
-    """Angular-momentum cutoff of a partial-wave row, 0 <= kr <= _MAX_KR, 0 < tol < 1.
+    """Angular-momentum cutoff of a partial-wave row, 0 <= kr <= _MAX_KR.
+
+    tol lies in [2.2e-308, 1), from the smallest normal double up: below it
+    the row's tail values are subnormal, each rounded by up to ~5e-324, and
+    the tail check could never pass, so such a tol is refused up front.
 
     Past the turning point J_mu(x) ~ (2/x)^{1/3} Ai(2^{1/3} tau) with
     mu = x + tau x^{1/3} (DLMF 10.19.8), and Ai(z) ~ e^{-2 z^{3/2}/3}, so the
@@ -147,8 +152,9 @@ def truncation_order(kr: float, tol: float) -> int:
     """
     if not 0 <= kr <= _MAX_KR:
         raise RegimeError(f"kr must lie in [0, {_MAX_KR:.0e}]")
-    if not 0.0 < tol < 1.0:
-        raise RegimeError(f"partial-wave tolerance {tol} outside (0, 1)")
+    if not sys.float_info.min <= tol < 1.0:
+        raise RegimeError(
+            f"partial-wave tolerance {tol} outside [{sys.float_info.min}, 1)")
     tau = (-1.5 * math.log(tol)) ** (2.0 / 3.0) / 2.0 ** (1.0 / 3.0)
     l_max = math.ceil(kr + tau * kr ** (1.0 / 3.0)) + 8
     log_cap = math.log(tol) - math.log(20.0 * _TAIL_LOOKAHEAD)

@@ -22,7 +22,11 @@ the scalar call at its order.  Backing scipy routines:
   results; on the way to raising, the guards run in the order ``bessel_j``
   followed by ``hankel1`` would meet them: the order, the argument (named
   as J's), J's result, then H's result.  So it raises exactly what that
-  sequence raises, and its values are the two calls' bit for bit
+  sequence raises, and its values are the two calls' bit for bit.  For
+  float nu and z (``np.float64`` included) both tests run on Python floats
+  and scipy runs at complex(z), the argument the array call casts to: at a
+  real z scipy's real ``jv`` would drop the rounding-level imaginary part
+  (~1e-17 relative) that the complex routine gives J, and change its bits
 * ``hankel1``, ``hankel1_prime``: ``hankel1``, ``h1vp`` (AMOS).  Nothing in
   the library calls either any more (the matching formula takes H from
   ``bessel_j_hankel1``); like ``bessel_j_ladder`` they stay only for the
@@ -56,8 +60,11 @@ scipy returns inf or nan where the library raises instead:
   diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: Kummer's F at c within 1e-12 of 0, -1, -2, ...
 
-A call makes two tests, each one reduction (Python comparisons for
-``kummer_f`` at float a, c and z).  The input test broadcasts |nu| <= cap,
+A call makes two tests, each one reduction, or Python comparisons on the
+float route of ``bessel_j_hankel1`` (float nu and z: |nu| <= cap and
+-inf < z < inf, then ``cmath.isfinite`` of J and of H) and of ``kummer_f``
+(float a, c and z).  A float input that fails either test takes the array
+route below, which raises.  The input test broadcasts |nu| <= cap,
 isfinite(z) and, for ``bessel_ie`` and ``bessel_ke``, z > 0 into one
 boolean and reduces it once; NaN and +-inf orders fail it, and the cap is
 clamped to the largest double, so an infinite ``max_order`` still refuses
@@ -252,7 +259,19 @@ def hankel1(nu: float, z):
 def bessel_j_hankel1(nu: float, z):
     """(J_nu(z), H_nu^(1)(z)) at the same orders and argument, one test of the
     inputs and one of both results; raises what `bessel_j` followed by
-    `hankel1` would raise."""
+    `hankel1` would raise.
+
+    Float nu and z (the matching formula's calls) are tested on Python
+    floats, and scipy runs at complex(z), the argument the array call casts
+    to, so J keeps its complex-AMOS bits.  Any other input, or a failed test,
+    takes the array route with its single guards.
+    """
+    if isinstance(nu, float) and isinstance(z, float):
+        if abs(nu) <= DEFAULT_MAX_ORDER and -math.inf < z < math.inf:
+            zc = complex(z)
+            j, h = complex(_sp.jv(nu, zc)), complex(_sp.hankel1(nu, zc))
+            if cmath.isfinite(j) and cmath.isfinite(h):
+                return j, h
     nu, z = _inputs(nu, z, "J_nu")
     j, h = _sp.jv(nu, z), _sp.hankel1(nu, z)
     if not (np.isfinite(j) & np.isfinite(h)).all():
@@ -284,10 +303,16 @@ def _real_parameters(a, c):
 
 def _check_far(a, z) -> None:
     """OutOfRangeError if an element has Re z above `_KUMMER_Z_MAX` and a
-    series that does not terminate (its a is not 0, -1, -2, ...)."""
+    series that does not terminate (its a is not 0, -1, -2, ...).  Where a and
+    z cannot broadcast it raises nothing, and scipy reports the shapes."""
     far = np.asarray(z).real > _KUMMER_Z_MAX
-    if far.any() and (far & ((a > 0) | (np.modf(a)[0] != 0))).any():
-        raise OutOfRangeError(f"kummer_f overflows at Re z above {_KUMMER_Z_MAX:g}")
+    if far.any():
+        try:
+            nonterminating = (far & ((a > 0) | (np.modf(a)[0] != 0))).any()
+        except ValueError:
+            return
+        if nonterminating:
+            raise OutOfRangeError(f"kummer_f overflows at Re z above {_KUMMER_Z_MAX:g}")
 
 
 def _kummer_inputs(a, c, z):

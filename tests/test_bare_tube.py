@@ -259,9 +259,21 @@ class TestMatchingTerms:
         for nu, x, s in cases:
             assert terms(nu, x, s) == self._four_calls(nu, x, s), (nu, x, s)
 
-    def test_one_specfun_call_per_weight(self, monkeypatch):
+    @pytest.mark.parametrize("nu, x", [(0.37, 5e-324), (0.37, 1e-310), (200.5, 0.5)])
+    def test_errors_keep_the_pair_precedence(self, nu, x):
+        # as one call at the order pair (nu - 1, nu): J's overflow at the
+        # negative order nu - 1 before H's at nu, and an order nu above the
+        # cap before H's overflow at nu - 1
+        with pytest.raises(OutOfRangeError) as want:
+            sf.bessel_j_hankel1(np.array([nu - 1.0, nu]), x)
+        with pytest.raises(OutOfRangeError) as got:
+            bt._matching_terms(nu, x, 0.3)
+        assert str(got.value) == str(want.value)
+
+    def test_two_pair_calls_per_weight(self, monkeypatch):
         # every public specfun function records its calls; each weight's
-        # formula makes exactly one, the pair, in both branches
+        # formula makes two pair calls, at nu - 1 and nu, where s is finite
+        # and one, at nu, where s = +/-inf
         calls = []
         for name in sf.__all__:
             fn = getattr(sf, name)
@@ -292,7 +304,8 @@ class TestMatchingTerms:
                     sh.shielded_matching(l, ch, barrier, kin_b, c)
                     bt.matching_from_log_derivative(l, ch, c, kin, 0.5, 0.3)
                     recording(bt.exterior_order(l, ch, alpha), 0.5, math.inf)
-        assert per_weight == [["bessel_j_hankel1"]] * (2 * 7 * 2 * 4)
+        finite_s, infinite_s = ["bessel_j_hankel1"] * 2, ["bessel_j_hankel1"]
+        assert per_weight == [finite_s, finite_s, finite_s, infinite_s] * (2 * 7 * 2)
 
 
 class TestWeightMirror:

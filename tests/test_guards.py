@@ -5,14 +5,17 @@ valid range mixed with the values a range check must meet: NaN, +-inf, 0, -1,
 the largest double's neighbourhood 1e308 and the smallest subnormal 5e-324.
 The call must either return a result whose every float is finite or raise an
 `AbdiracError` subclass; a partial-wave row must also refuse a tolerance
-outside (0, 1) with `RegimeError`.  pytest turns a numpy `RuntimeWarning`
-into an error, so an overflow inside numpy fails the property too.  Each
+outside (0, 1) with `RegimeError`, and the exterior order and the cutoff law
+must refuse so whatever lies outside their documented range.  pytest turns a
+numpy `RuntimeWarning` into an error, so an overflow inside numpy fails the
+property too.  Each
 `example` is a case that once returned NaN or inf, warned, raised a bare
 Python error or returned a row whose tail went unchecked.
 """
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from abdirac.errors import AbdiracError, RegimeError
 from abdirac.model import (BarrierConfig, Coupling, SpinorAmplitudes, TubeConfig,
                            make_kinematics)
 
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=150)
 
 EDGES = st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, 5e-324))
 
@@ -71,14 +74,20 @@ def _finite_or_typed(call) -> None:
     assert all(math.isfinite(v) for v in _floats(out)), out
 
 
-def _row_or_typed(call, tol: float) -> None:
-    """A partial-wave row: as `_finite_or_typed`, and a tolerance outside
-    (0, 1), which the cutoff law cannot take, is refused with RegimeError."""
-    if 0.0 < tol < 1.0:
+def _refused_unless(valid: bool, call) -> None:
+    """As `_finite_or_typed` where the inputs lie in the documented range;
+    outside it the call must raise RegimeError."""
+    if valid:
         _finite_or_typed(call)
     else:
         with pytest.raises(RegimeError):
             call()
+
+
+def _row_or_typed(call, tol: float) -> None:
+    """A partial-wave row: as `_finite_or_typed`, and a tolerance outside
+    (0, 1), which the cutoff law cannot take, is refused with RegimeError."""
+    _refused_unless(0.0 < tol < 1.0, call)
 
 
 MASS = _or_edge(0.5, 2.0)
@@ -113,7 +122,7 @@ def test_delta_closed(alpha, mass, r, theta, t, hbar):
     _finite_or_typed(lambda: pr.delta_closed(PACKET, Coupling(alpha), mass, r, theta, t, hbar))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(alpha=ALPHA, mass=MASS, r=_or_edge(40.0, 80.0), theta=ANGLE,
        t=_or_edge(5.0, 15.0), hbar=HBAR)
 @example(alpha=0.37, mass=math.nan, r=55.0, theta=0.0, t=8.5, hbar=1.0)
@@ -131,7 +140,7 @@ def test_peak_time(r, mass, hbar):
     _finite_or_typed(lambda: pr.peak_time(PACKET, r, mass, hbar))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(alpha=ALPHA, d=_or_edge(0.0, 8.0), mass=MASS,
        r=st.one_of(st.none(), _or_edge(40.0, 80.0)), hbar=HBAR, use_quadrature=st.booleans())
 def test_suppression_scan(alpha, d, mass, r, hbar, use_quadrature):
@@ -160,7 +169,7 @@ def test_packet_norm(alpha, delta, rho0, theta0, k):
         pr.PacketConfig(delta, rho0, theta0, k), Coupling(alpha)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(alpha=ALPHA, mass=MASS, r=_or_edge(40.0, 80.0), hbar=HBAR)
 def test_transit_fit(alpha, mass, r, hbar):
     _finite_or_typed(lambda: pr.transit_fit(PACKET, Coupling(alpha), mass, r, hbar))
@@ -251,6 +260,32 @@ def test_kummer_f(a, c, z):
 L = st.integers(-6, 6)
 CHANNEL = st.sampled_from((1, 2))
 COUPLING = _or_edge(-2.95, 2.95)
+
+
+@SETTINGS
+@given(l=L, channel=CHANNEL, alpha=COUPLING)
+@example(l=0, channel=1, alpha=math.nan)
+@example(l=0, channel=1, alpha=math.inf)
+@example(l=0, channel=2, alpha=-math.inf)
+def test_exterior_order(l, channel, alpha):
+    _refused_unless(math.isfinite(alpha), lambda: bt.exterior_order(l, channel, alpha))
+
+
+@SETTINGS
+@given(alpha=COUPLING, channel=CHANNEL)
+@example(alpha=1e308, channel=1)
+@example(alpha=-1e308, channel=2)
+def test_anomalous_limit(alpha, channel):
+    _finite_or_typed(lambda: bt.anomalous_limit(Coupling(alpha), channel))
+
+
+@SETTINGS
+@given(kr=_or_edge(0.0, 1e5), tol=_or_edge(1e-300, 0.5))
+@example(kr=1e4, tol=5e-324)
+@example(kr=1e4, tol=1e-310)
+def test_truncation_order(kr, tol):
+    valid = 0.0 <= kr <= sc._MAX_KR and sys.float_info.min <= tol < 1.0
+    _refused_unless(valid, lambda: sc.truncation_order(kr, tol))
 
 
 @SETTINGS

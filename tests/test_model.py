@@ -22,7 +22,7 @@ AMP = SpinorAmplitudes(a1=0.8 + 0.1j, a2=0.5 - 0.2j)
 
 
 class TestCoupling:
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=500)
     @given(alpha=st.floats(-3.0, 3.0))
     @example(alpha=-1e-17)
     @example(alpha=-5e-324)

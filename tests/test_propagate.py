@@ -26,8 +26,8 @@ KERNEL_POINT = dict(mass=1.0, r=30.0, rp=1.0, theta=0.2, thetap=-0.1, t=1.0)
 # alpha at least 0.05 from an integer, either sign
 ALPHA = st.floats(-2.95, 2.95).filter(lambda a: abs(a - round(a)) >= 0.05)
 ANGLE = st.floats(-math.pi, math.pi)
-SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
-PACKET_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=200)
+PACKET_SETTINGS = settings(max_examples=25)
 
 # two packets off the axis (theta0 != 0), well inside the resolvable regime
 PACKETS = (

@@ -209,7 +209,7 @@ class TestDiracStates:
                 rel_tol=1e-14,
             )
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(alpha=st.floats(-2.95, 1.95).filter(lambda a: abs(a - round(a)) >= 0.05),
            kind=st.sampled_from(("bare", "shielded")),
            kr=st.floats(math.log(0.5), math.log(200.0)).map(math.exp),
@@ -364,9 +364,10 @@ class TestIncrementalCutoff:
                              n + 1 + np.arange(t_right + 1), [2 * n + 1, 2 * n + 2]))
         assert np.array_equal(js[at], amos.real)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 2.0, math.inf, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 2.0, math.inf, math.nan, 5e-324, 1e-310])
     def test_tol_outside_unit_interval_raises(self, monkeypatch, tol):
-        # the cutoff takes ln(1/tol): the row refuses before any Bessel call
+        # the cutoff takes ln(1/tol), and a subnormal tol is below what the
+        # tail check can resolve: the row refuses before any Bessel call
         calls = _record(monkeypatch, "bessel_j")
         with pytest.raises(RegimeError, match="tolerance"):
             sc._wave_coefficients(0.3, 5.0, tol)

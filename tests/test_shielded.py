@@ -313,7 +313,7 @@ class TestShieldedMatching:
             A_f = sh.shielded_matching(l, ch, b, kin, C03).value
             assert abs(A_ode - A_f) < 1e-3 * max(abs(A_f), 1e-6), (l, ch)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(alpha=st.floats(-2.9, 1.9).filter(lambda a: a > 0 or a < -1),
            l=st.integers(-10, 10), channel=st.sampled_from((1, 2)),
            kr0=st.floats(math.log(1e-4), math.log(3.0)).map(math.exp),

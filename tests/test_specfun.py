@@ -635,6 +635,10 @@ class TestGuardMessages:
          "kummer_f pole at [ 1.5 -2.   3.5]"),
         ("kummer_f", (np.array([0.5, 0.6]), 1.5, np.array([1.0, NAN, 3.0])), OutOfRangeError,
          "kummer_f: argument must be finite"),
+        # the same with one z above 1e9: the Re z guard cannot broadcast it
+        # against a either, and scipy reports all three shapes
+        ("kummer_f", (np.array([0.5, 1.5]), 1.5, np.array([2e9, 1.0, 1.0])), ValueError,
+         "operands could not be broadcast together with shapes (2,) () (3,) "),
     ]
 
     @pytest.mark.parametrize("name, args, error, message", TWO_GUARD_CASES)
@@ -738,6 +742,10 @@ class TestValidCallsSkipTheGuards:
             sf.kummer_f(nu, KUMMER_C, z)
             sf.kummer_f(nu, KUMMER_C, -z + 0.5j)
         sf.bessel_j_ladder(0.3, 4, 2.0)
+        # the pair's Python-float route, Python floats and numpy float64
+        for nu, z in ((-1.3, 0.5), (np.float64(2.7), np.float64(4.0)),
+                      (np.float64(0.3), 1.0), (0.3, np.float64(1e-3))):
+            sf.bessel_j_hankel1(nu, z)
         # Kummer's scalar and parameter-pair calls, real and complex z
         pair = np.array([0.3, 1.3]), np.array([KUMMER_C, KUMMER_C + 1.0])
         for a, c in ((0.3, KUMMER_C), pair):
@@ -760,8 +768,9 @@ class TestValidCallsSkipTheGuards:
                 assert _bits(got) == _bits(want), nu
 
     def test_pair_bits_equal_scipy(self):
+        # numpy float64 and Python float arguments, arrays, imaginary arrays
         for nu in ORACLE_ORDERS:
-            for z in (*ORACLE_ARGS, ORACLE_ARGS, 1j * ORACLE_ARGS):
+            for z in (*ORACLE_ARGS, *ORACLE_ARGS.tolist(), ORACLE_ARGS, 1j * ORACLE_ARGS):
                 got = _returned(sf.bessel_j_hankel1, nu, z)
                 if got is not None:
                     z_in = np.asarray(z, dtype=np.complex128)
@@ -786,3 +795,69 @@ class TestValidCallsSkipTheGuards:
         for a in (0.0, -1.0, -2.0, -3.0):
             for z in (2e9, 1e12, 1e20, 3e9 + 1.0j):
                 assert _bits(sf.kummer_f(a, KUMMER_C, z)) == _bits(special.hyp1f1(a, KUMMER_C, z))
+
+    def test_matching_terms_take_the_float_route(self, monkeypatch):
+        # float orders and arguments never reach the array route's input test
+        calls = []
+        inputs = sf._inputs
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return inputs(*args, **kwargs)
+
+        monkeypatch.setattr(sf, "_inputs", spy)
+        for alpha in (0.41, -1.38):
+            for l in range(-3, 4):
+                for ch in (1, 2):
+                    nu = bt.exterior_order(l, ch, alpha)
+                    for x in (1e-4, 0.5, 3.0):
+                        for s in (0.3, -2.0, 1e308, math.inf, -math.inf):
+                            bt._matching_terms(nu, x, s)
+        assert calls == []
+
+
+# each value of the float-route battery, as every kind of input it can take
+ROUTE_VALUES = [0.3, -1.3, 250.0, NAN, INF, -INF, 0.0, -1.0, 1e308, 5e-324]
+
+
+def _route_inputs(complex_too: bool) -> list:
+    """Each of ROUTE_VALUES as a Python float, a numpy float64, a 0-d array,
+    an int where it is integral and, with `complex_too`, a complex with that
+    real or that imaginary part; then the two bools."""
+    out = []
+    for v in ROUTE_VALUES:
+        out += [v, np.float64(v), np.array(v)]
+        if math.isfinite(v) and v == int(v):
+            out.append(int(v))
+        if complex_too:
+            out += [complex(v), complex(0.0, v)]
+    return out + [True, False]
+
+
+def _outcome(fn, *args):
+    """Types and raw bits of fn's two results, or its error type and message."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    return [type(v) for v in out], [_bits(v) for v in out]
+
+
+class TestPairFloatRoute:
+    """Float orders and arguments take `bessel_j_hankel1`'s Python-float
+    route; every other input takes the array route.  Over each kind of
+    input, valid or not, the pair returns what `bessel_j` and `hankel1`
+    return (types and bits) or raises what they raise, in that order."""
+
+    def test_battery_equals_the_sequence(self):
+        def sequence(nu, z):
+            return sf.bessel_j(nu, z), sf.hankel1(nu, z)
+
+        cases = 0
+        for nu in _route_inputs(complex_too=False):
+            for z in _route_inputs(complex_too=True):
+                want = _outcome(sequence, nu, z)
+                assert _outcome(sf.bessel_j_hankel1, nu, z) == want, (nu, z)
+                cases += 1
+        assert cases == 36 * 56
+

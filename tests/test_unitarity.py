@@ -25,7 +25,7 @@ CHANNEL = st.sampled_from((1, 2))
 KR0 = st.floats(math.log(1e-4), math.log(3.0)).map(math.exp)
 BARE_KR0 = st.floats(math.log(1e-12), math.log(3.0)).map(math.exp)
 
-SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=300)
 
 
 def _deviation(a: complex) -> float:
