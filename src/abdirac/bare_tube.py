@@ -158,11 +158,13 @@ def _interior_s(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
                 U: float = 0.0) -> float:
     """s = nu + r0 d(ln chi)/dr of the interior solution at r0, nu the exterior order.
 
-    Real, and +/-inf at a node of chi.  With F'(b|c|z) = (b/c) F(b+1|c+1|z)
-    (DLMF 13.3.15), F and F' come from two scalar `kummer_f` calls, at
-    (b, c) and (b + 1, c + 1), and s = K + 2 |alpha| F'/F at z = |alpha|,
-    where K = nu + m - |alpha| is 2 max(l' - |alpha|, 0) for l' >= 0 and 2m
-    for l' < 0.  Float arguments with c >= 1 pass `kummer_f`'s input test on
+    Real, and +/-inf at a node of chi (F = 0, F' a normal double); any other
+    F below the smallest normal double raises OutOfRangeError (at large k r0
+    both underflow to 0).  With F'(b|c|z) = (b/c) F(b+1|c+1|z) (DLMF 13.3.15),
+    F and F' come from two scalar `kummer_f` calls, at (b, c) and
+    (b + 1, c + 1), and s = K + 2 |alpha| F'/F at z = |alpha|, where
+    K = nu + m - |alpha| is 2 max(l' - |alpha|, 0) for l' >= 0 and 2m for
+    l' < 0.  Float arguments with c >= 1 pass `kummer_f`'s input test on
     Python floats, which costs less than building the parameter pairs as
     arrays; the values equal the pair call's bit for bit.  In the anomalous
     channel s -> 0 through b, never as a difference of nearly equal terms.
@@ -181,8 +183,10 @@ def _interior_s(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     z = abs(alpha)
     f0 = sf.kummer_f(b, c, z).real
     f1 = b / c * sf.kummer_f(b + 1.0, c + 1.0, z).real
-    if f0 == 0.0:
-        return math.inf if f1 > 0 else -math.inf
+    if not abs(f0) >= sys.float_info.min:
+        if f0 == 0.0 and abs(f1) >= sys.float_info.min:
+            return math.inf if f1 > 0 else -math.inf
+        raise OutOfRangeError(f"interior F({b:.6g}|{c:g}|{z:g}) and F' underflow")
     k_term = 2.0 * max(l_rel - abs(alpha), 0.0) if l_rel >= 0 else 2.0 * m
     return k_term + 2.0 * abs(alpha) * (f1 / f0)
 
@@ -445,11 +449,9 @@ def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     through the tube wall (vector-potential kink) and, when a barrier is
     present, applies the spinor-continuity derivative jump at R0.  Serves as
     the convention-free oracle for every boundary-matching formula.
+    RegimeError unless r_max is finite and beyond the outer edge (r0, or R0
+    with a barrier) and 0 < rtol < 1.
     """
-    # imported here, not at module level: scipy.integrate costs ~26 MB and
-    # ~0.2 s on every import of the package, and only this oracle needs it
-    from scipy.integrate import solve_ivp
-
     l_ch, spin = channel_index(l, channel)
     alpha = tube.coupling.alpha
     r0 = tube.r0
@@ -461,6 +463,14 @@ def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     R0 = barrier.R0 if barrier is not None else None
     if barrier is not None and R0 <= r0:
         raise RegimeError("barrier radius must exceed the tube radius")
+    edge = r0 if barrier is None else R0
+    if not edge < r_max < math.inf:
+        raise RegimeError(f"r_max={r_max} must be finite and beyond the outer edge {edge}")
+    if not 0 < rtol < 1:
+        raise RegimeError(f"rtol={rtol} outside (0, 1)")
+    # imported here, not at module level: scipy.integrate costs ~26 MB and
+    # ~0.2 s on every import of the package, and only this oracle needs it
+    from scipy.integrate import solve_ivp
 
     def rhs(r, y, inside_tube: bool, in_barrier: bool):
         phi = U if in_barrier else 0.0
@@ -511,8 +521,6 @@ def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
         edges.append((r0, r_max, False, False))
 
     for (r_lo, r_hi, inside, in_bar) in edges:
-        if r_hi <= r_lo:
-            continue
         dense = integrate(r_lo, r_hi, y, inside, in_bar)
         segments.append((r_lo, r_hi, dense))
         scales.append(carry)

@@ -6,7 +6,8 @@ The default scheme is natural units hbar = c = M = 1: lengths are measured in
 Compton wavelengths hbar/Mc and energies in rest-mass units Mc^2, which makes
 every formula in the library coefficient-free.  All types carry explicit
 `hbar` and `c` so that the same code also runs with SI inputs; dimensionless
-outputs must agree between the two schemes.
+outputs must agree between the two schemes.  The non-relativistic packet
+layer (`propagate`) takes the one mass scale M / hbar as its `mass`.
 
 The flux coupling is the signed dimensionless number alpha = qF/(2 pi hbar).
 For an electron q = -e < 0, so alpha and the flux F have opposite signs; the
@@ -17,6 +18,7 @@ to the left), also for negative alpha.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -213,6 +215,8 @@ class BarrierConfig:
     def __post_init__(self):
         if not 0 < self.R0 < math.inf:
             raise RegimeError("barrier radius R0 must be positive and finite")
+        if not math.isfinite(self.U):
+            raise RegimeError(f"barrier height U={self.U} must be finite")
 
 
 @dataclass(frozen=True)
@@ -223,5 +227,7 @@ class SpinorAmplitudes:
     a2: complex = 0.0 + 0.0j
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.a1) and cmath.isfinite(self.a2)):
+            raise RegimeError(f"spinor amplitudes {self.a1} and {self.a2} must be finite")
         if self.a1 == 0 and self.a2 == 0:
             raise RegimeError("spinor amplitudes must not both vanish")

@@ -46,8 +46,10 @@ X0 and the term count follow from nu and the half ulp alone
 The surviving partial wave is `bare_tube.anomalous_channel` for either sign
 of the coupling: order nu = frac(alpha), n0 = [alpha] for alpha > 0 and
 nu = frac(-alpha), n0 = [alpha] + 1 for alpha < 0; it is derived once per
-coupling (`_surviving_wave` is cached).  All formulas use
-hbar = 1 by default; pass `hbar` explicitly for other unit schemes.
+coupling (`_surviving_wave` is cached).  M and hbar enter every formula
+only as M / hbar, so `mass` is M / hbar: M in the natural units
+hbar = c = M = 1, and in SI units (r in m, t in s, k in 1/m)
+`mass = 9.1093837015e-31 / 1.054571817e-34` (s / m^2) for an electron.
 """
 
 from __future__ import annotations
@@ -131,27 +133,26 @@ def _phase(value: float) -> float:
     return value
 
 
-def _kernel_parts(coupling: Coupling, mass: float, t: float, hbar: float):
+def _kernel_parts(coupling: Coupling, mass: float, t: float):
     if not t > 0:
         raise SingularArgumentError("propagator difference needs t > 0")
-    den = 2.0 * math.pi * hbar * t
+    den = 2.0 * math.pi * t
     pref = mass / den if den > 0 else math.inf
     # NaN fails every comparison; den and pref catch an overflow or underflow
-    if not (0 < mass < math.inf and 0 < hbar < math.inf and den < math.inf
-            and pref < math.inf):
+    if not (0 < mass < math.inf and den < math.inf and pref < math.inf):
         raise RegimeError(
-            f"mass {mass}, hbar {hbar} and t {t} must be finite and positive, "
+            f"mass {mass} and t {t} must be finite and positive, "
             f"and so must M / (2 pi hbar t)"
         )
     nu, n0 = _surviving_wave(coupling)
     return nu, n0, pref
 
 
-def _kernel_phase(mass: float, t: float, hbar: float, u):
+def _kernel_phase(mass: float, t: float, u):
     """M u^2 / (2 hbar t), the one phase of the closed kernel: at u = r + r' it
     is the free-propagator phase M (r^2 + r'^2) / (2 hbar t) with the Hankel
     function's own e^{i M r r' / (hbar t)} folded in.  Array-capable in u."""
-    return mass * u * u / (2.0 * hbar * t)
+    return mass * u * u / (2.0 * t)
 
 
 # Hankel's expansion is cut where both of its real sums' remainders are at
@@ -280,46 +281,38 @@ def _scaled_kernel(nu: float, pref: float, x):
 
 
 def greens_diff_closed(coupling: Coupling, mass: float, r: float, rp: float,
-                       theta: float, thetap: float, t: float,
-                       hbar: float = 1.0) -> complex:
+                       theta: float, thetap: float, t: float) -> complex:
     """Closed propagator difference: fractional-order outgoing Hankel kernel."""
-    nu, n0, pref = _kernel_parts(coupling, mass, t, hbar)
+    nu, n0, pref = _kernel_parts(coupling, mass, t)
     if not (0 < r < math.inf and 0 < rp < math.inf):
         raise RegimeError("coordinates must be positive and finite")
     if nu == 0.0:
         return 0.0j
-    x = mass * r * rp / (hbar * t)
+    x = mass * r * rp / t
     return complex(
         _scaled_kernel(nu, pref, x) / math.sqrt(x)
-        * cmath.exp(1j * _phase(_kernel_phase(mass, t, hbar, r + rp)))
+        * cmath.exp(1j * _phase(_kernel_phase(mass, t, r + rp)))
         * cmath.exp(1j * _phase(n0 * (theta - thetap)))
     )
 
 
 def greens_diff_asymptotic(coupling: Coupling, mass: float, r: float, rp: float,
-                           theta: float, thetap: float, t: float,
-                           hbar: float = 1.0) -> complex:
+                           theta: float, thetap: float, t: float) -> complex:
     """Large-argument form, valid for M r r' / (hbar t) >= 10.
 
     The leading term of the closed kernel: e^{-ix} H^(1)_nu(x) tends to
     sqrt(2 / (pi x)) e^{-i (pi nu / 2 + pi / 4)}, the phase stays the closed
     kernel's own `_kernel_phase` at r + r', and the relative error is O(1/x).
     """
-    nu, n0, _ = _kernel_parts(coupling, mass, t, hbar)
-    x = mass * r * rp / (hbar * t)
+    nu, n0, _ = _kernel_parts(coupling, mass, t)
+    x = mass * r * rp / t
     if not x >= 10.0:
         raise RegimeError(f"asymptotic kernel needs M r r'/(hbar t) >= 10, got {x:.3g}")
     if nu == 0.0:
         return 0.0j
-    amp = math.sqrt(mass / (2.0 * math.pi ** 3 * hbar * t * r * rp))
-    return complex(
-        amp
-        * math.sin(math.pi * nu)
-        * cmath.exp(
-            1j * _phase(_kernel_phase(mass, t, hbar, r + rp) + n0 * (theta - thetap)
-                        - 0.25 * math.pi)
-        )
-    )
+    amp = math.sqrt(mass / (2.0 * math.pi ** 3 * t * r * rp))
+    phase = _phase(_kernel_phase(mass, t, r + rp) + n0 * (theta - thetap) - 0.25 * math.pi)
+    return complex(amp * math.sin(math.pi * nu) * cmath.exp(1j * phase))
 
 
 def packet_initial(cfg: PacketConfig, coupling: Coupling, rp, thetap):
@@ -392,15 +385,12 @@ def packet_norm(cfg: PacketConfig, coupling: Coupling) -> float:
     return float(np.einsum("i,j,ij->", r_w * r_nodes, t_w, vals))
 
 
-def peak_time(cfg: PacketConfig, r: float, mass: float = 1.0,
-              hbar: float = 1.0) -> float:
+def peak_time(cfg: PacketConfig, r: float, mass: float = 1.0) -> float:
     """Arrival time of the packet-difference envelope at radius r >= 0."""
-    if not (0 < mass < math.inf and 0 < hbar < math.inf and 0 <= r < math.inf):
+    if not (0 < mass < math.inf and 0 <= r < math.inf):
         raise RegimeError(
-            f"mass {mass} and hbar {hbar} must be finite and positive, radius {r} "
-            f"finite and non-negative"
-        )
-    t = (r + cfg.rho0 - 0.5 * cfg.rho0 * cfg.theta0 ** 2) * mass / (hbar * cfg.k)
+            f"mass {mass} must be finite and positive, radius {r} finite and non-negative")
+    t = (r + cfg.rho0 - 0.5 * cfg.rho0 * cfg.theta0 ** 2) * mass / cfg.k
     if not 0 < t < math.inf:
         raise RegimeError(f"peak time {t} is not finite and positive")
     return t
@@ -416,15 +406,8 @@ def _require_closed_regime(cfg: PacketConfig, r: float):
         )
 
 
-def _packet_kernel_parts(coupling: Coupling, mass: float, t: float,
-                        hbar: float):
-    if coupling.alpha == 0.0:
-        raise RegimeError("packet difference needs nonzero coupling")
-    return _kernel_parts(coupling, mass, t, hbar)
-
-
 def delta_closed(cfg: PacketConfig, coupling: Coupling, mass: float, r: float,
-                 theta: float, t, hbar: float = 1.0):
+                 theta: float, t):
     """Closed stationary-phase form of the packet difference.
 
     Moving Gaussian envelope times the impact-parameter suppression
@@ -443,19 +426,19 @@ def delta_closed(cfg: PacketConfig, coupling: Coupling, mass: float, r: float,
         t_lo = t_hi = t
     # every time guard is monotone in t, so a grid's two ends carry it (min
     # and max are NaN where any t is)
-    nu, n0, _ = _packet_kernel_parts(coupling, mass, t_lo, hbar)
+    nu, n0, _ = _kernel_parts(coupling, mass, t_lo)
     if grid:
-        _kernel_parts(coupling, mass, t_hi, hbar)
+        _kernel_parts(coupling, mass, t_hi)
     d2 = 2.0 * cfg.delta * cfg.delta
     outgoing = cfg.k * r + n0 * theta
-    free_hi = hbar * cfg.k ** 2 * t_hi / (2.0 * mass)
+    free_hi = cfg.k ** 2 * t_hi / (2.0 * mass)
     if not (abs(outgoing) < math.inf and free_hi < math.inf):
         raise RegimeError(f"phases {outgoing} and {free_hi} must be finite")
-    free = hbar * cfg.k ** 2 * t / (2.0 * mass)
+    free = cfg.k ** 2 * t / (2.0 * mass)
     # where the square overflows the envelope is 0: a Python float overflows
     # to inf quietly, a numpy array only under errstate
     with np.errstate(over="ignore") if grid else nullcontext():
-        envelope_arg = r + cfg.rho0 - hbar * cfg.k * t / mass - 0.5 * cfg.rho0 * cfg.theta0 ** 2
+        envelope_arg = r + cfg.rho0 - cfg.k * t / mass - 0.5 * cfg.rho0 * cfg.theta0 ** 2
         envelope = np.exp(-(envelope_arg * envelope_arg) / d2)
     pref = cmath.exp(0.25j * math.pi) * math.sqrt(2.0) / (math.pi * cfg.delta)
     out = (
@@ -504,9 +487,8 @@ def _phase_panel_edges(r_lo: float, r_hi: float, s_star: float, slope: float,
 
 
 def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
-                     r: float, theta: float, t: float, hbar: float = 1.0,
-                     max_phase: float = 6.0, gauss_order: int = 16,
-                     refine_check: bool = False) -> complex:
+                     r: float, theta: float, t: float, max_phase: float = 6.0,
+                     gauss_order: int = 16, refine_check: bool = False) -> complex:
     """Packet difference as the fold of the closed kernel with `packet_initial`.
 
     The packet exponent is quadratic in theta' and the kernel carries theta'
@@ -548,7 +530,7 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
     for a window that reaches down to the axis, 6 delta >= rho0), or
     when the radial phase needs more panels than the cap.
     """
-    nu, n0, pref = _packet_kernel_parts(coupling, mass, t, hbar)
+    nu, n0, pref = _kernel_parts(coupling, mass, t)
     if not 0 < r < math.inf:
         raise RegimeError(f"radius must be positive and finite, got {r}")
     d2 = 2.0 * cfg.delta * cfg.delta
@@ -556,8 +538,8 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
 
     # radial phase rate: kernel + packet, which cancel at the stationary point
     # s_star, plus the r'-linear phase of -B^2 / 4A and the envelope floor
-    slope = mass / (hbar * t)
-    s_star = hbar * t * cfg.k / mass - r
+    slope = mass / t
+    s_star = t * cfg.k / mass - r
     # packet exponent A theta'^2 + B theta' + C with A = a_per_r r' and
     # B = i beta + g r'; lin and inv are the r' and 1/r' coefficients of
     # C - B^2 / 4A, and its r'-free part joins const
@@ -578,7 +560,7 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
         r_edges = _phase_panel_edges(r_lo, r_hi, s_star, slope, floor, phase_cap)
         rp, w = gauss_panel_nodes(r_edges, order)
         exponent = (
-            1j * _kernel_phase(mass, t, hbar, rp - s_star)
+            1j * _kernel_phase(mass, t, rp - s_star)
             - (rp - cfg.rho0) ** 2 / d2
             + lin * rp + inv / rp
         )
@@ -599,7 +581,7 @@ def delta_quadrature(cfg: PacketConfig, coupling: Coupling, mass: float,
 
 def suppression_scan(cfg_template: PacketConfig, d_values, coupling: Coupling,
                      mass: float = 1.0, r: float | None = None,
-                     hbar: float = 1.0, use_quadrature: bool = False):
+                     use_quadrature: bool = False):
     """Impact-parameter sweep at matched envelope-peak times.
 
     Returns a list of rows {d, theta0, t, delta_abs, suppression_expected,
@@ -612,8 +594,8 @@ def suppression_scan(cfg_template: PacketConfig, d_values, coupling: Coupling,
     for d in d_values:
         theta0 = d / cfg_template.rho0
         cfg = replace(cfg_template, theta0=theta0)
-        t = peak_time(cfg, r, mass, hbar)
-        val = delta_closed(cfg, coupling, mass, r, 0.0, t, hbar)
+        t = peak_time(cfg, r, mass)
+        val = delta_closed(cfg, coupling, mass, r, 0.0, t)
         row = {
             "d": float(d),
             "theta0": theta0,
@@ -624,7 +606,7 @@ def suppression_scan(cfg_template: PacketConfig, d_values, coupling: Coupling,
             ),
         }
         if use_quadrature:
-            qval = delta_quadrature(cfg, coupling, mass, r, 0.0, t, hbar)
+            qval = delta_quadrature(cfg, coupling, mass, r, 0.0, t)
             row["delta_quad_abs"] = abs(qval)
         rows.append(row)
     return rows
@@ -646,7 +628,7 @@ _TRANSIT_FIT = _parabola_fit(_TRANSIT_U)
 
 
 def transit_fit(cfg: PacketConfig, coupling: Coupling, mass: float = 1.0,
-                r: float | None = None, hbar: float = 1.0):
+                r: float | None = None):
     """Least-squares Gaussian fit of |Delta|(t) at fixed r.
 
     Fits log |Delta| at 21 equally spaced times over +/-1.5 sigma about the
@@ -659,13 +641,14 @@ def transit_fit(cfg: PacketConfig, coupling: Coupling, mass: float = 1.0,
     Raises RegimeError when any |Delta| on the grid is below the smallest
     normal double: the suppression exp(-d^2 / (2 delta^2)) reaches there from
     d ~ 37 delta, and a subnormal or zero |Delta| has no usable logarithm.
+    Raises it too where the fit has no maximum (a subnormal M / hbar).
     """
     if r is None:
         r = cfg.rho0
-    t_star = peak_time(cfg, r, mass, hbar)
-    width_expected = cfg.delta * mass / (hbar * cfg.k)
+    t_star = peak_time(cfg, r, mass)
+    width_expected = cfg.delta * mass / cfg.k
     ts = t_star + width_expected * _TRANSIT_U
-    mags = np.abs(delta_closed(cfg, coupling, mass, r, 0.0, ts, hbar))
+    mags = np.abs(delta_closed(cfg, coupling, mass, r, 0.0, ts))
     if not (mags >= sys.float_info.min).all():
         raise RegimeError(
             f"|Delta| underflows on the transit fit grid at d = {cfg.d:.3g} "
@@ -675,6 +658,8 @@ def transit_fit(cfg: PacketConfig, coupling: Coupling, mass: float = 1.0,
     # otherwise dwarf the curvature being fitted at large d
     logs = np.log(mags)
     coeffs = _TRANSIT_FIT @ (logs - logs[10])
+    if not coeffs[0] < 0:  # the grid's times do not resolve the width
+        raise RegimeError("log|Delta| has no maximum on the transit fit grid")
     width = width_expected * math.sqrt(-0.5 / coeffs[0])
     center = t_star - width_expected * 0.5 * coeffs[1] / coeffs[0]
     return {

@@ -43,10 +43,9 @@ gives l_max from k r and the tolerance, and a row is built and its tail
 checked in one pass.
 
 Far-field closed forms: incident spinor times e^{-i k r cos(theta) + i nu theta}
-plus a scattered spinor with per-component half-angle phases and the common
-factor sin(pi nu)/cos(theta/2) * e^{i k r + i pi/4} / sqrt(2 pi k r).  The
-amplitude blows up toward the forward direction theta = +/-pi, so
-`asymptotic_state` refuses the forward cone |theta| >= pi -
+plus f(theta) e^{i k r} / sqrt(r) with f from `scattering_amplitude`, times
+-e^{i (2l - 1) theta} on a swapped component.  f blows up toward theta = +/-pi,
+so `asymptotic_state` refuses the forward cone |theta| >= pi -
 DEFAULT_FORWARD_CONE, which is fixed: a caller can neither widen nor narrow it.
 
 Stationary states are reported as t = 0 snapshots; the time factor is a
@@ -339,15 +338,15 @@ def dirac_scattering_state(kind: str, amplitudes: SpinorAmplitudes,
     `kind` is "shielded" or "bare".  The shielded state is the scalar sum on
     all four components plus a divergent Hankel correction on the lower pair;
     the bare state adds the surviving-channel column, proportional to a1 at
-    alpha > 0 and to a2 at alpha < 0.
+    alpha > 0 and to a2 at alpha < 0.  At integer alpha no wave is swapped
+    (sin(pi nu) = 0): both kinds are the free wave
+    (a1, a2, -w a2, -w a1) e^{-i k r cos(theta) + i alpha theta}.
     `theta` is a scalar or an array: every angle at the radius shares one
     coefficient matrix (Bessel values, cutoff), and the four
     components come out of one product with the phases e^{i (l + [alpha]) theta}.
     """
     if not r > 0:
         raise RegimeError("field point needs r > 0")
-    if kind == "bare" and coupling.is_integer:
-        raise RegimeError("bare-string construction needs non-integer coupling")
     matrix, _ = _spinor_coefficients(
         _swapped_waves(kind, coupling), complex(amplitudes.a1), complex(amplitudes.a2),
         _lower_weight(kin), coupling.frac, kin.k * r, tol)
@@ -372,29 +371,22 @@ def asymptotic_state(kind: str, amplitudes: SpinorAmplitudes, coupling: Coupling
             f"theta={theta:.3f} not finite or inside the forward cone "
             f"(cut {DEFAULT_FORWARD_CONE})"
         )
-    nu = coupling.frac
     a1, a2 = complex(amplitudes.a1), complex(amplitudes.a2)
     w = _lower_weight(kin)
-    incident = cmath.exp(-1j * x * math.cos(theta) + 1j * nu * theta)
-    spread = math.sin(math.pi * nu) / math.cos(0.5 * theta)
-    scattered = spread * cmath.exp(1j * (x + 0.25 * math.pi)) / math.sqrt(
-        2.0 * math.pi * x
-    )
+    incident = cmath.exp(-1j * x * math.cos(theta) + 1j * coupling.frac * theta)
+    scattered = scattering_amplitude(coupling, kin, theta) * cmath.exp(1j * x) / math.sqrt(r)
     col_in = np.array([a1, a2, -w * a2, -w * a1])
-    # in units of `scattered` the regular sum scatters -e^{i theta/2}.  A swap
+    # the regular sum scatters f(theta) = -e^{i theta/2} |f| e^{i pi/4}.  A swap
     # adds i sin(pi mu) e^{i pi mu/2} H_mu(x) e^{i l theta} (mu = nu at l = 0,
     # 1 - nu at l = 1, sin(pi mu) = sin(pi nu)), whose far field (DLMF 10.17.5)
     # is 2 cos(theta/2) e^{i l theta} = e^{i (l - 1/2) theta} + e^{i (l + 1/2) theta};
-    # a swapped component thus scatters e^{-i theta/2} (l = 0) or e^{3i theta/2} (l = 1)
-    col_sc = col_in * -cmath.exp(0.5j * theta)
+    # a swapped component thus scatters e^{-i theta/2} (l = 0) or e^{3i theta/2}
+    # (l = 1) where the regular one scatters -e^{i theta/2}: f times -e^{i (2l - 1) theta}
+    col_sc = col_in.copy()
     for l, comp in _swapped_waves(kind, coupling):
-        col_sc[comp] = col_in[comp] * cmath.exp((2 * l - 0.5) * 1j * theta)
-    gauge = cmath.exp(1j * coupling.int_part * theta)
-    psi = (col_in * incident + col_sc * scattered) * gauge
-    return WaveFieldSample(
-        r=r, theta=theta, psi1=complex(psi[0]), psi2=complex(psi[1]),
-        psi3=complex(psi[2]), psi4=complex(psi[3]),
-    )
+        col_sc[comp] *= -cmath.exp((2 * l - 1) * 1j * theta)
+    psi = (col_in * incident + col_sc * scattered) * cmath.exp(1j * coupling.int_part * theta)
+    return WaveFieldSample(r, theta, *(complex(p) for p in psi))
 
 
 def scattering_amplitude(coupling: Coupling, kin: Kinematics,

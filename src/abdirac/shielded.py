@@ -16,6 +16,7 @@ Bessel functions (`shielded_eigenfunction`).
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 
@@ -125,6 +126,8 @@ def shielded_eigenfunction(l: int, coupling: Coupling, kin: Kinematics,
     """
     if r <= 0:
         raise RegimeError("shielded eigenfunction needs r > 0")
+    if not (cmath.isfinite(a1) and cmath.isfinite(a2)):
+        raise RegimeError(f"amplitudes a1={a1} and a2={a2} must be finite")
     alpha = coupling.alpha
     nu1 = exterior_order(l, 1, alpha)
     nu2 = exterior_order(l, 2, alpha)

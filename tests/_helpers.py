@@ -196,16 +196,16 @@ def mp_dirac_state(kind: str, amplitudes, coupling: Coupling, kin, r: float,
 
 
 def greens_diff_bracket(coupling: Coupling, mass: float, r: float, rp: float,
-                        theta: float, thetap: float, t: float,
-                        hbar: float = 1.0) -> complex:
-    """Equivalent Bessel-pair form of the closed propagator difference."""
-    nu, n0, pref = _kernel_parts(coupling, mass, t, hbar)
+                        theta: float, thetap: float, t: float) -> complex:
+    """Equivalent Bessel-pair form of the closed propagator difference
+    (mass is M / hbar)."""
+    nu, n0, pref = _kernel_parts(coupling, mass, t)
     if r <= 0 or rp <= 0:
         raise RegimeError("coordinates must be positive")
     if nu == 0.0:
         return 0.0j
-    x = mass * r * rp / (hbar * t)
-    phase = cmath.exp(1j * mass * (r * r + rp * rp) / (2.0 * hbar * t))
+    x = mass * r * rp / t
+    phase = cmath.exp(1j * mass * (r * r + rp * rp) / (2.0 * t))
     bracket = cmath.exp(0.5j * math.pi * nu) * sf.bessel_j(-nu, x) - cmath.exp(
         -0.5j * math.pi * nu
     ) * sf.bessel_j(nu, x)
@@ -260,7 +260,6 @@ def _oscillatory_k_integral(nu: float, r: float, rp: float, a: float,
 def greens_diff_integral_oracle(coupling: Coupling, mass: float, r: float,
                                 rp: float, theta: float, thetap: float,
                                 t: float, epsilon: float | None = None,
-                                hbar: float = 1.0,
                                 tol: float = 5e-3) -> complex:
     """Propagator difference from its defining k-integral.
 
@@ -268,12 +267,12 @@ def greens_diff_integral_oracle(coupling: Coupling, mass: float, r: float,
     evaluated at eps, eps/2, eps/4 and extrapolated to eps -> 0 at second
     order; a spread of the extrapolants beyond `tol` raises.
     """
-    nu, n0, _ = _kernel_parts(coupling, mass, t, hbar)
+    nu, n0, _ = _kernel_parts(coupling, mass, t)
     if nu == 0.0:
         return 0.0j
-    a = hbar * t / (2.0 * mass)
+    a = t / (2.0 * mass)
     if epsilon is None:
-        k_char = mass * (r + rp) / (hbar * t) + 1.0 / max(r, rp)
+        k_char = mass * (r + rp) / t + 1.0 / max(r, rp)
         epsilon = 0.05 / (k_char * k_char)
     vals = [
         _oscillatory_k_integral(nu, r, rp, a, e)

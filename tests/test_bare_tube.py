@@ -633,6 +633,47 @@ class TestGuards:
         """)
         assert run_python(code, timeout=30.0) == "30 30"
 
+    def test_large_kr0_underflow_raises(self):
+        # kr0 = 3.06e4, alpha = 1/2: at l = 150 and 130 scipy's F(b|c|1/2) and
+        # F(b+1|c+1|1/2) (b ~ -4.7e8) both underflow to -0.0 or 0.0, which read
+        # as a node gave s = -inf and a finite, wrong, unitary weight (mpmath:
+        # A = -0.495 - 0.500i at l = 150); at l = 120 F is a normal double
+        tube = TubeConfig(r0=3.06e4, coupling=Coupling(0.5))
+        kin = make_kinematics(k=1.0)
+        for l in (150, 130):
+            with pytest.raises(OutOfRangeError, match="underflow"):
+                bt.matching_coefficient(l, 1, tube, kin)
+        a = bt.matching_coefficient(120, 1, tube, kin).value
+        assert cmath.isfinite(a)
+        assert abs(abs(1.0 + 2.0 * a) - 1.0) <= 1e-12
+
+    def test_ode_oracle_refuses_what_hangs_it(self):
+        # solve_ivp never returned at a NaN or infinite r_max or a NaN rtol;
+        # an r_max at or inside the outer edge returned a solution that stopped
+        # there, and rtol = 1e308 an A off by ~1e-6.  Each is refused at once.
+        code = textwrap.dedent("""
+            import math, time
+            from abdirac import bare_tube as bt
+            from abdirac.errors import RegimeError
+            from abdirac.model import BarrierConfig, Coupling, TubeConfig, make_kinematics
+            tube, kin = TubeConfig(0.5, Coupling(0.37)), make_kinematics(k=1.0)
+            barrier = BarrierConfig(R0=1.0, U=0.5)
+            cases = [(r_max, 1e-10, None) for r_max in
+                     (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 0.5)]
+            cases += [(r_max, 1e-10, barrier) for r_max in (math.inf, 0.75, 1.0)]
+            cases += [(1.0, rtol, None) for rtol in
+                      (math.nan, math.inf, 0.0, -1.0, 1.0, 1e308)]
+            start = time.perf_counter()
+            refused = 0
+            for r_max, rtol, bar in cases:
+                try:
+                    bt.ode_radial_oracle(0, 1, tube, kin, r_max, barrier=bar, rtol=rtol)
+                except RegimeError:
+                    refused += 1
+            print(refused, len(cases), time.perf_counter() - start < 1.0)
+        """)
+        assert run_python(code, timeout=20.0) == "16 16 True"
+
     def test_unknown_channel_rejected_everywhere(self):
         c = Coupling(0.3)
         tube = TubeConfig(0.1, c)

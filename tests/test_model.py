@@ -50,13 +50,12 @@ class TestCoupling:
             assert np.array_equal(got.as_array(), want.as_array())
 
     @pytest.mark.parametrize("alpha", TINY_NEGATIVE)
-    def test_tiny_negative_coupling_refuses_bare_state(self, alpha):
+    def test_tiny_negative_coupling_bare_state_is_zero_coupling(self, alpha):
         kin = make_kinematics(k=1.0)
-        with pytest.raises(RegimeError) as at_zero:
-            sc.dirac_scattering_state("bare", AMP, Coupling(0.0), kin, 0.5, THETAS)
-        with pytest.raises(RegimeError) as got:
-            sc.dirac_scattering_state("bare", AMP, Coupling(alpha), kin, 0.5, THETAS)
-        assert str(got.value) == str(at_zero.value)
+        for r in (0.5, 7.3):
+            got = sc.dirac_scattering_state("bare", AMP, Coupling(alpha), kin, r, THETAS)
+            want = sc.dirac_scattering_state("bare", AMP, Coupling(0.0), kin, r, THETAS)
+            assert np.array_equal(got.as_array(), want.as_array())
 
 
 # SI: hbar, c and the electron mass; lengths scale by the Compton length
@@ -132,8 +131,8 @@ class TestUnitSchemes:
         c = Coupling(alpha)
         for r, rp, t in ((30.0, 1.0, 1.0), (2.0, 0.5, 3.0), (0.1, 0.2, 0.01)):
             nat = pr.greens_diff_closed(c, 1.0, r, rp, 0.2, -0.1, t)
-            si = pr.greens_diff_closed(c, M_SI, r * LAM, rp * LAM, 0.2, -0.1, t * TAU,
-                                       HBAR_SI)
+            si = pr.greens_diff_closed(c, M_SI / HBAR_SI, r * LAM, rp * LAM, 0.2, -0.1,
+                                       t * TAU)
             assert abs(si * LAM ** 2 - nat) <= 1e-12 * abs(nat)
 
     @pytest.mark.parametrize("delta, rho0, k, alpha", SCAN_PACKETS)
@@ -148,11 +147,11 @@ class TestUnitSchemes:
             nat = pr.PacketConfig(delta, rho0, d / rho0, k)
             si = pr.PacketConfig(delta * LAM, rho0 * LAM, d / rho0, k / LAM)
             want = pr.delta_quadrature(nat, c, 1.0, rho0, 0.3, pr.peak_time(nat, rho0))
-            t_si = pr.peak_time(si, rho0 * LAM, M_SI, HBAR_SI)
-            got = pr.delta_quadrature(si, c, M_SI, rho0 * LAM, 0.3, t_si, HBAR_SI)
+            t_si = pr.peak_time(si, rho0 * LAM, M_SI / HBAR_SI)
+            got = pr.delta_quadrature(si, c, M_SI / HBAR_SI, rho0 * LAM, 0.3, t_si)
             assert abs(got * LAM - want) <= 1e-12 * abs(want)
             fit_nat = pr.transit_fit(nat, c)
-            fit_si = pr.transit_fit(si, c, M_SI, rho0 * LAM, HBAR_SI)
+            fit_si = pr.transit_fit(si, c, M_SI / HBAR_SI, rho0 * LAM)
             for key, bound in (("center", 1e-13), ("width", 1e-13)):
                 assert abs(fit_si[key] / TAU - fit_nat[key]) <= bound * fit_nat[key]
 

@@ -342,6 +342,16 @@ class TestPacket:
         assert abs(abs(ratio) - 1.0) <= 0.03
         assert abs(cmath.phase(ratio)) <= 0.2
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -2.0])
+    def test_integer_coupling_has_no_difference(self, alpha):
+        # no partial wave tells bare from shielded at integer alpha, 0 included
+        cfg = pr.PacketConfig(delta=4.0, rho0=55.0, theta0=0.05, k=13.0)
+        t = pr.peak_time(cfg, cfg.rho0)
+        c = Coupling(alpha)
+        assert pr.delta_closed(cfg, c, 1.0, cfg.rho0, 0.3, t) == 0
+        assert not pr.delta_closed(cfg, c, 1.0, cfg.rho0, 0.3, np.array([t, 1.1 * t])).any()
+        assert pr.delta_quadrature(cfg, c, 1.0, cfg.rho0, 0.3, t) == 0
+
     @pytest.mark.parametrize("alpha", [0.37, -0.61, -1.4, 1.25])
     def test_quadrature_matches_2d_fold(self, alpha):
         cfg = PACKETS[0]

@@ -148,6 +148,25 @@ class TestDiracStates:
         slope = np.polyfit(np.log(ks), np.log(mags), 1)[0]
         assert abs(slope - 1.0) < 0.02
 
+    @pytest.mark.parametrize("kind", ["bare", "shielded"])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -2.0])
+    def test_integer_coupling_is_free_wave(self, kind, alpha):
+        # no wave is swapped at integer alpha: either kind is the incident
+        # spinor times e^{-i k r cos(theta) + i alpha theta}, near and far, to
+        # the rounding of a phase of k r rad
+        c = Coupling(alpha)
+        thetas = np.linspace(-3.0, 3.0, 13)
+        w = KIN.k / (KIN.energy_E + KIN.rest_energy)
+        col = np.array([AMP.a1, AMP.a2, -w * AMP.a2, -w * AMP.a1])
+        for kr in (0.5, 7.3, 53.0):
+            want = np.outer(col, np.exp(-1j * kr * np.cos(thetas) + 1j * alpha * thetas))
+            got = sc.dirac_scattering_state(kind, AMP, c, KIN, kr, thetas).as_array()
+            assert np.abs(got - want).max() <= 1e-15 * (1.0 + kr), kr
+        for th in thetas[1:-1]:
+            want = col * cmath.exp(-1j * 100.0 * math.cos(th) + 1j * alpha * th)
+            got = sc.asymptotic_state(kind, AMP, c, KIN, 100.0, float(th)).as_array()
+            assert np.abs(got - want).max() <= 1e-15 * (1.0 + 100.0), th
+
     def test_asymptotic_agreement_per_component(self):
         for kind in ("shielded", "bare"):
             for kr in (100.0, 400.0):
