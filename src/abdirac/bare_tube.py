@@ -132,7 +132,9 @@ def interior_chi(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     (k_ch r)^m e^{-|alpha| rho^2/2} F(b|c||alpha| rho^2) with rho = r/r0 and
     m = |l_ch|; with U = 0 this is the bare-tube interior, otherwise the
     barrier-interior analogue.  Zero (or subnormal) coupling degenerates to
-    the free Bessel solution.
+    the free Bessel solution; OutOfRangeError where its J_m is below the
+    smallest normal double, which a real or imaginary J_m reaches only by
+    underflow (high m at small k_ch r).
     """
     if r < 0 or r > tube.r0:
         raise RegionError(f"r={r} outside the tube interior [0, {tube.r0}]")
@@ -148,6 +150,8 @@ def interior_chi(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
         if m > 170:
             raise OutOfRangeError(f"free interior: {m}! overflows double precision")
         val = sf.bessel_j(float(m), k_ch * r)
+        if not abs(val) >= sys.float_info.min:
+            raise OutOfRangeError(f"free interior: J_{m}({k_ch * r}) underflows")
         return complex(val * math.factorial(m) * 2.0 ** m)
     _, b, c = args
     z = abs(alpha) * (r / tube.r0) ** 2
@@ -160,7 +164,9 @@ def _interior_s(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
 
     Real, and +/-inf at a node of chi (F = 0, F' a normal double); any other
     F below the smallest normal double raises OutOfRangeError (at large k r0
-    both underflow to 0).  With F'(b|c|z) = (b/c) F(b+1|c+1|z) (DLMF 13.3.15),
+    both underflow to 0), as does a free-interior J_m below it (high m at
+    small k r0: J_m has no zero at a real or imaginary double argument).
+    With F'(b|c|z) = (b/c) F(b+1|c+1|z) (DLMF 13.3.15),
     F and F' come from two scalar `kummer_f` calls, at (b, c) and
     (b + 1, c + 1), and s = K + 2 |alpha| F'/F at z = |alpha|, where
     K = nu + m - |alpha| is 2 max(l' - |alpha|, 0) for l' >= 0 and 2m for
@@ -176,8 +182,8 @@ def _interior_s(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
         # free interior J_m(k_ch r): s = x J_{m-1}(x) / J_m(x) by DLMF 10.6.2
         x = cmath.sqrt(complex(tube.interior_ksq(channel, kin, U))) * tube.r0
         j_below, j = sf.bessel_j(np.array([m - 1.0, float(m)]), x).tolist()
-        if j == 0:
-            return math.inf
+        if not abs(j) >= sys.float_info.min:
+            raise OutOfRangeError(f"free interior: J_{m}({x}) underflows")
         return float((x * j_below / j).real)
     l_rel, b, c = args
     z = abs(alpha)

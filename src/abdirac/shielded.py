@@ -69,7 +69,8 @@ def barrier_log_derivative(l: int, channel: int, barrier: BarrierConfig,
     I'/I = I_{order+1}/I_order + order/x at x = kappa R0 (DLMF 10.29.2).
     The scaling e^{-x} cancels in the ratio, which stays finite where I_order
     itself overflows (kappa R0 beyond ~700); OutOfRangeError where the scaled
-    I_order underflows to 0 (high order at small kappa R0).  Real-valued;
+    I_order or I_order+1 falls below the smallest normal double (high order
+    at small kappa R0), where the ratio has lost its digits.  Real-valued;
     tends to 1 from below once kappa R0 >> 1.
     """
     x = barrier_kappa(kin, barrier.U) * barrier.R0
@@ -78,11 +79,18 @@ def barrier_log_derivative(l: int, channel: int, barrier: BarrierConfig,
 
 
 def _barrier_pair(l: int, channel: int, coupling: Coupling, x: float) -> tuple[float, ...]:
-    """(o, I_o, I_{o+1}) at x = kappa R0, o the barrier order: one `bessel_ie` call."""
+    """(o, I_o, I_{o+1}) at x = kappa R0, o the barrier order: one `bessel_ie` call.
+
+    OutOfRangeError where either scaled I is below the smallest normal double.
+    The pair stays one order array, tested by one reduction.  Two scalar
+    calls with their results tested in Python would cut a `matching_sweep`
+    pass further, but while the benchmark keeps every pass's outputs that
+    cut reads as a `peak_rss_mb` rise beyond its bound.
+    """
     order = _principal_order(l, channel, coupling)
     i0, i1 = sf.bessel_ie(np.array([order, order + 1.0]), x).tolist()
-    if i0 == 0.0:
-        raise OutOfRangeError(f"I'_nu/I_nu: scaled I_nu underflows at nu={order}, x={x}")
+    if min(i0, i1) < sys.float_info.min:
+        raise OutOfRangeError(f"I'_nu/I_nu: scaled I_nu or I_nu+1 underflows at nu={order}, x={x}")
     return order, i0, i1
 
 

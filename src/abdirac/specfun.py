@@ -60,21 +60,37 @@ scipy returns inf or nan where the library raises instead:
   diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: Kummer's F at c within 1e-12 of 0, -1, -2, ...
 
-A call makes two tests, each one reduction, or Python comparisons on the
-float route of ``bessel_j_hankel1`` (float nu and z: |nu| <= cap and
--inf < z < inf, then ``cmath.isfinite`` of J and of H) and of ``kummer_f``
-(float a, c and z).  A float input that fails either test takes the array
-route below, which raises.  The input test broadcasts |nu| <= cap,
-isfinite(z) and, for ``bessel_ie`` and ``bessel_ke``, z > 0 into one
-boolean and reduces it once; NaN and +-inf orders fail it, and the cap is
-clamped to the largest double, so an infinite ``max_order`` still refuses
-an infinite order.  The result test is one isfinite reduction.  Only when a
+A call makes two tests.  A scalar operand is tested as a Python scalar,
+an array by one reduction.  For a Python ``float`` argument
+(``np.float64`` included), or a Python ``complex`` one for the complex
+routines, the input test runs in Python: z finite and, for ``bessel_ie``
+and ``bessel_ke``, z > 0; then |nu| <= cap, in Python for a float order
+and by one reduction for an order array.  scipy gets the float, or
+complex(z) for the complex routines, the operand the array cast makes, so
+every value keeps its bits; a 0-d result is tested by ``cmath.isfinite``,
+an array result by one isfinite reduction.  The shielded weights' call,
+``bessel_ie`` on an order pair at a float x = kappa R0, takes this route
+with its pair left as one array: two scalar calls with their results
+tested in Python would cut a ``matching_sweep`` pass further, but while
+the benchmark keeps every pass's outputs that cut reads as a
+``peak_rss_mb`` rise beyond its bound.
+``bessel_j_hankel1`` (float nu and z: |nu| <= cap and -inf < z < inf,
+then ``cmath.isfinite`` of J and of H) and ``kummer_f`` (float a, c and
+z) keep float routes of their own; the matching formula calls the pair
+twice per weight, and one more function call on that path costs more
+than the shared test saves.
+
+Any other input, and any scalar test that fails, takes the array test,
+which broadcasts |nu| <= cap, isfinite(z) and, for ``bessel_ie`` and
+``bessel_ke``, z > 0 into one boolean and reduces it once; NaN and +-inf
+orders fail it, and the cap is clamped to the largest double, so an
+infinite ``max_order`` still refuses an infinite order.  Only when that
 test fails (or a conversion fails, or the broadcast fails or is empty) do
 the single guards run, one reduction each, in the order x > 0, order,
-argument, result (for ``kummer_f``: real parameters, pole, Re z, argument,
-result).  The first of them to fail raises its error and message above, as
-it would alone; the result guard tells z = 0 from an overflow only there.
-A call that passes both tests runs none of them.
+argument, result (for ``kummer_f``: real parameters, pole, Re z,
+argument, result).  The first of them to fail raises its error and
+message above, as it would alone; the result guard tells z = 0 from an
+overflow only there.  A call that passes both tests runs none of them.
 """
 
 from __future__ import annotations
@@ -144,7 +160,7 @@ def _positive(x, name: str):
     return x
 
 
-def _finite(out, z: np.ndarray, name: str) -> None:
+def _finite(out, z, name: str) -> None:
     """Raise for a non-finite element of out: SingularArgumentError if it sits
     at z = 0, else OutOfRangeError."""
     if not np.isfinite(out).all():
@@ -155,9 +171,15 @@ def _finite(out, z: np.ndarray, name: str) -> None:
 
 def _inputs(nu, z, name: str, dtype=np.complex128, max_order: float | None = None,
             positive: str | None = None):
-    """(nu, z) as arrays after one test of both: |nu| within `_bound`, z finite
-    and, where `positive` names the function, z > 0, broadcast into one
-    boolean and reduced once.
+    """(nu, z) for scipy after one test of both: |nu| within `_bound`, z
+    finite and, where `positive` names the function, z > 0.
+
+    A Python ``float`` z (``np.float64`` included), or for a complex `dtype`
+    a Python ``complex``, is tested in Python and handed on as the float, or
+    as complex(z), the operand the array cast would make; a float nu is then
+    tested in Python too, any other nu by one |nu| <= bound reduction.  Any
+    other z, or a scalar test that fails, takes the array test: the inputs
+    as arrays, broadcast into one boolean and reduced once.
 
     Only when that test fails, or a conversion or the broadcast does (a
     ComplexWarning counts, under an error filter), or the broadcast is empty
@@ -166,6 +188,17 @@ def _inputs(nu, z, name: str, dtype=np.complex128, max_order: float | None = Non
     to fail raises, as it would alone; if none does, the caller meets
     whatever scipy raises for the same inputs.
     """
+    if isinstance(z, float) or (dtype is np.complex128 and isinstance(z, complex)):
+        z_in = complex(z) if dtype is np.complex128 else z
+        if cmath.isfinite(z_in) and (positive is None or z_in > 0.0):
+            if isinstance(nu, float):
+                if abs(nu) <= _bound(max_order):
+                    return nu, z_in
+            else:
+                # a conversion that fails raises here what `_order` would
+                nu_in = np.asarray(nu, dtype=np.float64)
+                if (np.abs(nu_in) <= _bound(max_order)).all():
+                    return nu_in, z_in
     try:
         z_in = np.asarray(z, dtype=dtype)
         nu = np.asarray(nu, dtype=np.float64)
@@ -181,12 +214,17 @@ def _inputs(nu, z, name: str, dtype=np.complex128, max_order: float | None = Non
     return _order(nu, max_order), _argument(z, name, dtype)
 
 
-def _result(out, z: np.ndarray, name: str):
-    """out after one isfinite test (`_finite` raises if it fails); a Python
-    scalar if 0-d, else the array."""
-    if not np.isfinite(out).all():
+def _result(out, z, name: str):
+    """out after one finiteness test (`_finite` raises if it fails): an
+    array by one isfinite reduction, returned as it is; a numpy scalar by
+    `cmath.isfinite`, returned as a Python scalar."""
+    if isinstance(out, np.ndarray):
+        if not np.isfinite(out).all():
+            _finite(out, z, name)
+        return out
+    if not cmath.isfinite(out):
         _finite(out, z, name)
-    return out.item() if np.ndim(out) == 0 else out
+    return out.item()
 
 
 def _evaluate(fn, nu, z, name: str, dtype=np.complex128, max_order: float | None = None,

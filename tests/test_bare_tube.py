@@ -68,6 +68,29 @@ class TestInteriorChi:
         with pytest.raises(OutOfRangeError):
             bt.interior_chi(171, 1, tube, make_kinematics(k=1.0), 0.5)
 
+    def test_free_interior_underflow_raises(self):
+        # scipy flushes J_m(0.1) to 0 from m = 101 on, while 40-digit mpmath
+        # keeps chi = J_m(0.1) m! 2^m ~ 0.1^m and Lambda ~ 2m/(k r0) finite:
+        # neither may read 0 or inf, at zero and at subnormal coupling alike.
+        # At m = 100, where J_m is normal, both still agree with mpmath
+        kin, x = make_kinematics(k=1.0), mpmath.mpf(0.1)
+        with mpmath.workdps(40):
+            chi = {m: mpmath.besselj(m, x) * mpmath.factorial(m) * 2 ** m for m in (100, 108)}
+            lam = {m: (x * mpmath.besselj(m - 1, x) / mpmath.besselj(m, x) - m) / x
+                   for m in (100, 102)}
+        assert abs(chi[108] / mpmath.mpf("1.0e-108") - 1) < 1e-4
+        assert abs(lam[102] - mpmath.mpf("1019.9995")) < 1e-3
+        for alpha in (0.0, 5e-324):
+            tube = TubeConfig(0.1, Coupling(alpha))
+            with pytest.raises(OutOfRangeError):
+                bt.interior_chi(108, 1, tube, kin, r=0.1)
+            with pytest.raises(OutOfRangeError):
+                bt.log_derivative_interior(102, 1, tube, kin)
+            got = bt.interior_chi(100, 1, tube, kin, r=0.1)
+            assert abs(got - complex(chi[100])) <= 1e-13 * abs(complex(chi[100]))
+            got = bt.log_derivative_interior(100, 1, tube, kin)
+            assert abs(got - float(lam[100])) <= 1e-13 * float(lam[100])
+
 
 class TestLogDerivative:
     def test_small_tube_limit_channel1(self):

@@ -173,6 +173,24 @@ class TestBarrierLogDerivative:
             with pytest.raises(RegimeError):
                 BarrierConfig(R0=r0, U=b.U)
 
+    def test_underflowed_upper_order_raises(self):
+        # order 104.59 at kappa R0 ~ 0.1: the scaled I_nu = 4.75e-304 is
+        # normal but I_nu+1 underflows to 0, and I_nu+1/I_nu would read 0
+        # where 40-digit mpmath keeps a finite, different Lambda; the weights
+        # built on the same pair refuse it too
+        coupling = Coupling(0.41)
+        b, kin = BarrierConfig(R0=0.1, U=1.0), make_kinematics(k=0.05)
+        x, order = barrier_kappa(kin, b.U) * b.R0, bt._principal_order(105, 1, coupling)
+        i0, i1 = sf.bessel_ie(np.array([order, order + 1.0]), x)
+        assert 0.0 < i0 < 1e-300 and i1 == 0.0
+        with mpmath.workdps(40):
+            xm, om = mpmath.mpf(x), mpmath.mpf(order)
+            want = mpmath.besseli(om + 1, xm) / mpmath.besseli(om, xm) + om / xm
+        assert abs(want - mpmath.mpf("1045.90129")) < 1e-5
+        for fn in (sh.barrier_log_derivative, sh.f_factor, sh.shielded_matching):
+            with pytest.raises(OutOfRangeError):
+                fn(105, 1, b, kin, coupling)
+
     def test_equals_two_call_formula(self):
         # I'/I as two scalar ive calls on numpy doubles,
         # ive(nu + 1, x) / ive(nu, x) + nu / x, over the matching_sweep grid:

@@ -742,6 +742,15 @@ class TestValidCallsSkipTheGuards:
             sf.kummer_f(nu, KUMMER_C, z)
             sf.kummer_f(nu, KUMMER_C, -z + 0.5j)
         sf.bessel_j_ladder(0.3, 4, 2.0)
+        # the scalar rule: an order pair beside a Python-float x, as a
+        # shielded weight calls bessel_ie, and Python-complex arguments
+        pair = np.array([0.59, 1.59])
+        for x in (0.1, 50.0, np.float64(3.0)):
+            sf.bessel_ie(pair, x)
+            sf.bessel_ke(pair, x)
+        for z in (2.0j, 1.0 - 0.5j, np.complex128(3.0j)):
+            sf.bessel_j(0.3, z)
+            sf.bessel_j(orders, z)
         # the pair's Python-float route, Python floats and numpy float64
         for nu, z in ((-1.3, 0.5), (np.float64(2.7), np.float64(4.0)),
                       (np.float64(0.3), 1.0), (0.3, np.float64(1e-3))):
@@ -834,12 +843,14 @@ def _route_inputs(complex_too: bool) -> list:
     return out + [True, False]
 
 
-def _outcome(fn, *args):
-    """Types and raw bits of fn's two results, or its error type and message."""
+def _outcome(fn, *args, **kwargs):
+    """Types and raw bits of fn's result (each of a pair), or its error type
+    and message."""
     try:
-        out = fn(*args)
+        out = fn(*args, **kwargs)
     except Exception as exc:  # the error itself is the outcome compared
         return type(exc), str(exc)
+    out = out if isinstance(out, tuple) else (out,)
     return [type(v) for v in out], [_bits(v) for v in out]
 
 
@@ -861,3 +872,52 @@ class TestPairFloatRoute:
                 cases += 1
         assert cases == 36 * 56
 
+
+def _guarded(name, nu, z, max_order=None, label=None):
+    """`name` at (nu, z) through its single guards alone, in their order
+    (x > 0, order, argument), then its raw scipy routine on the cast inputs
+    and the result guard: a Python scalar for a 0-d result."""
+    routine, dtype = SCIPY_ROUTINES[name]
+    label = label or ORDER_FUNCTIONS[name][0]
+    if dtype is np.float64:
+        sf._positive(z, name)
+    nu_in = sf._order(nu, max_order)
+    z_in = sf._argument(z, label, dtype)
+    out = routine(nu_in, z_in)
+    sf._finite(out, z_in, label)
+    return out.item() if np.ndim(out) == 0 else out
+
+
+# orders of the scalar-rule battery: floats, an order pair, an empty array,
+# a pair with one NaN, and orders whose cast fails (a complex one warns, an
+# error under this suite's filter)
+SCALAR_RULE_ORDERS = [0.3, -1.3, np.array([0.3, -1.3]), np.array([]), np.array([0.3, NAN]),
+                      "x", np.array([1.0 + 1.0j])]
+
+
+class TestScalarArgumentRule:
+    """A Python-float argument (and for the complex routines a Python
+    complex) is tested in Python, beside a float order or one reduction over
+    an order array.  Over each kind of argument, valid or not, every
+    function returns the types and bits of its raw routine on the cast
+    inputs, or raises what its single guards raise in their order."""
+
+    def test_battery_equals_the_guarded_routine(self):
+        cases = 0
+        for nu in SCALAR_RULE_ORDERS:
+            for z in _route_inputs(complex_too=True):
+                for name in SCIPY_ROUTINES:
+                    want = _outcome(_guarded, name, nu, z)
+                    assert _outcome(getattr(sf, name), nu, z) == want, (name, nu, z)
+                    cases += 1
+                want = _outcome(_guarded, "bessel_j", nu, z, max_order=1.0)
+                assert _outcome(sf.bessel_j, nu, z, max_order=1.0) == want, (nu, z)
+                cases += 1
+        assert cases == 7 * 56 * 8
+
+    def test_ladder_equals_the_guarded_routine(self):
+        for nu0 in (0.3, -1.3, -150.5, NAN):
+            for z in _route_inputs(complex_too=True):
+                want = _outcome(_guarded, "bessel_j", float(nu0) + np.arange(2), complex(z),
+                                label="J ladder")
+                assert _outcome(sf.bessel_j_ladder, nu0, 2, z) == want, (nu0, z)
