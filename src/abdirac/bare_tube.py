@@ -350,7 +350,7 @@ def _ladder_components(l: int, alpha: float, kin: Kinematics, r: float,
     """Spinor components a1 J_nu1, a2 J_nu2 at r > 0 and the lower pair the
     ladder relation derives from them: chi3 from channel 2, chi4 from channel 1."""
     k = kin.k
-    cfac = -1j * kin.hbar * kin.c / (kin.energy_E + kin.rest_energy)
+    cfac = -1j / (kin.energy_E + kin.mass_M)
     order3, sign3 = _lower_order(l, 2, alpha, nu2)
     order4, sign4 = _lower_order(l, 1, alpha, nu1)
     j1, j2, j3, j4 = sf.bessel_j(np.array([nu1, nu2, order3, order4]), k * r).tolist()
@@ -436,12 +436,12 @@ def _spinor_jump(l: int, channel: int, alpha: float, kin: Kinematics, U: float,
     """Carry s = nu + r d(ln chi)/dr across the potential step U -> 0.
 
     By the ladder relation the lower spinor component is proportional to
-    (chi' + (g/r) chi) / (ew - phi), ew = E + Mc^2, and continuous with chi,
+    (chi' + (g/r) chi) / (ew - phi), ew = E + M, and continuous with chi,
     so s_out = (ew s_in + U (g - nu)) / (ew - U).  Undefined at U = ew.
     """
-    ew = kin.energy_E + kin.rest_energy
+    ew = kin.energy_E + kin.mass_M
     if ew == U:
-        raise RegimeError("barrier height E + Mc^2 excluded (matching degenerates)")
+        raise RegimeError("barrier height E + M excluded (matching degenerates)")
     g = _ladder_coefficient(l, channel, alpha)
     return (ew * s_in + U * (g - exterior_order(l, channel, alpha))) / (ew - U)
 
@@ -461,8 +461,7 @@ def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     l_ch, spin = channel_index(l, channel)
     alpha = tube.coupling.alpha
     r0 = tube.r0
-    hbarc = kin.hbar * kin.c
-    rest = kin.rest_energy
+    M = kin.mass_M
     E = kin.energy_E
     m = abs(l_ch)
     U = barrier.U if barrier is not None else 0.0
@@ -480,7 +479,7 @@ def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
 
     def rhs(r, y, inside_tube: bool, in_barrier: bool):
         phi = U if in_barrier else 0.0
-        esq = ((E - phi) ** 2 - rest * rest) / (hbarc * hbarc)
+        esq = (E - phi) ** 2 - M * M
         if inside_tube:
             a_term = alpha * (r / r0) ** 2
             spin_term = spin * tube.qB_over_hbar
@@ -513,7 +512,7 @@ def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     # keeps the m = 0 derivative away from an exact zero
     phi0 = U if barrier is not None else 0.0
     q_smooth = (
-        ((E - phi0) ** 2 - rest * rest) / (hbarc * hbarc)
+        (E - phi0) ** 2 - M * M
         + spin * tube.qB_over_hbar
         + 2.0 * l_ch * alpha / (r0 * r0)
     )

@@ -2,12 +2,16 @@
 
 Unit conventions
 ----------------
-The default scheme is natural units hbar = c = M = 1: lengths are measured in
-Compton wavelengths hbar/Mc and energies in rest-mass units Mc^2, which makes
-every formula in the library coefficient-free.  All types carry explicit
-`hbar` and `c` so that the same code also runs with SI inputs; dimensionless
-outputs must agree between the two schemes.  The non-relativistic packet
-layer (`propagate`) takes the one mass scale M / hbar as its `mass`.
+The Dirac and packet layers work on one scale, inverse length.  The Dirac
+layer takes the energy as E / hbar c (rest mass included), the mass as
+Mc / hbar and a barrier height as U / hbar c, inverse lengths like the
+wavenumber k, which makes every formula coefficient-free; the packet layer
+(`propagate`) takes the one mass scale M / hbar as its `mass`.  Natural units
+hbar = c = M = 1 measure lengths in Compton wavelengths hbar / Mc, so
+Mc / hbar = 1 and energies are in rest-mass units Mc^2.  SI inputs are
+lengths in m: an electron's M becomes Mc / hbar = 2.59e12 1/m, E becomes
+E / hbar c and U becomes U / hbar c.  Dimensionless outputs agree between the
+two schemes.
 
 The flux coupling is the signed dimensionless number alpha = qF/(2 pi hbar).
 For an electron q = -e < 0, so alpha and the flux F have opposite signs; the
@@ -21,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import RegimeError
 
@@ -70,45 +74,28 @@ class Coupling:
 
 @dataclass(frozen=True)
 class Kinematics:
-    """Energy / mass / wavenumber bundle for the incident electron.
+    """Energy / mass / wavenumber of the incident electron, each an inverse
+    length: `energy_E` is E/hbar c (rest mass included), `mass_M` is Mc/hbar,
+    and E^2 = M^2 + k^2.  `make_kinematics` builds one from E or from k.
 
-    `energy_E` includes the rest mass.  A barrier's decay constant follows
-    from its own height, `barrier_kappa(kin, U)`.
+    A barrier's decay constant follows from its own height,
+    `barrier_kappa(kin, U)`.
     """
 
     energy_E: float
-    mass_M: float = 1.0
-    hbar: float = 1.0
-    c: float = 1.0
-    k_exact: float | None = None
-    k: float = field(init=False)
+    mass_M: float
+    k: float
 
     def __post_init__(self):
-        E, M, hbar, c = self.energy_E, self.mass_M, self.hbar, self.c
-        if not (0 <= M < math.inf and 0 < hbar < math.inf and 0 < c < math.inf):
+        E, M, k = self.energy_E, self.mass_M, self.k
+        if not 0 <= M < math.inf:
+            raise RegimeError(f"mass {M} must be finite and non-negative")
+        # the lower components carry 1/(E + M): E must be a normal double
+        if not (M <= E < math.inf and sys.float_info.min <= E):
             raise RegimeError(
-                f"mass {M} must be finite and non-negative, hbar {hbar} and c {c} "
-                f"finite and positive")
-        rest = M * c * c
-        if not rest <= E < math.inf:
-            raise RegimeError(f"energy {E} not finite or below the rest mass {rest}")
-        if self.k_exact is not None:
-            # near-threshold energies lose k to cancellation in E^2 - (Mc^2)^2;
-            # an explicitly supplied wavenumber survives that
-            k = self.k_exact
-            if not 0 <= k < math.inf:
-                raise RegimeError(f"wavenumber {k} not finite or negative")
-        else:
-            if not 0 < hbar * c < math.inf:
-                raise RegimeError(f"hbar c = {hbar * c} not finite and positive")
-            k = math.sqrt(max(E * E - rest * rest, 0.0)) / (hbar * c)
-            if not k < math.inf:
-                raise RegimeError(f"wavenumber at energy {E} overflows")
-        object.__setattr__(self, "k", k)
-
-    @property
-    def rest_energy(self) -> float:
-        return self.mass_M * self.c * self.c
+                f"energy {E} must be finite, a normal double and at least the mass {M}")
+        if not 0 <= k < math.inf:
+            raise RegimeError(f"wavenumber {k} not finite or negative")
 
 
 def channel_index(l: int, channel: int) -> tuple[int, int]:
@@ -125,42 +112,39 @@ def channel_index(l: int, channel: int) -> tuple[int, int]:
 
 
 def barrier_kappa(kin: Kinematics, U: float) -> float:
-    """Evanescent decay constant kappa inside a barrier of height U.
+    """Evanescent decay constant kappa inside a barrier of height U / hbar c.
 
-    Requires the shielding window E - Mc^2 < U < E + Mc^2, otherwise the
-    barrier region is not evanescent and the construction does not apply.
+    Requires the shielding window E - M < U < E + M, otherwise the barrier
+    region is not evanescent and the construction does not apply.
     """
-    E, rest = kin.energy_E, kin.rest_energy
-    if not (E - rest < U < E + rest):
+    E, M = kin.energy_E, kin.mass_M
+    if not (E - M < U < E + M):
         raise RegimeError(
             f"barrier height U={U} outside the evanescent window "
-            f"({E - rest}, {E + rest})"
+            f"({E - M}, {E + M})"
         )
-    return math.sqrt(rest * rest - (E - U) ** 2) / (kin.hbar * kin.c)
+    return math.sqrt(M * M - (E - U) ** 2)
 
 
-def make_kinematics(
-    E: float | None = None,
-    M: float = 1.0,
-    hbar: float = 1.0,
-    c: float = 1.0,
-    k: float | None = None,
-) -> Kinematics:
+def make_kinematics(E: float | None = None, M: float = 1.0,
+                    k: float | None = None) -> Kinematics:
     """Build a Kinematics bundle from total energy or wavenumber.
 
-    Exactly one of `E` (total energy, rest mass included) and `k` must be
-    given; supplying `k` keeps near-threshold wavenumbers exact.
+    Exactly one of `E` (E/hbar c, rest mass included) and `k` must be given;
+    the other follows from E^2 = M^2 + k^2.  Supplying `k` keeps
+    near-threshold wavenumbers exact, which E^2 - M^2 would lose to
+    cancellation.
     """
     if (E is None) == (k is None):
         raise RegimeError("specify exactly one of E and k")
     if E is None:
-        rest = M * c * c
         try:
-            E = math.sqrt(rest * rest + (hbar * c * k) ** 2)
+            E = math.sqrt(M * M + k ** 2)
         except OverflowError:
             raise RegimeError(f"wavenumber k={k} overflows the energy") from None
-        return Kinematics(energy_E=E, mass_M=M, hbar=hbar, c=c, k_exact=k)
-    return Kinematics(energy_E=E, mass_M=M, hbar=hbar, c=c)
+    else:
+        k = math.sqrt(max(E * E - M * M, 0.0))
+    return Kinematics(energy_E=E, mass_M=M, k=k)
 
 
 @dataclass(frozen=True)
@@ -207,7 +191,8 @@ def field_free_ksq(kin: Kinematics, U: float) -> float:
 
 @dataclass(frozen=True)
 class BarrierConfig:
-    """Cylindrical shielding barrier: outer radius R0 and height U."""
+    """Cylindrical shielding barrier: outer radius R0 and height U / hbar c
+    (an inverse length, like the energy of `Kinematics`)."""
 
     R0: float
     U: float

@@ -8,11 +8,11 @@ for nu in [0, 1); general coupling reduces to it by the gauge shift
 alpha -> alpha - [alpha] with an overall e^{i [alpha] theta} phase.  The
 shielded four-spinor rides this scalar function plus a divergent Hankel
 correction on the lower components, every correction carrying the factor
-hbar k / ((E + Mc^2)/c), which is how the state collapses onto the spinless
-wave function in the non-relativistic limit.  The bare string adds one more
-column that survives that limit, in its anomalous channel
-(`bare_tube.anomalous_channel`): proportional to the upper amplitude a1 at
-alpha > 0 (channel 1) and to a2 at alpha < 0 (channel 2).
+k / (E + M) (hbar c k / (E + Mc^2) in energy units), which is how the state
+collapses onto the spinless wave function in the non-relativistic limit.
+The bare string adds one more column that survives that limit, in its
+anomalous channel (`bare_tube.anomalous_channel`): proportional to the upper
+amplitude a1 at alpha > 0 (channel 1) and to a2 at alpha < 0 (channel 2).
 
 A row (one radius, any number of angles) is one coefficient matrix over
 signed l in [-l_max, l_max] with one column per spinor component: the
@@ -274,8 +274,9 @@ def ab_wavefunction(coupling: Coupling, kin: Kinematics, r: float, theta,
 
 
 def _lower_weight(kin: Kinematics) -> float:
-    """hbar c k / (E + Mc^2): the small parameter of the lower components."""
-    return kin.hbar * kin.c * kin.k / (kin.energy_E + kin.rest_energy)
+    """k / (E + M), hbar c k / (E + Mc^2) in energy units: the small
+    parameter of the lower components."""
+    return kin.k / (kin.energy_E + kin.mass_M)
 
 
 def _swapped_waves(kind: str, coupling: Coupling) -> tuple[tuple[int, int], ...]:

@@ -178,7 +178,8 @@ def finite_tube_barrier_ratio(l: int, channel: int, tube: TubeConfig,
 
 def shielded_sweep_point(kR0: float, kappaR0: float = 50.0, U: float = 1.0,
                          M: float = 1.0) -> tuple[BarrierConfig, Kinematics]:
-    """Barrier/kinematics pair realizing a target (kR0, kappaR0) in natural units.
+    """Barrier/kinematics pair realizing a target (kR0, kappaR0).  U and M
+    are inverse lengths, as in `Kinematics`; the defaults are natural units.
 
     The barrier radius is fixed from the threshold decay constant
     kappa0 = sqrt(U (2M - U)); sweeping kR0 then only moves the energy.

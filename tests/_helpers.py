@@ -125,7 +125,7 @@ def denominator_leading_form(l: int, channel: int, barrier: BarrierConfig,
     this returns bracket * H_nu(kR0) for direct comparison with the exact one.
     """
     nu = exterior_order(l, channel, coupling.alpha)
-    ew = kin.energy_E + kin.rest_energy
+    ew = kin.energy_E + kin.mass_M
     U = barrier.U
     kappa = barrier_kappa(kin, U)
     x = kin.k * barrier.R0
@@ -166,7 +166,7 @@ def mp_dirac_state(kind: str, amplitudes, coupling: Coupling, kin, r: float,
     is the regular sum sum_l e^{-i pi |l - nu|/2} J_{|l - nu|}(kr) e^{i l theta}
     at the reduced coupling nu = frac(alpha); psi_l0 and psi_l1 are psi with
     the l = 0 (l = 1) wave J_mu, mu = nu (1 - nu), exchanged for the
-    divergent e^{i pi mu/2} J_{-mu}.  With w = hbar c k / (E + Mc^2):
+    divergent e^{i pi mu/2} J_{-mu}.  With w = k / (E + M):
     shielded (a1 psi, a2 psi, -w a2 psi_l0, -w a1 psi_l1); bare at alpha > 0
     (a1 psi_l0, a2 psi, -w a2 psi_l0, -w a1 psi) and at alpha < 0, where the
     surviving wave is in spin channel 2, (a1 psi, a2 psi_l1, -w a2 psi,
@@ -177,8 +177,7 @@ def mp_dirac_state(kind: str, amplitudes, coupling: Coupling, kin, r: float,
     out = np.empty((4, len(thetas)), dtype=complex)
     with mpmath.workdps(dps):
         a1, a2 = mpmath.mpc(complex(amplitudes.a1)), mpmath.mpc(complex(amplitudes.a2))
-        w = (mpmath.mpf(kin.hbar) * kin.c * kin.k
-             / (mpmath.mpf(kin.energy_E) + kin.rest_energy))
+        w = mpmath.mpf(kin.k) / (mpmath.mpf(kin.energy_E) + kin.mass_M)
         for j, theta in enumerate(thetas):
             th = mpmath.mpf(float(theta))
             psi = mpmath.fsum(c * mpmath.expj(l * th) for l, c in waves.items())

@@ -1,22 +1,28 @@
-"""The public surface of `abdirac`: what each module exports, and how many knobs.
+"""The public surface of `abdirac`: what each module exports, how many knobs,
+and the library names the benchmark under `perfbench/` calls.
 
-Both checks read the source with `ast`, so they see exactly what a reader of
+The checks read the source with `ast`, so they see exactly what a reader of
 the package sees.  A new defaulted parameter of a public function has to raise
 `MAX_PUBLIC_DEFAULTS` here, which makes every new knob a visible decision.
 """
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "abdirac"
+from abdirac.model import Kinematics
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "abdirac"
+BENCH = ROOT / "perfbench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # defaulted parameters (positional defaults plus keyword-only ones) over every
 # `def` in src/abdirac whose name has no leading underscore
-MAX_PUBLIC_DEFAULTS = 29
+MAX_PUBLIC_DEFAULTS = 27
 
 
 def _tree(path: pathlib.Path) -> ast.Module:
@@ -59,9 +65,46 @@ def test_public_defaulted_parameters_within_bound():
     assert count <= MAX_PUBLIC_DEFAULTS
 
 
-def test_packet_layer_takes_mass_over_hbar_alone():
-    # M and hbar enter the packet layer only as the ratio `mass` = M / hbar
-    takes_hbar = [node.name for module, node in _public_functions()
-                  if module == "propagate"
-                  and "hbar" in {a.arg for a in node.args.args + node.args.kwonlyargs}]
-    assert takes_hbar == []
+def test_one_scale_no_public_function_takes_hbar_or_c():
+    # both layers work on one inverse-length scale: the packet layer takes
+    # `mass` = M / hbar, the Dirac layer E / hbar c and Mc / hbar (specfun's
+    # `c` is Kummer's parameter in F(a|c|z), not a unit)
+    takes_units = [f"{module}.{node.name}" for module, node in _public_functions()
+                   if module != "specfun"
+                   and {"hbar", "c"} & {a.arg for a in node.args.args + node.args.kwonlyargs}]
+    assert takes_units == []
+    assert [f.name for f in dataclasses.fields(Kinematics)] == ["energy_E", "mass_M", "k"]
+
+
+def _bench_names() -> tuple[set[str], set[str]]:
+    """'module.name' for each library name the benchmark uses: the traced
+    functions of `tracing.TARGETS`, and in `workloads.py` every name imported
+    from an abdirac module and every attribute of an imported one."""
+    targets = set()
+    for node in ast.walk(_tree(BENCH / "tracing.py")):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            targets.update(ast.literal_eval(node.value))
+    tree = _tree(BENCH / "workloads.py")
+    aliases, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "abdirac":
+            aliases.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("abdirac."):
+            used.update(f"{node.module.removeprefix('abdirac.')}.{a.name}" for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases:
+            used.add(f"{aliases[node.value.id]}.{node.attr}")
+    return targets, used
+
+
+def test_benchmark_library_names_resolve():
+    # a library change that renames or drops one of these breaks a traced
+    # benchmark run, which no other test imports
+    targets, used = _bench_names()
+    assert targets and used
+    missing = [name for name in sorted(targets | used)
+               if not hasattr(importlib.import_module(f"abdirac.{name.split('.')[0]}"),
+                              name.split(".")[1])]
+    assert missing == []

@@ -458,7 +458,7 @@ class TestBareStringRadial:
         # the four components with one scalar bessel_j call each
         k = kin.k
         x = k * r
-        cfac = -1j * kin.hbar * kin.c / (kin.energy_E + kin.rest_energy)
+        cfac = -1j / (kin.energy_E + kin.mass_M)
 
         def lower(nu, channel):
             order, sign = bt._lower_order(l, channel, alpha, nu)
@@ -496,7 +496,7 @@ class TestBareStringRadial:
         # (anomalous order swap) and shielded partial waves near the origin
         kin = make_kinematics(k=0.5)
         r = kr / kin.k
-        cfac = -1j * kin.hbar * kin.c / (kin.energy_E + kin.rest_energy)
+        cfac = -1j / (kin.energy_E + kin.mass_M)
         worst = 0.0
         for alpha in (0.3, -0.4, 1.3, 0.7):
             c = Coupling(alpha)
@@ -530,7 +530,7 @@ class TestBareStringRadial:
                 f0 = bt.bare_string_radial(l, c, kin, r)
                 fp = bt.bare_string_radial(l, c, kin, r + h)
                 fm = bt.bare_string_radial(l, c, kin, r - h)
-                cfac = -1j * kin.hbar * kin.c / (kin.energy_E + kin.rest_energy)
+                cfac = -1j / (kin.energy_E + kin.mass_M)
                 chi3_fd = cfac * (
                     (fp.chi2 - fm.chi2) / (2 * h) + ((l + 1 - alpha) / r) * f0.chi2
                 )
@@ -618,12 +618,11 @@ class TestOdeOracle:
         # differ only by the sign of the field coupling term
         tube = tube_at(0.3, 0.4)
         kin = KIN
-        hbarc = kin.hbar * kin.c
-        rest = kin.rest_energy
+        M = kin.mass_M
 
         def q_term(l_ch, spin, r):
             a_term = tube.coupling.alpha * (r / tube.r0) ** 2
-            esq = (kin.energy_E ** 2 - rest * rest) / hbarc ** 2
+            esq = kin.energy_E ** 2 - M * M
             return esq - ((l_ch - a_term) / r) ** 2 + spin * tube.qB_over_hbar
 
         r = 0.5 * tube.r0
@@ -715,7 +714,7 @@ class TestGuards:
 
     def test_ode_oracle_rejects_step_at_e_plus_mc2(self):
         kin = make_kinematics(k=0.5)
-        barrier = BarrierConfig(R0=1.0, U=kin.energy_E + kin.rest_energy)
+        barrier = BarrierConfig(R0=1.0, U=kin.energy_E + kin.mass_M)
         with pytest.raises(RegimeError):
             bt.ode_radial_oracle(0, 1, TubeConfig(0.1, Coupling(0.3)), kin, 2.0,
                                  barrier=barrier)

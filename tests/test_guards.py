@@ -189,17 +189,20 @@ def test_shielded_sweep_point(kr0, kappa_r0, U, M):
 
 
 @SETTINGS
-@given(k=_or_edge(0.0, 10.0), M=_or_edge(0.5, 2.0), hbar=_or_edge(0.5, 2.0), c=_or_edge(0.5, 2.0))
-@example(k=1e308, M=1.0, hbar=1.0, c=1.0)
-def test_make_kinematics_from_k(k, M, hbar, c):
-    _finite_or_typed(lambda: make_kinematics(k=k, M=M, hbar=hbar, c=c))
+@given(k=_or_edge(0.0, 10.0), M=_or_edge(0.5, 2.0))
+@example(k=1e308, M=1.0)
+@example(k=0.0, M=0.0)
+@example(k=1e-310, M=0.0)
+def test_make_kinematics_from_k(k, M):
+    _finite_or_typed(lambda: make_kinematics(k=k, M=M))
 
 
 @SETTINGS
-@given(E=_or_edge(1.0, 10.0), M=_or_edge(0.5, 1.0), hbar=_or_edge(0.5, 2.0),
-       c=_or_edge(0.5, 1.0))
-def test_make_kinematics_from_energy(E, M, hbar, c):
-    _finite_or_typed(lambda: make_kinematics(E=E, M=M, hbar=hbar, c=c))
+@given(E=_or_edge(1.0, 10.0), M=_or_edge(0.5, 1.0))
+@example(E=0.0, M=0.0)
+@example(E=1e308, M=1.0)
+def test_make_kinematics_from_energy(E, M):
+    _finite_or_typed(lambda: make_kinematics(E=E, M=M))
 
 
 @SETTINGS
@@ -238,18 +241,19 @@ def test_ab_wavefunction(alpha, r, theta, tol):
 
 
 @SETTINGS
-@given(alpha=ALPHA, kind=st.sampled_from(("bare", "shielded")), r=_or_edge(0.5, 200.0),
-       theta=ANGLE, tol=_or_edge(1e-30, 1e-6))
-@example(alpha=0.3, kind="bare", r=10.0, theta=1e308, tol=1e-10)
-@example(alpha=0.3, kind="shielded", r=10.0, theta=1e308, tol=1e-10)
-@example(alpha=0.3, kind="bare", r=1e308, theta=0.3, tol=1e-10)
-@example(alpha=0.3, kind="shielded", r=1e308, theta=0.3, tol=1e-10)
-@example(alpha=0.3, kind="bare", r=10.0, theta=0.3, tol=math.inf)
-@example(alpha=0.3, kind="shielded", r=10.0, theta=0.3, tol=math.inf)
-def test_dirac_scattering_state(alpha, kind, r, theta, tol):
+@given(alpha=ALPHA, kind=st.sampled_from(("bare", "shielded")), k=_or_edge(1e-3, 5.0),
+       M=MASS, r=_or_edge(0.5, 200.0), theta=ANGLE, tol=_or_edge(1e-30, 1e-6))
+@example(alpha=0.3, kind="bare", k=1.0, M=1.0, r=10.0, theta=1e308, tol=1e-10)
+@example(alpha=0.3, kind="shielded", k=1.0, M=1.0, r=10.0, theta=1e308, tol=1e-10)
+@example(alpha=0.3, kind="bare", k=1.0, M=1.0, r=1e308, theta=0.3, tol=1e-10)
+@example(alpha=0.3, kind="shielded", k=1.0, M=1.0, r=1e308, theta=0.3, tol=1e-10)
+@example(alpha=0.3, kind="bare", k=1.0, M=1.0, r=10.0, theta=0.3, tol=math.inf)
+@example(alpha=0.3, kind="shielded", k=1.0, M=1.0, r=10.0, theta=0.3, tol=math.inf)
+@example(alpha=0.3, kind="bare", k=1e-310, M=0.0, r=1e300, theta=0.2, tol=1e-10)
+def test_dirac_scattering_state(alpha, kind, k, M, r, theta, tol):
     _row_or_typed(lambda: sc.dirac_scattering_state(
-        kind, SpinorAmplitudes(0.8 + 0.1j, 0.5 - 0.2j), Coupling(alpha), KIN1, r, theta, tol),
-        tol)
+        kind, SpinorAmplitudes(0.8 + 0.1j, 0.5 - 0.2j), Coupling(alpha),
+        make_kinematics(k=k, M=M), r, theta, tol), tol)
 
 
 @SETTINGS
@@ -360,10 +364,11 @@ def test_ode_radial_oracle(l, channel, alpha, barrier, r_max_over_edge, rtol):
 
 
 @SETTINGS
-@given(l=L, alpha=COUPLING, k=_or_edge(1e-3, 5.0), r=_or_edge(0.0, 50.0))
-def test_bare_string_radial(l, alpha, k, r):
+@given(l=L, alpha=COUPLING, k=_or_edge(1e-3, 5.0), M=MASS, r=_or_edge(0.0, 50.0))
+@example(l=0, alpha=0.3, k=0.0, M=0.0, r=1.0)
+def test_bare_string_radial(l, alpha, k, M, r):
     def call():
-        return bt.bare_string_radial(l, Coupling(alpha), make_kinematics(k=k), r)
+        return bt.bare_string_radial(l, Coupling(alpha), make_kinematics(k=k, M=M), r)
 
     if r != 0.0:
         _finite_or_typed(call)
@@ -385,11 +390,12 @@ def test_barrier_radial_limit(l, channel, alpha, R0, U, k, r):
 
 
 @SETTINGS
-@given(l=L, alpha=COUPLING, k=_or_edge(1e-3, 5.0), r=_or_edge(1e-3, 50.0),
+@given(l=L, alpha=COUPLING, k=_or_edge(1e-3, 5.0), M=MASS, r=_or_edge(1e-3, 50.0),
        a1=_or_edge(-2.0, 2.0), a2=_or_edge(-2.0, 2.0))
-def test_shielded_eigenfunction(l, alpha, k, r, a1, a2):
+@example(l=0, alpha=0.3, k=0.0, M=0.0, r=1.0, a1=1.0, a2=1.0)
+def test_shielded_eigenfunction(l, alpha, k, M, r, a1, a2):
     _finite_or_typed(lambda: sh.shielded_eigenfunction(
-        l, Coupling(alpha), make_kinematics(k=k), r, a1, a2))
+        l, Coupling(alpha), make_kinematics(k=k, M=M), r, a1, a2))
 
 
 @SETTINGS

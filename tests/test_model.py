@@ -58,14 +58,14 @@ class TestCoupling:
             assert np.array_equal(got.as_array(), want.as_array())
 
 
-# SI: hbar, c and the electron mass; lengths scale by the Compton length
-# hbar/Mc, times by its light-crossing time, energies by Mc^2
+# SI: lengths in m, scaled by the electron's Compton length hbar/Mc, times by
+# its light-crossing time; the Dirac layer's M, E and U become Mc/hbar = 1/LAM,
+# E/hbar c and U/hbar c, the packet layer's mass M/hbar
 HBAR_SI = 1.054571817e-34  # J s
 C_SI = 299792458.0  # m / s
 M_SI = 9.1093837015e-31  # kg
 LAM = HBAR_SI / (M_SI * C_SI)  # m
 TAU = LAM / C_SI  # s
-REST_SI = M_SI * C_SI * C_SI  # J
 
 ALPHAS = [0.37, -0.61, 1.62]
 KR0S = [1e-4, 1e-3, 0.5, 2.0, 3.0]
@@ -78,15 +78,16 @@ def _kin(k, si=False):
     """Kinematics at wavenumber k (natural units), in natural or SI units."""
     if not si:
         return make_kinematics(k=k)
-    return make_kinematics(k=k / LAM, M=M_SI, hbar=HBAR_SI, c=C_SI)
+    return make_kinematics(k=k / LAM, M=1 / LAM)
 
 
 class TestUnitSchemes:
     """Dimensionless outputs agree between natural and SI units.
 
     Compared: the S-matrix elements 1 + 2A (absolutely: a relative check on A
-    reads cancellation in channels whose leading terms cancel), the Dirac
-    rows, and G lambda^2, Delta lambda and the transit times over lambda/c.
+    reads cancellation in channels whose leading terms cancel), also from the
+    ODE oracle, the Dirac rows, and G lambda^2, Delta lambda and the transit
+    times over lambda/c.
     """
 
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -108,13 +109,30 @@ class TestUnitSchemes:
         points = [(kR0, 50.0) for kR0 in KR0S] + [(kR0, 1e-3) for kR0 in KR0S[:2]]
         for kR0, kappa_r0 in points:
             barrier, kin = sh.shielded_sweep_point(kR0, kappa_r0)
-            barrier_si = BarrierConfig(barrier.R0 * LAM, barrier.U * REST_SI)
+            barrier_si = BarrierConfig(barrier.R0 * LAM, barrier.U / LAM)
             kin_si = _kin(kin.k, si=True)
             for l in (-2, -1, 0, 1, 2):
                 for channel in (1, 2):
                     nat = sh.shielded_matching(l, channel, barrier, kin, c)
                     si = sh.shielded_matching(l, channel, barrier_si, kin_si, c)
                     assert abs(2.0 * (si.value - nat.value)) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_ode_oracle(self, alpha):
+        # the integrator's steps, not the equation, differ between the
+        # schemes: the bound is set by its tolerance, rtol = 1e-12
+        c = Coupling(alpha)
+        tube, tube_si = TubeConfig(0.5, c), TubeConfig(0.5 * LAM, c)
+        barrier, barrier_si = BarrierConfig(1.0, 1.0), BarrierConfig(LAM, 1 / LAM)
+        for k, bar, bar_si in ((0.3, None, None), (2.0, None, None),
+                               (1.0, barrier, barrier_si)):
+            r_max = 2.0 * (bar.R0 if bar else tube.r0)
+            for l, channel in itertools.product((-1, 0, 1), (1, 2)):
+                nat = bt.ode_radial_oracle(l, channel, tube, _kin(k), r_max, bar)
+                si = bt.ode_radial_oracle(l, channel, tube_si, _kin(k, si=True),
+                                          r_max * LAM, bar_si)
+                delta = si.matching_from_interior() - nat.matching_from_interior()
+                assert abs(2.0 * delta) <= 1e-9
 
     @pytest.mark.parametrize("kind", ["bare", "shielded"])
     @pytest.mark.parametrize("alpha", ALPHAS)

@@ -139,7 +139,7 @@ class TestDiracStates:
         mags = []
         for k in ks:
             kin = make_kinematics(k=k)
-            # fixed kr: the Hankel correction magnitude tracks hbar k / Mc
+            # fixed kr: the Hankel correction magnitude tracks k / M
             state = sc.dirac_scattering_state(
                 "shielded", SpinorAmplitudes(1.0, 1.0), c, kin, kr / k, 0.6
             )
@@ -156,7 +156,7 @@ class TestDiracStates:
         # the rounding of a phase of k r rad
         c = Coupling(alpha)
         thetas = np.linspace(-3.0, 3.0, 13)
-        w = KIN.k / (KIN.energy_E + KIN.rest_energy)
+        w = KIN.k / (KIN.energy_E + KIN.mass_M)
         col = np.array([AMP.a1, AMP.a2, -w * AMP.a2, -w * AMP.a1])
         for kr in (0.5, 7.3, 53.0):
             want = np.outer(col, np.exp(-1j * kr * np.cos(thetas) + 1j * alpha * thetas))

@@ -105,12 +105,12 @@ class TestFFactor:
             assert abs(lam - 1.0) < 0.02, (l, ch)
 
     def test_formula_structure(self):
-        # f (E + Mc^2 - U) - U * step == (E + Mc^2) * Lambda; the barrier-height
+        # f (E + M - U) - U * step == (E + M) * Lambda; the barrier-height
         # term carries -(l - alpha) for channel 1 and +(l + 1 - alpha) for 2;
         # the kinematics carries no barrier height, both sides take it from b
         b, kin = sh.shielded_sweep_point(kR0=0.05, kappaR0=10.0)
         kappa = barrier_kappa(kin, b.U)
-        ew = kin.energy_E + kin.rest_energy
+        ew = kin.energy_E + kin.mass_M
         for l, ch in [(0, 1), (1, 1), (-2, 2), (0, 2)]:
             f = sh.f_factor(l, ch, b, kin, C03)
             lam = sh.barrier_log_derivative(l, ch, b, kin, C03)
@@ -221,7 +221,7 @@ def _mp_shielded_s_matrix(l, ch, coupling, barrier, kin, dps=50):
         order = -nu if bt.anomalous_channel(coupling) == (l, ch) else nu
         R0, U, km = mpmath.mpf(barrier.R0), mpmath.mpf(barrier.U), mpmath.mpf(kappa)
         lam = mpmath.besseli(order, km * R0, 1) / mpmath.besseli(order, km * R0)
-        ew = mpmath.mpf(kin.energy_E) + mpmath.mpf(kin.rest_energy)
+        ew = mpmath.mpf(kin.energy_E) + mpmath.mpf(kin.mass_M)
         s = nu + R0 * (ew * km * lam + U * g / R0) / (ew - U)
         x = mpmath.mpf(kin.k) * R0
 
@@ -376,7 +376,7 @@ class TestShieldedEigenfunction:
                 f0 = sh.shielded_eigenfunction(l, c, kin, r)
                 fp = sh.shielded_eigenfunction(l, c, kin, r + h)
                 fm = sh.shielded_eigenfunction(l, c, kin, r - h)
-                cfac = -1j * kin.hbar * kin.c / (kin.energy_E + kin.rest_energy)
+                cfac = -1j / (kin.energy_E + kin.mass_M)
                 chi4_fd = cfac * (
                     (fp.chi1 - fm.chi1) / (2 * h) - ((l - alpha) / r) * f0.chi1
                 )
@@ -413,7 +413,7 @@ class TestShieldedEigenfunction:
 
 class TestBareVsShieldedL0:
     """The l = 0 partial wave at 0 < alpha < 1, bare against shielded, from the
-    generic radial paths; w = hbar c k / (E + Mc^2) and x = k r."""
+    generic radial paths; w = k / (E + M) and x = k r."""
 
     KIN = make_kinematics(E=math.sqrt(2.0))
 
