@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .errors import OutOfRangeError, RegimeError, RegionError
+from .errors import OutOfRangeError, RegimeError
 from .model import (
     BarrierConfig,
     Coupling,
@@ -137,7 +137,7 @@ def interior_chi(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     underflow (high m at small k_ch r).
     """
     if r < 0 or r > tube.r0:
-        raise RegionError(f"r={r} outside the tube interior [0, {tube.r0}]")
+        raise RegimeError(f"r={r} outside the tube interior [0, {tube.r0}]")
     alpha = tube.coupling.alpha
     m = abs(channel_index(l, channel)[0])
     if r == 0.0:
@@ -224,10 +224,10 @@ def _matching_terms(nu: float, x: float, s: float) -> tuple[complex, complex]:
     nu; float orders and arguments take its Python-float route, and the
     values equal four scalar calls bit for bit.  The errors keep the
     precedence of one call at the order pair (nu - 1, nu): nu >= 0, so J can
-    be non-finite only at nu - 1, the first call, and an order nu above the
-    cap is refused before any result at nu - 1 is tested.  A real s never
-    makes D vanish (the Wronskian of J and Y is 2/(pi x)); s = +/-inf, a node
-    of chi at r_match, leaves N, D = J_nu, H_nu from one call at nu alone.
+    be non-finite only at nu - 1, the first call, and H's overflow reads the
+    same at either order.  A real s never makes D vanish (the Wronskian of J
+    and Y is 2/(pi x)); s = +/-inf, a node of chi at r_match, leaves N, D =
+    J_nu, H_nu from one call at nu alone.
     Where a finite s is so large that s J or s H overflows, both terms come
     divided by s, which keeps A.
     """
@@ -235,8 +235,6 @@ def _matching_terms(nu: float, x: float, s: float) -> tuple[complex, complex]:
         raise RegimeError("matching needs k * r_match > 0")
     if math.isinf(s):
         return sf.bessel_j_hankel1(nu, x)
-    if nu > sf.DEFAULT_MAX_ORDER:
-        sf.bessel_j_hankel1(nu, x)  # raises the order guard's error
     j_below, h_below = sf.bessel_j_hankel1(nu - 1.0, x)
     j, h = sf.bessel_j_hankel1(nu, x)
     num, den = x * j_below - s * j, x * h_below - s * h
@@ -323,7 +321,7 @@ def bare_string_radial(l: int, coupling: Coupling, kin: Kinematics,
     components are reported as infinities.
     """
     if r < 0:
-        raise RegionError("r must be >= 0")
+        raise RegimeError("r must be >= 0")
     nu1 = _principal_order(l, 1, coupling)
     nu2 = _principal_order(l, 2, coupling)
     if r == 0.0:
@@ -380,7 +378,7 @@ class RadialOdeSolution:
             if lo <= r <= hi * (1 + 1e-12):
                 y = sol(min(r, hi))
                 return y[0] * s, y[1] * s
-        raise RegionError(f"r={r} outside the integrated range")
+        raise RegimeError(f"r={r} outside the integrated range")
 
     def log_derivative(self, r: float) -> float:
         chi, dchi = self._eval(r)
@@ -405,7 +403,7 @@ class RadialOdeSolution:
         r_b = r_fit + 0.5 * math.pi / kin.k
         top = self._segments[-1][1]
         if r_b > top:
-            raise RegionError("fit radii beyond the integrated range")
+            raise RegimeError("fit radii beyond the integrated range")
         chi_a = self.chi(r_fit)
         chi_b = self.chi(r_b)
         j, h = sf.bessel_j_hankel1(nu, np.array([kin.k * r_fit, kin.k * r_b]))

@@ -17,12 +17,9 @@ class PoleError(AbdiracError):
     """Parameter sits on a pole of the function (e.g. Kummer c = 0, -1, -2, ...)."""
 
 
-class RegionError(AbdiracError):
-    """Radial coordinate outside the region a solution is defined on."""
-
-
 class RegimeError(AbdiracError):
-    """Formula invoked outside its validity window (asymptotic misuse, barrier height, ...)."""
+    """Formula invoked outside its validity window (asymptotic misuse, barrier
+    height, a radius outside the region a solution is defined on, ...)."""
 
 
 class TruncationError(AbdiracError):

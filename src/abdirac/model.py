@@ -76,7 +76,8 @@ class Coupling:
 class Kinematics:
     """Energy / mass / wavenumber of the incident electron, each an inverse
     length: `energy_E` is E/hbar c (rest mass included), `mass_M` is Mc/hbar,
-    and E^2 = M^2 + k^2.  `make_kinematics` builds one from E or from k.
+    and E^2 = M^2 + k^2, which it checks to a few ulp.  `make_kinematics`
+    builds one from E or from k.
 
     A barrier's decay constant follows from its own height,
     `barrier_kappa(kin, U)`.
@@ -96,6 +97,11 @@ class Kinematics:
                 f"energy {E} must be finite, a normal double and at least the mass {M}")
         if not 0 <= k < math.inf:
             raise RegimeError(f"wavenumber {k} not finite or negative")
+        # E^2 = M^2 + k^2 to a few ulp, tested on the scale of E so that no
+        # square overflows
+        m, q = M / E, k / E
+        if not abs(1.0 - m * m - q * q) <= 8 * sys.float_info.epsilon:
+            raise RegimeError(f"E={E}, M={M} and k={k} break E^2 = M^2 + k^2")
 
 
 def channel_index(l: int, channel: int) -> tuple[int, int]:
@@ -133,7 +139,9 @@ def make_kinematics(E: float | None = None, M: float = 1.0,
     Exactly one of `E` (E/hbar c, rest mass included) and `k` must be given;
     the other follows from E^2 = M^2 + k^2.  Supplying `k` keeps
     near-threshold wavenumbers exact, which E^2 - M^2 would lose to
-    cancellation.
+    cancellation.  Where the squares fall below the smallest normal double
+    the other loses digits, and `Kinematics` refuses a pair that then breaks
+    E^2 = M^2 + k^2.
     """
     if (E is None) == (k is None):
         raise RegimeError("specify exactly one of E and k")

@@ -211,7 +211,7 @@ def _row_bessel(nu: float, x: float, tol: float, signed: tuple = ()):
         t_left, t_right = (max(0, math.ceil(x - mu)) for mu in (nu, mu_right))
     amos_orders = np.concatenate((nu + np.arange(t_left + 1),
                                   mu_right + np.arange(t_right + 1), signed))
-    amos = sf.bessel_j(amos_orders, x, max_order=max(t_left, t_right) + 1.0).real.tolist()
+    amos = sf.bessel_j(amos_orders, x).real.tolist()
     left, right = amos[:t_left + 1], amos[t_left + 1:t_left + t_right + 2]
     down = _j_family(nu, x, left, n)  # l = 0, -1, ..., -n
     up = _j_family(mu_right, x, right, n - 1)  # l = 1, ..., n

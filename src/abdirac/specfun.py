@@ -46,16 +46,16 @@ the scalar call at its order.  Backing scipy routines:
   test fails do its single guards run: the real-parameter test, the pole
   test, the Re z test with its terminating-series exemption, then the
   argument guard; so a c <= 1/2 off a pole, or a terminating series at Re z
-  above the cap, still evaluates
+  above ``_KUMMER_Z_MAX``, still evaluates
 
-scipy returns inf or nan where the library raises instead:
+An order is refused only when it is not finite, and a result only when it
+is not finite: no order is too large by itself.  Where scipy would take a
+non-finite input or return inf or nan, the library raises instead:
 
-* ``OutOfRangeError``: an order above ``DEFAULT_MAX_ORDER`` (only
-  ``bessel_j`` takes a cap of its own, ``max_order``; a ladder checks every
-  order it returns), a non-finite argument, a non-real Kummer parameter, a
-  Kummer c of -inf, a Kummer argument with Re z above ``_KUMMER_Z_MAX`` and
-  a non-terminating series, or a non-finite result at z != 0.  An array
-  raises if any element would.
+* ``OutOfRangeError``: a non-finite order or argument, a non-real Kummer
+  parameter, a Kummer c of -inf, a Kummer argument with Re z above
+  ``_KUMMER_Z_MAX`` and a non-terminating series, or a non-finite result at
+  z != 0.  An array raises if any element would.
 * ``SingularArgumentError``: a non-finite result at z = 0, where the function
   diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: Kummer's F at c within 1e-12 of 0, -1, -2, ...
@@ -64,7 +64,7 @@ A call makes two tests.  A scalar operand is tested as a Python scalar,
 an array by one reduction.  For a Python ``float`` argument
 (``np.float64`` included), or a Python ``complex`` one for the complex
 routines, the input test runs in Python: z finite and, for ``bessel_ie``
-and ``bessel_ke``, z > 0; then |nu| <= cap, in Python for a float order
+and ``bessel_ke``, z > 0; then nu finite, in Python for a float order
 and by one reduction for an order array.  scipy gets the float, or
 complex(z) for the complex routines, the operand the array cast makes, so
 every value keeps its bits; a 0-d result is tested by ``cmath.isfinite``,
@@ -74,17 +74,15 @@ with its pair left as one array: two scalar calls with their results
 tested in Python would cut a ``matching_sweep`` pass further, but while
 the benchmark keeps every pass's outputs that cut reads as a
 ``peak_rss_mb`` rise beyond its bound.
-``bessel_j_hankel1`` (float nu and z: |nu| <= cap and -inf < z < inf,
-then ``cmath.isfinite`` of J and of H) and ``kummer_f`` (float a, c and
-z) keep float routes of their own; the matching formula calls the pair
+``bessel_j_hankel1`` (float nu and z: both finite, then
+``cmath.isfinite`` of J and of H) and ``kummer_f`` (float a, c and z)
+keep float routes of their own; the matching formula calls the pair
 twice per weight, and one more function call on that path costs more
 than the shared test saves.
 
 Any other input, and any scalar test that fails, takes the array test,
-which broadcasts |nu| <= cap, isfinite(z) and, for ``bessel_ie`` and
-``bessel_ke``, z > 0 into one boolean and reduces it once; NaN and +-inf
-orders fail it, and the cap is clamped to the largest double, so an
-infinite ``max_order`` still refuses an infinite order.  Only when that
+which broadcasts isfinite(nu), isfinite(z) and, for ``bessel_ie`` and
+``bessel_ke``, z > 0 into one boolean and reduces it once.  Only when that
 test fails (or a conversion fails, or the broadcast fails or is empty) do
 the single guards run, one reduction each, in the order x > 0, order,
 argument, result (for ``kummer_f``: real parameters, pole, Re z,
@@ -97,7 +95,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 
 import numpy as np
 from numpy.exceptions import ComplexWarning
@@ -106,7 +103,6 @@ from scipy import special as _sp
 from .errors import OutOfRangeError, PoleError, SingularArgumentError
 
 __all__ = [
-    "DEFAULT_MAX_ORDER",
     "bessel_j",
     "bessel_j_hankel1",
     "bessel_j_prime",
@@ -119,28 +115,17 @@ __all__ = [
     "kummer_f",
 ]
 
-DEFAULT_MAX_ORDER = 200.0
 # |F(a|c|z)| ~ Gamma(c)/Gamma(a) e^z z^(a-c) has overflowed by Re z ~ 1e4 for
 # a non-terminating series (c up to 1e3); scipy's real hyp1f1 takes 3 ms at
 # z = 1e9, time linear in z above that, and does not return from ~1e12 on
 _KUMMER_Z_MAX = 1e9
 
 
-def _bound(max_order: float | None) -> float:
-    """The bound |nu| is tested against: the cap, clamped to the largest double
-    so that max_order = inf still refuses an infinite order.  NaN and +-inf
-    orders fail |nu| <= bound, and every order fails a NaN cap."""
-    if max_order is None:
-        return DEFAULT_MAX_ORDER
-    return min(float(max_order), sys.float_info.max)
-
-
-def _order(nu, max_order: float | None = None) -> np.ndarray:
-    """nu as a float64 array; OutOfRangeError unless every |nu| <= the cap."""
-    cap = DEFAULT_MAX_ORDER if max_order is None else float(max_order)
+def _order(nu) -> np.ndarray:
+    """nu as a float64 array; OutOfRangeError unless every element is finite."""
     nu = np.asarray(nu, dtype=np.float64)
-    if not (np.abs(nu) <= _bound(max_order)).all():
-        raise OutOfRangeError(f"order not finite or above the maximum {cap}")
+    if not np.isfinite(nu).all():
+        raise OutOfRangeError("order not finite")
     return nu
 
 
@@ -169,15 +154,14 @@ def _finite(out, z, name: str) -> None:
         raise OutOfRangeError(f"{name} is not finite in double precision here")
 
 
-def _inputs(nu, z, name: str, dtype=np.complex128, max_order: float | None = None,
-            positive: str | None = None):
-    """(nu, z) for scipy after one test of both: |nu| within `_bound`, z
-    finite and, where `positive` names the function, z > 0.
+def _inputs(nu, z, name: str, dtype=np.complex128, positive: str | None = None):
+    """(nu, z) for scipy after one test of both: nu and z finite and, where
+    `positive` names the function, z > 0.
 
     A Python ``float`` z (``np.float64`` included), or for a complex `dtype`
     a Python ``complex``, is tested in Python and handed on as the float, or
     as complex(z), the operand the array cast would make; a float nu is then
-    tested in Python too, any other nu by one |nu| <= bound reduction.  Any
+    tested in Python too, any other nu by one isfinite reduction.  Any
     other z, or a scalar test that fails, takes the array test: the inputs
     as arrays, broadcast into one boolean and reduced once.
 
@@ -192,17 +176,17 @@ def _inputs(nu, z, name: str, dtype=np.complex128, max_order: float | None = Non
         z_in = complex(z) if dtype is np.complex128 else z
         if cmath.isfinite(z_in) and (positive is None or z_in > 0.0):
             if isinstance(nu, float):
-                if abs(nu) <= _bound(max_order):
+                if math.isfinite(nu):
                     return nu, z_in
             else:
                 # a conversion that fails raises here what `_order` would
                 nu_in = np.asarray(nu, dtype=np.float64)
-                if (np.abs(nu_in) <= _bound(max_order)).all():
+                if np.isfinite(nu_in).all():
                     return nu_in, z_in
     try:
         z_in = np.asarray(z, dtype=dtype)
         nu = np.asarray(nu, dtype=np.float64)
-        ok = np.isfinite(z_in) & (np.abs(nu) <= _bound(max_order))
+        ok = np.isfinite(z_in) & np.isfinite(nu)
         if positive is not None:
             ok = ok & (z_in > 0)
         if ok.size and ok.all():
@@ -211,7 +195,7 @@ def _inputs(nu, z, name: str, dtype=np.complex128, max_order: float | None = Non
         pass
     if positive is not None:
         _positive(z, positive)
-    return _order(nu, max_order), _argument(z, name, dtype)
+    return _order(nu), _argument(z, name, dtype)
 
 
 def _result(out, z, name: str):
@@ -227,11 +211,10 @@ def _result(out, z, name: str):
     return out.item()
 
 
-def _evaluate(fn, nu, z, name: str, dtype=np.complex128, max_order: float | None = None,
-              positive: str | None = None):
+def _evaluate(fn, nu, z, name: str, dtype=np.complex128, positive: str | None = None):
     """fn(nu, z) with one test of the inputs and one of the result (`_inputs`,
     `_result`): scipy's inf/nan becomes a typed error."""
-    nu, z = _inputs(nu, z, name, dtype, max_order, positive)
+    nu, z = _inputs(nu, z, name, dtype, positive)
     return _result(fn(nu, z), z, name)
 
 
@@ -255,9 +238,9 @@ def _check_pole(x, name: str) -> None:
             raise PoleError(f"{name} pole at {x}")
 
 
-def bessel_j(nu: float, z, max_order: float | None = None):
+def bessel_j(nu: float, z):
     """Bessel function J_nu(z) for real order and complex argument."""
-    return _evaluate(_sp.jv, nu, z, "J_nu", max_order=max_order)
+    return _evaluate(_sp.jv, nu, z, "J_nu")
 
 
 def bessel_j_prime(nu: float, z):
@@ -305,7 +288,7 @@ def bessel_j_hankel1(nu: float, z):
     takes the array route with its single guards.
     """
     if isinstance(nu, float) and isinstance(z, float):
-        if abs(nu) <= DEFAULT_MAX_ORDER and -math.inf < z < math.inf:
+        if -math.inf < nu < math.inf and -math.inf < z < math.inf:
             zc = complex(z)
             j, h = complex(_sp.jv(nu, zc)), complex(_sp.hankel1(nu, zc))
             if cmath.isfinite(j) and cmath.isfinite(h):

@@ -1,5 +1,6 @@
 """Helpers shared by the tests: sequence extrapolation, log-log slopes, an
-mpmath oracle for the bare-tube outgoing-wave weight, the shielded matching
+mpmath oracle for the bare-tube outgoing-wave weight and one for the four
+radial components of a partial wave, the shielded matching
 denominator with its small-kR0 leading form, an mpmath oracle for the Dirac
 scattering state, two independent forms of the propagator difference (the
 J_{+/-nu} bracket and the regularized k-integral), and a fresh-interpreter
@@ -103,6 +104,28 @@ def mp_bare_weight(alpha: float, l: int, channel: int, kr0: float, dps: int = 50
         h = j + 1j * mpmath.bessely(nu, x)
         hp = jp + 1j * mpmath.bessely(nu, x, 1)
         return complex(-(x * jp - rd * j) / (x * hp - rd * h))
+
+
+def mp_ladder_components(l: int, alpha: float, kin: Kinematics, r: float,
+                         dps: int = 30) -> list[complex]:
+    """The four radial components (chi1, chi2, chi3, chi4) at r of a partial
+    wave with positive orders l - alpha and l + 1 - alpha and a1 = a2 = 1,
+    in mpmath at `dps` digits.
+
+    Written from the ladder relations, not from the library's choice of
+    order and sign: chi3 = c (chi2' + ((l + 1 - alpha)/r) chi2) and
+    chi4 = c (chi1' - ((l - alpha)/r) chi1), c = -i/(E + M), with J' from
+    mpmath.
+    """
+    with mpmath.workdps(dps):
+        k, al = mpmath.mpf(kin.k), mpmath.mpf(alpha)
+        x = k * mpmath.mpf(r)
+        nu1, nu2 = l - al, l + 1 - al
+        c = -1j * k / (mpmath.mpf(kin.energy_E) + mpmath.mpf(kin.mass_M))
+        j1, j2 = mpmath.besselj(nu1, x), mpmath.besselj(nu2, x)
+        chi3 = c * (mpmath.besselj(nu2, x, 1) + nu2 / x * j2)
+        chi4 = c * (mpmath.besselj(nu1, x, 1) - nu1 / x * j1)
+        return [complex(v) for v in (j1, j2, chi3, chi4)]
 
 
 def shielded_matching_denominator(l: int, channel: int, barrier: BarrierConfig,

@@ -22,7 +22,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # defaulted parameters (positional defaults plus keyword-only ones) over every
 # `def` in src/abdirac whose name has no leading underscore
-MAX_PUBLIC_DEFAULTS = 27
+MAX_PUBLIC_DEFAULTS = 26
 
 
 def _tree(path: pathlib.Path) -> ast.Module:

@@ -11,9 +11,9 @@ import pytest
 from abdirac import bare_tube as bt
 from abdirac import shielded as sh
 from abdirac import specfun as sf
-from abdirac.errors import OutOfRangeError, RegimeError, RegionError
+from abdirac.errors import OutOfRangeError, RegimeError
 from abdirac.model import BarrierConfig, Coupling, TubeConfig, channel_index, make_kinematics
-from _helpers import aitken_limit, loglog_slope, mp_bare_weight, run_python
+from _helpers import aitken_limit, loglog_slope, mp_bare_weight, mp_ladder_components, run_python
 
 KIN = make_kinematics(E=math.sqrt(2.0))  # k = 1 in natural units
 K = KIN.k
@@ -48,7 +48,7 @@ class TestInteriorChi:
 
     def test_outside_region_rejected(self):
         tube = tube_at(0.1, 0.3)
-        with pytest.raises(RegionError):
+        with pytest.raises(RegimeError):
             bt.interior_chi(0, 1, tube, KIN, 2 * tube.r0)
 
     @pytest.mark.parametrize("m", [0, 3, 30])
@@ -192,6 +192,18 @@ class TestMatchingCoefficient:
                             worst, where = err, (alpha, kr0, l, ch)
         assert worst <= 1e-13, where
 
+    @pytest.mark.parametrize("alpha, l, kr0", [(0.37, 210, 250.0), (0.37, 250, 300.0),
+                                               (-1.38, 240, 260.0), (0.41, 400, 500.0)])
+    def test_s_matrix_above_order_200(self, alpha, l, kr0):
+        # no order cap: S = 1 + 2A against the 40-digit oracle.  The bound is
+        # set by the interior s, whose Kummer ratio scipy gives to ~4e-13 here
+        # (1.3e-12 in S at alpha = -1.38, channel 2); J and H alone give
+        # ~2e-13
+        tube = tube_at(kr0, alpha)
+        for ch in (1, 2):
+            A = bt.matching_coefficient(l, ch, tube, KIN).value
+            assert 2 * abs(A - mp_bare_weight(alpha, l, ch, kr0, dps=40)) <= 2e-12, ch
+
     def test_accelerated_limits_all_quarters(self):
         for alpha in (0.25, 0.5, 0.75):
             want = 1j * math.sin(math.pi * alpha) * cmath.exp(1j * math.pi * alpha)
@@ -285,8 +297,8 @@ class TestMatchingTerms:
     @pytest.mark.parametrize("nu, x", [(0.37, 5e-324), (0.37, 1e-310), (200.5, 0.5)])
     def test_errors_keep_the_pair_precedence(self, nu, x):
         # as one call at the order pair (nu - 1, nu): J's overflow at the
-        # negative order nu - 1 before H's at nu, and an order nu above the
-        # cap before H's overflow at nu - 1
+        # negative order nu - 1 before H's at nu; at (200.5, 0.5) both sides
+        # raise H's overflow
         with pytest.raises(OutOfRangeError) as want:
             sf.bessel_j_hankel1(np.array([nu - 1.0, nu]), x)
         with pytest.raises(OutOfRangeError) as got:
@@ -446,6 +458,12 @@ class TestBareStringRadial:
 
         # alpha - [alpha] - 1 = -0.3
         assert abs(comp.chi2 - sf.bessel_j(-0.3, K * r)) < 1e-13
+
+    @pytest.mark.parametrize("l, kr", [(210, 150.0), (250, 300.0), (400, 500.0)])
+    def test_orders_above_200_against_mpmath(self, l, kr):
+        comp = bt.bare_string_radial(l, Coupling(0.37), KIN, kr / K)
+        for got, want in zip(comp.as_tuple(), mp_ladder_components(l, 0.37, KIN, kr / K)):
+            assert abs(got - want) <= 1e-12 * abs(want), (l, kr)
 
     def test_origin_divergence_flag(self):
         comp = bt.bare_string_radial(0, Coupling(0.3), KIN, 0.0)

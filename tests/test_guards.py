@@ -17,6 +17,7 @@ from underflowed values.
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from abdirac import scattering as sc
 from abdirac import shielded as sh
 from abdirac import specfun as sf
 from abdirac.errors import AbdiracError, RegimeError
-from abdirac.model import (BarrierConfig, Coupling, SpinorAmplitudes, TubeConfig,
+from abdirac.model import (BarrierConfig, Coupling, Kinematics, SpinorAmplitudes, TubeConfig,
                            barrier_kappa, field_free_ksq, make_kinematics)
 
 SETTINGS = settings(max_examples=150)
@@ -203,6 +204,33 @@ def test_make_kinematics_from_k(k, M):
 @example(E=1e308, M=1.0)
 def test_make_kinematics_from_energy(E, M):
     _finite_or_typed(lambda: make_kinematics(E=E, M=M))
+
+
+@SETTINGS
+@given(E=_or_edge(1.0, 10.0), M=_or_edge(0.5, 2.0), k=_or_edge(0.0, 10.0))
+@example(E=2.0, M=1.0, k=5.0)
+@example(E=1e200, M=1.0, k=1e200)
+@example(E=1.0, M=1.0, k=1e-10)
+@example(E=1.000000000000001, M=1.0, k=4.712160915387242e-08)
+def test_kinematics(E, M, k):
+    # built directly, a Kinematics must hold E^2 = M^2 + k^2 to a few ulp of
+    # E^2: in exact arithmetic, a triple within 2 ulp is accepted and one
+    # beyond 16 refused
+    try:
+        Kinematics(E, M, k)
+    except RegimeError:
+        accepted = False
+    else:
+        accepted = True
+    if not (0 <= M <= E < math.inf and E >= sys.float_info.min and 0 <= k < math.inf):
+        assert not accepted
+        return
+    e, m, q = Fraction(E), Fraction(M), Fraction(k)
+    residual = abs(e * e - m * m - q * q) / (e * e * Fraction(sys.float_info.epsilon))
+    if residual <= 2:
+        assert accepted, residual
+    elif residual > 16:
+        assert not accepted, residual
 
 
 @SETTINGS

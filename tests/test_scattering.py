@@ -431,7 +431,7 @@ def _amos_tail(nu, x, tol):
     chunk = sc._TAIL_LOOKAHEAD
     n = sc.truncation_order(x, tol) + chunk
     orders = np.concatenate((nu + np.arange(n, -1, -1), (1.0 - nu) + np.arange(n)))
-    js = np.abs(sf.bessel_j(orders, x, max_order=n + 2.0))
+    js = np.abs(sf.bessel_j(orders, x))
     down, up = js[chunk - 1::-1], js[-chunk:]
     tail = down.sum() + up.sum()
     first, last = down[0] + up[0], down[-1] + up[-1]
@@ -456,7 +456,7 @@ class TestRowBessel:
         with mpmath.workdps(40):
             want = np.array([float(mpmath.besselj(mpmath.mpf(float(mu)), mpmath.mpf(kr)))
                              for mu in orders])
-        amos = sf.bessel_j(orders, kr, max_order=float(np.abs(orders).max())).real
+        amos = sf.bessel_j(orders, kr).real
         # orders up to the turning point, and the signed pair, keep scipy's
         # values (AMOS's own error reaches 1.4e-13 of the row's largest |J|
         # at kr = 500, below the turning point)

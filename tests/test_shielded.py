@@ -23,7 +23,8 @@ from abdirac.model import (
     channel_index,
     make_kinematics,
 )
-from _helpers import denominator_leading_form, loglog_slope, shielded_matching_denominator
+from _helpers import (denominator_leading_form, loglog_slope, mp_ladder_components,
+                      shielded_matching_denominator)
 
 C03 = Coupling(0.3)
 
@@ -273,6 +274,13 @@ class TestShieldedMatching:
             assert cmath.isfinite(a), (l, ch)
             assert abs(abs(1 + 2 * a) - 1) <= 1e-12, (l, ch)
 
+    @pytest.mark.parametrize("l", [210, 250])
+    def test_orders_above_200_unitary(self, l):
+        b, kin = sh.shielded_sweep_point(kR0=80.0, kappaR0=50.0)
+        for ch in (1, 2):
+            a = sh.shielded_matching(l, ch, b, kin, Coupling(0.37)).value
+            assert abs(abs(1 + 2 * a) - 1) <= 1e-12, (l, ch)
+
     def test_anomalous_channel_slope(self):
         xs = [1e-2, 1e-3, 1e-4]
         As = []
@@ -358,6 +366,13 @@ class TestShieldedEigenfunction:
         comp = sh.shielded_eigenfunction(0, C03, self.KIN, r)
         want = sf.bessel_j(0.3, self.KIN.k * r)
         assert abs(comp.chi1 - want) < 1e-13
+
+    @pytest.mark.parametrize("l, kr", [(210, 150.0), (250, 300.0), (400, 500.0)])
+    def test_orders_above_200_against_mpmath(self, l, kr):
+        kin = self.KIN
+        comp = sh.shielded_eigenfunction(l, Coupling(0.37), kin, kr / kin.k)
+        for got, want in zip(comp.as_tuple(), mp_ladder_components(l, 0.37, kin, kr / kin.k)):
+            assert abs(got - want) <= 1e-12 * abs(want), (l, kr)
 
     def test_chi4_divergent_order(self):
         r = 2.0
