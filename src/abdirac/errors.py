@@ -22,9 +22,5 @@ class RegimeError(AbdiracError):
     height, a radius outside the region a solution is defined on, ...)."""
 
 
-class TruncationError(AbdiracError):
-    """Partial-wave tail could not be pushed below the requested tolerance."""
-
-
 class QuadratureError(AbdiracError):
     """Quadrature or extrapolation failed to converge to the requested tolerance."""

@@ -38,9 +38,9 @@ e^{i (l + [alpha]) theta} then gives all four components at every angle.
 
 The cutoff is known before the row is built: past the turning point J_mu(x)
 falls as the Airy function of (mu - x)/x^{1/3} (DLMF 10.19.8), and a rigorous
-bound on J raises that law's l_max where it falls short, so `truncation_order`
-gives l_max from k r and the tolerance, and a row is built and its tail
-checked in one pass.
+bound on J raises that law's l_max where it falls short (`truncation_order`).
+A row holds the orders up to l_max only, and that bound summed past l_max is
+its tail estimate (`_tail_bound`).
 
 Far-field closed forms: incident spinor times e^{-i k r cos(theta) + i nu theta}
 plus f(theta) e^{i k r} / sqrt(r) with f from `scattering_amplitude`, times
@@ -65,7 +65,7 @@ import numpy as np
 
 from . import specfun as sf
 from .bare_tube import anomalous_channel
-from .errors import RegimeError, SingularArgumentError, TruncationError
+from .errors import RegimeError, SingularArgumentError
 from .model import Coupling, Kinematics, SpinorAmplitudes
 
 __all__ = [
@@ -82,16 +82,15 @@ __all__ = [
 ]
 
 DEFAULT_FORWARD_CONE = 0.1  # rad; asymptotics break down within this cone
-_TAIL_LOOKAHEAD = 16  # orders beyond the cutoff, at each end, that set the tail estimate
 # largest k r of a row: its cost grows linearly in k r, to ~1 s for an
 # 8-angle row at 1e5 (2-core VM)
 _MAX_KR = 1e5
-_RECURRENCE_MARGIN = 16  # orders above a row's top where the J ratios start at 0
+_RECURRENCE_MARGIN = 32  # orders above a row's top where the J ratios start at 0
 
 
 @dataclass(frozen=True)
 class PartialWaveSum:
-    """Bookkeeping of one truncated partial-wave evaluation."""
+    """One truncated partial-wave row; `tail_estimate` is `_tail_bound` (<= tol)."""
 
     l_max: int
     terms: int
@@ -117,12 +116,12 @@ class WaveFieldSample:
         return np.array([self.psi1, self.psi2, self.psi3, self.psi4])
 
 
-def _log_j_bound(mu: float, x: float) -> float:
-    """ln of a bound on |J_nu(x)| for every nu >= mu, at 0 < x <= mu.
+def _log_j_bounds(mu: float, x: float) -> tuple[float, float]:
+    """ln of two bounds on |J_nu(x)| for every nu >= mu, at 0 < x <= mu.
 
-    The smaller of two rigorous bounds, each falling with the order for
-    mu >= x: (x/2)^mu / Gamma(mu + 1) (DLMF 10.14.4), close to |J| well past
-    the turning point, and Kapteyn's w^mu e^{mu s} / (1 + s)^mu with w = x/mu,
+    Both are rigorous and fall with the order for mu >= x: the power bound
+    (x/2)^mu / Gamma(mu + 1) (DLMF 10.14.4), close to |J| well past the
+    turning point, and Kapteyn's w^mu e^{mu s} / (1 + s)^mu with w = x/mu,
     s = sqrt(1 - w^2) (DLMF §10.14), close to it near the turning point.
     """
     log_x = math.log(x)
@@ -130,15 +129,34 @@ def _log_j_bound(mu: float, x: float) -> float:
     w = x / mu
     s = math.sqrt((1.0 - w) * (1.0 + w))
     kapteyn = mu * (log_x - math.log(mu) + s - math.log1p(s))
-    return min(power, kapteyn)
+    return power, kapteyn
+
+
+def _tail_bound(l_max: int, x: float) -> float:
+    """Bound on sum_{|l| > l_max} |J_{|l - nu|}(x)|, any nu in [0, 1), l_max > x.
+
+    The j-th dropped order of either end is at least l_max + j > x, where
+    both bounds of `_log_j_bounds` fall with the order.  The power bound P
+    falls by x / (2 (mu + 1)) <= 1/2 per order, so one end sums to at most
+    2 P(l_max).  Kapteyn's ln K(mu) = -mu (a - tanh a), cosh a = mu / x, is
+    concave with slope -a(mu), so K(l_max + j) <= K(l_max) e^{-a j} and one
+    end sums to at most K(l_max) / (1 - e^{-a}).  The min is over these two
+    sums, not over the per-term bound; P overflows near the turning point,
+    so it is taken in logs.  0 at x = 0.
+    """
+    if x == 0:
+        return 0.0
+    power, kapteyn = _log_j_bounds(l_max, x)
+    a = math.acosh(l_max / x)
+    return 2.0 * math.exp(min(power + math.log(2.0), kapteyn - math.log(-math.expm1(-a))))
 
 
 def truncation_order(kr: float, tol: float) -> int:
     """Angular-momentum cutoff of a partial-wave row, 0 <= kr <= _MAX_KR.
 
     tol lies in [2.2e-308, 1), from the smallest normal double up: below it
-    the row's tail values are subnormal, each rounded by up to ~5e-324, and
-    the tail check could never pass, so such a tol is refused up front.
+    the terms at the cutoff are subnormal, each rounded by up to ~5e-324,
+    which is no longer small beside tol, so such a tol is refused up front.
 
     Past the turning point J_mu(x) ~ (2/x)^{1/3} Ai(2^{1/3} tau) with
     mu = x + tau x^{1/3} (DLMF 10.19.8), and Ai(z) ~ e^{-2 z^{3/2}/3}, so the
@@ -146,8 +164,8 @@ def truncation_order(kr: float, tol: float) -> int:
     starts at l = ceil(kr + tau kr^{1/3}) + 8; the 8 covers kr <~ 1, where
     J_l ~ (kr/2)^l / l! and the Airy form does not hold.  Where J falls slower
     than the Airy form says (small kr at a tiny tol), l then rises until
-    `_log_j_bound` caps every order past it low enough that the tail check's
-    estimate, 2 _TAIL_LOOKAHEAD terms times at most 10, is below tol.
+    `_log_j_bounds` caps every order past it at tol/320, which keeps
+    `_tail_bound` below tol/2 (l_max >= kr + 8 gives 1 / (1 - e^{-a}) < 80).
     """
     if not 0 <= kr <= _MAX_KR:
         raise RegimeError(f"kr must lie in [0, {_MAX_KR:.0e}]")
@@ -156,8 +174,8 @@ def truncation_order(kr: float, tol: float) -> int:
             f"partial-wave tolerance {tol} outside [{sys.float_info.min}, 1)")
     tau = (-1.5 * math.log(tol)) ** (2.0 / 3.0) / 2.0 ** (1.0 / 3.0)
     l_max = math.ceil(kr + tau * kr ** (1.0 / 3.0)) + 8
-    log_cap = math.log(tol) - math.log(20.0 * _TAIL_LOOKAHEAD)
-    while kr > 0 and _log_j_bound(l_max, kr) > log_cap:
+    log_cap = math.log(tol) - math.log(320.0)
+    while kr > 0 and min(_log_j_bounds(l_max, kr)) > log_cap:
         l_max += 1
     return l_max
 
@@ -170,7 +188,7 @@ def _j_family(mu: float, x: float, amos: list, top: int) -> list:
     is the minimal solution of the three-term recurrence (DLMF 10.6.1), so
     the ratios r_m = J_{mu+m} / J_{mu+m-1} = 1 / (2 (mu + m)/x - r_{m+1}) are
     stable run backward (DLMF 10.74(iv)).  They start from 0 at
-    _RECURRENCE_MARGIN orders above `top`, a look-ahead past the cutoff
+    _RECURRENCE_MARGIN orders above `top`, past the cutoff
     (`truncation_order`) where J has fallen far below tol, and multiply up
     from J_{mu+t}.
     """
@@ -186,48 +204,34 @@ def _j_family(mu: float, x: float, amos: list, top: int) -> list:
 
 
 def _row_bessel(nu: float, x: float, tol: float, signed: tuple = ()):
-    """J_{|l - nu|}(x) over l = -n..n, n = l_max + _TAIL_LOOKAHEAD, and the cutoff.
+    """J_{|l - nu|}(x) over l = -l_max..l_max, l_max = `truncation_order`(x, tol).
 
-    Returns (orders, values, PartialWaveSum).  The row keeps l in
-    [-l_max, l_max], l_max = `truncation_order`(x, tol); the look-ahead
-    beyond it at each end sets the tail estimate.  l = -m has order nu + m
-    and l = m + 1 order (1 - nu) + m.  The `signed` orders (the negative ones
-    a Hankel term swaps in) and their J follow at the end.
+    Returns (orders, values, PartialWaveSum).  l = -m has order nu + m and
+    l = m + 1 order (1 - nu) + m.  The `signed` orders (the negative ones a
+    Hankel term swaps in) and their J follow at the end.  No order past the
+    cutoff is evaluated: the tail estimate is `_tail_bound`(l_max, x).
 
     One pass: one AMOS call per row takes, per family, the orders below the
     turning point and the first one at or above it (see `_j_family`), and the
     signed orders; one recurrence per family fills the rest.  J at a real
-    argument is real, so only the real part is kept.  A tail above tol raises
-    `TruncationError`.
+    argument is real, so only the real part is kept.
     """
     if not (0.0 <= nu < 1.0):
         raise RegimeError("reduced coupling must lie in [0, 1)")
     l_max = truncation_order(x, tol)  # refuses x and tol before any Bessel call
-    n = l_max + _TAIL_LOOKAHEAD
     mu_right = 1.0 - nu
     if x == 0:
-        t_left, t_right = n, n - 1
+        t_left, t_right = l_max, l_max - 1
     else:
         t_left, t_right = (max(0, math.ceil(x - mu)) for mu in (nu, mu_right))
     amos_orders = np.concatenate((nu + np.arange(t_left + 1),
                                   mu_right + np.arange(t_right + 1), signed))
     amos = sf.bessel_j(amos_orders, x).real.tolist()
     left, right = amos[:t_left + 1], amos[t_left + 1:t_left + t_right + 2]
-    down = _j_family(nu, x, left, n)  # l = 0, -1, ..., -n
-    up = _j_family(mu_right, x, right, n - 1)  # l = 1, ..., n
-    # tail: sum of the look-ahead's magnitudes at both ends, each taken
-    # outward from the kept row, with a geometric bound for everything beyond it
-    tail = sum(map(abs, down[l_max + 1:])) + sum(map(abs, up[l_max:]))
-    first = abs(down[l_max + 1]) + abs(up[l_max])
-    last = abs(down[-1]) + abs(up[-1])
-    if first > 0:
-        tail *= 2.0 if last / first < 0.5 else 10.0  # geometric remainder bound
-    if not tail <= tol:
-        raise TruncationError(
-            f"partial-wave tail {tail:.1e} above tolerance {tol:.1e} at l_max={l_max}"
-        )
-    orders = np.concatenate((nu + np.arange(n, -1, -1), mu_right + np.arange(n), signed))
-    info = PartialWaveSum(l_max=l_max, terms=2 * l_max + 1, tail_estimate=tail)
+    down = _j_family(nu, x, left, l_max)  # l = 0, -1, ..., -l_max
+    up = _j_family(mu_right, x, right, l_max - 1)  # l = 1, ..., l_max
+    orders = np.concatenate((nu + np.arange(l_max, -1, -1), mu_right + np.arange(l_max), signed))
+    info = PartialWaveSum(l_max, 2 * l_max + 1, _tail_bound(l_max, x))
     return orders, np.array(down[::-1] + up + amos[t_left + t_right + 2:]), info
 
 
@@ -239,8 +243,7 @@ def _wave_coefficients(nu: float, x: float, tol: float, signed: tuple = ()):
     """
     orders, js, info = _row_bessel(nu, x, tol, signed)
     coeffs = np.exp(-0.5j * math.pi * orders) * js
-    row = 2 * (info.l_max + _TAIL_LOOKAHEAD) + 1
-    return coeffs[_TAIL_LOOKAHEAD:row - _TAIL_LOOKAHEAD], coeffs[row:], info
+    return coeffs[:info.terms], coeffs[info.terms:], info
 
 
 def _angular_sum(coeffs: np.ndarray, theta, shift: int):

@@ -108,3 +108,17 @@ def test_benchmark_library_names_resolve():
                if not hasattr(importlib.import_module(f"abdirac.{name.split('.')[0]}"),
                               name.split(".")[1])]
     assert missing == []
+
+
+def test_every_error_type_is_raised():
+    # a class in errors.py that no `raise` in the package names is dead API:
+    # callers would catch an error that can never arrive
+    defined = {node.name for node in _tree(SRC / "errors.py").body
+               if isinstance(node, ast.ClassDef)} - {"AbdiracError"}
+    raised = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    assert defined and sorted(defined - raised) == []

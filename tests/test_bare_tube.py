@@ -256,6 +256,39 @@ class TestInteriorS:
             assert all(type(v) is float for args in calls for v in args), calls
 
 
+class TestInteriorNode:
+    """chi with a node at r0: alpha = 1, l = 0, channel 1 at k r0 = 2 has
+    F(-1|1|1) = 1 - z = 0 exactly, with F' = -F(0|2|1) = -1."""
+
+    KIN = make_kinematics(k=1.0)  # r0 = k r0
+
+    @staticmethod
+    def weight(r0):
+        return bt.matching_coefficient(0, 1, TubeConfig(r0=r0, coupling=Coupling(1.0)),
+                                       TestInteriorNode.KIN).value
+
+    def test_s_and_log_derivative_are_minus_inf(self):
+        tube = TubeConfig(r0=2.0, coupling=Coupling(1.0))
+        assert bt._kummer_args(0, 1, tube, self.KIN, 0.0) == (0, -1.0, 1.0)
+        assert bt._interior_s(0, 1, tube, self.KIN) == -math.inf
+        assert bt.log_derivative_interior(0, 1, tube, self.KIN) == complex(-math.inf, 0.0)
+
+    def test_weight_against_mpmath(self):
+        # s = -inf leaves A = -J_1(2) / H_1(2); mp_bare_weight cannot serve,
+        # as mpmath divides by F = 0
+        with mpmath.workdps(30):
+            want = complex(-mpmath.besselj(1, 2) / mpmath.hankel1(1, 2))
+        assert abs(self.weight(2.0) - want) <= 1e-15
+
+    def test_weight_continuous_through_the_node(self):
+        # s is -1.4e6 at r0 (1 - 1e-6) and +1.4e6 at r0 (1 + 1e-6)
+        at_node = self.weight(2.0)
+        for r0, sign in ((2.0 * (1.0 - 1e-6), -1.0), (2.0 * (1.0 + 1e-6), 1.0)):
+            tube = TubeConfig(r0=r0, coupling=Coupling(1.0))
+            assert sign * bt._interior_s(0, 1, tube, self.KIN) > 1e6
+            assert abs(self.weight(r0) - at_node) <= 1e-6
+
+
 class TestMatchingTerms:
     @staticmethod
     def _four_calls(nu, x, s):

@@ -450,6 +450,24 @@ class TestPacket:
         pr.delta_quadrature(cfg, Coupling(0.37), 1.0, cfg.rho0, 0.0, t)
         assert panels == [13]
 
+    def test_refine_check_returns_the_finer_rule(self):
+        # refine_check re-evaluates at max_phase / 1.5 with two more Gauss
+        # points and, where the two agree, returns the finer value
+        cfg = pr.PacketConfig(delta=4.0, rho0=55.0, theta0=0.0, k=13.0)
+        t = pr.peak_time(cfg, cfg.rho0)
+        args = (cfg, Coupling(0.37), 1.0, cfg.rho0, 0.0, t)
+        assert (pr.delta_quadrature(*args, refine_check=True)
+                == pr.delta_quadrature(*args, max_phase=4.0, gauss_order=18))
+
+    def test_refine_check_refuses_a_coarse_rule(self):
+        # 2 Gauss points on 60 rad panels miss the finer rule by 2.4e-3 of
+        # a 3.5e-3 value, far above the 1e-4 relative the check allows
+        cfg = pr.PacketConfig(delta=4.0, rho0=55.0, theta0=0.0, k=13.0)
+        t = pr.peak_time(cfg, cfg.rho0)
+        with pytest.raises(QuadratureError, match="not converged"):
+            pr.delta_quadrature(cfg, Coupling(0.37), 1.0, cfg.rho0, 0.0, t,
+                                max_phase=60.0, gauss_order=2, refine_check=True)
+
     def test_suppression_law_closed(self):
         cfg = pr.PacketConfig(delta=5.0, rho0=50.0, theta0=0.0, k=20.0)
         rows = pr.suppression_scan(cfg, [0.0, 5.0], Coupling(0.3))

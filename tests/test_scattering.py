@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -366,11 +367,12 @@ class TestIncrementalCutoff:
         l_max = sc.truncation_order(kr, tol)
         assert info == sc.PartialWaveSum(l_max, 2 * l_max + 1, info.tail_estimate)
         assert info.tail_estimate <= tol
-        # |l - nu| over l = -n..n: nu + m at l = -m, (1 - nu) + m at l = m + 1
-        n = l_max + sc._TAIL_LOOKAHEAD
+        # |l - nu| over l = -n..n, n = l_max: nu + m at l = -m, (1 - nu) + m
+        # at l = m + 1; no order past the cutoff
+        n = l_max
         assert np.array_equal(orders, np.concatenate(
             (nu + np.arange(n, -1, -1), (1.0 - nu) + np.arange(n), [-nu, nu - 1.0])))
-        # one recurrence per family, up to the look-ahead's last order
+        # one recurrence per family, up to the cutoff
         assert tops == [(nu, n), (1.0 - nu, n - 1)]
         # one AMOS call, every order once: per family up to the first order at
         # or above the turning point kr, then the signed pair
@@ -385,8 +387,9 @@ class TestIncrementalCutoff:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 2.0, math.inf, math.nan, 5e-324, 1e-310])
     def test_tol_outside_unit_interval_raises(self, monkeypatch, tol):
-        # the cutoff takes ln(1/tol), and a subnormal tol is below what the
-        # tail check can resolve: the row refuses before any Bessel call
+        # the cutoff takes ln(1/tol), and at a subnormal tol the terms at the
+        # cutoff are subnormal, their rounding no longer small beside tol: the
+        # row refuses before any Bessel call
         calls = _record(monkeypatch, "bessel_j")
         with pytest.raises(RegimeError, match="tolerance"):
             sc._wave_coefficients(0.3, 5.0, tol)
@@ -425,19 +428,32 @@ class TestIncrementalCutoff:
             assert np.array_equal(orders[orders < 0], signed)
 
 
-def _amos_tail(nu, x, tol):
-    """Tail estimate of the row at the cutoff `truncation_order`(x, tol) with
-    every J from one AMOS call: the reference for the recurrence row's tail."""
-    chunk = sc._TAIL_LOOKAHEAD
-    n = sc.truncation_order(x, tol) + chunk
-    orders = np.concatenate((nu + np.arange(n, -1, -1), (1.0 - nu) + np.arange(n)))
-    js = np.abs(sf.bessel_j(orders, x))
-    down, up = js[chunk - 1::-1], js[-chunk:]
-    tail = down.sum() + up.sum()
-    first, last = down[0] + up[0], down[-1] + up[-1]
-    if first > 0:
-        tail *= 2.0 if last / first < 0.5 else 10.0
-    return tail
+def _amos_tail(nu, x, l_max):
+    """sum |J_{|l - nu|}(x)| over the first 64 orders past l_max at both ends,
+    every J from one AMOS call."""
+    m = l_max + 1 + np.arange(64)
+    return np.abs(sf.bessel_j(np.concatenate((nu + m, (1.0 - nu) + m - 1)), x)).sum()
+
+
+def _mp_tail(nu, x, l_max):
+    """sum_{|l| > l_max} |J_{|l - nu|}(x)| at 40 digits.
+
+    Per end, J at the two orders 200 past the first dropped one comes from
+    mpmath and every order below from the backward recurrence
+    J_{mu-1} = (2 mu / x) J_mu - J_{mu+1} (DLMF 10.6.1), stable for J; the
+    orders beyond add less than 1e-40 of the sum at every (x, l_max) tested.
+    """
+    with mpmath.workdps(40):
+        x, total = mpmath.mpf(x), mpmath.mpf(0)
+        for first in (mpmath.mpf(nu) + l_max + 1, 1 - mpmath.mpf(nu) + l_max):
+            mu = first + 200
+            upper, j = mpmath.besselj(mu + 1, x), mpmath.besselj(mu, x)
+            total += abs(j)
+            while mu > first:
+                upper, j = j, 2 * mu / x * j - upper
+                mu -= 1
+                total += abs(j)
+        return float(total)
 
 
 class TestRowBessel:
@@ -449,10 +465,10 @@ class TestRowBessel:
     @pytest.mark.parametrize("nu", NUS)
     @pytest.mark.parametrize("kr", KRS)
     def test_every_order_against_mpmath(self, monkeypatch, kr, nu):
-        # kept orders, the look-ahead chunk at both ends and the signed pair
+        # kept orders and the signed pair
         calls = _record(monkeypatch, "bessel_j")
         orders, js, info = sc._row_bessel(nu, kr, 1e-10, (-nu, nu - 1.0))
-        assert orders.size == 2 * (info.l_max + sc._TAIL_LOOKAHEAD) + 3
+        assert orders.size == 2 * info.l_max + 3
         with mpmath.workdps(40):
             want = np.array([float(mpmath.besselj(mpmath.mpf(float(mu)), mpmath.mpf(kr)))
                              for mu in orders])
@@ -476,14 +492,30 @@ class TestRowBessel:
     @pytest.mark.parametrize("nu", NUS)
     @pytest.mark.parametrize("kr", KRS)
     def test_cutoff_matches_all_amos_row(self, kr, nu, tol):
+        # the all-AMOS tail past the cutoff lies below the row's tail bound
         _, _, info = sc._row_bessel(nu, kr, tol)
         assert info.l_max == sc.truncation_order(kr, tol)
-        tail = _amos_tail(nu, kr, tol)
-        assert abs(info.tail_estimate - tail) <= 1e-9 * tail
+        assert _amos_tail(nu, kr, info.l_max) <= info.tail_estimate <= tol
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-30])
+    @pytest.mark.parametrize("nu", [0.0, 0.37, 0.999])
+    @pytest.mark.parametrize("kr", [1e-3, 0.5, 7.3, 53.0, 200.0, 1000.0])
+    def test_tail_bound_above_mpmath_tail(self, kr, nu, tol):
+        _, _, info = sc._row_bessel(nu, kr, tol)
+        assert _mp_tail(nu, kr, info.l_max) <= info.tail_estimate <= tol
+
+    def test_tail_bound_below_tol_on_grid(self):
+        # the cap tol/320 in `truncation_order` keeps the bound below tol over
+        # the whole range of kr and of normal tol; kr = 0 has no tail
+        for kr in np.geomspace(1e-6, 1e5, 45):
+            for tol in np.geomspace(sys.float_info.min, 0.999, 40):
+                bound = sc._tail_bound(sc.truncation_order(kr, tol), kr)
+                assert 0.0 < bound <= tol, (kr, tol)
+        assert sc._tail_bound(sc.truncation_order(0.0, 1e-10), 0.0) == 0.0
 
     @pytest.mark.parametrize("kr", [1e-3, 3e-3, 0.04, 0.5, 2.0, 7.3, 53.0, 200.0, 1e3, 3.1e4])
     def test_tail_check_passes_on_grid(self, kr):
-        # the cutoff meets the unchanged tail check in one pass, also far below
+        # the tail bound at the cutoff stays below tol, also far below
         # tol = 1e-30, where J falls slower than the Airy law at small kr
         for nu in (0.0, 0.37, 0.999):
             for tol in (1e-10, 1e-16, 1e-30, 1e-40, 1e-60):
@@ -496,7 +528,7 @@ class TestRowBessel:
         for mu in x * (1.0 + np.geomspace(1e-8, 30.0, 60)):
             j = abs(special.jv(mu, x))
             if j > 1e-300:
-                assert math.log(j) <= sc._log_j_bound(mu, x) + 1e-12, mu
+                assert math.log(j) <= min(sc._log_j_bounds(mu, x)) + 1e-12, mu
 
     @pytest.mark.parametrize("kr", [0.5, 200.0])
     def test_values_are_real(self, kr):
