@@ -1,5 +1,12 @@
 """Special functions of fractional order: a thin adapter over ``scipy.special``.
 
+scipy.special is imported when a function here first calls it, not with
+the package: `model`, `numerics` and `propagate` above its switch point X0
+(where the packet kernel comes from propagate's own Hankel expansion) never
+load it, so a caller that stays on those paths never pays its import time
+and memory.  After that first call the module global ``_sp`` is
+scipy.special itself, so no call pays for the deferral.
+
 Orders are real, possibly negative and non-integer.  Cylinder functions take a
 complex argument (purely imaginary inside an evanescent barrier), scalar or
 array; a scalar returns a Python ``complex`` (``float`` for the real-valued
@@ -54,8 +61,11 @@ non-finite input or return inf or nan, the library raises instead:
 
 * ``OutOfRangeError``: a non-finite order or argument, a non-real Kummer
   parameter, a Kummer c of -inf, a Kummer argument with Re z above
-  ``_KUMMER_Z_MAX`` and a non-terminating series, or a non-finite result at
-  z != 0.  An array raises if any element would.
+  ``_KUMMER_Z_MAX`` and a non-terminating series, a non-finite result at
+  z != 0, or a Hankel value (``hankel1``, ``hankel1e``, the H of
+  ``bessel_j_hankel1``) of exactly 0 at a real z > 0, where J and Y have no
+  common zero (DLMF 10.21(i)) and AMOS has failed, as at (nu, z) =
+  (1e10, 2e10).  An array raises if any element would.
 * ``SingularArgumentError``: a non-finite result at z = 0, where the function
   diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: Kummer's F at c within 1e-12 of 0, -1, -2, ...
@@ -75,10 +85,10 @@ tested in Python would cut a ``matching_sweep`` pass further, but while
 the benchmark keeps every pass's outputs that cut reads as a
 ``peak_rss_mb`` rise beyond its bound.
 ``bessel_j_hankel1`` (float nu and z: both finite, then
-``cmath.isfinite`` of J and of H) and ``kummer_f`` (float a, c and z)
-keep float routes of their own; the matching formula calls the pair
-twice per weight, and one more function call on that path costs more
-than the shared test saves.
+``cmath.isfinite`` of J and of H, then H != 0) and ``kummer_f`` (float
+a, c and z) keep float routes of their own; the matching formula calls
+the pair twice per weight, and one more function call on that path costs
+more than the shared test saves.
 
 Any other input, and any scalar test that fails, takes the array test,
 which broadcasts isfinite(nu), isfinite(z) and, for ``bessel_ie`` and
@@ -98,7 +108,6 @@ import math
 
 import numpy as np
 from numpy.exceptions import ComplexWarning
-from scipy import special as _sp
 
 from .errors import OutOfRangeError, PoleError, SingularArgumentError
 
@@ -119,6 +128,25 @@ __all__ = [
 # a non-terminating series (c up to 1e3); scipy's real hyp1f1 takes 3 ms at
 # z = 1e9, time linear in z above that, and does not return from ~1e12 on
 _KUMMER_Z_MAX = 1e9
+
+
+class _SpecialOnFirstUse:
+    """Stands in for ``scipy.special`` until a function here first needs it.
+
+    The first attribute lookup imports scipy.special, rebinds the module
+    global `_sp` to it and returns the attribute; every later call reads
+    ``_sp.jv`` and the rest from scipy.special itself.
+    """
+
+    def __getattr__(self, name: str):
+        global _sp
+        from scipy import special
+
+        _sp = special
+        return getattr(special, name)
+
+
+_sp = _SpecialOnFirstUse()
 
 
 def _order(nu) -> np.ndarray:
@@ -211,6 +239,23 @@ def _result(out, z, name: str):
     return out.item()
 
 
+def _hankel_nonzero(out, z, name: str):
+    """out, a Hankel value, after a test that no element is exactly 0 at a
+    real z > 0 (OutOfRangeError there).
+
+    J and Y have no common zero at a real z > 0 (DLMF 10.21(i)), so
+    H = J + iY = 0 there can only be a failed evaluation: AMOS returns 0
+    at (nu, z) = (1e10, 2e10).  A scalar takes one comparison, an array one
+    reduction; only when it fails is z looked at.
+    """
+    if out.all() if isinstance(out, np.ndarray) else out != 0:
+        return out
+    z = np.asarray(z)
+    if ((out == 0) & (z.imag == 0) & (z.real > 0)).any():
+        raise OutOfRangeError(f"{name} is 0 at a real argument > 0, where it has no zero")
+    return out
+
+
 def _evaluate(fn, nu, z, name: str, dtype=np.complex128, positive: str | None = None):
     """fn(nu, z) with one test of the inputs and one of the result (`_inputs`,
     `_result`): scipy's inf/nan becomes a typed error."""
@@ -274,7 +319,7 @@ def bessel_ke(nu: float, x):
 
 def hankel1(nu: float, z):
     """Hankel function of the first kind, H_nu^(1)(z)."""
-    return _evaluate(_sp.hankel1, nu, z, "H1_nu")
+    return _hankel_nonzero(_evaluate(_sp.hankel1, nu, z, "H1_nu"), z, "H1_nu")
 
 
 def bessel_j_hankel1(nu: float, z):
@@ -291,19 +336,21 @@ def bessel_j_hankel1(nu: float, z):
         if -math.inf < nu < math.inf and -math.inf < z < math.inf:
             zc = complex(z)
             j, h = complex(_sp.jv(nu, zc)), complex(_sp.hankel1(nu, zc))
-            if cmath.isfinite(j) and cmath.isfinite(h):
+            # h == 0 is false and falls through: the array route refuses it at z > 0
+            if cmath.isfinite(j) and cmath.isfinite(h) and h:
                 return j, h
     nu, z = _inputs(nu, z, "J_nu")
     j, h = _sp.jv(nu, z), _sp.hankel1(nu, z)
     if not (np.isfinite(j) & np.isfinite(h)).all():
         _finite(j, z, "J_nu")
         _finite(h, z, "H1_nu")
+    _hankel_nonzero(h, z, "H1_nu")
     return (j.item(), h.item()) if np.ndim(j) == 0 else (j, h)
 
 
 def hankel1e(nu: float, z):
     """Exponentially scaled Hankel function e^{-iz} H_nu^(1)(z)."""
-    return _evaluate(_sp.hankel1e, nu, z, "H1e_nu")
+    return _hankel_nonzero(_evaluate(_sp.hankel1e, nu, z, "H1e_nu"), z, "H1e_nu")
 
 
 def hankel1_prime(nu: float, z):

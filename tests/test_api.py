@@ -1,5 +1,6 @@
 """The public surface of `abdirac`: what each module exports, how many knobs,
-and the library names the benchmark under `perfbench/` calls.
+the library names the benchmark under `perfbench/` calls, and which parts of
+scipy an import and the packet path load.
 
 The checks read the source with `ast`, so they see exactly what a reader of
 the package sees.  A new defaulted parameter of a public function has to raise
@@ -10,10 +11,12 @@ import ast
 import dataclasses
 import importlib
 import pathlib
+import textwrap
 
 import pytest
 
 from abdirac.model import Kinematics
+from _helpers import run_python
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "abdirac"
@@ -122,3 +125,37 @@ def test_every_error_type_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
     assert defined and sorted(defined - raised) == []
+
+
+def test_scipy_loads_only_where_a_call_needs_it():
+    # a fresh interpreter, since this one has long loaded scipy: the packet
+    # path above the switch point X0 takes its kernel from propagate's own
+    # Hankel expansion, so neither an import nor that path loads scipy
+    code = textwrap.dedent("""
+        import importlib, math, pkgutil, sys
+        import abdirac
+        for module in pkgutil.iter_modules(abdirac.__path__):
+            importlib.import_module(f"abdirac.{module.name}")
+        from abdirac import bare_tube as bt, propagate as pr, specfun as sf
+        from abdirac.model import Coupling, TubeConfig, make_kinematics
+
+        def loaded():
+            return [m for m in ("scipy", "scipy.special", "scipy.integrate") if m in sys.modules]
+
+        coupling = Coupling(0.37)
+        cfg = pr.PacketConfig(delta=4.0, rho0=55.0, theta0=0.0, k=13.0)
+        pr.suppression_scan(cfg, [0.0, 5.0, 8.0], coupling, use_quadrature=True)
+        pr.delta_closed(cfg, coupling, 1.0, cfg.rho0, 0.0, pr.peak_time(cfg, cfg.rho0))
+        pr.transit_fit(cfg, coupling)
+        print(loaded())
+        sf.bessel_j(0.3, 1.0)
+        print(loaded(), sf._sp is sys.modules["scipy.special"])
+        kin = make_kinematics(E=math.sqrt(2.0))
+        bt.ode_radial_oracle(0, 1, TubeConfig(r0=0.1, coupling=Coupling(0.3)), kin, r_max=0.2)
+        print(loaded())
+    """)
+    assert run_python(code).splitlines() == [
+        "[]",
+        "['scipy', 'scipy.special'] True",
+        "['scipy', 'scipy.special', 'scipy.integrate']",
+    ]

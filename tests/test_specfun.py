@@ -173,6 +173,16 @@ class TestHankel:
         with pytest.raises(OutOfRangeError):
             sf.hankel1e(250.0, 10.0)  # H_250(10) overflows
 
+    @pytest.mark.parametrize("fn", [sf.hankel1, sf.hankel1e, sf.bessel_j_hankel1],
+                             ids=lambda fn: fn.__name__)
+    def test_zero_at_real_positive_argument_refused(self, fn):
+        # J and Y have no common zero at a real x > 0 (DLMF 10.21(i)); AMOS
+        # returns H = 0 at (1e10, 2e10), a failed evaluation
+        for nu, x in [(1e10, 2e10), (1e10, 2e10 + 0j), (np.array([0.5, 1e10]), 2e10),
+                      (1e10, np.array([2e10, 3e10]))]:
+            with pytest.raises(OutOfRangeError, match="is 0 at a real argument > 0"):
+                fn(nu, x)
+
     def test_integer_order_consistent_with_neighbours(self):
         # integer-order path must be the limit of nearby non-integer orders
         for x in [0.5, 4.0, 8.0]:
