@@ -29,12 +29,16 @@ bare, alpha>0   psi1, psi3               --
 bare, alpha<0   --                       psi2, psi4
 ==============  =======================  ==========================
 
-so bare - shielded is one order swap per partial wave.  A row's J values
-come from one scipy (AMOS) call over the orders below the turning point
-mu = k r, the first one at or above it and the signed orders; every order
-above the turning point comes from the backward three-term recurrence, where
-J is the minimal solution.  One product with the phases
-e^{i (l + [alpha]) theta} then gives all four components at every angle.
+so bare - shielded is one order swap per partial wave.  Every order of a
+row above the turning point mu = k r comes from the backward three-term
+recurrence, where J is the minimal solution.  From k r = j_{0,1} (the first
+zero of J_0, 2.405) on, the orders below the turning point, the first one at
+or above it and the signed orders come from one scipy (AMOS) call.  In the
+near field, 0 < k r < j_{0,1}, the row makes no scipy call: the recurrence
+runs down to each family's first order, Neumann's sum (DLMF 10.23.15), whose
+terms are all positive there, fixes its scale, and one more step down gives
+each signed order.  One product with the phases e^{i (l + [alpha]) theta}
+then gives all four components at every angle.
 
 The cutoff is known before the row is built: past the turning point J_mu(x)
 falls as the Airy function of (mu - x)/x^{1/3} (DLMF 10.19.8), and a rigorous
@@ -65,7 +69,7 @@ import numpy as np
 
 from . import specfun as sf
 from .bare_tube import anomalous_channel
-from .errors import RegimeError, SingularArgumentError
+from .errors import OutOfRangeError, RegimeError, SingularArgumentError
 from .model import Coupling, Kinematics, SpinorAmplitudes
 
 __all__ = [
@@ -86,6 +90,9 @@ DEFAULT_FORWARD_CONE = 0.1  # rad; asymptotics break down within this cone
 # 8-angle row at 1e5 (2-core VM)
 _MAX_KR = 1e5
 _RECURRENCE_MARGIN = 32  # orders above a row's top where the J ratios start at 0
+# j_{0,1}, the first zero of J_0, rounded up by 1.2e-16: a double x below it
+# lies below the zero
+_J0_ZERO = 2.404825557695773
 
 
 @dataclass(frozen=True)
@@ -180,27 +187,49 @@ def truncation_order(kr: float, tol: float) -> int:
     return l_max
 
 
+def _neumann_anchor(mu: float, x: float, ratios: list) -> float:
+    """J_mu(x) from the ratios r_m = J_{mu+m} / J_{mu+m-1}, m = 1, 2, ...
+
+    Neumann's sum (x/2)^mu = sum_k (mu + 2k) Gamma(mu + k)/k! J_{mu+2k}(x)
+    (DLMF 10.23.15; the k = 0 term is Gamma(mu + 1) J_mu) divided by J_mu
+    is a sum of the products of the ratios.  Below j_{0,1} every J_{mu+m}
+    is positive (J_nu > 0 on (0, j_{nu,1}), and j_{nu,1} grows with nu), so
+    no term cancels.  (x/2)^mu is taken as x^mu 2^-mu, which keeps its
+    digits at a subnormal x.
+    """
+    g = math.gamma(mu + 1.0)  # Gamma(mu + k)/k! at k = 1, and the k = 0 coefficient
+    total, rel = g, 1.0
+    for k in range(1, len(ratios) // 2 + 1):
+        rel *= ratios[2 * k - 2] * ratios[2 * k - 1]
+        total += (mu + 2 * k) * g * rel
+        g *= (mu + k) / (k + 1)
+    return x ** mu * 0.5 ** mu / total
+
+
 def _j_family(mu: float, x: float, amos: list, top: int) -> list:
     """J_{mu+m}(x) for m = 0..top, each order mu + m in one rounding.
 
     `amos` holds AMOS values for m = 0..t, where t is the first order at or
-    above the turning point mu + m >= x (every order at x = 0).  Above it J
-    is the minimal solution of the three-term recurrence (DLMF 10.6.1), so
-    the ratios r_m = J_{mu+m} / J_{mu+m-1} = 1 / (2 (mu + m)/x - r_{m+1}) are
-    stable run backward (DLMF 10.74(iv)).  They start from 0 at
-    _RECURRENCE_MARGIN orders above `top`, past the cutoff
-    (`truncation_order`) where J has fallen far below tol, and multiply up
-    from J_{mu+t}.
+    above the turning point mu + m >= x (every order at x = 0), or is empty
+    at 0 < x < j_{0,1}, where t = 0 and the anchor J_mu comes from
+    `_neumann_anchor`.  Above the turning point J is the minimal solution of
+    the three-term recurrence (DLMF 10.6.1), so the ratios
+    r_m = J_{mu+m} / J_{mu+m-1} = 1 / (2 (mu + m)/x - r_{m+1}) are stable run
+    backward (DLMF 10.74(iv)); below it, at the few orders under
+    x < j_{0,1}, the recurrence is neutrally stable.  The ratios start from 0 at _RECURRENCE_MARGIN
+    orders above `top`, past the cutoff (`truncation_order`) where J has
+    fallen far below tol, and multiply up from J_{mu+t}.
     """
-    t = len(amos) - 1
+    t = max(len(amos) - 1, 0)
     if t >= top:
         return amos[:top + 1]
     r, ratios = 0.0, []
     for m in range(top + _RECURRENCE_MARGIN, t, -1):
         r = 1.0 / (2.0 * (mu + m) / x - r)
         ratios.append(r)
-    del ratios[:_RECURRENCE_MARGIN]
-    return amos[:t] + list(accumulate(reversed(ratios), operator.mul, initial=amos[t]))
+    ratios.reverse()
+    anchor = amos[t] if amos else _neumann_anchor(mu, x, ratios)
+    return amos[:t] + list(accumulate(ratios[:top - t], operator.mul, initial=anchor))
 
 
 def _row_bessel(nu: float, x: float, tol: float, signed: tuple = ()):
@@ -208,31 +237,50 @@ def _row_bessel(nu: float, x: float, tol: float, signed: tuple = ()):
 
     Returns (orders, values, PartialWaveSum).  l = -m has order nu + m and
     l = m + 1 order (1 - nu) + m.  The `signed` orders (the negative ones a
-    Hankel term swaps in) and their J follow at the end.  No order past the
-    cutoff is evaluated: the tail estimate is `_tail_bound`(l_max, x).
+    Hankel term swaps in, each -nu or nu - 1.0) and their J follow at the
+    end.  No order past the cutoff is evaluated: the tail estimate is
+    `_tail_bound`(l_max, x).
 
-    One pass: one AMOS call per row takes, per family, the orders below the
-    turning point and the first one at or above it (see `_j_family`), and the
-    signed orders; one recurrence per family fills the rest.  J at a real
-    argument is real, so only the real part is kept.
+    One pass, one recurrence per family (`_j_family`).  At x = 0 and from
+    x = j_{0,1} on, one AMOS call per row takes, per family, the orders
+    below the turning point and the first one at or above it, and the
+    signed orders; the recurrence fills the rest.  At 0 < x < j_{0,1} the
+    row makes no AMOS call: each family's recurrence runs down to m = 0,
+    `_neumann_anchor` fixes its scale, and each signed order is one more
+    step down, J_{mu-1} = (2 mu / x) J_mu - J_{mu+1} (DLMF 10.6.1), from the
+    family at mu = 1 - nu (for -nu) or mu = nu (for nu - 1, so J is taken
+    at nu - 1 exactly, not at its rounding).  A value that is not finite
+    there, as at a subnormal x where 2 mu / x overflows, raises the
+    OutOfRangeError of specfun's result guard.  J at a real argument is
+    real, so only the real part is kept.
     """
     if not (0.0 <= nu < 1.0):
         raise RegimeError("reduced coupling must lie in [0, 1)")
     l_max = truncation_order(x, tol)  # refuses x and tol before any Bessel call
     mu_right = 1.0 - nu
-    if x == 0:
-        t_left, t_right = l_max, l_max - 1
+    near = 0.0 < x < _J0_ZERO
+    if near:
+        left = right = []
     else:
-        t_left, t_right = (max(0, math.ceil(x - mu)) for mu in (nu, mu_right))
-    amos_orders = np.concatenate((nu + np.arange(t_left + 1),
-                                  mu_right + np.arange(t_right + 1), signed))
-    amos = sf.bessel_j(amos_orders, x).real.tolist()
-    left, right = amos[:t_left + 1], amos[t_left + 1:t_left + t_right + 2]
+        if x == 0:
+            t_left, t_right = l_max, l_max - 1
+        else:
+            t_left, t_right = (max(0, math.ceil(x - mu)) for mu in (nu, mu_right))
+        amos_orders = np.concatenate((nu + np.arange(t_left + 1),
+                                      mu_right + np.arange(t_right + 1), signed))
+        amos = sf.bessel_j(amos_orders, x).real.tolist()
+        left, right = amos[:t_left + 1], amos[t_left + 1:t_left + t_right + 2]
+        signed_js = amos[t_left + t_right + 2:]
     down = _j_family(nu, x, left, l_max)  # l = 0, -1, ..., -l_max
     up = _j_family(mu_right, x, right, l_max - 1)  # l = 1, ..., l_max
+    if near:
+        step = {-nu: (mu_right, up), nu - 1.0: (nu, down)}  # order mu - 1: (mu, family)
+        signed_js = [2.0 * mu / x * js[0] - js[1] for mu, js in map(step.__getitem__, signed)]
+        if not all(map(math.isfinite, signed_js)):
+            raise OutOfRangeError("J_nu is not finite in double precision here")
     orders = np.concatenate((nu + np.arange(l_max, -1, -1), mu_right + np.arange(l_max), signed))
     info = PartialWaveSum(l_max, 2 * l_max + 1, _tail_bound(l_max, x))
-    return orders, np.array(down[::-1] + up + amos[t_left + t_right + 2:]), info
+    return orders, np.array(down[::-1] + up + signed_js), info
 
 
 def _wave_coefficients(nu: float, x: float, tol: float, signed: tuple = ()):
@@ -318,10 +366,10 @@ def _spinor_coefficients(swapped: tuple, a1: complex, a2: complex, w: float,
     e^{i pi nu/2} sin(pi nu) H_{nu-1} cancels the shielded one exactly, since
     H_{nu-1} = e^{i pi (1-nu)} H_{1-nu} (DLMF 10.4.6); at alpha < 0 the same
     holds for psi3 with the roles of the partial waves exchanged.  Every J,
-    the signed orders included, comes from the row's one AMOS call and the
-    recurrence above the turning point (`_row_bessel`); the call adds only
-    the signed orders of the swapped waves, and no Hankel function is
-    evaluated.
+    the signed orders included, comes from `_row_bessel`: from k r = j_{0,1}
+    on, its one AMOS call adds only the signed orders of the swapped waves;
+    below it each signed order is one recurrence step from its family.  No
+    Hankel function is evaluated.
     Returns (matrix, PartialWaveSum).
     """
     waves = sorted({l for l, _ in swapped})

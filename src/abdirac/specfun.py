@@ -1,11 +1,13 @@
 """Special functions of fractional order: a thin adapter over ``scipy.special``.
 
 scipy.special is imported when a function here first calls it, not with
-the package: `model`, `numerics` and `propagate` above its switch point X0
-(where the packet kernel comes from propagate's own Hankel expansion) never
-load it, so a caller that stays on those paths never pays its import time
-and memory.  After that first call the module global ``_sp`` is
-scipy.special itself, so no call pays for the deferral.
+the package: `model`, `numerics`, `propagate` above its switch point X0
+(where the packet kernel comes from propagate's own Hankel expansion) and
+`scattering` rows in the near field 0 < k r < j_{0,1} (where the recurrence
+is normalised by Neumann's sum) never load it, so a caller that stays on
+those paths never pays its import time and memory.  After that first call
+the module global ``_sp`` is scipy.special itself, so no call pays for the
+deferral.
 
 Orders are real, possibly negative and non-integer.  Cylinder functions take a
 complex argument (purely imaginary inside an evanescent barrier), scalar or
@@ -17,10 +19,10 @@ the scalar call at its order.  Backing scipy routines:
 * ``bessel_j``, ``bessel_j_prime``: ``jv``, ``jvp`` (AMOS; reflection for nu < 0)
 * ``bessel_j_ladder``: one ``jv`` call over the orders nu0 + m, m = 0..count-1.
   Nothing in the library calls it any more: a scattering row takes its orders
-  up to the turning point nu = k r from one ``bessel_j`` call and every order
-  above from the three-term recurrence.  It stays only because the
-  benchmark's tracer (``perfbench/tracing.py`` ``TARGETS``) looks it up, and
-  goes together with that entry
+  up to the turning point nu = k r from one ``bessel_j`` call (none below
+  k r = j_{0,1}) and every order above from the three-term recurrence.  It
+  stays only because the benchmark's tracer (``perfbench/tracing.py``
+  ``TARGETS``) looks it up, and goes together with that entry
 * ``bessel_ie``, ``bessel_ke``: ``ive``, ``kve``, the scaled e^{-x} I_nu(x)
   and e^{x} K_nu(x) of real x > 0 (DLMF 10.25), finite where I_nu overflows
   and K_nu underflows
@@ -63,9 +65,9 @@ non-finite input or return inf or nan, the library raises instead:
   parameter, a Kummer c of -inf, a Kummer argument with Re z above
   ``_KUMMER_Z_MAX`` and a non-terminating series, a non-finite result at
   z != 0, or a Hankel value (``hankel1``, ``hankel1e``, the H of
-  ``bessel_j_hankel1``) of exactly 0 at a real z > 0, where J and Y have no
-  common zero (DLMF 10.21(i)) and AMOS has failed, as at (nu, z) =
-  (1e10, 2e10).  An array raises if any element would.
+  ``bessel_j_hankel1``) of exactly 0 at a real z != 0, where H^(1) has no
+  zero and AMOS has failed, as at (nu, z) = (1e10, 2e10) and
+  (1e10, -2e10 + 0j).  An array raises if any element would.
 * ``SingularArgumentError``: a non-finite result at z = 0, where the function
   diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: Kummer's F at c within 1e-12 of 0, -1, -2, ...
@@ -241,18 +243,21 @@ def _result(out, z, name: str):
 
 def _hankel_nonzero(out, z, name: str):
     """out, a Hankel value, after a test that no element is exactly 0 at a
-    real z > 0 (OutOfRangeError there).
+    real z != 0 (OutOfRangeError there).
 
-    J and Y have no common zero at a real z > 0 (DLMF 10.21(i)), so
-    H = J + iY = 0 there can only be a failed evaluation: AMOS returns 0
-    at (nu, z) = (1e10, 2e10).  A scalar takes one comparison, an array one
-    reduction; only when it fails is z looked at.
+    J and Y have no common zero at a real x > 0 (DLMF 10.21(i)), so
+    H = J + iY != 0 there.  On the negative real axis scipy takes ph z = pi,
+    for Im z = -0 too, and H^(1)_nu(x e^{pi i}) = -e^{-nu pi i} H^(2)_nu(x)
+    (DLMF 10.11.5) with H^(2)_nu(x) = conj(H^(1)_nu(x)) != 0.  So H = 0 at a
+    real z != 0 can only be a failed evaluation: AMOS returns 0 at
+    (nu, z) = (1e10, 2e10) and (1e10, -2e10 + 0j).  A scalar takes one
+    comparison, an array one reduction; only when it fails is z looked at.
     """
     if out.all() if isinstance(out, np.ndarray) else out != 0:
         return out
     z = np.asarray(z)
-    if ((out == 0) & (z.imag == 0) & (z.real > 0)).any():
-        raise OutOfRangeError(f"{name} is 0 at a real argument > 0, where it has no zero")
+    if ((out == 0) & (z.imag == 0) & (z.real != 0)).any():
+        raise OutOfRangeError(f"{name} is 0 at a real argument, where it has no zero")
     return out
 
 
@@ -336,7 +341,7 @@ def bessel_j_hankel1(nu: float, z):
         if -math.inf < nu < math.inf and -math.inf < z < math.inf:
             zc = complex(z)
             j, h = complex(_sp.jv(nu, zc)), complex(_sp.hankel1(nu, zc))
-            # h == 0 is false and falls through: the array route refuses it at z > 0
+            # h == 0 is false and falls through: the array route refuses it at z != 0
             if cmath.isfinite(j) and cmath.isfinite(h) and h:
                 return j, h
     nu, z = _inputs(nu, z, "J_nu")

@@ -130,14 +130,16 @@ def test_every_error_type_is_raised():
 def test_scipy_loads_only_where_a_call_needs_it():
     # a fresh interpreter, since this one has long loaded scipy: the packet
     # path above the switch point X0 takes its kernel from propagate's own
-    # Hankel expansion, so neither an import nor that path loads scipy
+    # Hankel expansion, and a partial-wave row below j_{0,1} normalises its
+    # recurrence by Neumann's sum, so neither an import nor those paths load
+    # scipy; a row from k r = j_{0,1} on makes one bessel_j call
     code = textwrap.dedent("""
         import importlib, math, pkgutil, sys
         import abdirac
         for module in pkgutil.iter_modules(abdirac.__path__):
             importlib.import_module(f"abdirac.{module.name}")
-        from abdirac import bare_tube as bt, propagate as pr, specfun as sf
-        from abdirac.model import Coupling, TubeConfig, make_kinematics
+        from abdirac import bare_tube as bt, propagate as pr, scattering as sc, specfun as sf
+        from abdirac.model import Coupling, SpinorAmplitudes, TubeConfig, make_kinematics
 
         def loaded():
             return [m for m in ("scipy", "scipy.special", "scipy.integrate") if m in sys.modules]
@@ -148,13 +150,19 @@ def test_scipy_loads_only_where_a_call_needs_it():
         pr.delta_closed(cfg, coupling, 1.0, cfg.rho0, 0.0, pr.peak_time(cfg, cfg.rho0))
         pr.transit_fit(cfg, coupling)
         print(loaded())
-        sf.bessel_j(0.3, 1.0)
+        amp, kin1 = SpinorAmplitudes(1.0, 0.5j), make_kinematics(k=1.0)
+        for kind in ("bare", "shielded"):
+            for alpha, r in ((0.37, 1e-3), (-1.62, 0.5), (1.62, 2.4)):
+                sc.dirac_scattering_state(kind, amp, Coupling(alpha), kin1, r, [0.1, 2.0])
+        print(loaded())
+        sc.dirac_scattering_state("bare", amp, coupling, kin1, sc._J0_ZERO, [0.1, 2.0])
         print(loaded(), sf._sp is sys.modules["scipy.special"])
         kin = make_kinematics(E=math.sqrt(2.0))
         bt.ode_radial_oracle(0, 1, TubeConfig(r0=0.1, coupling=Coupling(0.3)), kin, r_max=0.2)
         print(loaded())
     """)
     assert run_python(code).splitlines() == [
+        "[]",
         "[]",
         "['scipy', 'scipy.special'] True",
         "['scipy', 'scipy.special', 'scipy.integrate']",

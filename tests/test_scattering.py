@@ -410,18 +410,26 @@ class TestIncrementalCutoff:
     @pytest.mark.parametrize("kind", ["bare", "shielded"])
     @pytest.mark.parametrize("kr", [0.5, 7.3, 200.0])
     def test_row_makes_one_j_call_and_no_h_call(self, monkeypatch, kind, kr):
+        # below j_{0,1} (kr = 0.5) a row makes no Bessel call at all
         j_calls = _record(monkeypatch, "bessel_j")
         h_calls = _record(monkeypatch, "hankel1")
+        rows, row_bessel = [], sc._row_bessel
+
+        def recording(*args):
+            rows.append(row_bessel(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(sc, "_row_bessel", recording)
         alphas = (1.62, -1.62)
         for alpha in alphas:
             sc.dirac_scattering_state(kind, AMP, Coupling(alpha), KIN, kr,
                                       TestThetaArray.THETAS)
-        assert len(j_calls) == len(alphas)
+        assert len(j_calls) == (0 if kr < sc._J0_ZERO else len(alphas))
         assert not h_calls
         # the row's only negative orders are the signed ones it swaps in:
         # -nu (l = 0) and nu - 1 (l = 1) for the shielded state, -nu for the
         # bare one at alpha > 0 and nu - 1 at alpha < 0
-        for (orders, _, _), alpha in zip(j_calls, alphas):
+        for (orders, _, _), alpha in zip(rows, alphas, strict=True):
             nu = Coupling(alpha).frac
             signed = [-nu, nu - 1.0] if kind == "shielded" else [-nu] if alpha > 0 else [nu - 1.0]
             assert np.array_equal(orders[-len(signed):], signed)
@@ -457,10 +465,11 @@ def _mp_tail(nu, x, l_max):
 
 
 class TestRowBessel:
-    """Every J of a row: AMOS below the turning point, recurrence above it."""
+    """Every J of a row: AMOS below the turning point, recurrence above it;
+    below j_{0,1} the recurrence alone, normalised by Neumann's sum."""
 
-    KRS = [1e-3, 0.5, 7.3, 14.4, 53.0, 200.0, 500.0]
-    NUS = [0.37, 0.41, 0.999]
+    KRS = [1e-3, 0.5, 2.0, 2.4, 7.3, 14.4, 53.0, 200.0, 500.0]
+    NUS = [1e-9, 0.37, 0.41, 0.999]
 
     @pytest.mark.parametrize("nu", NUS)
     @pytest.mark.parametrize("kr", KRS)
@@ -469,19 +478,25 @@ class TestRowBessel:
         calls = _record(monkeypatch, "bessel_j")
         orders, js, info = sc._row_bessel(nu, kr, 1e-10, (-nu, nu - 1.0))
         assert orders.size == 2 * info.l_max + 3
+        # the last signed order is nu - 1 taken exactly, as the benchmark's
+        # mpmath states take it: below j_{0,1} the recurrence gives J at that
+        # order, while AMOS takes fl(nu - 1), and at nu = 1e-9, kr = 1e-3,
+        # where dJ/dmu ~ 1e3, the two differ by 5.7e-14
         with mpmath.workdps(40):
-            want = np.array([float(mpmath.besselj(mpmath.mpf(float(mu)), mpmath.mpf(kr)))
-                             for mu in orders])
+            mus = [mpmath.mpf(float(mu)) for mu in orders[:-1]] + [mpmath.mpf(nu) - 1]
+            want = np.array([float(mpmath.besselj(mu, mpmath.mpf(kr))) for mu in mus])
+        # above j_{0,1} the orders up to the turning point, and the signed
+        # pair, keep scipy's values (AMOS's own error reaches 1.4e-13 of the
+        # row's largest |J| at kr = 500, below the turning point); below it
+        # no order comes from AMOS
+        assert len(calls) == (kr >= sc._J0_ZERO)
+        from_amos = np.isin(orders, calls[0][0]) if calls else np.zeros(orders.size, bool)
         amos = sf.bessel_j(orders, kr).real
-        # orders up to the turning point, and the signed pair, keep scipy's
-        # values (AMOS's own error reaches 1.4e-13 of the row's largest |J|
-        # at kr = 500, below the turning point)
-        from_amos = np.isin(orders, calls[0][0])
         assert np.array_equal(js[from_amos], amos[from_amos])
-        # the recurrence orders: within 1e-13 of the row's largest |J|, and no
-        # worse than twice scipy's own worst error over the same orders, up to
-        # one rounding of the row's largest |J| (the small-kr rows, where both
-        # errors are below it)
+        # every other order, signed ones included: within 1e-13 of the row's
+        # largest |J|, and no worse than twice scipy's own worst error over
+        # the same orders, up to one rounding of the row's largest |J| (the
+        # small-kr rows, where both errors are below it)
         scale = np.abs(want).max()
         err = np.abs(js - want)[~from_amos].max()
         amos_err = np.abs(amos - want)[~from_amos].max()

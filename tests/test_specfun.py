@@ -176,11 +176,15 @@ class TestHankel:
     @pytest.mark.parametrize("fn", [sf.hankel1, sf.hankel1e, sf.bessel_j_hankel1],
                              ids=lambda fn: fn.__name__)
     def test_zero_at_real_positive_argument_refused(self, fn):
-        # J and Y have no common zero at a real x > 0 (DLMF 10.21(i)); AMOS
-        # returns H = 0 at (1e10, 2e10), a failed evaluation
+        # J and Y have no common zero at a real x > 0 (DLMF 10.21(i)), and
+        # H^(1)(x e^{pi i}) = -e^{-nu pi i} conj(H^(1)(x)) (DLMF 10.11.5) has
+        # none on the negative real axis, where scipy takes ph z = pi also at
+        # Im z = -0; AMOS returns H = 0 at (1e10, +-2e10), a failed evaluation
         for nu, x in [(1e10, 2e10), (1e10, 2e10 + 0j), (np.array([0.5, 1e10]), 2e10),
-                      (1e10, np.array([2e10, 3e10]))]:
-            with pytest.raises(OutOfRangeError, match="is 0 at a real argument > 0"):
+                      (1e10, np.array([2e10, 3e10])), (1e10, -2e10), (1e10, -2e10 + 0j),
+                      (1e10, complex(-2e10, -0.0)), (np.array([0.5, 1e10]), -2e10 + 0j),
+                      (1e10, np.array([-2e10, 3e10]))]:
+            with pytest.raises(OutOfRangeError, match="is 0 at a real argument"):
                 fn(nu, x)
 
     def test_integer_order_consistent_with_neighbours(self):

@@ -10,7 +10,8 @@ prints one line per (workload, seed): the SHA-256 of every output's type and
 raw bits, in order.  Two library versions that print the same lines give
 bit-identical benchmark outputs.  ``--src`` is the ``src`` directory whose
 ``abdirac`` is imported (default: this checkout's), so another checkout of
-the library can be hashed with the same workloads.
+the library can be hashed with the same workloads.  The exit status is 1 if
+any call raised, so a workload that starts raising fails a CI step.
 """
 
 from __future__ import annotations
@@ -88,13 +89,15 @@ def main(argv=None) -> int:
     import workloads
 
     print(f"# abdirac from {Path(abdirac.__file__).parent}", file=sys.stderr)
+    any_raised = False
     for name, make_plan in workloads.PLANS.items():
         for seed in SEEDS:
             plan = make_plan(seed)
             digest, raised = pass_digest(plan)
+            any_raised |= raised > 0
             print(f"{name} seed={seed} items={len(plan.items)} extras={len(plan.extras)} "
                   f"raised={raised} sha256={digest}")
-    return 0
+    return 1 if any_raised else 0
 
 
 if __name__ == "__main__":
