@@ -12,15 +12,16 @@ s = nu + r d(ln chi)/dr from the inside and x C' = x C_{nu-1} - nu C
     A = -(x J_{nu-1}(x) - s J_nu(x)) / (x H_{nu-1}(x) - s H_nu(x)),  x = k r0,
 
 the one matching formula of the bare tube, the shielded string and the ODE
-oracle.  The bare interior and the shielded barrier supply s themselves, so no
-digits cancel between nu and a nearly opposite log-derivative as x -> 0.
+oracle.  Each of them supplies s itself, so no digits cancel between nu and a
+nearly opposite log-derivative as x -> 0.
 
 As k r0 -> 0 every weight dies off as a power of k r0 except in one channel,
 l = [alpha] (channel 1 for alpha > 0, channel 2 for alpha < 0), where s -> 0,
 A tends to the finite value +/- i sin(pi alpha) e^{+/- i pi alpha} and the
 radial solution swaps to the negative-order Bessel function.  The independent
-check for all of this is direct high-order integration of the radial equations
-with a piecewise-constant field and barrier profile.
+check is `ode_radial_oracle`, which integrates the first-order system of the
+two continuous radial components straight through the tube wall and the
+barrier edge, so it shares no matching step, not even the spinor jump.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ def interior_chi(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     barrier-interior analogue.  Zero (or subnormal) coupling degenerates to
     the free Bessel solution; OutOfRangeError where its J_m is below the
     smallest normal double, which a real or imaginary J_m reaches only by
-    underflow (high m at small k_ch r).
+    underflow (high m at small k_ch r), and where chi itself overflows
+    (high m at large k_ch r, 170! 2^170 J_170(100) in the free form).
     """
     if r < 0 or r > tube.r0:
         raise RegimeError(f"r={r} outside the tube interior [0, {tube.r0}]")
@@ -152,10 +154,17 @@ def interior_chi(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
         val = sf.bessel_j(float(m), k_ch * r)
         if not abs(val) >= sys.float_info.min:
             raise OutOfRangeError(f"free interior: J_{m}({k_ch * r}) underflows")
-        return complex(val * math.factorial(m) * 2.0 ** m)
-    _, b, c = args
-    z = abs(alpha) * (r / tube.r0) ** 2
-    return complex((k_ch * r) ** m * math.exp(-0.5 * z) * sf.kummer_f(b, c, z))
+        chi = complex(val * math.factorial(m) * 2.0 ** m)
+    else:
+        _, b, c = args
+        z = abs(alpha) * (r / tube.r0) ** 2
+        try:
+            chi = complex((k_ch * r) ** m * math.exp(-0.5 * z) * sf.kummer_f(b, c, z))
+        except OverflowError:
+            chi = complex(math.inf)
+    if not cmath.isfinite(chi):
+        raise OutOfRangeError(f"interior chi overflows at m={m}, k_ch r={k_ch * r}")
+    return chi
 
 
 def _interior_s(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
@@ -248,9 +257,10 @@ def matching_from_log_derivative(l: int, channel: int, coupling: Coupling,
                                  dlog: float) -> complex:
     """Outgoing-wave weight from a known d(ln chi)/dr at r_match.
 
-    For the ODE oracle's bare tube, whose log-derivative comes as such (units
-    1/length): s = nu + r_match * dlog goes into the one matching formula.
-    The bare tube and the shielded string pass their s directly.
+    For a caller that holds d(ln chi)/dr (units 1/length): s = nu +
+    r_match * dlog goes into the one matching formula.  The bare tube, the
+    shielded string and the ODE oracle pass their s directly, so nothing in
+    the library calls this form.
     """
     if math.isnan(dlog):
         raise RegimeError("log-derivative dlog is NaN")
@@ -359,7 +369,9 @@ def _ladder_components(l: int, alpha: float, kin: Kinematics, r: float,
 
 
 class RadialOdeSolution:
-    """Piecewise dense solution of the radial problem, with extraction helpers."""
+    """Piecewise dense solution (f, h) of one channel's first-order radial
+    system, with extraction helpers: f is the upper component (`chi`), h its
+    lower partner without the factor -i, (E - phi + M) h = f' + (g/r) f."""
 
     def __init__(self, l, channel, tube, kin, barrier, segments, scales):
         self.l = l
@@ -367,6 +379,7 @@ class RadialOdeSolution:
         self.tube = tube
         self.kin = kin
         self.barrier = barrier
+        self._edge = barrier.R0 if barrier is not None else tube.r0
         self._segments = segments  # list of (r_lo, r_hi, OdeSolution)
         self._scales = scales  # per-segment multiplicative factor
 
@@ -380,12 +393,6 @@ class RadialOdeSolution:
                 return y[0] * s, y[1] * s
         raise RegimeError(f"r={r} outside the integrated range")
 
-    def log_derivative(self, r: float) -> float:
-        chi, dchi = self._eval(r)
-        if chi == 0.0:
-            return math.inf
-        return dchi / chi
-
     def extract_matching(self) -> complex:
         """Outgoing-Hankel weight from a two-point exterior fit.
 
@@ -398,8 +405,7 @@ class RadialOdeSolution:
         """
         kin = self.kin
         nu = exterior_order(self.l, self.channel, self.tube.coupling.alpha)
-        edge = self.barrier.R0 if self.barrier is not None else self.tube.r0
-        r_fit = max(1.5 * edge, (nu + 2.0) / kin.k, 2.0 / kin.k)
+        r_fit = max(1.5 * self._edge, (nu + 2.0) / kin.k, 2.0 / kin.k)
         r_b = r_fit + 0.5 * math.pi / kin.k
         top = self._segments[-1][1]
         if r_b > top:
@@ -412,20 +418,20 @@ class RadialOdeSolution:
         return complex(q / p)
 
     def matching_from_interior(self) -> complex:
-        """Outgoing-Hankel weight from the ODE interior log-derivative at the
-        matching radius (r0 for a bare tube, R0 for a shielded one, with the
-        spinor-continuity jump applied there)."""
+        """Outgoing-Hankel weight at the outer edge (r0, or R0 with a barrier)
+        from s = nu - g + edge (E + M) h/f (+/-inf where f = 0): nu + edge f'/f
+        at phi = 0, without the cancellation between those two terms."""
         kin = self.kin
-        coupling = self.tube.coupling
-        if self.barrier is None:
-            r0 = self.tube.r0
-            return matching_from_log_derivative(self.l, self.channel, coupling, kin, r0,
-                                                self.log_derivative(r0))
-        R0 = self.barrier.R0
-        nu = exterior_order(self.l, self.channel, coupling.alpha)
-        s = _spinor_jump(self.l, self.channel, coupling.alpha, kin, self.barrier.U,
-                         nu + R0 * self.log_derivative(R0))
-        num, den = _matching_terms(nu, kin.k * R0, s)
+        alpha = self.tube.coupling.alpha
+        edge = self._edge
+        f, h = self._eval(edge)
+        nu = exterior_order(self.l, self.channel, alpha)
+        if f == 0.0:
+            s = math.copysign(math.inf, h)
+        else:
+            s = (nu - _ladder_coefficient(self.l, self.channel, alpha)
+                 + edge * (kin.energy_E + kin.mass_M) * h / f)
+        num, den = _matching_terms(nu, kin.k * edge, s)
         return complex(-num / den)
 
 
@@ -436,6 +442,8 @@ def _spinor_jump(l: int, channel: int, alpha: float, kin: Kinematics, U: float,
     By the ladder relation the lower spinor component is proportional to
     (chi' + (g/r) chi) / (ew - phi), ew = E + M, and continuous with chi,
     so s_out = (ew s_in + U (g - nu)) / (ew - U).  Undefined at U = ew.
+    Checked against `ode_radial_oracle`, which shares no jump, by test_shielded.py
+    TestShieldedMatching::test_ode_oracle_agreement_with_barrier.
     """
     ew = kin.energy_E + kin.mass_M
     if ew == U:
@@ -447,14 +455,17 @@ def _spinor_jump(l: int, channel: int, alpha: float, kin: Kinematics, U: float,
 def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
                       r_max: float, barrier: BarrierConfig | None = None,
                       rtol: float = 1e-12) -> RadialOdeSolution:
-    """Direct integration of the second-order radial equation.
+    """Direct integration of one channel's first-order radial system,
 
-    Starts from the regular power behaviour near the origin, integrates
-    through the tube wall (vector-potential kink) and, when a barrier is
-    present, applies the spinor-continuity derivative jump at R0.  Serves as
-    the convention-free oracle for every boundary-matching formula.
+        f' = -(g/r) f + (E - phi + M) h,   h' = -((1 - g)/r) h - (E - phi - M) f,
+
+    g(r) = -spin (l_ch - alpha min(1, r^2/r0^2)), phi = U in the barrier (the
+    tube included) and 0 outside.  From the leading Frobenius term near the
+    origin it runs straight through r0 and R0, where f and h are continuous,
+    so no jump condition enters; the Pauli term of f's second-order equation
+    comes from g'.  The oracle for every matching formula, jump included.
     RegimeError unless r_max is finite and beyond the outer edge (r0, or R0
-    with a barrier) and 0 < rtol < 1.
+    with a barrier) and 0 < rtol < 1, and at U = E + M (matching degenerates).
     """
     l_ch, spin = channel_index(l, channel)
     alpha = tube.coupling.alpha
@@ -463,80 +474,52 @@ def ode_radial_oracle(l: int, channel: int, tube: TubeConfig, kin: Kinematics,
     E = kin.energy_E
     m = abs(l_ch)
     U = barrier.U if barrier is not None else 0.0
-    R0 = barrier.R0 if barrier is not None else None
-    if barrier is not None and R0 <= r0:
+    if barrier is not None and barrier.R0 <= r0:
         raise RegimeError("barrier radius must exceed the tube radius")
-    edge = r0 if barrier is None else R0
+    edge = r0 if barrier is None else barrier.R0
     if not edge < r_max < math.inf:
         raise RegimeError(f"r_max={r_max} must be finite and beyond the outer edge {edge}")
     if not 0 < rtol < 1:
         raise RegimeError(f"rtol={rtol} outside (0, 1)")
+    if U == E + M:
+        raise RegimeError("barrier height E + M excluded (matching degenerates)")
     # imported here, not at module level, because only this oracle needs it:
     # scipy.integrate costs ~51 MB RSS and ~0.4 s where scipy is not yet
     # loaded (specfun loads scipy.special at its first call), ~26 MB and
     # ~0.2 s on top of scipy.special (Python 3.11, scipy 1.17, 2-core VM)
     from scipy.integrate import solve_ivp
 
-    def rhs(r, y, inside_tube: bool, in_barrier: bool):
-        phi = U if in_barrier else 0.0
-        esq = (E - phi) ** 2 - M * M
-        if inside_tube:
-            a_term = alpha * (r / r0) ** 2
-            spin_term = spin * tube.qB_over_hbar
-        else:
-            a_term = alpha
-            spin_term = 0.0
-        q = esq - ((l_ch - a_term) / r) ** 2 + spin_term
-        return [y[1], -y[1] / r - q * y[0]]
+    def rhs(r, y, phi):
+        g = -spin * (l_ch - alpha * min(1.0, (r / r0) ** 2))
+        return [(E - phi + M) * y[1] - g / r * y[0],
+                -(E - phi - M) * y[0] - (1.0 - g) / r * y[1]]
+
+    r_start = 1e-6 * r0
+    # leading Frobenius term f ~ r^m, h ~ r^(m+1) (g(0) = -m) or r^(m-1)
+    # (g(0) = m); h from f' by the ladder relation would cancel ~12 digits
+    if spin * l_ch >= 0:
+        y = [1.0, -(E - U - M) * r_start / (2.0 * (m + 1))]
+    else:
+        y = [1.0, 2.0 * m / ((E - U + M) * r_start)]
+    pieces = [(r_start, r0, U)]
+    if barrier is not None:
+        pieces.append((r0, edge, U))
+    pieces.append((edge, r_max, 0.0))
 
     segments = []
     scales = []
     carry = 1.0
-
-    def integrate(r_lo, r_hi, y0, inside_tube, in_barrier):
-        sol = solve_ivp(
-            lambda r, y: rhs(r, y, inside_tube, in_barrier),
-            (r_lo, r_hi),
-            y0,
-            method="DOP853",
-            rtol=rtol,
-            atol=1e-210,
-            dense_output=True,
-        )
+    for r_lo, r_hi, phi in pieces:
+        sol = solve_ivp(rhs, (r_lo, r_hi), y, method="DOP853", rtol=rtol, atol=1e-210,
+                        dense_output=True, args=(phi,))
         if not sol.success:
             raise RegimeError(f"radial integration failed: {sol.message}")
-        return sol.sol
-
-    r_start = 1e-6 * r0
-    # regular start chi ~ r^m (1 + c2 r^2 + ...); the curvature coefficient
-    # keeps the m = 0 derivative away from an exact zero
-    phi0 = U if barrier is not None else 0.0
-    q_smooth = (
-        (E - phi0) ** 2 - M * M
-        + spin * tube.qB_over_hbar
-        + 2.0 * l_ch * alpha / (r0 * r0)
-    )
-    c2 = -q_smooth / (4.0 * (m + 1))
-    y = [1.0, m / r_start + 2.0 * c2 * r_start]
-    edges = [(r_start, r0, True, barrier is not None)]
-    if barrier is not None:
-        edges.append((r0, R0, False, True))
-        edges.append((R0, r_max, False, False))
-    else:
-        edges.append((r0, r_max, False, False))
-
-    for (r_lo, r_hi, inside, in_bar) in edges:
-        dense = integrate(r_lo, r_hi, y, inside, in_bar)
-        segments.append((r_lo, r_hi, dense))
+        segments.append((r_lo, r_hi, sol.sol))
         scales.append(carry)
-        y_end = dense(r_hi)
-        # renormalize between segments; the equation is linear
-        mag = max(abs(y_end[0]), abs(y_end[1]) * r_hi, 1e-280)
+        y_end = sol.sol(r_hi)
+        # renormalize between segments; the system is linear
+        mag = max(abs(y_end[0]), abs(y_end[1]), 1e-280)
         carry *= mag
-        y = [y_end[0] / mag, y_end[1] / mag]
-        if in_bar and not inside and barrier is not None and math.isclose(r_hi, R0):
-            nu = exterior_order(l, channel, alpha)
-            s_in = nu + R0 * y[1] / y[0] if y[0] != 0 else math.inf
-            y = [y[0], (_spinor_jump(l, channel, alpha, kin, U, s_in) - nu) / R0 * y[0]]
+        y = y_end / mag
 
     return RadialOdeSolution(l, channel, tube, kin, barrier, segments, scales)

@@ -645,7 +645,8 @@ class TestOdeOracle:
                         )
                         A_ode = sol.matching_from_interior()
                         A_f = bt.matching_coefficient(l, ch, tube, KIN).value
-                        assert abs(A_ode - A_f) <= 1e-6 * max(abs(A_f), 1e-250), (
+                        # worst measured 9.8e-11 relative (Python 3.11, scipy 1.17)
+                        assert abs(A_ode - A_f) <= 1e-9 * max(abs(A_f), 1e-250), (
                             alpha,
                             l,
                             ch,
@@ -664,22 +665,23 @@ class TestOdeOracle:
         slope = loglog_slope(xs, As)
         assert abs(slope - 3.4) < 0.01 * 3.4
 
-    def test_spin_term_sign_between_channels(self):
-        # inside the tube the two channels with matched centrifugal index
-        # differ only by the sign of the field coupling term
+    def test_chi_solves_second_order_equation_with_pauli_term(self):
+        # the oracle integrates the first-order pair, whose right-hand side has
+        # no Pauli term; inside the tube its chi must still solve
+        # chi'' + chi'/r + (k^2 - ((l_ch - alpha r^2/r0^2)/r)^2 + spin qB/hbar) chi = 0.
+        # Central differences (step 1e-3 r0) leave a residual of at most
+        # 5.8e-6 of the Pauli term; the opposite sign leaves 2 of it
         tube = tube_at(0.3, 0.4)
-        kin = KIN
-        M = kin.mass_M
-
-        def q_term(l_ch, spin, r):
-            a_term = tube.coupling.alpha * (r / tube.r0) ** 2
-            esq = kin.energy_E ** 2 - M * M
-            return esq - ((l_ch - a_term) / r) ** 2 + spin * tube.qB_over_hbar
-
-        r = 0.5 * tube.r0
-        m = 1
-        diff = q_term(m, +1.0, r) - q_term(m, -1.0, r)
-        assert abs(diff - 2 * tube.qB_over_hbar) < 1e-12 * abs(tube.qB_over_hbar)
+        alpha, r0, qb = tube.coupling.alpha, tube.r0, tube.qB_over_hbar
+        for l, ch in [(0, 1), (0, 2), (1, 1), (1, 2), (-2, 2)]:
+            l_ch, spin = channel_index(l, ch)
+            sol = bt.ode_radial_oracle(l, ch, tube, KIN, r_max=2 * r0)
+            for frac in (0.3, 0.5, 0.7):
+                r, d = frac * r0, 1e-3 * r0
+                lo, mid, hi = (sol.chi(r + i * d) for i in (-1, 0, 1))
+                lap = (hi - 2 * mid + lo) / d ** 2 + (hi - lo) / (2 * d * r)
+                q = K * K - ((l_ch - alpha * (r / r0) ** 2) / r) ** 2 + spin * qb
+                assert abs(lap + q * mid) <= 1e-4 * abs(qb * mid), (l, ch, frac)
 
 
 class TestGuards:

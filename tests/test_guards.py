@@ -336,6 +336,8 @@ def test_matching_coefficient(l, channel, alpha, r0, k):
 @given(l=L, channel=CHANNEL, alpha=COUPLING, r0=_or_edge(1e-3, 5.0), k=_or_edge(1e-3, 5.0),
        rho=_or_edge(0.0, 1.0), U=_or_edge(0.0, 1.9))
 @example(l=1, channel=1, alpha=1e308, r0=1.0, k=1.0, rho=1.0, U=0.0)
+@example(l=170, channel=1, alpha=0.0, r0=100.0, k=1.0, rho=1.0, U=0.0)
+@example(l=170, channel=1, alpha=0.37, r0=100.0, k=1.0, rho=1.0, U=0.0)
 def test_interior_chi(l, channel, alpha, r0, k, rho, U):
     _finite_or_typed(lambda: bt.interior_chi(
         l, channel, TubeConfig(r0, Coupling(alpha)), make_kinematics(k=k), rho * r0, U))

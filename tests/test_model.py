@@ -120,7 +120,8 @@ class TestUnitSchemes:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_ode_oracle(self, alpha):
         # the integrator's steps, not the equation, differ between the
-        # schemes: the bound is set by its tolerance, rtol = 1e-12
+        # schemes: the bound is set by its tolerance, rtol = 1e-12; worst
+        # measured 3.7e-14 (Python 3.11, scipy 1.17)
         c = Coupling(alpha)
         tube, tube_si = TubeConfig(0.5, c), TubeConfig(0.5 * LAM, c)
         barrier, barrier_si = BarrierConfig(1.0, 1.0), BarrierConfig(LAM, 1 / LAM)
@@ -132,7 +133,7 @@ class TestUnitSchemes:
                 si = bt.ode_radial_oracle(l, channel, tube_si, _kin(k, si=True),
                                           r_max * LAM, bar_si)
                 delta = si.matching_from_interior() - nat.matching_from_interior()
-                assert abs(2.0 * delta) <= 1e-9
+                assert abs(2.0 * delta) <= 4e-13
 
     @pytest.mark.parametrize("kind", ["bare", "shielded"])
     @pytest.mark.parametrize("alpha", ALPHAS)
