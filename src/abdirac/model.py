@@ -137,11 +137,12 @@ def make_kinematics(E: float | None = None, M: float = 1.0,
     """Build a Kinematics bundle from total energy or wavenumber.
 
     Exactly one of `E` (E/hbar c, rest mass included) and `k` must be given;
-    the other follows from E^2 = M^2 + k^2.  Supplying `k` keeps
-    near-threshold wavenumbers exact, which E^2 - M^2 would lose to
-    cancellation.  Where the squares fall below the smallest normal double
-    the other loses digits, and `Kinematics` refuses a pair that then breaks
-    E^2 = M^2 + k^2.
+    the other follows from E^2 = M^2 + k^2.  From `E`, k is
+    sqrt(E - M) sqrt(E + M): E - M is exact near threshold (Sterbenz), so k
+    keeps its digits there, and no square can overflow or fall below the
+    smallest normal double.  From `k`, where M^2 + k^2 falls below the
+    smallest normal double E loses digits, and `Kinematics` refuses a pair
+    that then breaks E^2 = M^2 + k^2.
     """
     if (E is None) == (k is None):
         raise RegimeError("specify exactly one of E and k")
@@ -151,7 +152,7 @@ def make_kinematics(E: float | None = None, M: float = 1.0,
         except OverflowError:
             raise RegimeError(f"wavenumber k={k} overflows the energy") from None
     else:
-        k = math.sqrt(max(E * E - M * M, 0.0))
+        k = math.sqrt(max(E - M, 0.0)) * math.sqrt(max(E + M, 0.0))
     return Kinematics(energy_E=E, mass_M=M, k=k)
 
 

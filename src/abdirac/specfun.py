@@ -27,15 +27,14 @@ the scalar call at its order.  Backing scipy routines:
   and e^{x} K_nu(x) of real x > 0 (DLMF 10.25), finite where I_nu overflows
   and K_nu underflows
 * ``bessel_j_hankel1``: ``jv`` and ``hankel1`` at the same orders and
-  argument, the pair the matching formula needs.  One test covers both
-  results; on the way to raising, the guards run in the order ``bessel_j``
-  followed by ``hankel1`` would meet them: the order, the argument (named
-  as J's), J's result, then H's result.  So it raises exactly what that
-  sequence raises, and its values are the two calls' bit for bit.  For
-  float nu and z (``np.float64`` included) both tests run on Python floats
-  and scipy runs at complex(z), the argument the array call casts to: at a
-  real z scipy's real ``jv`` would drop the rounding-level imaginary part
-  (~1e-17 relative) that the complex routine gives J, and change its bits
+  argument, the pair the matching formula needs.  For float nu and z
+  (``np.float64`` included) one test of the inputs and one of both results
+  run on Python floats, and scipy runs at complex(z), the argument
+  ``bessel_j`` hands it: at a real z scipy's real ``jv`` would drop the
+  rounding-level imaginary part (~1e-17 relative) that the complex routine
+  gives J, and change its bits.  Any other input, or a test that fails, is
+  ``bessel_j`` followed by ``hankel1``, so the pair raises exactly what that
+  sequence raises, and its values are the two calls' bit for bit
 * ``hankel1``, ``hankel1_prime``: ``hankel1``, ``h1vp`` (AMOS).  Nothing in
   the library calls either any more (the matching formula takes H from
   ``bessel_j_hankel1``); like ``bessel_j_ladder`` they stay only for the
@@ -49,13 +48,13 @@ the scalar call at its order.  Backing scipy routines:
   from the parameter pair (a, a + 1), (c, c + 1) of one call.  Re z above
   ``_KUMMER_Z_MAX`` is refused unless that element's a is 0, -1, -2, ...:
   there |F| has long overflowed, and for a real z scipy would take seconds
-  or not return at all.  Its input test is a, c real, c > 1/2 (clear of
-  every pole) and z finite with Re z <= ``_KUMMER_Z_MAX``; for float a, c
-  and z it and the result test run on Python floats.  Only where the input
-  test fails do its single guards run: the real-parameter test, the pole
-  test, the Re z test with its terminating-series exemption, then the
-  argument guard; so a c <= 1/2 off a pole, or a terminating series at Re z
-  above ``_KUMMER_Z_MAX``, still evaluates
+  or not return at all.  For float a, c and z its input test (c > 1/2,
+  clear of every pole, and z finite with Re z <= ``_KUMMER_Z_MAX``) and its
+  result test run on Python floats.  Any other input, or an input test that
+  fails, meets its single guards: the real-parameter test, the pole test,
+  the Re z test with its terminating-series exemption, then the argument
+  guard; so a c <= 1/2 off a pole, or a terminating series at Re z above
+  ``_KUMMER_Z_MAX``, still evaluates
 
 An order is refused only when it is not finite, and a result only when it
 is not finite: no order is too large by itself.  Where scipy would take a
@@ -72,35 +71,30 @@ non-finite input or return inf or nan, the library raises instead:
   diverges (every Hankel function; J, J' where their leading power is negative).
 * ``PoleError``: Kummer's F at c within 1e-12 of 0, -1, -2, ...
 
-A call makes two tests.  A scalar operand is tested as a Python scalar,
-an array by one reduction.  For a Python ``float`` argument
+A call takes one of two routes.  For a Python ``float`` argument
 (``np.float64`` included), or a Python ``complex`` one for the complex
 routines, the input test runs in Python: z finite and, for ``bessel_ie``
 and ``bessel_ke``, z > 0; then nu finite, in Python for a float order
 and by one reduction for an order array.  scipy gets the float, or
 complex(z) for the complex routines, the operand the array cast makes, so
-every value keeps its bits; a 0-d result is tested by ``cmath.isfinite``,
-an array result by one isfinite reduction.  The shielded weights' call,
-``bessel_ie`` on an order pair at a float x = kappa R0, takes this route
-with its pair left as one array: two scalar calls with their results
-tested in Python would cut a ``matching_sweep`` pass further, but while
-the benchmark keeps every pass's outputs that cut reads as a
-``peak_rss_mb`` rise beyond its bound.
-``bessel_j_hankel1`` (float nu and z: both finite, then
-``cmath.isfinite`` of J and of H, then H != 0) and ``kummer_f`` (float
-a, c and z) keep float routes of their own; the matching formula calls
-the pair twice per weight, and one more function call on that path costs
-more than the shared test saves.
+every value keeps its bits.  The shielded weights' call, ``bessel_ie`` on
+an order pair at a float x = kappa R0, takes this route with its pair
+left as one array: two scalar calls with their results tested in Python
+would cut a ``matching_sweep`` pass further, but while the benchmark
+keeps every pass's outputs that cut reads as a ``peak_rss_mb`` rise
+beyond its bound.  ``bessel_j_hankel1`` (float nu and z: both finite,
+then ``cmath.isfinite`` of J and of H, then H != 0) and ``kummer_f``
+(float a, c and z) keep float routes of their own; the matching formula
+calls the pair twice per weight, and one more function call on that path
+costs more than the shared test saves.
 
-Any other input, and any scalar test that fails, takes the array test,
-which broadcasts isfinite(nu), isfinite(z) and, for ``bessel_ie`` and
-``bessel_ke``, z > 0 into one boolean and reduces it once.  Only when that
-test fails (or a conversion fails, or the broadcast fails or is empty) do
-the single guards run, one reduction each, in the order x > 0, order,
-argument, result (for ``kummer_f``: real parameters, pole, Re z,
-argument, result).  The first of them to fail raises its error and
-message above, as it would alone; the result guard tells z = 0 from an
-overflow only there.  A call that passes both tests runs none of them.
+Any other input, and any scalar test that fails, meets the single guards,
+one reduction each, in the order x > 0, order, argument (for
+``kummer_f``: real parameters, pole, Re z, argument).  The first of them
+to fail raises its error and message above, as it would alone.  On
+either route the result is then tested once, a 0-d result by
+``cmath.isfinite`` and an array by one isfinite reduction; only when that
+fails does the result guard run, which tells z = 0 from an overflow.
 """
 
 from __future__ import annotations
@@ -109,7 +103,6 @@ import cmath
 import math
 
 import numpy as np
-from numpy.exceptions import ComplexWarning
 
 from .errors import OutOfRangeError, PoleError, SingularArgumentError
 
@@ -185,22 +178,17 @@ def _finite(out, z, name: str) -> None:
 
 
 def _inputs(nu, z, name: str, dtype=np.complex128, positive: str | None = None):
-    """(nu, z) for scipy after one test of both: nu and z finite and, where
+    """(nu, z) for scipy once both pass: nu and z finite and, where
     `positive` names the function, z > 0.
 
     A Python ``float`` z (``np.float64`` included), or for a complex `dtype`
     a Python ``complex``, is tested in Python and handed on as the float, or
     as complex(z), the operand the array cast would make; a float nu is then
-    tested in Python too, any other nu by one isfinite reduction.  Any
-    other z, or a scalar test that fails, takes the array test: the inputs
-    as arrays, broadcast into one boolean and reduced once.
-
-    Only when that test fails, or a conversion or the broadcast does (a
-    ComplexWarning counts, under an error filter), or the broadcast is empty
-    (it may then have dropped a bad element), do the single guards run:
-    `_positive`, `_order`, `_argument`, in that order.  So the first of them
-    to fail raises, as it would alone; if none does, the caller meets
-    whatever scipy raises for the same inputs.
+    tested in Python too, any other nu by one isfinite reduction.  Any other
+    z, or a scalar test that fails, meets the single guards: `_positive`,
+    `_order`, `_argument`, in that order, one reduction each.  So the first
+    of them to fail raises, as it would alone; if none does, the caller
+    meets whatever scipy raises for the same inputs.
     """
     if isinstance(z, float) or (dtype is np.complex128 and isinstance(z, complex)):
         z_in = complex(z) if dtype is np.complex128 else z
@@ -213,16 +201,6 @@ def _inputs(nu, z, name: str, dtype=np.complex128, positive: str | None = None):
                 nu_in = np.asarray(nu, dtype=np.float64)
                 if np.isfinite(nu_in).all():
                     return nu_in, z_in
-    try:
-        z_in = np.asarray(z, dtype=dtype)
-        nu = np.asarray(nu, dtype=np.float64)
-        ok = np.isfinite(z_in) & np.isfinite(nu)
-        if positive is not None:
-            ok = ok & (z_in > 0)
-        if ok.size and ok.all():
-            return nu, z_in
-    except (TypeError, ValueError, ComplexWarning):
-        pass
     if positive is not None:
         _positive(z, positive)
     return _order(nu), _argument(z, name, dtype)
@@ -262,8 +240,8 @@ def _hankel_nonzero(out, z, name: str):
 
 
 def _evaluate(fn, nu, z, name: str, dtype=np.complex128, positive: str | None = None):
-    """fn(nu, z) with one test of the inputs and one of the result (`_inputs`,
-    `_result`): scipy's inf/nan becomes a typed error."""
+    """fn(nu, z) after the input route of `_inputs` and one test of the
+    result (`_result`): scipy's inf/nan becomes a typed error."""
     nu, z = _inputs(nu, z, name, dtype, positive)
     return _result(fn(nu, z), z, name)
 
@@ -328,29 +306,22 @@ def hankel1(nu: float, z):
 
 
 def bessel_j_hankel1(nu: float, z):
-    """(J_nu(z), H_nu^(1)(z)) at the same orders and argument, one test of the
-    inputs and one of both results; raises what `bessel_j` followed by
-    `hankel1` would raise.
+    """(J_nu(z), H_nu^(1)(z)) at the same orders and argument; raises what
+    `bessel_j` followed by `hankel1` would raise.
 
     Float nu and z (the matching formula's calls) are tested on Python
-    floats, and scipy runs at complex(z), the argument the array call casts
-    to, so J keeps its complex-AMOS bits.  Any other input, or a failed test,
-    takes the array route with its single guards.
+    floats, and scipy runs at complex(z), the argument `bessel_j` hands it,
+    so J keeps its complex-AMOS bits.  Any other input, or a failed test, is
+    that sequence itself.
     """
     if isinstance(nu, float) and isinstance(z, float):
         if -math.inf < nu < math.inf and -math.inf < z < math.inf:
             zc = complex(z)
             j, h = complex(_sp.jv(nu, zc)), complex(_sp.hankel1(nu, zc))
-            # h == 0 is false and falls through: the array route refuses it at z != 0
+            # h == 0 is false and falls through: `hankel1` refuses it at z != 0
             if cmath.isfinite(j) and cmath.isfinite(h) and h:
                 return j, h
-    nu, z = _inputs(nu, z, "J_nu")
-    j, h = _sp.jv(nu, z), _sp.hankel1(nu, z)
-    if not (np.isfinite(j) & np.isfinite(h)).all():
-        _finite(j, z, "J_nu")
-        _finite(h, z, "H1_nu")
-    _hankel_nonzero(h, z, "H1_nu")
-    return (j.item(), h.item()) if np.ndim(j) == 0 else (j, h)
+    return bessel_j(nu, z), hankel1(nu, z)
 
 
 def hankel1e(nu: float, z):
@@ -389,29 +360,18 @@ def _check_far(a, z) -> None:
 
 
 def _kummer_inputs(a, c, z):
-    """(a, c, z) for `hyp1f1` after one test: a and c real, every c > 1/2
-    (clear of every pole) and z finite with Re z <= `_KUMMER_Z_MAX`.
+    """(a, c, z) for `hyp1f1`.
 
-    Float a, c and z (the library's calls) are tested on Python floats;
-    other inputs are broadcast into one boolean and reduced once.  Only when
-    the test fails, or a conversion or the broadcast does, or the broadcast
-    is empty, do the single guards run: `_real_parameters`, `_check_pole`,
-    `_check_far`, `_argument`, in that order.  So the first of them to fail
-    raises, as it would alone; if none does, the caller meets whatever scipy
-    raises for the same inputs.
+    Float a, c and z (the library's calls) take one test on Python floats:
+    c > 1/2 (clear of every pole) and z finite with Re z <= `_KUMMER_Z_MAX`.
+    Any other input, or a test that fails, meets the single guards:
+    `_real_parameters`, `_check_pole`, `_check_far`, `_argument`, in that
+    order.  So the first of them to fail raises, as it would alone; if none
+    does, the caller meets whatever scipy raises for the same inputs.
     """
     if isinstance(a, float) and isinstance(c, float) and isinstance(z, float):
         if c > 0.5 and -math.inf < z <= _KUMMER_Z_MAX:
             return a, c, z
-    else:
-        try:
-            a_in, c_in, z_in = np.asarray(a), np.asarray(c), np.asarray(z)
-            if a_in.dtype.kind in "biuf" and c_in.dtype.kind in "biuf":
-                ok = (c_in > 0.5) & np.isfinite(z_in) & (z_in.real <= _KUMMER_Z_MAX)
-                if ok.size and ok.all():
-                    return a_in, c_in, z_in
-        except (TypeError, ValueError):
-            pass
     a, c = _real_parameters(a, c)
     _check_pole(c, "kummer_f")
     _check_far(a, z)

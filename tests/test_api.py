@@ -127,6 +127,21 @@ def test_every_error_type_is_raised():
     assert defined and sorted(defined - raised) == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    # a name a module imports is read somewhere in it or re-exported by its
+    # `__all__`; an import left behind by deleted code fails here
+    tree = _tree(path)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = importlib.import_module("abdirac" if path.stem == "__init__" else f"abdirac.{path.stem}")
+    assert sorted(imported - read - set(getattr(module, "__all__", ()))) == []
+
+
 def test_scipy_loads_only_where_a_call_needs_it():
     # a fresh interpreter, since this one has long loaded scipy: the packet
     # path above the switch point X0 takes its kernel from propagate's own

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +80,16 @@ def _kin(k, si=False):
     if not si:
         return make_kinematics(k=k)
     return make_kinematics(k=k / LAM, M=1 / LAM)
+
+
+@pytest.mark.parametrize("E, M", [(1e200, 1.0), (1e-160, 0.0), (1.0 + 1e-8, 1.0), (1.5, 1.0)])
+def test_wavenumber_from_energy(E, M):
+    # sqrt of the exact (E - M)(E + M), scaled by 4^e so that neither the
+    # overflowing 1e400 nor the subnormal 1e-320 is rounded into a double
+    exact = (Fraction(E) - Fraction(M)) * (Fraction(E) + Fraction(M))
+    e = (exact.numerator.bit_length() - exact.denominator.bit_length()) // 2
+    want = math.sqrt(exact / Fraction(4) ** e) * 2.0 ** e
+    assert abs(make_kinematics(E=E, M=M).k - want) <= 4.5e-16 * want
 
 
 class TestUnitSchemes:

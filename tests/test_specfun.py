@@ -11,9 +11,11 @@ import pytest
 from scipy import special
 
 from abdirac import bare_tube as bt
+from abdirac import scattering as sc
+from abdirac import shielded as sh
 from abdirac import specfun as sf
 from abdirac.errors import OutOfRangeError, PoleError, SingularArgumentError
-from abdirac.model import Coupling, TubeConfig, make_kinematics
+from abdirac.model import Coupling, SpinorAmplitudes, TubeConfig, make_kinematics
 from _helpers import run_python
 
 
@@ -756,28 +758,35 @@ def _returned(fn, *args):
 
 
 class TestValidCallsSkipTheGuards:
-    """A valid call meets one test of its inputs and one of its results, and
-    returns its raw scipy routine's value on the same cast inputs."""
+    """A valid call on the scalar route meets one test of its inputs and one
+    of its results; every valid call returns its raw scipy routine's value
+    on the same cast inputs."""
 
-    def test_single_guards_not_called(self, monkeypatch):
+    @staticmethod
+    def _refuse_single_guards(monkeypatch):
         def refuse(*_args, **_kwargs):
             raise AssertionError("a single guard ran on a valid call")
 
         for helper in ("_order", "_argument", "_positive", "_finite",
                        "_real_parameters", "_check_pole", "_check_far"):
             monkeypatch.setattr(sf, helper, refuse)
-        orders, args = np.array([-1.3, 0.3, 2.7]), np.array([0.5, 1.0, 4.0])
-        for nu, z in ((0.3, 1.0), (orders, 1.0), (0.3, args), (orders, args)):
+
+    def test_single_guards_not_called(self, monkeypatch):
+        # the scalar route: a Python-float or -complex argument (np.float64
+        # included) beside a float order or an order array; array arguments
+        # meet the single guards and are compared with scipy's bits in
+        # test_bits_equal_scipy and with the guards in TestScalarArgumentRule
+        self._refuse_single_guards(monkeypatch)
+        orders = np.array([-1.3, 0.3, 2.7])
+        for nu in (0.3, orders):
             for name in SCIPY_ROUTINES:
-                getattr(sf, name)(nu, z)
-            sf.bessel_j_hankel1(nu, z)
-            sf.bessel_j(nu + 250.0, 300.0 * z)
-            sf.bessel_j(nu, 2.0j * z)
-            sf.kummer_f(nu, KUMMER_C, z)
-            sf.kummer_f(nu, KUMMER_C, -z + 0.5j)
+                getattr(sf, name)(nu, 1.0)
+            sf.bessel_j_hankel1(nu, 1.0)
+            sf.bessel_j(nu + 250.0, 300.0)
+            sf.bessel_j(nu, 2.0j)
         sf.bessel_j_ladder(0.3, 4, 2.0)
-        # the scalar rule: an order pair beside a Python-float x, as a
-        # shielded weight calls bessel_ie, and Python-complex arguments
+        # an order pair beside a Python-float x, as a shielded weight calls
+        # bessel_ie, and Python-complex arguments
         pair = np.array([0.59, 1.59])
         for x in (0.1, 50.0, np.float64(3.0)):
             sf.bessel_ie(pair, x)
@@ -789,11 +798,29 @@ class TestValidCallsSkipTheGuards:
         for nu, z in ((-1.3, 0.5), (np.float64(2.7), np.float64(4.0)),
                       (np.float64(0.3), 1.0), (0.3, np.float64(1e-3))):
             sf.bessel_j_hankel1(nu, z)
-        # Kummer's scalar and parameter-pair calls, real and complex z
-        pair = np.array([0.3, 1.3]), np.array([KUMMER_C, KUMMER_C + 1.0])
-        for a, c in ((0.3, KUMMER_C), pair):
-            for z in (0.7, -3.0, 0.0, 500.0, -1e9, 2.5 + 1.0j):
-                sf.kummer_f(a, c, z)
+        # Kummer's float route
+        for z in (0.7, -3.0, 0.0, 500.0, -1e9):
+            sf.kummer_f(0.3, KUMMER_C, z)
+
+    def test_library_call_sites_take_the_scalar_route(self, monkeypatch):
+        # the calls the benchmark's hot paths make: bare and shielded weights
+        # over the matching_sweep grid, and partial-wave rows above j_{0,1}
+        self._refuse_single_guards(monkeypatch)
+        kin = make_kinematics(k=1.0)
+        for alpha in (0.41, -1.38):
+            coupling = Coupling(alpha)
+            for kr0 in (1e-4, 0.05, 3.0):
+                tube = TubeConfig(r0=kr0, coupling=coupling)
+                barriers = [sh.shielded_sweep_point(kr0, kappa_r0) for kappa_r0 in (50.0, 6.0)]
+                for l in range(-10, 11):
+                    for ch in (1, 2):
+                        bt.matching_coefficient(l, ch, tube, kin)
+                        for barrier, kin_b in barriers:
+                            sh.shielded_matching(l, ch, barrier, kin_b, coupling)
+            for kind in ("bare", "shielded"):
+                for kr in (3.0, 50.0):
+                    sc.dirac_scattering_state(kind, SpinorAmplitudes(1.0, 0.5j), coupling,
+                                              kin, kr, np.array([0.1, 2.0]))
 
     @pytest.mark.parametrize("name", sorted(SCIPY_ROUTINES))
     def test_bits_equal_scipy(self, name):
@@ -890,9 +917,10 @@ def _outcome(fn, *args, **kwargs):
 
 class TestPairFloatRoute:
     """Float orders and arguments take `bessel_j_hankel1`'s Python-float
-    route; every other input takes the array route.  Over each kind of
-    input, valid or not, the pair returns what `bessel_j` and `hankel1`
-    return (types and bits) or raises what they raise, in that order."""
+    route; every other input is `bessel_j` followed by `hankel1`.  Over
+    each kind of input, valid or not, the pair returns what `bessel_j` and
+    `hankel1` return (types and bits) or raises what they raise, in that
+    order."""
 
     def test_battery_equals_the_sequence(self):
         def sequence(nu, z):
